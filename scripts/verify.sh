@@ -17,6 +17,11 @@
 # The bench-gate stage re-runs every JSON-emitting bench and compares the
 # deterministic metrics against bench/baseline.json (tolerances per
 # metric); set SCALLA_SKIP_BENCH_GATE=1 to skip it.
+#
+# The perfbench smoke stage builds the wall-clock benchmark (perfbench/,
+# its own CMake package over src/) into build-perfbench and runs each
+# workload for one second; a src/ API change that breaks it, or a run
+# whose result is not "correct", fails here instead of in the benchmark.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,6 +45,21 @@ if [[ "${SCALLA_SKIP_BENCH_GATE:-0}" != "1" ]]; then
   }
   ./build/tools/bench_compare bench/baseline.json build/bench_current.json
 fi
+
+echo
+echo "=== perfbench smoke: every workload builds, runs and reports correct ==="
+for workload in warm_open cold_open data_mix; do
+  result=$(CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py --workload "$workload" \
+             --seed 1 --seconds 1 --trace 0 | tail -n 1) || {
+    echo "perfbench $workload: run failed"
+    exit 1
+  }
+  if [[ "$result" != *'"correct": true'* ]]; then
+    echo "perfbench $workload: result not correct: $result"
+    exit 1
+  fi
+  echo "perfbench $workload: ok"
+done
 
 echo
 echo "=== build + test: asan-ubsan preset ==="

@@ -624,6 +624,32 @@ LocationCache::Stats LocationCache::GetStats() const {
   return s;
 }
 
+void LocationCache::ExportMetrics(obs::MetricsSnapshot& snap) const {
+  const Stats s = GetStats();
+  snap.AddCounter("cache.lookups", s.lookups);
+  snap.AddCounter("cache.hits", s.hits);
+  snap.AddCounter("cache.misses", s.lookups - s.hits);
+  snap.AddCounter("cache.creates", s.creates);
+  snap.AddCounter("cache.corrections", s.corrections);
+  snap.AddCounter("cache.correction_memo_hits", s.correctionMemoHits);
+  snap.AddCounter("cache.rehashes", s.rehashes);
+  snap.AddCounter("cache.window_ticks", s.windowTicks);
+  snap.AddCounter("cache.recycled", s.recycled);
+  snap.AddCounter("cache.budget_evictions", s.budgetEvictions);
+  snap.AddCounter("cache.create_failures", s.createFailures);
+  const auto gauge = [&snap](const char* name, std::size_t value) {
+    snap.AddGauge(name, static_cast<std::int64_t>(value));
+  };
+  gauge("cache.live_objects", s.liveObjects);
+  gauge("cache.approx_bytes", s.approxBytes);
+  gauge("cache.arena_bytes", s.arenaBytes);
+  gauge("cache.bytes_per_entry", s.liveObjects == 0 ? 0 : s.approxBytes / s.liveObjects);
+  gauge("cache.arena_occupancy_pct",
+        s.allocatedObjects == 0
+            ? 0
+            : 100 * (s.allocatedObjects - s.freeObjects) / s.allocatedObjects);
+}
+
 int LocationCache::CurrentWindow() const {
   std::lock_guard lock(mu_);
   return static_cast<int>(tw_ % kMaxServersPerSet);

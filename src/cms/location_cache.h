@@ -51,6 +51,7 @@
 
 #include "cms/correction_state.h"
 #include "cms/types.h"
+#include "obs/snapshot.h"
 #include "util/clock.h"
 
 namespace scalla::cms {
@@ -184,6 +185,8 @@ class LocationCache {
     std::size_t createFailures = 0;     // kCreate refused (budget exhausted)
   };
   Stats GetStats() const;
+  /// Writes the cache.* metrics (lookups, hits, arena occupancy, ...).
+  void ExportMetrics(obs::MetricsSnapshot& snap) const;
 
   /// Test hook: window index objects added "now" would get.
   int CurrentWindow() const;

@@ -56,6 +56,13 @@ void MaintenanceDriver::Stop() {
   running_ = false;
 }
 
+void MaintenanceDriver::ExportMetrics(obs::MetricsSnapshot& snap) const {
+  snap.AddCounter("maintenance.window_ticks", stats_.windowTicks);
+  snap.AddCounter("maintenance.sweeps", stats_.sweeps);
+  snap.AddCounter("maintenance.drop_scans", stats_.dropScans);
+  snap.AddCounter("maintenance.members_dropped", stats_.membersDropped);
+}
+
 void MaintenanceDriver::StartSweepTimer() {
   if (sweepTimer_ != sched::kInvalidTimer) return;
   sweepTimer_ = executor_.RunEvery(config_.sweepPeriod, [this] {

@@ -13,6 +13,7 @@
 #include "cms/membership.h"
 #include "cms/response_queue.h"
 #include "cms/types.h"
+#include "obs/snapshot.h"
 #include "sched/executor.h"
 
 namespace scalla::cms {
@@ -49,6 +50,8 @@ class MaintenanceDriver {
     std::uint64_t membersDropped = 0;
   };
   Stats GetStats() const { return stats_; }
+  /// Writes the maintenance.* metrics.
+  void ExportMetrics(obs::MetricsSnapshot& snap) const;
 
  private:
   void StartSweepTimer();

@@ -271,6 +271,18 @@ Membership::LivenessStats Membership::GetLivenessStats() const {
   return liveness_;
 }
 
+void Membership::ExportMetrics(obs::MetricsSnapshot& snap) const {
+  const LivenessStats live = GetLivenessStats();
+  snap.AddCounter("membership.deaths", live.deaths);
+  snap.AddCounter("membership.rejoins", live.rejoins);
+  snap.AddCounter("membership.suspends", live.suspends);
+  snap.AddCounter("membership.resumes", live.resumes);
+  snap.AddCounter("membership.drains", live.drains);
+  snap.AddGauge("membership.suspended", static_cast<std::int64_t>(SuspendedSet().count()));
+  snap.AddGauge("membership.draining", static_cast<std::int64_t>(DrainingSet().count()));
+  snap.AddGauge("membership.path_arena_bytes", static_cast<std::int64_t>(PathArenaBytes()));
+}
+
 std::size_t Membership::PathArenaBytes() const {
   std::lock_guard lock(mu_);
   return paths_.ArenaBytes();

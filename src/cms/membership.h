@@ -22,6 +22,7 @@
 #include "cms/correction_state.h"
 #include "cms/path_table.h"
 #include "cms/types.h"
+#include "obs/snapshot.h"
 #include "util/clock.h"
 
 namespace scalla::cms {
@@ -127,6 +128,9 @@ class Membership {
     std::uint64_t drains = 0;    // operator drains applied
   };
   LivenessStats GetLivenessStats() const;
+  /// Writes the membership.* metrics (liveness counters, suspended and
+  /// draining gauges, export-prefix arena bytes).
+  void ExportMetrics(obs::MetricsSnapshot& snap) const;
 
   /// Bytes held by the export-prefix string arena backing PathTable,
   /// surfaced as the membership.path_arena_bytes gauge.

@@ -246,4 +246,16 @@ Resolver::Stats Resolver::GetStats() const {
   return stats_;
 }
 
+void Resolver::ExportMetrics(obs::MetricsSnapshot& snap) const {
+  const Stats s = GetStats();
+  snap.AddCounter("resolver.locates", s.locates);
+  snap.AddCounter("resolver.redirects", s.redirects);
+  snap.AddCounter("resolver.fast_redirects", s.fastRedirects);
+  snap.AddCounter("resolver.not_found", s.notFound);
+  snap.AddCounter("resolver.full_delays", s.fullDelays);
+  snap.AddCounter("resolver.queries_sent", s.queriesSent);
+  snap.AddCounter("resolver.query_messages", s.queryMessages);
+  snap.AddCounter("resolver.deferrals", s.deferrals);
+}
+
 }  // namespace scalla::cms

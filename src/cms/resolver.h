@@ -26,6 +26,7 @@
 #include "cms/response_queue.h"
 #include "cms/selection.h"
 #include "cms/types.h"
+#include "obs/snapshot.h"
 #include "util/clock.h"
 
 namespace scalla::cms {
@@ -76,6 +77,8 @@ class Resolver {
     std::size_t deferrals = 0;       // parked because a deadline was active
   };
   Stats GetStats() const;
+  /// Writes the resolver.* metrics.
+  void ExportMetrics(obs::MetricsSnapshot& snap) const;
 
  private:
   void Park(const LocRef& ref, AccessMode mode, ServerSlot avoid, LocateCallback done);

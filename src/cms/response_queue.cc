@@ -117,4 +117,14 @@ FastResponseQueue::Stats FastResponseQueue::GetStats() const {
   return s;
 }
 
+void FastResponseQueue::ExportMetrics(obs::MetricsSnapshot& snap) const {
+  const Stats s = GetStats();
+  snap.AddCounter("respq.adds", s.adds);
+  snap.AddCounter("respq.joins", s.joins);
+  snap.AddCounter("respq.releases", s.releases);
+  snap.AddCounter("respq.expirations", s.expirations);
+  snap.AddCounter("respq.rejected_full", s.rejectedFull);
+  snap.AddGauge("respq.anchors_in_use", static_cast<std::int64_t>(s.anchorsInUse));
+}
+
 }  // namespace scalla::cms

@@ -22,6 +22,7 @@
 
 #include "cms/location_cache.h"  // RespSlotRef
 #include "cms/types.h"
+#include "obs/snapshot.h"
 #include "util/clock.h"
 
 namespace scalla::cms {
@@ -84,6 +85,8 @@ class FastResponseQueue {
     std::size_t anchorsInUse = 0;
   };
   Stats GetStats() const;
+  /// Writes the respq.* metrics.
+  void ExportMetrics(obs::MetricsSnapshot& snap) const;
 
  private:
   struct Waiter {

@@ -1,19 +1,16 @@
 #include "fed/meta_manager.h"
 
+#include <type_traits>
 #include <utility>
-
-#include "util/logger.h"
 
 namespace scalla::fed {
 
-using cms::AccessMode;
-using cms::LocateResult;
-using cms::LocateStatus;
-
 namespace {
 
-AccessMode ModeOf(std::uint8_t raw) {
-  return raw == 0 ? AccessMode::kRead : AccessMode::kWrite;
+proto::Message FedQueryFrame(const std::string& path, std::uint32_t hash,
+                             cms::AccessMode mode) {
+  return proto::FedQuery{path, hash,
+                         mode == cms::AccessMode::kRead ? std::uint8_t{0} : std::uint8_t{1}};
 }
 
 }  // namespace
@@ -25,70 +22,38 @@ MetaManager::FedMetrics::FedMetrics(obs::MetricsRegistry& r)
       waits(r.GetCounter("fed.waits_issued")),
       notFound(r.GetCounter("fed.not_found")),
       clusterDeaths(r.GetCounter("fed.cluster_deaths")),
-      pingsSent(r.GetCounter("fed.pings_sent")),
-      pongsReceived(r.GetCounter("fed.pongs_received")),
       statsQueries(r.GetCounter("fed.stats_queries")) {}
 
 MetaManager::MetaManager(MetaConfig config, sched::Executor& executor,
                          net::Fabric& fabric)
     : config_(std::move(config)),
-      executor_(executor),
       fabric_(fabric),
-      membership_(config_.cms, executor.clock()),
-      cache_(config_.cms, executor.clock(), membership_.corrections()),
-      respq_(config_.cms, executor.clock()),
-      selection_(config_.selection),
-      resolver_(config_.cms, executor.clock(), membership_, cache_, respq_, selection_,
-                [this](ServerSet targets, const std::string& path, std::uint32_t hash,
-                       AccessMode mode) { SendQueryDown(targets, path, hash, mode); }),
-      maintenance_(config_.cms, executor, cache_, respq_, membership_),
-      fm_(metrics_) {
-  slotAddr_.fill(0);
-  locality_.fill(0);
-}
+      core_(config_.cms, config_.selection, config_.name, config_.addr, executor, fabric,
+            metrics_,
+            {"fed.", &FedQueryFrame,
+             // Piggybacked head load, weighted by the cluster's locality,
+             // keeps the cross-cluster replica preference fresh.
+             [this](ServerSlot cluster, std::uint32_t load) {
+               return EffectiveLoad(cluster, load);
+             },
+             // DeclareDead already shed the whole cluster's V_h/V_p bits in
+             // O(1); there is no subtree below a cluster head to notify.
+             [this](const std::string&) { fm_.clusterDeaths.Inc(); }}),
+      fm_(metrics_),
+      stats_(config_.addr, executor, fabric, config_.statsTimeout) {}
 
 MetaManager::~MetaManager() { Stop(); }
 
 void MetaManager::Start() {
   if (started_) return;
   started_ = true;
-  if (!config_.startTimers) return;
-  cms::MaintenanceDriver::Options opts;
-  opts.windowTick = true;
-  opts.dropScan = true;
-  maintenance_.Start(opts, [this](ServerSlot slot) {
-    const net::NodeAddr addr = slotAddr_[slot];
-    if (addr != 0) {
-      addrSlot_.erase(addr);
-      slotAddr_[slot] = 0;
-    }
-  });
-  if (config_.cms.ping > Duration::zero()) {
-    pingTimer_ = executor_.RunEvery(config_.cms.ping, [this] { HeartbeatTick(); });
-  }
+  if (config_.startTimers) core_.Start(/*headDuties=*/true);
 }
 
 void MetaManager::Stop() {
-  maintenance_.Stop();
-  if (pingTimer_ != sched::kInvalidTimer) {
-    executor_.Cancel(pingTimer_);
-    pingTimer_ = sched::kInvalidTimer;
-  }
-  for (auto& [_, agg] : statsAggs_) {
-    if (agg.timer != sched::kInvalidTimer) executor_.Cancel(agg.timer);
-  }
-  statsAggs_.clear();
+  core_.Stop();
+  stats_.Cancel();
   started_ = false;
-}
-
-net::NodeAddr MetaManager::HeadOfCluster(ServerSlot clusterId) const {
-  return clusterId >= 0 && clusterId < kMaxServersPerSet ? slotAddr_[clusterId] : 0;
-}
-
-std::optional<ServerSlot> MetaManager::ClusterOfHead(net::NodeAddr addr) const {
-  const auto it = addrSlot_.find(addr);
-  if (it == addrSlot_.end()) return std::nullopt;
-  return it->second;
 }
 
 std::uint32_t MetaManager::EffectiveLoad(ServerSlot clusterId,
@@ -100,58 +65,14 @@ std::uint32_t MetaManager::EffectiveLoad(ServerSlot clusterId,
 
 obs::MetricsSnapshot MetaManager::SnapshotMetrics() const {
   obs::MetricsSnapshot snap = metrics_.Snapshot();
-  const auto cache = cache_.GetStats();
-  snap.AddCounter("cache.lookups", cache.lookups);
-  snap.AddCounter("cache.hits", cache.hits);
-  snap.AddCounter("cache.misses", cache.lookups - cache.hits);
-  snap.AddCounter("cache.creates", cache.creates);
-  snap.AddCounter("cache.corrections", cache.corrections);
-  snap.AddCounter("cache.window_ticks", cache.windowTicks);
-  snap.AddGauge("cache.live_objects", static_cast<std::int64_t>(cache.liveObjects));
-  snap.AddGauge("cache.arena_bytes", static_cast<std::int64_t>(cache.arenaBytes));
-  snap.AddGauge("cache.bytes_per_entry",
-                static_cast<std::int64_t>(
-                    cache.liveObjects == 0
-                        ? 0
-                        : cache.approxBytes / cache.liveObjects));
-  snap.AddCounter("cache.budget_evictions", cache.budgetEvictions);
-  const auto resolver = resolver_.GetStats();
-  snap.AddCounter("resolver.locates", resolver.locates);
-  snap.AddCounter("resolver.redirects", resolver.redirects);
-  snap.AddCounter("resolver.fast_redirects", resolver.fastRedirects);
-  snap.AddCounter("resolver.not_found", resolver.notFound);
-  snap.AddCounter("resolver.full_delays", resolver.fullDelays);
-  snap.AddCounter("resolver.queries_sent", resolver.queriesSent);
-  snap.AddCounter("resolver.query_messages", resolver.queryMessages);
-  const auto respq = respq_.GetStats();
-  snap.AddCounter("respq.adds", respq.adds);
-  snap.AddCounter("respq.releases", respq.releases);
-  snap.AddCounter("respq.expirations", respq.expirations);
-  const auto live = membership_.GetLivenessStats();
-  snap.AddCounter("membership.deaths", live.deaths);
-  snap.AddCounter("membership.rejoins", live.rejoins);
-  snap.AddGauge("fed.clusters", static_cast<std::int64_t>(membership_.MemberCount()));
+  core_.ExportMetrics(snap);
+  snap.AddGauge("fed.clusters", static_cast<std::int64_t>(core_.membership().MemberCount()));
   snap.AddGauge("fed.clusters_online",
-                static_cast<std::int64_t>(membership_.OnlineSet().count()));
+                static_cast<std::int64_t>(core_.membership().OnlineSet().count()));
   return snap;
 }
 
-void MetaManager::SendQueryDown(ServerSet targets, const std::string& path,
-                                std::uint32_t hash, AccessMode mode) {
-  proto::FedQuery query;
-  query.path = path;
-  query.hash = hash;
-  query.mode = mode == AccessMode::kRead ? 0 : 1;
-  for (ServerSlot s = targets.first(); s >= 0; s = targets.next(s)) {
-    const net::NodeAddr addr = slotAddr_[s];
-    if (addr != 0) fabric_.Send(config_.addr, addr, query);
-  }
-}
-
-void MetaManager::OnPeerDown(net::NodeAddr peer) {
-  const auto slot = ClusterOfHead(peer);
-  if (slot.has_value()) membership_.Disconnect(*slot);
-}
+void MetaManager::OnPeerDown(net::NodeAddr peer) { core_.OnPeerDown(peer); }
 
 void MetaManager::OnMessage(net::NodeAddr from, proto::Message message) {
   std::visit(
@@ -160,31 +81,42 @@ void MetaManager::OnMessage(net::NodeAddr from, proto::Message message) {
         if constexpr (std::is_same_v<M, proto::FedSubscribe>) {
           HandleSubscribe(from, m);
         } else if constexpr (std::is_same_v<M, proto::FedHave>) {
-          HandleHave(from, m);
+          core_.OnHave(from, m.path, m.hash, m.pending, m.allowWrite);
         } else if constexpr (std::is_same_v<M, proto::FedGone>) {
-          HandleGone(from, m);
+          core_.OnGone(from, m.path);
         } else if constexpr (std::is_same_v<M, proto::FedLocate>) {
-          HandleLocate(from, m);
+          fm_.locates.Inc();
+          core_.Answer<proto::FedRedirect>(
+              from, m.reqId, m.path, core_.OptionsFor(m.mode, m.refresh, m.avoidCluster),
+              {&fm_.redirects, &fm_.waits, &fm_.notFound});
         } else if constexpr (std::is_same_v<M, proto::XrdOpen>) {
           HandleOpen(from, m);
         } else if constexpr (std::is_same_v<M, proto::XrdStat>) {
-          HandleStat(from, m);
+          fm_.locates.Inc();
+          core_.Answer<proto::XrdStatResp>(from, m.reqId, m.path, {}, {&fm_.redirects});
         } else if constexpr (std::is_same_v<M, proto::XrdUnlink>) {
-          HandleUnlink(from, m);
+          fm_.locates.Inc();
+          core_.Answer<proto::XrdUnlinkResp>(from, m.reqId, m.path, {}, {&fm_.redirects});
         } else if constexpr (std::is_same_v<M, proto::XrdChecksum>) {
-          HandleChecksum(from, m);
+          fm_.locates.Inc();
+          core_.Answer<proto::XrdChecksumResp>(from, m.reqId, m.path, {}, {&fm_.redirects});
         } else if constexpr (std::is_same_v<M, proto::XrdPrepare>) {
-          HandlePrepare(from, m);
+          // Parallel prepare at federation scope warms the cluster-location
+          // cache for every named path concurrently.
+          core_.Prefetch(m.paths, m.mode);
+          proto::XrdPrepareResp resp;
+          resp.reqId = m.reqId;
+          fabric_.Send(config_.addr, from, std::move(resp));
         } else if constexpr (std::is_same_v<M, proto::CmsPong>) {
-          HandlePong(from, m);
+          core_.OnPong(from, m);
         } else if constexpr (std::is_same_v<M, proto::CmsDrain>) {
           // Operator drain by cluster name: takes a whole cluster out of
           // federation selection while it stays subscribed.
           proto::CmsDrainResp resp;
           resp.reqId = m.reqId;
-          const auto slot = membership_.SlotOf(m.server);
+          const auto slot = core_.membership().SlotOf(m.server);
           if (slot.has_value()) {
-            membership_.SetDraining(*slot, !m.restore);
+            core_.membership().SetDraining(*slot, !m.restore);
             resp.ok = true;
             resp.applied = true;
           } else {
@@ -192,9 +124,10 @@ void MetaManager::OnMessage(net::NodeAddr from, proto::Message message) {
           }
           if (m.reqId != 0) fabric_.Send(config_.addr, from, std::move(resp));
         } else if constexpr (std::is_same_v<M, proto::StatsQuery>) {
-          HandleStatsQuery(from, m);
+          fm_.statsQueries.Inc();
+          stats_.OnQuery(from, m.reqId, SnapshotMetrics(), core_.OnlineAddrs());
         } else if constexpr (std::is_same_v<M, proto::StatsReply>) {
-          HandleStatsReply(from, m);
+          if (ClusterOfHead(from).has_value()) stats_.OnReply(m);
         } else if constexpr (std::is_same_v<M, proto::PcacheAdmin>) {
           proto::PcacheAdminResp resp;
           resp.reqId = m.reqId;
@@ -208,14 +141,10 @@ void MetaManager::OnMessage(net::NodeAddr from, proto::Message message) {
       std::move(message));
 }
 
-// ---------------------------------------------------------------------
-// fed protocol
-
 void MetaManager::HandleSubscribe(net::NodeAddr from, const proto::FedSubscribe& m) {
   proto::FedSubscribeResp resp;
-  const auto oldSlot = ClusterOfHead(from);
-  const auto result = membership_.Login(m.cluster, m.exports, m.allowWrite,
-                                        /*isSupervisor=*/false);
+  const auto result = core_.Admit(from, m.cluster, m.exports, m.allowWrite,
+                                  /*isSupervisor=*/false);
   if (!result.has_value()) {
     // 64 clusters per meta; federations grow by stacking metas, which is
     // out of scope here — fail loudly rather than silently dropping.
@@ -224,337 +153,24 @@ void MetaManager::HandleSubscribe(net::NodeAddr from, const proto::FedSubscribe&
     fabric_.Send(config_.addr, from, std::move(resp));
     return;
   }
-  if (oldSlot.has_value() && *oldSlot != result->slot) slotAddr_[*oldSlot] = 0;
-  slotAddr_[result->slot] = from;
-  addrSlot_[from] = result->slot;
   locality_[result->slot] = m.locality;
-  membership_.ReportLoad(result->slot, EffectiveLoad(result->slot, 0),
-                         std::uint64_t{1} << 40);
+  core_.membership().ReportLoad(result->slot, EffectiveLoad(result->slot, 0),
+                                std::uint64_t{1} << 40);
   fm_.subscribes.Inc();
   resp.ok = true;
   resp.clusterId = result->slot;
   fabric_.Send(config_.addr, from, std::move(resp));
 }
 
-void MetaManager::HandleHave(net::NodeAddr from, const proto::FedHave& m) {
-  const auto slot = ClusterOfHead(from);
-  if (!slot.has_value()) return;  // not a subscribed cluster head
-  resolver_.OnHave(m.path, m.hash, *slot, m.pending, m.allowWrite);
-}
-
-void MetaManager::HandleGone(net::NodeAddr from, const proto::FedGone& m) {
-  const auto slot = ClusterOfHead(from);
-  if (!slot.has_value()) return;
-  resolver_.OnGone(m.path, *slot);
-}
-
-void MetaManager::HandleLocate(net::NodeAddr from, const proto::FedLocate& m) {
-  fm_.locates.Inc();
-  cms::LocateOptions opts;
-  opts.mode = ModeOf(m.mode);
-  opts.refresh = m.refresh;
-  if (m.avoidCluster != 0) {
-    const auto avoid = ClusterOfHead(m.avoidCluster);
-    if (avoid.has_value()) opts.avoid = *avoid;
-  }
-  resolver_.Locate(m.path, opts, [this, from, reqId = m.reqId](const LocateResult& r) {
-    proto::FedRedirect resp;
-    resp.reqId = reqId;
-    switch (r.status) {
-      case LocateStatus::kRedirect: {
-        resp.status = proto::XrdStatus::kRedirect;
-        resp.clusterId = r.server;
-        resp.headAddr = slotAddr_[r.server];
-        const auto info = membership_.InfoOf(r.server);
-        if (info.has_value()) resp.cluster = info->name;
-        fm_.redirects.Inc();
-        break;
-      }
-      case LocateStatus::kWait:
-        resp.status = proto::XrdStatus::kWait;
-        resp.waitNs = r.wait.count();
-        fm_.waits.Inc();
-        break;
-      case LocateStatus::kRetry:
-        resp.status = proto::XrdStatus::kError;
-        resp.err = proto::XrdErr::kStale;
-        break;
-      case LocateStatus::kNotFound:
-        resp.status = proto::XrdStatus::kError;
-        resp.err = proto::XrdErr::kNotFound;
-        fm_.notFound.Inc();
-        break;
-    }
-    fabric_.Send(config_.addr, from, std::move(resp));
-  });
-}
-
-// ---------------------------------------------------------------------
-// xrd protocol: the meta is a pure redirector one level above the heads
-
-ServerSlot MetaManager::ChooseCreateTarget(const std::string& path, ServerSlot avoid) {
-  ServerSet candidates = membership_.EligibleFor(path) & membership_.SelectableSet();
-  ServerSet writable;
-  for (ServerSlot s = candidates.first(); s >= 0; s = candidates.next(s)) {
-    const auto info = membership_.InfoOf(s);
-    if (info && info->allowWrite) writable.set(s);
-  }
-  ServerSet avoidSet;
-  if (avoid >= 0) avoidSet.set(avoid);
-  return selection_.Choose(
-      writable.Without(avoidSet).empty() ? writable : writable.Without(avoidSet),
-      ServerSet::None(), membership_);
-}
-
 void MetaManager::HandleOpen(net::NodeAddr from, const proto::XrdOpen& m) {
   fm_.locates.Inc();
-  cms::LocateOptions opts;
-  opts.mode = ModeOf(m.mode);
-  opts.refresh = m.refresh;
-  if (m.avoidNode != 0) {
-    // The avoid address is meaningful here only when it names a cluster
-    // head; a failing data server inside a cluster is that head's problem.
-    const auto avoid = ClusterOfHead(m.avoidNode);
-    if (avoid.has_value()) opts.avoid = *avoid;
-  }
-  resolver_.Locate(
-      m.path, opts,
-      [this, from, reqId = m.reqId, path = m.path, create = m.create,
-       avoid = opts.avoid](const LocateResult& r) {
-        proto::XrdOpenResp resp;
-        resp.reqId = reqId;
-        switch (r.status) {
-          case LocateStatus::kRedirect:
-            resp.status = proto::XrdStatus::kRedirect;
-            resp.redirectNode = slotAddr_[r.server];
-            fm_.redirects.Inc();
-            break;
-          case LocateStatus::kWait:
-            resp.status = proto::XrdStatus::kWait;
-            resp.waitNs = r.wait.count();
-            fm_.waits.Inc();
-            break;
-          case LocateStatus::kRetry:
-            resp.status = proto::XrdStatus::kError;
-            resp.err = proto::XrdErr::kStale;
-            break;
-          case LocateStatus::kNotFound: {
-            if (!create) {
-              resp.status = proto::XrdStatus::kError;
-              resp.err = proto::XrdErr::kNotFound;
-              fm_.notFound.Inc();
-              break;
-            }
-            // Creation: the full delay confirmed global non-existence;
-            // place the file in a writable cluster (locality-weighted) and
-            // let that cluster's head pick the actual server.
-            const ServerSlot target = ChooseCreateTarget(path, avoid);
-            if (target < 0) {
-              resp.status = proto::XrdStatus::kError;
-              resp.err = proto::XrdErr::kNoSpace;
-            } else {
-              resp.status = proto::XrdStatus::kRedirect;
-              resp.redirectNode = slotAddr_[target];
-              fm_.redirects.Inc();
-            }
-            break;
-          }
-        }
-        fabric_.Send(config_.addr, from, std::move(resp));
-      });
-}
-
-void MetaManager::HandleStat(net::NodeAddr from, const proto::XrdStat& m) {
-  fm_.locates.Inc();
-  cms::LocateOptions opts;
-  resolver_.Locate(m.path, opts, [this, from, reqId = m.reqId](const LocateResult& r) {
-    proto::XrdStatResp out;
-    out.reqId = reqId;
-    switch (r.status) {
-      case LocateStatus::kRedirect:
-        out.status = proto::XrdStatus::kRedirect;
-        out.redirectNode = slotAddr_[r.server];
-        fm_.redirects.Inc();
-        break;
-      case LocateStatus::kWait:
-        out.status = proto::XrdStatus::kWait;
-        out.waitNs = r.wait.count();
-        break;
-      default:
-        out.status = proto::XrdStatus::kError;
-        out.err = r.status == LocateStatus::kRetry ? proto::XrdErr::kStale
-                                                   : proto::XrdErr::kNotFound;
-    }
-    fabric_.Send(config_.addr, from, std::move(out));
-  });
-}
-
-void MetaManager::HandleUnlink(net::NodeAddr from, const proto::XrdUnlink& m) {
-  fm_.locates.Inc();
-  cms::LocateOptions opts;
-  resolver_.Locate(m.path, opts, [this, from, reqId = m.reqId](const LocateResult& r) {
-    proto::XrdUnlinkResp out;
-    out.reqId = reqId;
-    switch (r.status) {
-      case LocateStatus::kRedirect:
-        out.status = proto::XrdStatus::kRedirect;
-        out.redirectNode = slotAddr_[r.server];
-        fm_.redirects.Inc();
-        break;
-      case LocateStatus::kWait:
-        out.status = proto::XrdStatus::kWait;
-        out.waitNs = r.wait.count();
-        break;
-      default:
-        out.status = proto::XrdStatus::kError;
-        out.err = r.status == LocateStatus::kRetry ? proto::XrdErr::kStale
-                                                   : proto::XrdErr::kNotFound;
-    }
-    fabric_.Send(config_.addr, from, std::move(out));
-  });
-}
-
-void MetaManager::HandleChecksum(net::NodeAddr from, const proto::XrdChecksum& m) {
-  fm_.locates.Inc();
-  cms::LocateOptions opts;
-  resolver_.Locate(m.path, opts, [this, from, reqId = m.reqId](const LocateResult& r) {
-    proto::XrdChecksumResp out;
-    out.reqId = reqId;
-    switch (r.status) {
-      case LocateStatus::kRedirect:
-        out.status = proto::XrdStatus::kRedirect;
-        out.redirectNode = slotAddr_[r.server];
-        fm_.redirects.Inc();
-        break;
-      case LocateStatus::kWait:
-        out.status = proto::XrdStatus::kWait;
-        out.waitNs = r.wait.count();
-        break;
-      default:
-        out.status = proto::XrdStatus::kError;
-        out.err = r.status == LocateStatus::kRetry ? proto::XrdErr::kStale
-                                                   : proto::XrdErr::kNotFound;
-    }
-    fabric_.Send(config_.addr, from, std::move(out));
-  });
-}
-
-void MetaManager::HandlePrepare(net::NodeAddr from, const proto::XrdPrepare& m) {
-  // Parallel prepare at federation scope: warm the cluster-location cache
-  // for every named path concurrently (section III-B2, one level up).
-  cms::LocateOptions opts;
-  opts.mode = ModeOf(m.mode);
-  for (const auto& path : m.paths) {
-    resolver_.Locate(path, opts, [](const LocateResult&) { /* warming only */ });
-  }
-  proto::XrdPrepareResp resp;
-  resp.reqId = m.reqId;
-  fabric_.Send(config_.addr, from, std::move(resp));
-}
-
-// ---------------------------------------------------------------------
-// liveness
-
-void MetaManager::HeartbeatTick() {
-  const auto hb = membership_.HeartbeatTick();
-  proto::CmsPing ping;
-  ping.seq = ++pingSeq_;
-  for (const ServerSlot s : hb.ping) {
-    const net::NodeAddr addr = slotAddr_[s];
-    if (addr == 0) continue;
-    fm_.pingsSent.Inc();
-    fabric_.Send(config_.addr, addr, ping);
-  }
-  proto::CmsPing invite;
-  invite.seq = ping.seq;
-  invite.reconnect = true;
-  for (const ServerSlot s : hb.reconnect) {
-    const net::NodeAddr addr = slotAddr_[s];
-    if (addr == 0) continue;
-    fm_.pingsSent.Inc();
-    fabric_.Send(config_.addr, addr, invite);
-  }
-  for (const auto& [slot, name] : hb.died) {
-    // DeclareDead already ran inside HeartbeatTick: one correction-counter
-    // bump sheds the whole cluster's V_h/V_p bits lazily, in O(1).
-    SCALLA_WARN("fed", "%s: declaring cluster '%s' (id %d) dead after %d missed pings",
-                config_.name.c_str(), name.c_str(), slot, config_.cms.missLimit);
-    fm_.clusterDeaths.Inc();
-  }
-}
-
-void MetaManager::HandlePong(net::NodeAddr from, const proto::CmsPong& m) {
-  const auto slot = ClusterOfHead(from);
-  if (!slot.has_value()) return;
-  fm_.pongsReceived.Inc();
-  membership_.OnPong(*slot);
-  const auto info = membership_.InfoOf(*slot);
-  if (info.has_value() && info->online) {
-    // Piggybacked head load, weighted by the cluster's locality, keeps
-    // the cross-cluster replica preference fresh between subscriptions.
-    membership_.ReportLoad(*slot, EffectiveLoad(*slot, m.load), m.freeSpace);
-  }
-}
-
-// ---------------------------------------------------------------------
-// observability: federation-level StatsQuery merge
-
-void MetaManager::HandleStatsQuery(net::NodeAddr from, const proto::StatsQuery& m) {
-  fm_.statsQueries.Inc();
-  const ServerSet online = membership_.OnlineSet();
-  std::vector<net::NodeAddr> targets;
-  for (ServerSlot s = online.first(); s >= 0; s = online.next(s)) {
-    if (slotAddr_[s] != 0) targets.push_back(slotAddr_[s]);
-  }
-  if (targets.empty()) {
-    proto::StatsReply reply;
-    reply.reqId = m.reqId;
-    reply.nodeCount = 1;
-    reply.snapshot = SnapshotMetrics();
-    fabric_.Send(config_.addr, from, std::move(reply));
-    return;
-  }
-  const std::uint64_t aggId = nextStatsAggId_++;
-  StatsAggregation& agg = statsAggs_[aggId];
-  agg.requester = from;
-  agg.requesterReqId = m.reqId;
-  agg.acc = SnapshotMetrics();
-  agg.nodeCount = 1;
-  agg.outstanding = static_cast<int>(targets.size());
-  agg.timer = executor_.RunAfter(config_.statsTimeout,
-                                 [this, aggId] { FinishStatsAggregation(aggId); });
-  // Each head answers with its already tree-aggregated cluster snapshot;
-  // the meta's fold is therefore a federation-of-clusters merge.
-  for (const net::NodeAddr target : targets) {
-    fabric_.Send(config_.addr, target, proto::StatsQuery{aggId});
-  }
-}
-
-void MetaManager::HandleStatsReply(net::NodeAddr from, const proto::StatsReply& m) {
-  if (!ClusterOfHead(from).has_value()) return;
-  const auto it = statsAggs_.find(m.reqId);
-  if (it == statsAggs_.end()) return;  // late reply after timeout
-  StatsAggregation& agg = it->second;
-  agg.acc.Merge(m.snapshot);
-  agg.nodeCount += m.nodeCount;
-  if (--agg.outstanding <= 0) FinishStatsAggregation(m.reqId);
-}
-
-void MetaManager::FinishStatsAggregation(std::uint64_t aggId) {
-  const auto it = statsAggs_.find(aggId);
-  if (it == statsAggs_.end()) return;
-  StatsAggregation& agg = it->second;
-  if (agg.timer != sched::kInvalidTimer) {
-    executor_.Cancel(agg.timer);
-    agg.timer = sched::kInvalidTimer;
-  }
-  proto::StatsReply reply;
-  reply.reqId = agg.requesterReqId;
-  reply.nodeCount = agg.nodeCount;
-  reply.snapshot = std::move(agg.acc);
-  const net::NodeAddr requester = agg.requester;
-  statsAggs_.erase(it);
-  fabric_.Send(config_.addr, requester, std::move(reply));
+  // The avoid address is meaningful here only when it names a cluster
+  // head; a failing data server inside a cluster is that head's problem.
+  // A creation lands in a writable cluster (locality-weighted), and that
+  // cluster's head picks the actual server.
+  core_.Answer<proto::XrdOpenResp>(from, m.reqId, m.path,
+                                   core_.OptionsFor(m.mode, m.refresh, m.avoidNode),
+                                   {&fm_.redirects, &fm_.waits, &fm_.notFound}, m.create);
 }
 
 }  // namespace scalla::fed

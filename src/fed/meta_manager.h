@@ -24,17 +24,12 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
-#include "cms/location_cache.h"
-#include "cms/maintenance.h"
-#include "cms/membership.h"
-#include "cms/resolver.h"
-#include "cms/response_queue.h"
-#include "cms/selection.h"
+#include "cms/head_core.h"
 #include "cms/types.h"
 #include "net/fabric.h"
 #include "obs/metrics.h"
+#include "obs/tree_aggregator.h"
 #include "sched/executor.h"
 
 namespace scalla::fed {
@@ -73,16 +68,20 @@ class MetaManager : public net::MessageSink {
 
   // ---- introspection (tests / benches / tools) ----
   const MetaConfig& config() const { return config_; }
-  cms::Membership& membership() { return membership_; }
-  cms::LocationCache& cache() { return cache_; }
-  cms::Resolver& resolver() { return resolver_; }
-  net::NodeAddr HeadOfCluster(ServerSlot clusterId) const;
-  std::optional<ServerSlot> ClusterOfHead(net::NodeAddr addr) const;
+  cms::Membership& membership() { return core_.membership(); }
+  cms::LocationCache& cache() { return core_.cache(); }
+  cms::Resolver& resolver() { return core_.resolver(); }
+  net::NodeAddr HeadOfCluster(ServerSlot clusterId) const {
+    return core_.AddrOfSlot(clusterId);
+  }
+  std::optional<ServerSlot> ClusterOfHead(net::NodeAddr addr) const {
+    return core_.SlotOfAddr(addr);
+  }
 
   obs::MetricsRegistry& metrics() { return metrics_; }
-  /// Local metrics under fed.* plus the reused cache/resolver/respq
-  /// component stats — same canonical dotted names as a ScallaNode, so
-  /// federation-level StatsQuery merges compose with cluster aggregates.
+  /// Local metrics under fed.* plus the cms component metrics — the same
+  /// names a ScallaNode exports, so federation-level StatsQuery merges
+  /// compose with cluster aggregates.
   obs::MetricsSnapshot SnapshotMetrics() const;
 
  private:
@@ -95,39 +94,14 @@ class MetaManager : public net::MessageSink {
   // xrd protocol (clients): every meta answer is redirect / wait / error —
   // the meta serves no data and holds no namespace, only location bits.
   void HandleOpen(net::NodeAddr from, const proto::XrdOpen& m);
-  void HandleStat(net::NodeAddr from, const proto::XrdStat& m);
-  void HandleUnlink(net::NodeAddr from, const proto::XrdUnlink& m);
-  void HandleChecksum(net::NodeAddr from, const proto::XrdChecksum& m);
-  void HandlePrepare(net::NodeAddr from, const proto::XrdPrepare& m);
 
-  // liveness
-  void HeartbeatTick();
-  void HandlePong(net::NodeAddr from, const proto::CmsPong& m);
-
-  // observability
-  void HandleStatsQuery(net::NodeAddr from, const proto::StatsQuery& m);
-  void HandleStatsReply(net::NodeAddr from, const proto::StatsReply& m);
-  void FinishStatsAggregation(std::uint64_t aggId);
-
-  void SendQueryDown(ServerSet targets, const std::string& path, std::uint32_t hash,
-                     cms::AccessMode mode);
-  /// Pick a writable, selectable cluster for a creation (avoiding the one
-  /// that just refused the client).
-  ServerSlot ChooseCreateTarget(const std::string& path, ServerSlot avoid);
   std::uint32_t EffectiveLoad(ServerSlot clusterId, std::uint32_t headLoad) const;
 
   MetaConfig config_;
-  sched::Executor& executor_;
   net::Fabric& fabric_;
 
-  cms::Membership membership_;
-  cms::LocationCache cache_;
-  cms::FastResponseQueue respq_;
-  cms::SelectionPolicy selection_;
-  cms::Resolver resolver_;
-  cms::MaintenanceDriver maintenance_;
-
   obs::MetricsRegistry metrics_;
+  cms::HeadCore core_;
   struct FedMetrics {
     obs::Counter& subscribes;       // FedSubscribe frames admitted
     obs::Counter& locates;          // client-visible resolutions served
@@ -135,34 +109,16 @@ class MetaManager : public net::MessageSink {
     obs::Counter& waits;            // wait answers issued
     obs::Counter& notFound;         // global-namespace misses
     obs::Counter& clusterDeaths;    // heartbeat death declarations
-    obs::Counter& pingsSent;
-    obs::Counter& pongsReceived;
     obs::Counter& statsQueries;
     explicit FedMetrics(obs::MetricsRegistry& r);
   };
   FedMetrics fm_;
+  // Federation-level StatsQuery merge: each cluster head answers with its
+  // already tree-aggregated snapshot, folded with our own fed.* view.
+  obs::TreeAggregator stats_;
 
-  // cluster slot <-> head fabric address, plus per-cluster locality weight
-  std::array<net::NodeAddr, kMaxServersPerSet> slotAddr_{};
-  std::array<std::uint32_t, kMaxServersPerSet> locality_{};
-  std::unordered_map<net::NodeAddr, ServerSlot> addrSlot_;
-
+  std::array<std::uint32_t, kMaxServersPerSet> locality_{};  // per cluster
   bool started_ = false;
-  std::uint64_t pingSeq_ = 0;
-  sched::TimerId pingTimer_ = sched::kInvalidTimer;
-
-  // Federation-level StatsQuery merge: fan to every online cluster head,
-  // fold their (already tree-aggregated) snapshots plus our own fed.* view.
-  struct StatsAggregation {
-    net::NodeAddr requester = 0;
-    std::uint64_t requesterReqId = 0;
-    obs::MetricsSnapshot acc;
-    std::uint32_t nodeCount = 0;
-    int outstanding = 0;
-    sched::TimerId timer = sched::kInvalidTimer;
-  };
-  std::unordered_map<std::uint64_t, StatsAggregation> statsAggs_;
-  std::uint64_t nextStatsAggId_ = 1;
 };
 
 }  // namespace scalla::fed

@@ -35,10 +35,6 @@ std::uint64_t PairKey(NodeAddr from, NodeAddr to) {
   return (static_cast<std::uint64_t>(from) << 32) | to;
 }
 
-std::uint64_t LinkKey(NodeAddr a, NodeAddr b) {
-  return a < b ? PairKey(a, b) : PairKey(b, a);
-}
-
 }  // namespace
 
 struct TcpFabric::Endpoint {
@@ -180,10 +176,11 @@ class TcpFabric::InConn final : public EventHandler,
       fabric_->counters_.bytesReceived.fetch_add(kFrameHeader + length,
                                                  std::memory_order_relaxed);
       fabric_->AddPeerReceived(sender, 1, kFrameHeader + length);
-      // A downed receiver drops inbound traffic too; a wedged end (either
-      // side) silently loses it — the connection stays up.
-      if (!fabric_->Reachable(sender, ep_->addr) ||
-          fabric_->EitherWedged(sender, ep_->addr)) {
+      // A fault injected while the frame was on the wire (a downed or
+      // wedged end, a cut or lossy link) loses it silently — the
+      // connection stays up.
+      if (fabric_->faults_.Check(sender, ep_->addr).fate !=
+          FaultVerdict::Fate::kDeliver) {
         fabric_->counters_.messagesDropped.fetch_add(1, std::memory_order_relaxed);
         fabric_->BumpPeer(sender, &Counters::messagesDropped);
         continue;
@@ -425,8 +422,8 @@ class TcpFabric::OutConn final : public EventHandler,
       // silently (Send-time signalling already happened). If half a frame
       // already hit the wire, drop the socket too so the peer's framing
       // never desynchronizes; the next send transparently reconnects.
-      if (!fabric_->Reachable(from_, to_) || fabric_->DropInjected(from_, to_) ||
-          fabric_->EitherWedged(from_, to_)) {
+      const FaultVerdict verdict = fabric_->faults_.Check(from_, to_);
+      if (verdict.fate != FaultVerdict::Fate::kDeliver) {
         std::size_t n = 0;
         {
           std::lock_guard lock(qmu_);
@@ -447,7 +444,7 @@ class TcpFabric::OutConn final : public EventHandler,
         }
         return;
       }
-      const Duration delay = fabric_->DelayInjected(from_, to_);
+      const Duration delay = verdict.delay;
       const TimePoint now = Reactor::Loop::Now();
       if (delay > Duration::zero()) {
         // Per-pair pacing: each frame waits out the injected delay before
@@ -868,80 +865,6 @@ void TcpFabric::RemoveInbound(Endpoint* ep, InConn* conn) {
   }
 }
 
-// ---- fault injection ----
-
-void TcpFabric::SetDown(NodeAddr addr, bool down) {
-  std::lock_guard lock(faultMu_);
-  if (down) {
-    down_[addr] = true;
-  } else {
-    down_.erase(addr);
-  }
-}
-
-void TcpFabric::SetLinkCut(NodeAddr a, NodeAddr b, bool cut) {
-  std::lock_guard lock(faultMu_);
-  if (cut) {
-    cutLinks_[LinkKey(a, b)] = true;
-  } else {
-    cutLinks_.erase(LinkKey(a, b));
-  }
-}
-
-void TcpFabric::SetDrop(NodeAddr from, NodeAddr to, bool drop) {
-  std::lock_guard lock(faultMu_);
-  if (drop) {
-    drops_[PairKey(from, to)] = true;
-  } else {
-    drops_.erase(PairKey(from, to));
-  }
-}
-
-void TcpFabric::SetDelay(NodeAddr from, NodeAddr to, Duration delay) {
-  std::lock_guard lock(faultMu_);
-  if (delay > Duration::zero()) {
-    delays_[PairKey(from, to)] = delay;
-  } else {
-    delays_.erase(PairKey(from, to));
-  }
-}
-
-void TcpFabric::SetWedged(NodeAddr addr, bool wedged) {
-  std::lock_guard lock(faultMu_);
-  if (wedged) {
-    wedged_[addr] = true;
-  } else {
-    wedged_.erase(addr);
-  }
-}
-
-bool TcpFabric::Reachable(NodeAddr from, NodeAddr to) const {
-  std::lock_guard lock(faultMu_);
-  if (down_.count(from) != 0 || down_.count(to) != 0) return false;
-  return cutLinks_.count(LinkKey(from, to)) == 0;
-}
-
-bool TcpFabric::DropInjected(NodeAddr from, NodeAddr to) const {
-  std::lock_guard lock(faultMu_);
-  return drops_.count(PairKey(from, to)) != 0;
-}
-
-Duration TcpFabric::DelayInjected(NodeAddr from, NodeAddr to) const {
-  std::lock_guard lock(faultMu_);
-  const auto it = delays_.find(PairKey(from, to));
-  return it == delays_.end() ? Duration::zero() : it->second;
-}
-
-bool TcpFabric::WedgeInjected(NodeAddr addr) const {
-  std::lock_guard lock(faultMu_);
-  return wedged_.count(addr) != 0;
-}
-
-bool TcpFabric::EitherWedged(NodeAddr a, NodeAddr b) const {
-  std::lock_guard lock(faultMu_);
-  return wedged_.count(a) != 0 || wedged_.count(b) != 0;
-}
-
 // ---- send path ----
 
 std::shared_ptr<TcpFabric::OutConn> TcpFabric::GetConnection(NodeAddr from,
@@ -959,31 +882,14 @@ std::shared_ptr<TcpFabric::OutConn> TcpFabric::GetConnection(NodeAddr from,
 void TcpFabric::Send(NodeAddr from, NodeAddr to, proto::Message message) {
   counters_.messagesSent.fetch_add(1, std::memory_order_relaxed);
   BumpPeer(to, &Counters::messagesSent);
-  if (EitherWedged(from, to)) {
-    // A wedged end silently loses traffic in both directions; crucially
-    // NO OnPeerDown — the connection still looks "up", so only a missing
-    // heartbeat can expose the failure.
+  // Injected faults: a wedged end or a lossy link loses the frame silently
+  // (a wedge keeps the connection looking "up", so only a missing
+  // heartbeat exposes it); a downed or cut link also tells the sender.
+  const FaultVerdict::Fate fate = faults_.Check(from, to).fate;
+  if (fate != FaultVerdict::Fate::kDeliver) {
     counters_.messagesDropped.fetch_add(1, std::memory_order_relaxed);
     BumpPeer(to, &Counters::messagesDropped);
-    return;
-  }
-  if (!Reachable(from, to)) {
-    // Mirror SimFabric: a downed/cut destination drops the message and the
-    // sender learns its peer is gone (unless the sender itself is down).
-    counters_.messagesDropped.fetch_add(1, std::memory_order_relaxed);
-    BumpPeer(to, &Counters::messagesDropped);
-    bool senderDown;
-    {
-      std::lock_guard lock(faultMu_);
-      senderDown = down_.count(from) != 0;
-    }
-    if (!senderDown) NotifyPeerDown(from, to);
-    return;
-  }
-  if (DropInjected(from, to)) {
-    // Lossy link: the frame vanishes silently.
-    counters_.messagesDropped.fetch_add(1, std::memory_order_relaxed);
-    BumpPeer(to, &Counters::messagesDropped);
+    if (fate == FaultVerdict::Fate::kLosePeerDown) NotifyPeerDown(from, to);
     return;
   }
 

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "net/fabric.h"
+#include "net/fault_table.h"
 #include "net/reactor.h"
 #include "sched/executor.h"
 #include "util/types.h"
@@ -71,11 +72,15 @@ class TcpFabric final : public Fabric {
   Counters PerPeerCounters(NodeAddr peer) const override;
 
   // ---- FaultInjector ----
-  void SetDown(NodeAddr addr, bool down) override;
-  void SetLinkCut(NodeAddr a, NodeAddr b, bool cut) override;
-  void SetDrop(NodeAddr from, NodeAddr to, bool drop) override;
-  void SetDelay(NodeAddr from, NodeAddr to, Duration delay) override;
-  void SetWedged(NodeAddr addr, bool wedged) override;
+  void SetDown(NodeAddr addr, bool down) override { faults_.SetDown(addr, down); }
+  void SetLinkCut(NodeAddr a, NodeAddr b, bool cut) override { faults_.SetLinkCut(a, b, cut); }
+  void SetDrop(NodeAddr from, NodeAddr to, bool drop) override {
+    faults_.SetDrop(from, to, drop);
+  }
+  void SetDelay(NodeAddr from, NodeAddr to, Duration delay) override {
+    faults_.SetDelay(from, to, delay);
+  }
+  void SetWedged(NodeAddr addr, bool wedged) override { faults_.SetWedged(addr, wedged); }
 
   /// Live inbound connections accepted by `addr`'s listener (closed ones
   /// are removed immediately) — observability for connection reaping.
@@ -99,12 +104,6 @@ class TcpFabric final : public Fabric {
   void RemoveInbound(Endpoint* ep, InConn* conn);
   void NotifyPeerDown(NodeAddr from, NodeAddr to);
 
-  bool Reachable(NodeAddr from, NodeAddr to) const;
-  bool DropInjected(NodeAddr from, NodeAddr to) const;
-  Duration DelayInjected(NodeAddr from, NodeAddr to) const;
-  bool WedgeInjected(NodeAddr addr) const;
-  bool EitherWedged(NodeAddr a, NodeAddr b) const;
-
   // Per-peer counter accumulation (framesSent/bytesSent keyed by the
   // remote peer of the connection, receive counters keyed by the sender).
   void AddPeerSent(NodeAddr peer, std::uint64_t frames, std::uint64_t bytes);
@@ -124,12 +123,7 @@ class TcpFabric final : public Fabric {
   mutable std::mutex connsMu_;
   std::map<std::uint64_t, std::shared_ptr<OutConn>> conns_;  // (from<<32|to)
 
-  mutable std::mutex faultMu_;
-  std::map<NodeAddr, bool> down_;
-  std::map<NodeAddr, bool> wedged_;
-  std::map<std::uint64_t, bool> cutLinks_;    // key: min<<32|max
-  std::map<std::uint64_t, bool> drops_;       // key: from<<32|to
-  std::map<std::uint64_t, Duration> delays_;  // key: from<<32|to
+  FaultTable faults_;
 
   // Atomic counters: neither the send nor the receive path takes a
   // fabric-wide lock for the global totals.

@@ -192,8 +192,8 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
   // The in-memory index (sizes, pins, LRU) is authoritative; the oss only
   // holds bytes. All oss calls happen under diskMu, which serializes disk
   // I/O — acceptable because the async worker keeps it off the read path.
-  // Lock order: dram's evictMu_ > diskMu > ghostMu; diskMu never wraps a
-  // DRAM shard lock.
+  // Lock order: pinMu > dram's evictMu_ > diskMu > ghostMu; diskMu never
+  // wraps a DRAM shard lock.
 
   /// Writes the block and indexes it. `pins` seeds the entry's pin count
   /// (admission transfers pins when a block changes tier).
@@ -394,6 +394,7 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
   void Promote(const std::string& path, std::uint64_t index, std::string data,
                const EpochStamp& epochs) {
     if (!EpochsValid(path, epochs)) return;
+    std::lock_guard lock(pinMu);
     const int pins = DiskErase(path, index);
     if (pins < 0) return;
     dram.Insert(path, index, std::move(data), /*pinned=*/pins > 0);
@@ -407,6 +408,12 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
   util::Clock* clock = nullptr;
   bool asyncMode = false;
   BlockCache dram;
+
+  // Held across every disk -> DRAM move (the erase and the re-insert that
+  // carries the pins) and by Pin/Unpin, so a pin change never lands while
+  // the block sits in neither tier and is lost. Lock order: pinMu > dram's
+  // evictMu_ > diskMu > ghostMu.
+  std::mutex pinMu;
 
   mutable std::mutex diskMu;
   std::unordered_map<std::string, std::map<std::uint64_t, DiskEntry>> diskFiles;
@@ -530,6 +537,7 @@ void TieredBlockCache::Insert(const std::string& path, std::uint64_t index,
   }
   const std::string ghostKey = DiskBlockPath(path, index);
   const bool provenReuse = impl.GhostConsume(ghostKey);
+  std::unique_lock moveLock(impl.pinMu);
   const int diskPins = impl.DiskErase(path, index);  // exclusivity: one tier
   if (provenReuse || diskPins >= 0) {
     // The key has history (ghost entry, or a disk-resident copy being
@@ -545,6 +553,7 @@ void TieredBlockCache::Insert(const std::string& path, std::uint64_t index,
     for (int i = 0; i < extra; ++i) impl.dram.Pin(path, index);
     return;
   }
+  moveLock.unlock();
   // First touch: route to the disk tier and remember the key, so the next
   // insert of this block proves reuse. Scans flow through disk.
   impl.admitsDisk.fetch_add(1, std::memory_order_relaxed);
@@ -559,6 +568,7 @@ void TieredBlockCache::Insert(const std::string& path, std::uint64_t index,
 
 bool TieredBlockCache::Pin(const std::string& path, std::uint64_t index) {
   Impl& impl = *impl_;
+  std::lock_guard pinLock(impl.pinMu);
   if (impl.dram.Pin(path, index)) return true;
   if (!impl.DiskEnabled()) return false;
   std::lock_guard lock(impl.diskMu);
@@ -572,6 +582,7 @@ bool TieredBlockCache::Pin(const std::string& path, std::uint64_t index) {
 
 void TieredBlockCache::Unpin(const std::string& path, std::uint64_t index) {
   Impl& impl = *impl_;
+  std::lock_guard pinLock(impl.pinMu);
   if (impl.dram.Contains(path, index)) {
     impl.dram.Unpin(path, index);
     return;

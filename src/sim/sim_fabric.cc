@@ -4,15 +4,6 @@
 #include <utility>
 
 namespace scalla::sim {
-namespace {
-
-std::uint64_t LinkKey(net::NodeAddr a, net::NodeAddr b) {
-  const auto lo = static_cast<std::uint64_t>(std::min(a, b));
-  const auto hi = static_cast<std::uint64_t>(std::max(a, b));
-  return (hi << 32) | lo;
-}
-
-}  // namespace
 
 SimFabric::SimFabric(EventEngine& engine, LatencyModel model, std::uint64_t seed,
                      net::FabricOptions options)
@@ -24,38 +15,30 @@ void SimFabric::Register(net::NodeAddr addr, net::MessageSink* sink) {
 
 void SimFabric::Unregister(net::NodeAddr addr) { sinks_.erase(addr); }
 
-bool SimFabric::Reachable(net::NodeAddr from, net::NodeAddr to) const {
-  if (down_.count(from) != 0 || down_.count(to) != 0) return false;
-  if (cutLinks_.count(LinkKey(from, to)) != 0) return false;
-  return sinks_.count(to) != 0;
+net::FaultVerdict SimFabric::Check(net::NodeAddr from, net::NodeAddr to) const {
+  net::FaultVerdict verdict = faults_.Check(from, to);
+  if (verdict.fate == net::FaultVerdict::Fate::kDeliver && sinks_.count(to) == 0) {
+    verdict.fate = net::FaultVerdict::Fate::kLosePeerDown;
+  }
+  return verdict;
+}
+
+void SimFabric::SignalPeerDown(net::NodeAddr from, net::NodeAddr to) {
+  // Model a broken connection: the sender learns its peer is gone.
+  const auto senderIt = sinks_.find(from);
+  if (senderIt == sinks_.end()) return;
+  net::MessageSink* sender = senderIt->second;
+  engine_.Post([sender, to] { sender->OnPeerDown(to); });
 }
 
 void SimFabric::Send(net::NodeAddr from, net::NodeAddr to, proto::Message message) {
   ++counters_.messagesSent;
   ++perPeer_[to].messagesSent;
-  if (wedged_.count(from) != 0 || wedged_.count(to) != 0) {
-    // A wedged endpoint's connections look healthy, so the loss is silent:
-    // no OnPeerDown, unlike the downed/cut cases below.
+  const net::FaultVerdict verdict = Check(from, to);
+  if (verdict.fate != net::FaultVerdict::Fate::kDeliver) {
     ++counters_.messagesDropped;
     ++perPeer_[to].messagesDropped;
-    return;
-  }
-  if (!Reachable(from, to)) {
-    ++counters_.messagesDropped;
-    ++perPeer_[to].messagesDropped;
-    // Model a broken connection: the sender learns its peer is gone.
-    const auto senderIt = sinks_.find(from);
-    if (senderIt != sinks_.end() && down_.count(from) == 0) {
-      net::MessageSink* sender = senderIt->second;
-      engine_.Post([sender, to] { sender->OnPeerDown(to); });
-    }
-    return;
-  }
-  if (drops_.count(PairKey(from, to)) != 0) {
-    // Lossy link: the message vanishes silently (the sender is NOT told,
-    // matching the TCP transport's SetDrop).
-    ++counters_.messagesDropped;
-    ++perPeer_[to].messagesDropped;
+    if (verdict.fate == net::FaultVerdict::Fate::kLosePeerDown) SignalPeerDown(from, to);
     return;
   }
   // The same bounded-queue semantics as the TCP transport: too many
@@ -67,11 +50,7 @@ void SimFabric::Send(net::NodeAddr from, net::NodeAddr to, proto::Message messag
     ++counters_.queueOverflows;
     ++perPeer_[to].messagesDropped;
     ++perPeer_[to].queueOverflows;
-    const auto senderIt = sinks_.find(from);
-    if (senderIt != sinks_.end()) {
-      net::MessageSink* sender = senderIt->second;
-      engine_.Post([sender, to] { sender->OnPeerDown(to); });
-    }
+    SignalPeerDown(from, to);
     return;
   }
   ++inFlight;
@@ -80,8 +59,7 @@ void SimFabric::Send(net::NodeAddr from, net::NodeAddr to, proto::Message messag
     wire += Duration(static_cast<std::int64_t>(
         rng_.NextBelow(static_cast<std::uint64_t>(model_.jitter.count()))));
   }
-  const auto delayIt = delays_.find(PairKey(from, to));
-  if (delayIt != delays_.end()) wire += delayIt->second;
+  wire += verdict.delay;
   // Single-threaded receiver model: the message starts service when it
   // arrives AND the receiver is free; handler runs at service completion.
   TimePoint deliverAt = engine_.Now() + wire + model_.serviceTime;
@@ -97,12 +75,9 @@ void SimFabric::Send(net::NodeAddr from, net::NodeAddr to, proto::Message messag
                      [this, from, to, msg = std::move(message), type]() mutable {
                        auto& inFlightNow = inFlight_[PairKey(from, to)];
                        if (inFlightNow > 0) --inFlightNow;
-                       // Re-check reachability at delivery time: a link cut
-                       // (wedge, drop) while the message was "in flight"
-                       // loses it.
-                       if (wedged_.count(from) != 0 || wedged_.count(to) != 0 ||
-                           drops_.count(PairKey(from, to)) != 0 ||
-                           !Reachable(from, to)) {
+                       // Re-check at delivery time: a fault injected while
+                       // the message was "in flight" loses it.
+                       if (Check(from, to).fate != net::FaultVerdict::Fate::kDeliver) {
                          ++counters_.messagesDropped;
                          ++perPeer_[to].messagesDropped;
                          return;
@@ -119,46 +94,6 @@ net::Fabric::Counters SimFabric::GetCounters() const { return counters_; }
 net::Fabric::Counters SimFabric::PerPeerCounters(net::NodeAddr peer) const {
   const auto it = perPeer_.find(peer);
   return it == perPeer_.end() ? Counters{} : it->second;
-}
-
-void SimFabric::SetDown(net::NodeAddr addr, bool down) {
-  if (down) {
-    down_.insert(addr);
-  } else {
-    down_.erase(addr);
-  }
-}
-
-void SimFabric::SetWedged(net::NodeAddr addr, bool wedged) {
-  if (wedged) {
-    wedged_.insert(addr);
-  } else {
-    wedged_.erase(addr);
-  }
-}
-
-void SimFabric::SetLinkCut(net::NodeAddr a, net::NodeAddr b, bool cut) {
-  if (cut) {
-    cutLinks_.insert(LinkKey(a, b));
-  } else {
-    cutLinks_.erase(LinkKey(a, b));
-  }
-}
-
-void SimFabric::SetDrop(net::NodeAddr from, net::NodeAddr to, bool drop) {
-  if (drop) {
-    drops_.insert(PairKey(from, to));
-  } else {
-    drops_.erase(PairKey(from, to));
-  }
-}
-
-void SimFabric::SetDelay(net::NodeAddr from, net::NodeAddr to, Duration delay) {
-  if (delay > Duration::zero()) {
-    delays_[PairKey(from, to)] = delay;
-  } else {
-    delays_.erase(PairKey(from, to));
-  }
 }
 
 std::uint64_t SimFabric::DeliveredOfType(std::size_t variantIndex) const {

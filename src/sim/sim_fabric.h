@@ -12,9 +12,9 @@
 #include <functional>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "net/fabric.h"
+#include "net/fault_table.h"
 #include "sim/event_engine.h"
 #include "util/rng.h"
 
@@ -52,21 +52,31 @@ class SimFabric final : public net::Fabric {
   Counters PerPeerCounters(net::NodeAddr peer) const override;
 
   // ---- net::FaultInjector ----
-  void SetDown(net::NodeAddr addr, bool down) override;
-  void SetLinkCut(net::NodeAddr a, net::NodeAddr b, bool cut) override;
-  /// Silent one-way loss from -> to: messages vanish, no OnPeerDown.
-  void SetDrop(net::NodeAddr from, net::NodeAddr to, bool drop) override;
+  void SetDown(net::NodeAddr addr, bool down) override { faults_.SetDown(addr, down); }
+  void SetLinkCut(net::NodeAddr a, net::NodeAddr b, bool cut) override {
+    faults_.SetLinkCut(a, b, cut);
+  }
+  void SetDrop(net::NodeAddr from, net::NodeAddr to, bool drop) override {
+    faults_.SetDrop(from, to, drop);
+  }
   /// Extra one-way latency added to each message from -> to (the sim
   /// analogue of the TCP transport's per-pair send pacing). Zero clears.
-  void SetDelay(net::NodeAddr from, net::NodeAddr to, Duration delay) override;
-  void SetWedged(net::NodeAddr addr, bool wedged) override;
+  void SetDelay(net::NodeAddr from, net::NodeAddr to, Duration delay) override {
+    faults_.SetDelay(from, to, delay);
+  }
+  void SetWedged(net::NodeAddr addr, bool wedged) override {
+    faults_.SetWedged(addr, wedged);
+  }
 
   /// Per-message-type delivered counts, keyed by variant index (E06).
   std::uint64_t DeliveredOfType(std::size_t variantIndex) const;
   void ResetCounters();
 
  private:
-  bool Reachable(net::NodeAddr from, net::NodeAddr to) const;
+  /// The fault table's verdict, plus the simulator's own reachability
+  /// rule: an unregistered destination is a broken connection.
+  net::FaultVerdict Check(net::NodeAddr from, net::NodeAddr to) const;
+  void SignalPeerDown(net::NodeAddr from, net::NodeAddr to);
   static std::uint64_t PairKey(net::NodeAddr from, net::NodeAddr to) {
     return (static_cast<std::uint64_t>(from) << 32) | to;
   }
@@ -77,11 +87,7 @@ class SimFabric final : public net::Fabric {
   net::FabricOptions options_;
   std::unordered_map<net::NodeAddr, net::MessageSink*> sinks_;
   std::unordered_map<net::NodeAddr, TimePoint> busyUntil_;  // per-receiver queue
-  std::unordered_set<net::NodeAddr> down_;
-  std::unordered_set<net::NodeAddr> wedged_;
-  std::unordered_set<std::uint64_t> cutLinks_;  // key: min<<32|max
-  std::unordered_set<std::uint64_t> drops_;     // key: from<<32|to
-  std::unordered_map<std::uint64_t, Duration> delays_;  // key: from<<32|to
+  net::FaultTable faults_;
   std::unordered_map<std::uint64_t, std::uint64_t> inFlight_;  // per-pair bound
   Counters counters_;
   std::map<net::NodeAddr, Counters> perPeer_;

@@ -18,6 +18,10 @@ AccessMode ModeOf(std::uint8_t raw) {
   return raw == 0 ? AccessMode::kRead : AccessMode::kWrite;
 }
 
+proto::Message CmsQueryFrame(const std::string& path, std::uint32_t hash, AccessMode mode) {
+  return proto::CmsQuery{path, hash, mode == AccessMode::kRead ? std::uint8_t{0} : std::uint8_t{1}};
+}
+
 }  // namespace
 
 ScallaNode::NodeMetrics::NodeMetrics(obs::MetricsRegistry& r)
@@ -33,9 +37,7 @@ ScallaNode::NodeMetrics::NodeMetrics(obs::MetricsRegistry& r)
       loginsAccepted(r.GetCounter("node.logins_accepted")),
       loginsSent(r.GetCounter("node.logins_sent")),
       refreshes(r.GetCounter("node.refreshes")),
-      statsQueries(r.GetCounter("node.stats_queries")),
-      pingsSent(r.GetCounter("node.pings_sent")),
-      pongsReceived(r.GetCounter("node.pongs_received")) {}
+      statsQueries(r.GetCounter("node.stats_queries")) {}
 
 ScallaNode::ScallaNode(NodeConfig config, sched::Executor& executor, net::Fabric& fabric,
                        oss::Oss* storage)
@@ -43,16 +45,12 @@ ScallaNode::ScallaNode(NodeConfig config, sched::Executor& executor, net::Fabric
       executor_(executor),
       fabric_(fabric),
       storage_(storage),
-      membership_(config_.cms, executor.clock()),
-      cache_(config_.cms, executor.clock(), membership_.corrections()),
-      respq_(config_.cms, executor.clock()),
-      selection_(config_.selection),
-      resolver_(config_.cms, executor.clock(), membership_, cache_, respq_, selection_,
-                [this](ServerSet targets, const std::string& path, std::uint32_t hash,
-                       AccessMode mode) { SendQueryDown(targets, path, hash, mode); }),
-      maintenance_(config_.cms, executor, cache_, respq_, membership_),
-      nm_(metrics_) {
-  slotAddr_.fill(0);
+      core_(config_.cms, config_.selection, config_.name, config_.addr, executor, fabric,
+            metrics_,
+            {"node.", &CmsQueryFrame, [](ServerSlot, std::uint32_t load) { return load; },
+             [this](const std::string& name) { FanToSupervisors(proto::CmsDeath{name}); }}),
+      nm_(metrics_),
+      stats_(config_.addr, executor, fabric, config_.statsTimeout) {
   if (config_.parent != 0) parents_.push_back(config_.parent);
   for (const net::NodeAddr p : config_.extraParents) {
     if (p != 0) parents_.push_back(p);
@@ -79,24 +77,12 @@ void ScallaNode::Start() {
   started_ = true;
   if (!parents_.empty()) SendLogins();
   if (!config_.startTimers) return;
-  cms::MaintenanceDriver::Options opts;
-  opts.windowTick = true;
-  opts.dropScan = IsHead();
-  maintenance_.Start(opts, [this](ServerSlot slot) {
-    const net::NodeAddr addr = slotAddr_[slot];
-    if (addr != 0) {
-      addrSlot_.erase(addr);
-      slotAddr_[slot] = 0;
-    }
-  });
+  core_.Start(IsHead());
   if (config_.role == NodeRole::kServer && config_.loadReportInterval > Duration::zero()) {
     loadTimer_ = executor_.RunEvery(config_.loadReportInterval, [this] {
       const auto [load, free] = CurrentLoad();
       ReportLoad(load, free);
     });
-  }
-  if (IsHead() && config_.cms.ping > Duration::zero()) {
-    pingTimer_ = executor_.RunEvery(config_.cms.ping, [this] { HeartbeatTick(); });
   }
   if (config_.role == NodeRole::kManager && config_.meta != 0) {
     SendFedSubscribe();
@@ -107,31 +93,16 @@ void ScallaNode::Start() {
 }
 
 void ScallaNode::Stop() {
-  maintenance_.Stop();
-  for (sched::TimerId* id : {&loginTimer_, &loadTimer_, &pingTimer_, &fedTimer_}) {
+  core_.Stop();
+  for (sched::TimerId* id : {&loginTimer_, &loadTimer_, &fedTimer_}) {
     if (*id != sched::kInvalidTimer) {
       executor_.Cancel(*id);
       *id = sched::kInvalidTimer;
     }
   }
-  // Pending aggregations die with the node; requesters hit their own
-  // timeouts just as they would on a crash.
-  for (auto& [_, agg] : statsAggs_) {
-    if (agg.timer != sched::kInvalidTimer) executor_.Cancel(agg.timer);
-  }
-  statsAggs_.clear();
+  stats_.Cancel();
   fedClusterId_ = -1;  // a restarted manager re-subscribes from scratch
   started_ = false;
-}
-
-net::NodeAddr ScallaNode::AddrOfSlot(ServerSlot slot) const {
-  return slot >= 0 && slot < kMaxServersPerSet ? slotAddr_[slot] : 0;
-}
-
-std::optional<ServerSlot> ScallaNode::SlotOfAddr(net::NodeAddr addr) const {
-  const auto it = addrSlot_.find(addr);
-  if (it == addrSlot_.end()) return std::nullopt;
-  return it->second;
 }
 
 void ScallaNode::SendLoginTo(net::NodeAddr parent) {
@@ -153,18 +124,6 @@ void ScallaNode::SendLogins() {
         if (!LoggedInTo(parent)) SendLoginTo(parent);
       }
     });
-  }
-}
-
-void ScallaNode::SendQueryDown(ServerSet targets, const std::string& path,
-                               std::uint32_t hash, AccessMode mode) {
-  proto::CmsQuery query;
-  query.path = path;
-  query.hash = hash;
-  query.mode = mode == AccessMode::kRead ? 0 : 1;
-  for (ServerSlot s = targets.first(); s >= 0; s = targets.next(s)) {
-    const net::NodeAddr addr = slotAddr_[s];
-    if (addr != 0) fabric_.Send(config_.addr, addr, query);
   }
 }
 
@@ -193,26 +152,8 @@ void ScallaNode::HandleFedSubscribeResp(net::NodeAddr from,
 
 void ScallaNode::HandleFedQuery(net::NodeAddr from, const proto::FedQuery& m) {
   if (from != config_.meta || config_.role != NodeRole::kManager) return;
-  // Request-rarely-respond one level up: resolve within this cluster and
-  // compress any number of internal replicas into a single "this cluster
-  // has it" (the supervisor CmsQuery answer, lifted to federation scope).
-  cms::LocateOptions opts;
-  opts.mode = ModeOf(m.mode);
-  opts.refresh = m.refresh;
-  resolver_.Locate(m.path, opts,
-                   [this, from, path = m.path, hash = m.hash](const LocateResult& r) {
-                     if (r.status == LocateStatus::kRedirect) {
-                       proto::FedHave resp;
-                       resp.path = path;
-                       resp.hash = hash;
-                       resp.pending = r.pending;
-                       resp.allowWrite = config_.allowWrite;
-                       fabric_.Send(config_.addr, from, std::move(resp));
-                       nm_.queriesAnswered.Inc();
-                     } else {
-                       nm_.queriesSilent.Inc();
-                     }
-                   });
+  // The supervisor's CmsQuery answer, lifted to federation scope.
+  AnswerFromSubtree<proto::FedHave>(from, m);
 }
 
 void ScallaNode::NotifyMetaHave(const proto::CmsHave& m) {
@@ -238,9 +179,9 @@ void ScallaNode::NotifyParentHave(const std::string& path, bool pending) {
 }
 
 std::string ScallaNode::DescribeStatus() const {
-  const auto cache = cache_.GetStats();
-  const auto resolver = resolver_.GetStats();
-  const auto respq = respq_.GetStats();
+  const auto cache = core_.cache().GetStats();
+  const auto resolver = core_.resolver().GetStats();
+  const auto respq = core_.respq().GetStats();
   char buf[640];
   const char* role = config_.role == NodeRole::kManager      ? "manager"
                      : config_.role == NodeRole::kSupervisor ? "supervisor"
@@ -254,8 +195,8 @@ std::string ScallaNode::DescribeStatus() const {
       "%zu floods (%zu msgs), %zu not-found, %zu full delays\n"
       "  respq: %zu anchors busy, %zu adds, %zu releases, %zu expirations\n"
       "  files: %zu open handles, %llu opens, %llu creates, %llu queries answered",
-      role, config_.name.c_str(), config_.addr, membership_.MemberCount(),
-      membership_.OnlineSet().count(), cache.liveObjects, cache.buckets, cache.lookups,
+      role, config_.name.c_str(), config_.addr, core_.membership().MemberCount(),
+      core_.membership().OnlineSet().count(), cache.liveObjects, cache.buckets, cache.lookups,
       cache.lookups == 0 ? 0.0
                          : 100.0 * static_cast<double>(cache.hits) /
                                static_cast<double>(cache.lookups),
@@ -270,88 +211,11 @@ std::string ScallaNode::DescribeStatus() const {
   return buf;
 }
 
-ScallaNode::Stats ScallaNode::GetStats() const {
-  Stats s;
-  s.opensServed = nm_.opensServed.Value();
-  s.reads = nm_.reads.Value();
-  s.writes = nm_.writes.Value();
-  s.queriesAnswered = nm_.queriesAnswered.Value();
-  s.queriesSilent = nm_.queriesSilent.Value();
-  s.redirectsIssued = nm_.redirectsIssued.Value();
-  s.waitsIssued = nm_.waitsIssued.Value();
-  s.stagesStarted = nm_.stagesStarted.Value();
-  s.creates = nm_.creates.Value();
-  return s;
-}
-
 obs::MetricsSnapshot ScallaNode::SnapshotMetrics() const {
   obs::MetricsSnapshot snap = metrics_.Snapshot();
-  // Component-internal stats join under canonical dotted names, so cluster
-  // aggregates carry the paper's cache/resolution story, not just the
-  // node-level counters.
-  const auto cache = cache_.GetStats();
-  snap.AddCounter("cache.lookups", cache.lookups);
-  snap.AddCounter("cache.hits", cache.hits);
-  snap.AddCounter("cache.misses", cache.lookups - cache.hits);
-  snap.AddCounter("cache.creates", cache.creates);
-  snap.AddCounter("cache.corrections", cache.corrections);
-  snap.AddCounter("cache.correction_memo_hits", cache.correctionMemoHits);
-  snap.AddCounter("cache.rehashes", cache.rehashes);
-  snap.AddCounter("cache.window_ticks", cache.windowTicks);
-  snap.AddCounter("cache.recycled", cache.recycled);
-  snap.AddGauge("cache.live_objects", static_cast<std::int64_t>(cache.liveObjects));
-  snap.AddGauge("cache.approx_bytes", static_cast<std::int64_t>(cache.approxBytes));
-  // Arena occupancy (index-linked layout): slots in use vs allocated, the
-  // per-entry footprint, and budget-pressure evictions.
-  snap.AddGauge("cache.arena_bytes", static_cast<std::int64_t>(cache.arenaBytes));
-  snap.AddGauge("cache.bytes_per_entry",
-                static_cast<std::int64_t>(
-                    cache.liveObjects == 0
-                        ? 0
-                        : cache.approxBytes / cache.liveObjects));
-  snap.AddGauge("cache.arena_occupancy_pct",
-                static_cast<std::int64_t>(
-                    cache.allocatedObjects == 0
-                        ? 0
-                        : 100 * (cache.allocatedObjects - cache.freeObjects) /
-                              cache.allocatedObjects));
-  snap.AddCounter("cache.budget_evictions", cache.budgetEvictions);
-  snap.AddCounter("cache.create_failures", cache.createFailures);
-  const auto resolver = resolver_.GetStats();
-  snap.AddCounter("resolver.locates", resolver.locates);
-  snap.AddCounter("resolver.redirects", resolver.redirects);
-  snap.AddCounter("resolver.fast_redirects", resolver.fastRedirects);
-  snap.AddCounter("resolver.not_found", resolver.notFound);
-  snap.AddCounter("resolver.full_delays", resolver.fullDelays);
-  snap.AddCounter("resolver.queries_sent", resolver.queriesSent);
-  snap.AddCounter("resolver.query_messages", resolver.queryMessages);
-  snap.AddCounter("resolver.deferrals", resolver.deferrals);
-  const auto respq = respq_.GetStats();
-  snap.AddCounter("respq.adds", respq.adds);
-  snap.AddCounter("respq.joins", respq.joins);
-  snap.AddCounter("respq.releases", respq.releases);
-  snap.AddCounter("respq.expirations", respq.expirations);
-  snap.AddCounter("respq.rejected_full", respq.rejectedFull);
-  snap.AddGauge("respq.anchors_in_use", static_cast<std::int64_t>(respq.anchorsInUse));
-  const auto maint = maintenance_.GetStats();
-  snap.AddCounter("maintenance.window_ticks", maint.windowTicks);
-  snap.AddCounter("maintenance.sweeps", maint.sweeps);
-  snap.AddCounter("maintenance.drop_scans", maint.dropScans);
-  snap.AddCounter("maintenance.members_dropped", maint.membersDropped);
-  const auto live = membership_.GetLivenessStats();
-  snap.AddCounter("membership.deaths", live.deaths);
-  snap.AddCounter("membership.rejoins", live.rejoins);
-  snap.AddCounter("membership.suspends", live.suspends);
-  snap.AddCounter("membership.resumes", live.resumes);
-  snap.AddCounter("membership.drains", live.drains);
-  snap.AddGauge("membership.suspended",
-                static_cast<std::int64_t>(membership_.SuspendedSet().count()));
-  snap.AddGauge("membership.draining",
-                static_cast<std::int64_t>(membership_.DrainingSet().count()));
-  snap.AddGauge("membership.path_arena_bytes",
-                static_cast<std::int64_t>(membership_.PathArenaBytes()));
+  core_.ExportMetrics(snap);
   snap.AddGauge("node.open_handles", static_cast<std::int64_t>(openFiles_.size()));
-  snap.AddGauge("node.members", static_cast<std::int64_t>(membership_.MemberCount()));
+  snap.AddGauge("node.members", static_cast<std::int64_t>(core_.membership().MemberCount()));
   snap.AddCounter("node.count", 1);  // lets aggregated views report fleet size
   if (config_.exportFabricStats) {
     const auto net = fabric_.GetCounters();
@@ -402,8 +266,7 @@ void ScallaNode::OnPeerDown(net::NodeAddr peer) {
     slotAtParent_.erase(peer);
     return;  // loginTimer_ keeps retrying
   }
-  const auto slot = SlotOfAddr(peer);
-  if (slot.has_value()) membership_.Disconnect(*slot);
+  core_.OnPeerDown(peer);
 }
 
 void ScallaNode::OnMessage(net::NodeAddr from, proto::Message message) {
@@ -429,7 +292,7 @@ void ScallaNode::OnMessage(net::NodeAddr from, proto::Message message) {
         } else if constexpr (std::is_same_v<M, proto::CmsPing>) {
           HandlePing(from, m);
         } else if constexpr (std::is_same_v<M, proto::CmsPong>) {
-          HandlePong(from, m);
+          core_.OnPong(from, m);
         } else if constexpr (std::is_same_v<M, proto::CmsDeath>) {
           HandleDeath(from, m);
         } else if constexpr (std::is_same_v<M, proto::CmsDrain>) {
@@ -453,9 +316,12 @@ void ScallaNode::OnMessage(net::NodeAddr from, proto::Message message) {
         } else if constexpr (std::is_same_v<M, proto::XrdPrepare>) {
           HandlePrepare(from, m);
         } else if constexpr (std::is_same_v<M, proto::StatsQuery>) {
-          HandleStatsQuery(from, m);
+          nm_.statsQueries.Inc();
+          // A leaf answers from local state; a head folds in its subtree.
+          stats_.OnQuery(from, m.reqId, SnapshotMetrics(),
+                         IsHead() ? core_.OnlineAddrs() : std::vector<net::NodeAddr>{});
         } else if constexpr (std::is_same_v<M, proto::StatsReply>) {
-          HandleStatsReply(from, m);
+          if (SlotOfAddr(from).has_value()) stats_.OnReply(m);
         } else if constexpr (std::is_same_v<M, proto::FedSubscribeResp>) {
           HandleFedSubscribeResp(from, m);
         } else if constexpr (std::is_same_v<M, proto::FedQuery>) {
@@ -474,68 +340,30 @@ void ScallaNode::OnMessage(net::NodeAddr from, proto::Message message) {
       std::move(message));
 }
 
-// ---------------------------------------------------------------------
-// stats aggregation
-
-void ScallaNode::HandleStatsQuery(net::NodeAddr from, const proto::StatsQuery& m) {
-  nm_.statsQueries.Inc();
-  // Leaf (or head with no online subordinates): answer from local state.
-  ServerSet online = IsHead() ? membership_.OnlineSet() : ServerSet::None();
-  std::vector<net::NodeAddr> targets;
-  for (ServerSlot s = online.first(); s >= 0; s = online.next(s)) {
-    if (slotAddr_[s] != 0) targets.push_back(slotAddr_[s]);
-  }
-  if (targets.empty()) {
-    proto::StatsReply reply;
-    reply.reqId = m.reqId;
-    reply.nodeCount = 1;
-    reply.snapshot = SnapshotMetrics();
-    fabric_.Send(config_.addr, from, std::move(reply));
-    return;
-  }
-
-  // Head: fan the query down the tree under a fresh reqId (this node's own
-  // downward id space), fold replies, answer the requester when the last
-  // subordinate reports or the timeout fires — whichever comes first.
-  const std::uint64_t aggId = nextStatsAggId_++;
-  StatsAggregation& agg = statsAggs_[aggId];
-  agg.requester = from;
-  agg.requesterReqId = m.reqId;
-  agg.acc = SnapshotMetrics();
-  agg.nodeCount = 1;
-  agg.outstanding = static_cast<int>(targets.size());
-  agg.timer = executor_.RunAfter(config_.statsTimeout,
-                                 [this, aggId] { FinishStatsAggregation(aggId); });
-  for (const net::NodeAddr target : targets) {
-    fabric_.Send(config_.addr, target, proto::StatsQuery{aggId});
-  }
-}
-
-void ScallaNode::HandleStatsReply(net::NodeAddr from, const proto::StatsReply& m) {
-  if (!SlotOfAddr(from).has_value()) return;  // not a subordinate we know
-  const auto it = statsAggs_.find(m.reqId);
-  if (it == statsAggs_.end()) return;  // late reply after timeout
-  StatsAggregation& agg = it->second;
-  agg.acc.Merge(m.snapshot);
-  agg.nodeCount += m.nodeCount;
-  if (--agg.outstanding <= 0) FinishStatsAggregation(m.reqId);
-}
-
-void ScallaNode::FinishStatsAggregation(std::uint64_t aggId) {
-  const auto it = statsAggs_.find(aggId);
-  if (it == statsAggs_.end()) return;
-  StatsAggregation& agg = it->second;
-  if (agg.timer != sched::kInvalidTimer) {
-    executor_.Cancel(agg.timer);
-    agg.timer = sched::kInvalidTimer;
-  }
-  proto::StatsReply reply;
-  reply.reqId = agg.requesterReqId;
-  reply.nodeCount = agg.nodeCount;
-  reply.snapshot = std::move(agg.acc);
-  const net::NodeAddr requester = agg.requester;
-  statsAggs_.erase(it);
-  fabric_.Send(config_.addr, requester, std::move(reply));
+template <typename Have, typename Query>
+void ScallaNode::AnswerFromSubtree(net::NodeAddr from, const Query& m) {
+  // Request-rarely-respond: resolve within the subtree; if anything down
+  // there has the file, answer with a single Have — "multiple responses
+  // ... are compressed into a single response indicating that the
+  // supervisor has the file" (section II-B2).
+  core_.resolver().Locate(
+      m.path, core_.OptionsFor(m.mode, m.refresh, 0),
+      [this, from, path = m.path, hash = m.hash](const LocateResult& r) {
+        if (r.status == LocateStatus::kRedirect) {
+          Have resp;
+          resp.path = path;
+          resp.hash = hash;
+          resp.pending = r.pending;
+          resp.allowWrite = config_.allowWrite;
+          fabric_.Send(config_.addr, from, std::move(resp));
+          nm_.queriesAnswered.Inc();
+        } else if (std::is_same_v<Have, proto::CmsHave> &&
+                   r.status == LocateStatus::kNotFound && config_.alwaysRespond) {
+          fabric_.Send(config_.addr, from, proto::CmsNoHave{path, hash});
+        } else {
+          nm_.queriesSilent.Inc();
+        }
+      });
 }
 
 // ---------------------------------------------------------------------
@@ -549,28 +377,22 @@ void ScallaNode::HandleLogin(net::NodeAddr from, const proto::CmsLogin& m) {
     fabric_.Send(config_.addr, from, std::move(resp));
     return;
   }
-  // A re-login from a known address may land on a different slot (changed
-  // exports drop the old identity); clear the stale mapping first.
-  const auto oldSlot = SlotOfAddr(from);
-  const auto result = membership_.Login(m.name, m.exports, m.allowWrite, m.isSupervisor);
+  const auto result = core_.Admit(from, m.name, m.exports, m.allowWrite, m.isSupervisor);
   if (!result.has_value()) {
     // Set full: send the newcomer down to a supervisor with capacity —
     // the 64-ary tree grows at the leaves, not by widening a set.
     resp.ok = false;
     resp.error = "cluster set full";
     for (ServerSlot s = 0; s < kMaxServersPerSet; ++s) {
-      const auto info = membership_.InfoOf(s);
-      if (info && info->online && info->isSupervisor && slotAddr_[s] != 0) {
-        resp.redirect = slotAddr_[s];
+      const auto info = core_.membership().InfoOf(s);
+      if (info && info->online && info->isSupervisor && AddrOfSlot(s) != 0) {
+        resp.redirect = AddrOfSlot(s);
         break;
       }
     }
     fabric_.Send(config_.addr, from, std::move(resp));
     return;
   }
-  if (oldSlot.has_value() && *oldSlot != result->slot) slotAddr_[*oldSlot] = 0;
-  slotAddr_[result->slot] = from;
-  addrSlot_[from] = result->slot;
   nm_.loginsAccepted.Inc();
   resp.ok = true;
   resp.slot = result->slot;
@@ -635,36 +457,11 @@ void ScallaNode::HandleQuery(net::NodeAddr from, const proto::CmsQuery& m) {
     return;
   }
 
-  // Supervisor: resolve within the subtree; if anything down there has the
-  // file, answer with a single CmsHave — "multiple responses ... are
-  // compressed into a single response indicating that the supervisor has
-  // the file" (section II-B2).
-  cms::LocateOptions opts;
-  opts.mode = mode;
-  opts.refresh = m.refresh;
-  resolver_.Locate(m.path, opts,
-                   [this, from, path = m.path, hash = m.hash](const LocateResult& r) {
-                     if (r.status == LocateStatus::kRedirect) {
-                       proto::CmsHave resp;
-                       resp.path = path;
-                       resp.hash = hash;
-                       resp.pending = r.pending;
-                       resp.allowWrite = config_.allowWrite;
-                       fabric_.Send(config_.addr, from, std::move(resp));
-                       nm_.queriesAnswered.Inc();
-                     } else if (r.status == LocateStatus::kNotFound &&
-                                config_.alwaysRespond) {
-                       fabric_.Send(config_.addr, from, proto::CmsNoHave{path, hash});
-                     } else {
-                       nm_.queriesSilent.Inc();
-                     }
-                   });
+  AnswerFromSubtree<proto::CmsHave>(from, m);
 }
 
 void ScallaNode::HandleHave(net::NodeAddr from, const proto::CmsHave& m) {
-  const auto slot = SlotOfAddr(from);
-  if (!slot.has_value()) return;  // not a subordinate we know
-  resolver_.OnHave(m.path, m.hash, *slot, m.pending, m.allowWrite);
+  if (!core_.OnHave(from, m.path, m.hash, m.pending, m.allowWrite)) return;
   // New-file notifications propagate to the root so every level's cache
   // learns about creations that happened beneath it.
   if (m.newfile && !parents_.empty()) {
@@ -679,9 +476,7 @@ void ScallaNode::HandleHave(net::NodeAddr from, const proto::CmsHave& m) {
 }
 
 void ScallaNode::HandleGone(net::NodeAddr from, const proto::CmsGone& m) {
-  const auto slot = SlotOfAddr(from);
-  if (!slot.has_value()) return;
-  resolver_.OnGone(m.path, *slot);
+  if (!core_.OnGone(from, m.path)) return;
   for (const net::NodeAddr parent : parents_) fabric_.Send(config_.addr, parent, m);
   // Upward federation invalidation. Conservative: the meta clears this
   // whole cluster's bit even when other internal replicas remain — the
@@ -695,45 +490,17 @@ void ScallaNode::HandleGone(net::NodeAddr from, const proto::CmsGone& m) {
 void ScallaNode::HandleLoad(net::NodeAddr from, const proto::CmsLoad& m) {
   // Route by stable identity first: a report that raced a re-login under a
   // different slot id must not be credited to whoever holds the old slot.
-  if (!m.name.empty() &&
-      membership_.ReportLoadByName(m.name, m.load, m.freeSpace).has_value()) {
+  cms::Membership& members = core_.membership();
+  if (!m.name.empty() && members.ReportLoadByName(m.name, m.load, m.freeSpace).has_value()) {
     return;
   }
   const auto slot = SlotOfAddr(from);
   if (!slot.has_value()) return;
-  membership_.ReportLoad(*slot, m.load, m.freeSpace);
+  members.ReportLoad(*slot, m.load, m.freeSpace);
 }
 
 // ---------------------------------------------------------------------
 // liveness / membership administration
-
-void ScallaNode::HeartbeatTick() {
-  const auto hb = membership_.HeartbeatTick();
-  proto::CmsPing ping;
-  ping.seq = ++pingSeq_;
-  for (const ServerSlot s : hb.ping) {
-    const net::NodeAddr addr = slotAddr_[s];
-    if (addr == 0) continue;
-    nm_.pingsSent.Inc();
-    fabric_.Send(config_.addr, addr, ping);
-  }
-  // Offline members still in the drop window get a reconnect invitation:
-  // a wedged server that recovers re-logs in and resumes its slot.
-  proto::CmsPing invite;
-  invite.seq = ping.seq;
-  invite.reconnect = true;
-  for (const ServerSlot s : hb.reconnect) {
-    const net::NodeAddr addr = slotAddr_[s];
-    if (addr == 0) continue;
-    nm_.pingsSent.Inc();
-    fabric_.Send(config_.addr, addr, invite);
-  }
-  for (const auto& [slot, name] : hb.died) {
-    SCALLA_WARN("node", "%s: declaring '%s' (slot %d) dead after %d missed pings",
-                config_.name.c_str(), name.c_str(), slot, config_.cms.missLimit);
-    FanToSupervisors(proto::CmsDeath{name});
-  }
-}
 
 void ScallaNode::HandlePing(net::NodeAddr from, const proto::CmsPing& m) {
   // A manager's "parent" for liveness purposes includes the federation
@@ -762,23 +529,10 @@ void ScallaNode::HandlePing(net::NodeAddr from, const proto::CmsPing& m) {
   fabric_.Send(config_.addr, from, std::move(pong));
 }
 
-void ScallaNode::HandlePong(net::NodeAddr from, const proto::CmsPong& m) {
-  const auto slot = SlotOfAddr(from);
-  if (!slot.has_value()) return;
-  nm_.pongsReceived.Inc();
-  membership_.OnPong(*slot);
-  // Piggybacked load keeps selection metrics fresh between CmsLoad reports
-  // (and drives suspend/resume just like a report would).
-  const auto info = membership_.InfoOf(*slot);
-  if (info.has_value() && info->online) {
-    membership_.ReportLoad(*slot, m.load, m.freeSpace);
-  }
-}
-
 void ScallaNode::HandleDeath(net::NodeAddr from, const proto::CmsDeath& m) {
   if (!IsParent(from)) return;  // death notices only flow down the tree
-  const auto slot = membership_.SlotOf(m.server);
-  if (slot.has_value()) membership_.DeclareDead(*slot);
+  const auto slot = core_.membership().SlotOf(m.server);
+  if (slot.has_value()) core_.membership().DeclareDead(*slot);
   // Fan further down regardless: the dead server may live deeper in a
   // subtree this node only knows through a supervisor.
   FanToSupervisors(m);
@@ -798,9 +552,9 @@ void ScallaNode::HandleDrain(net::NodeAddr from, const proto::CmsDrain& m) {
     reply(false, false, "not a cluster head");
     return;
   }
-  const auto slot = membership_.SlotOf(m.server);
+  const auto slot = core_.membership().SlotOf(m.server);
   if (slot.has_value()) {
-    membership_.SetDraining(*slot, !m.restore);
+    core_.membership().SetDraining(*slot, !m.restore);
     reply(true, true, "");
     return;
   }
@@ -816,11 +570,11 @@ void ScallaNode::HandleDrain(net::NodeAddr from, const proto::CmsDrain& m) {
 
 int ScallaNode::FanToSupervisors(const proto::Message& notice) {
   int fanned = 0;
-  const ServerSet online = membership_.OnlineSet();
+  const ServerSet online = core_.membership().OnlineSet();
   for (ServerSlot s = online.first(); s >= 0; s = online.next(s)) {
-    const auto info = membership_.InfoOf(s);
+    const auto info = core_.membership().InfoOf(s);
     if (!info.has_value() || !info->isSupervisor) continue;
-    const net::NodeAddr addr = slotAddr_[s];
+    const net::NodeAddr addr = AddrOfSlot(s);
     if (addr == 0) continue;
     fabric_.Send(config_.addr, addr, notice);
     ++fanned;
@@ -832,80 +586,14 @@ int ScallaNode::FanToSupervisors(const proto::Message& notice) {
 // xrd handlers
 
 void ScallaNode::HandleOpen(net::NodeAddr from, const proto::XrdOpen& m) {
-  if (IsHead()) {
-    HeadOpen(from, m);
-  } else {
+  if (!IsHead()) {
     LeafOpen(from, m);
+    return;
   }
-}
-
-void ScallaNode::HeadOpen(net::NodeAddr from, const proto::XrdOpen& m) {
   if (m.refresh) nm_.refreshes.Inc();
-  cms::LocateOptions opts;
-  opts.mode = ModeOf(m.mode);
-  opts.refresh = m.refresh;
-  if (m.avoidNode != 0) {
-    const auto avoidSlot = SlotOfAddr(m.avoidNode);
-    if (avoidSlot.has_value()) opts.avoid = *avoidSlot;
-  }
-  resolver_.Locate(
-      m.path, opts,
-      [this, from, reqId = m.reqId, path = m.path, create = m.create,
-       avoid = opts.avoid, mode = opts.mode](const LocateResult& r) {
-        proto::XrdOpenResp resp;
-        resp.reqId = reqId;
-        switch (r.status) {
-          case LocateStatus::kRedirect:
-            resp.status = proto::XrdStatus::kRedirect;
-            resp.redirectNode = AddrOfSlot(r.server);
-            nm_.redirectsIssued.Inc();
-            break;
-          case LocateStatus::kWait:
-            resp.status = proto::XrdStatus::kWait;
-            resp.waitNs = r.wait.count();
-            nm_.waitsIssued.Inc();
-            break;
-          case LocateStatus::kRetry:
-            resp.status = proto::XrdStatus::kError;
-            resp.err = proto::XrdErr::kStale;
-            break;
-          case LocateStatus::kNotFound: {
-            if (!create) {
-              resp.status = proto::XrdStatus::kError;
-              resp.err = proto::XrdErr::kNotFound;
-              break;
-            }
-            // Creation: the full delay has confirmed non-existence; place
-            // the new file on an eligible, selectable (online and neither
-            // suspended nor draining), writable subordinate — avoiding a
-            // server that already refused this client (e.g. out of space).
-            ServerSet candidates =
-                membership_.EligibleFor(path) & membership_.SelectableSet();
-            ServerSet writable;
-            for (ServerSlot s = candidates.first(); s >= 0;
-                 s = candidates.next(s)) {
-              const auto info = membership_.InfoOf(s);
-              if (info && info->allowWrite) writable.set(s);
-            }
-            ServerSet avoidSet;
-            if (avoid >= 0) avoidSet.set(avoid);
-            const ServerSlot target = selection_.Choose(
-                writable.Without(avoidSet).empty() ? writable
-                                                   : writable.Without(avoidSet),
-                ServerSet::None(), membership_);
-            if (target < 0) {
-              resp.status = proto::XrdStatus::kError;
-              resp.err = proto::XrdErr::kNoSpace;
-            } else {
-              resp.status = proto::XrdStatus::kRedirect;
-              resp.redirectNode = AddrOfSlot(target);
-              nm_.redirectsIssued.Inc();
-            }
-            break;
-          }
-        }
-        fabric_.Send(config_.addr, from, std::move(resp));
-      });
+  core_.Answer<proto::XrdOpenResp>(from, m.reqId, m.path,
+                                   core_.OptionsFor(m.mode, m.refresh, m.avoidNode),
+                                   {&nm_.redirectsIssued, &nm_.waitsIssued}, m.create);
 }
 
 void ScallaNode::LeafOpen(net::NodeAddr from, const proto::XrdOpen& m) {
@@ -1042,28 +730,7 @@ void ScallaNode::HandleChecksum(net::NodeAddr from, const proto::XrdChecksum& m)
     return;
   }
   // Head: redirect like any meta-data operation.
-  cms::LocateOptions opts;
-  resolver_.Locate(m.path, opts,
-                   [this, from, reqId = m.reqId](const LocateResult& r) {
-                     proto::XrdChecksumResp out;
-                     out.reqId = reqId;
-                     switch (r.status) {
-                       case LocateStatus::kRedirect:
-                         out.status = proto::XrdStatus::kRedirect;
-                         out.redirectNode = AddrOfSlot(r.server);
-                         break;
-                       case LocateStatus::kWait:
-                         out.status = proto::XrdStatus::kWait;
-                         out.waitNs = r.wait.count();
-                         break;
-                       default:
-                         out.status = proto::XrdStatus::kError;
-                         out.err = r.status == LocateStatus::kRetry
-                                       ? proto::XrdErr::kStale
-                                       : proto::XrdErr::kNotFound;
-                     }
-                     fabric_.Send(config_.addr, from, std::move(out));
-                   });
+  core_.Answer<proto::XrdChecksumResp>(from, m.reqId, m.path, {}, {});
 }
 
 void ScallaNode::HandleWrite(net::NodeAddr from, const proto::XrdWrite& m) {
@@ -1106,28 +773,8 @@ void ScallaNode::HandleStat(net::NodeAddr from, const proto::XrdStat& m) {
     fabric_.Send(config_.addr, from, std::move(resp));
     return;
   }
-  cms::LocateOptions opts;  // stat is a read-mode meta-data operation
-  resolver_.Locate(m.path, opts,
-                   [this, from, reqId = m.reqId](const LocateResult& r) {
-                     proto::XrdStatResp out;
-                     out.reqId = reqId;
-                     switch (r.status) {
-                       case LocateStatus::kRedirect:
-                         out.status = proto::XrdStatus::kRedirect;
-                         out.redirectNode = AddrOfSlot(r.server);
-                         break;
-                       case LocateStatus::kWait:
-                         out.status = proto::XrdStatus::kWait;
-                         out.waitNs = r.wait.count();
-                         break;
-                       default:
-                         out.status = proto::XrdStatus::kError;
-                         out.err = r.status == LocateStatus::kRetry
-                                       ? proto::XrdErr::kStale
-                                       : proto::XrdErr::kNotFound;
-                     }
-                     fabric_.Send(config_.addr, from, std::move(out));
-                   });
+  // Stat is a read-mode meta-data operation.
+  core_.Answer<proto::XrdStatResp>(from, m.reqId, m.path, {}, {});
 }
 
 void ScallaNode::HandleUnlink(net::NodeAddr from, const proto::XrdUnlink& m) {
@@ -1148,28 +795,7 @@ void ScallaNode::HandleUnlink(net::NodeAddr from, const proto::XrdUnlink& m) {
     fabric_.Send(config_.addr, from, std::move(resp));
     return;
   }
-  cms::LocateOptions opts;
-  resolver_.Locate(m.path, opts,
-                   [this, from, reqId = m.reqId](const LocateResult& r) {
-                     proto::XrdUnlinkResp out;
-                     out.reqId = reqId;
-                     switch (r.status) {
-                       case LocateStatus::kRedirect:
-                         out.status = proto::XrdStatus::kRedirect;
-                         out.redirectNode = AddrOfSlot(r.server);
-                         break;
-                       case LocateStatus::kWait:
-                         out.status = proto::XrdStatus::kWait;
-                         out.waitNs = r.wait.count();
-                         break;
-                       default:
-                         out.status = proto::XrdStatus::kError;
-                         out.err = r.status == LocateStatus::kRetry
-                                       ? proto::XrdErr::kStale
-                                       : proto::XrdErr::kNotFound;
-                     }
-                     fabric_.Send(config_.addr, from, std::move(out));
-                   });
+  core_.Answer<proto::XrdUnlinkResp>(from, m.reqId, m.path, {}, {});
 }
 
 void ScallaNode::HandlePrepare(net::NodeAddr from, const proto::XrdPrepare& m) {
@@ -1177,11 +803,7 @@ void ScallaNode::HandlePrepare(net::NodeAddr from, const proto::XrdPrepare& m) {
   // file; each may suffer the full delay internally, but the client sees
   // at most one because they run concurrently.
   if (IsHead()) {
-    cms::LocateOptions opts;
-    opts.mode = ModeOf(m.mode);
-    for (const auto& path : m.paths) {
-      resolver_.Locate(path, opts, [](const LocateResult&) { /* warming only */ });
-    }
+    core_.Prefetch(m.paths, m.mode);
   } else {
     for (const auto& path : m.paths) storage_->BeginStage(path);
   }

@@ -13,7 +13,6 @@
 //                 actual file I/O, stages MSS-resident files.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -21,15 +20,11 @@
 #include <utility>
 #include <vector>
 
-#include "cms/location_cache.h"
-#include "cms/maintenance.h"
-#include "cms/membership.h"
-#include "cms/resolver.h"
-#include "cms/response_queue.h"
-#include "cms/selection.h"
+#include "cms/head_core.h"
 #include "cms/types.h"
 #include "net/fabric.h"
 #include "obs/metrics.h"
+#include "obs/tree_aggregator.h"
 #include "oss/oss.h"
 #include "sched/executor.h"
 
@@ -109,38 +104,23 @@ class ScallaNode : public net::MessageSink {
   bool LoggedIn() const;
   bool LoggedInTo(net::NodeAddr parent) const;
   const std::vector<net::NodeAddr>& Parents() const { return parents_; }
-  cms::Membership& membership() { return membership_; }
-  cms::LocationCache& cache() { return cache_; }
-  cms::Resolver& resolver() { return resolver_; }
-  cms::FastResponseQueue& respq() { return respq_; }
+  cms::Membership& membership() { return core_.membership(); }
+  cms::LocationCache& cache() { return core_.cache(); }
+  cms::Resolver& resolver() { return core_.resolver(); }
   oss::Oss* storage() { return storage_; }
-  net::NodeAddr AddrOfSlot(ServerSlot slot) const;
-  std::optional<ServerSlot> SlotOfAddr(net::NodeAddr addr) const;
-
-  struct Stats {
-    std::uint64_t opensServed = 0;      // leaf opens completed
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t queriesAnswered = 0;  // CmsHave sent
-    std::uint64_t queriesSilent = 0;    // non-responses (rarely-respond)
-    std::uint64_t redirectsIssued = 0;
-    std::uint64_t waitsIssued = 0;
-    std::uint64_t stagesStarted = 0;
-    std::uint64_t creates = 0;
-  };
-  /// Legacy view of the node.* counters (kept for existing tests/benches).
-  Stats GetStats() const;
+  net::NodeAddr AddrOfSlot(ServerSlot slot) const { return core_.AddrOfSlot(slot); }
+  std::optional<ServerSlot> SlotOfAddr(net::NodeAddr addr) const {
+    return core_.SlotOfAddr(addr);
+  }
 
   /// The node's instrument registry (tests and embedders may add their own
   /// instruments; they ride along in every snapshot).
   obs::MetricsRegistry& metrics() { return metrics_; }
 
-  /// Local point-in-time metrics: registry instruments plus the cache /
-  /// resolver / response-queue / maintenance component stats translated to
-  /// canonical dotted names ("cache.hits", "resolver.redirects", ...).
+  /// Local point-in-time metrics: the node.* instruments plus every cms
+  /// component's metrics under canonical dotted names ("cache.hits",
+  /// "resolver.redirects", ...).
   obs::MetricsSnapshot SnapshotMetrics() const;
-
-  cms::MaintenanceDriver& maintenance() { return maintenance_; }
 
   /// Subscribed into the federation meta-manager? (managers with
   /// config.meta only; others always false)
@@ -166,9 +146,7 @@ class ScallaNode : public net::MessageSink {
   void HandleLoad(net::NodeAddr from, const proto::CmsLoad& m);
 
   // liveness / membership administration
-  void HeartbeatTick();
   void HandlePing(net::NodeAddr from, const proto::CmsPing& m);
-  void HandlePong(net::NodeAddr from, const proto::CmsPong& m);
   void HandleDeath(net::NodeAddr from, const proto::CmsDeath& m);
   void HandleDrain(net::NodeAddr from, const proto::CmsDrain& m);
   /// Fans a death/drain notice to every online supervisor subordinate so
@@ -188,10 +166,10 @@ class ScallaNode : public net::MessageSink {
   void HandleUnlink(net::NodeAddr from, const proto::XrdUnlink& m);
   void HandlePrepare(net::NodeAddr from, const proto::XrdPrepare& m);
 
-  // stats aggregation (tentpole observability protocol)
-  void HandleStatsQuery(net::NodeAddr from, const proto::StatsQuery& m);
-  void HandleStatsReply(net::NodeAddr from, const proto::StatsReply& m);
-  void FinishStatsAggregation(std::uint64_t aggId);
+  /// Answers a parent's CmsQuery (or the meta's FedQuery) from this
+  /// subtree with a single CmsHave (FedHave).
+  template <typename Have, typename Query>
+  void AnswerFromSubtree(net::NodeAddr from, const Query& m);
 
   // federation (manager <-> meta-manager)
   void SendFedSubscribe();
@@ -200,13 +178,10 @@ class ScallaNode : public net::MessageSink {
   void NotifyMetaHave(const proto::CmsHave& m);
 
   // role-specific pieces
-  void HeadOpen(net::NodeAddr from, const proto::XrdOpen& m);
   void LeafOpen(net::NodeAddr from, const proto::XrdOpen& m);
   void SendLogins();
   void SendLoginTo(net::NodeAddr parent);
   bool IsParent(net::NodeAddr addr) const;
-  void SendQueryDown(ServerSet targets, const std::string& path, std::uint32_t hash,
-                     cms::AccessMode mode);
   void NotifyParentHave(const std::string& path, bool pending);
 
   NodeConfig config_;
@@ -214,16 +189,10 @@ class ScallaNode : public net::MessageSink {
   net::Fabric& fabric_;
   oss::Oss* storage_;
 
-  cms::Membership membership_;
-  cms::LocationCache cache_;
-  cms::FastResponseQueue respq_;
-  cms::SelectionPolicy selection_;
-  cms::Resolver resolver_;
-  cms::MaintenanceDriver maintenance_;
-
   // Instruments the hot handlers bump. The registry owns them; the struct
   // caches references so handlers pay one relaxed atomic add per event.
   obs::MetricsRegistry metrics_;
+  cms::HeadCore core_;  // idle below a head, bar the window tick
   struct NodeMetrics {
     obs::Counter& opensServed;
     obs::Counter& reads;
@@ -238,15 +207,10 @@ class ScallaNode : public net::MessageSink {
     obs::Counter& loginsSent;      // login attempts toward parents
     obs::Counter& refreshes;       // opens carrying the refresh flag
     obs::Counter& statsQueries;    // StatsQuery frames served
-    obs::Counter& pingsSent;       // heartbeat probes sent to subordinates
-    obs::Counter& pongsReceived;   // heartbeat answers received
     explicit NodeMetrics(obs::MetricsRegistry& r);
   };
   NodeMetrics nm_;
-
-  // slot <-> fabric address maps for subordinates
-  std::array<net::NodeAddr, kMaxServersPerSet> slotAddr_{};
-  std::unordered_map<net::NodeAddr, ServerSlot> addrSlot_;
+  obs::TreeAggregator stats_;
 
   bool started_ = false;
   std::vector<net::NodeAddr> parents_;  // config_.parent + extraParents
@@ -262,27 +226,12 @@ class ScallaNode : public net::MessageSink {
 
   sched::TimerId loginTimer_ = sched::kInvalidTimer;
   sched::TimerId loadTimer_ = sched::kInvalidTimer;
-  sched::TimerId pingTimer_ = sched::kInvalidTimer;
   sched::TimerId fedTimer_ = sched::kInvalidTimer;  // FedSubscribe retry
   std::int32_t fedClusterId_ = -1;  // slot at the meta (-1 = not subscribed)
-  std::uint64_t pingSeq_ = 0;
   // Last load/space numbers this node reported upward; pongs echo them so
   // parent selection metrics stay fresh between CmsLoad reports.
   std::uint32_t lastLoad_ = 0;
   std::uint64_t lastFree_ = 0;
-
-  // One in-flight subtree aggregation per received StatsQuery. The key is
-  // the reqId used on this node's *downward* queries; replies echo it.
-  struct StatsAggregation {
-    net::NodeAddr requester = 0;
-    std::uint64_t requesterReqId = 0;
-    obs::MetricsSnapshot acc;
-    std::uint32_t nodeCount = 0;
-    int outstanding = 0;
-    sched::TimerId timer = sched::kInvalidTimer;
-  };
-  std::unordered_map<std::uint64_t, StatsAggregation> statsAggs_;
-  std::uint64_t nextStatsAggId_ = 1;
 };
 
 }  // namespace scalla::xrd

@@ -1,15 +1,22 @@
 // Observability subsystem: metrics registry semantics, snapshot
-// determinism and merging, the wire round-trip of stats messages, and
+// determinism and merging, the wire round-trip of stats messages,
 // end-to-end tree aggregation over a simulated cluster (including a
-// crashed leaf being excluded from the fold).
+// crashed leaf being excluded from the fold), and component-metric name
+// parity between a cluster head and the meta-manager.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string_view>
 #include <thread>
 
+#include "fed/meta_manager.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "proto/wire.h"
 #include "sim/cluster.h"
+#include "sim/event_engine.h"
+#include "sim/sim_fabric.h"
+#include "xrd/scalla_node.h"
 
 namespace scalla {
 namespace {
@@ -267,6 +274,40 @@ TEST(ObsTest, AggregationExcludesCrashedLeafAndSurvivesFailover) {
   ASSERT_TRUE(after.ok);
   EXPECT_GE(after.nodeCount, 1u);
   EXPECT_GT(after.snapshot.Counter("node.count"), 0u);
+}
+
+// Names under the component prefixes both kinds of head export. Every
+// component writes its own names, so a manager and the meta-manager must
+// carry exactly the same set; a hand-kept copy in either drifts.
+std::set<std::string> ComponentMetricNames(const obs::MetricsSnapshot& snap) {
+  std::set<std::string> names;
+  const auto keep = [&names](const std::string& name) {
+    for (const std::string_view prefix :
+         {"cache.", "resolver.", "respq.", "maintenance.", "membership."}) {
+      if (name.compare(0, prefix.size(), prefix) == 0) names.insert(name);
+    }
+  };
+  for (const auto& [name, _] : snap.counters) keep(name);
+  for (const auto& [name, _] : snap.gauges) keep(name);
+  for (const auto& [name, _] : snap.histograms) keep(name);
+  return names;
+}
+
+TEST(ObsTest, ManagerAndMetaExportTheSameComponentMetricNames) {
+  sim::EventEngine engine;
+  sim::SimFabric fabric(engine);
+  xrd::NodeConfig managerConfig;
+  managerConfig.role = xrd::NodeRole::kManager;
+  managerConfig.name = "manager";
+  managerConfig.addr = 1;
+  xrd::ScallaNode manager(managerConfig, engine, fabric, nullptr);
+  fed::MetaConfig metaConfig;
+  metaConfig.addr = 2;
+  fed::MetaManager meta(metaConfig, engine, fabric);
+
+  const auto managerNames = ComponentMetricNames(manager.SnapshotMetrics());
+  EXPECT_EQ(managerNames.size(), 42u);
+  EXPECT_EQ(ComponentMetricNames(meta.SnapshotMetrics()), managerNames);
 }
 
 }  // namespace

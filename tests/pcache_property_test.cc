@@ -10,8 +10,8 @@
 //    an integrity model: a hit in either tier must return the bytes most
 //    recently inserted, pinned blocks must never be lost or purged, and
 //    the per-tier accounting identities must hold at every audit point.
-// 3. A multi-threaded hammer over the async-tier-ops configuration, run
-//    under TSan by scripts/verify.sh.
+// 3. A multi-threaded hammer over the async and the inline tier-ops
+//    configurations, run under TSan by scripts/verify.sh.
 // 4. The scan-resistance regression gate: a sequential scan of 2x the
 //    DRAM tier must not dent the Zipf hot set's hit rate by more than
 //    5 points. Strict LRU (disk tier disabled) fails this bound; ghost
@@ -439,7 +439,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PcachePropertyTest,
 
 // --------------------------------------------- multithreaded (TSan) hammer
 
-TEST(TieredCacheConcurrencyTest, AsyncTierOpsSurviveThreads) {
+// Eight threads mix lookups, inserts, pin/unpin pairs and purges over a
+// tight two-tier cache. Afterwards the accounting must be coherent and
+// PurgeAll must empty both tiers: a pin lost while a block moved between
+// tiers would keep that block alive for good.
+void HammerTierOps(bool asyncTierOps) {
   TieredCacheConfig cfg;
   cfg.dram.blockSize = 64;
   cfg.dram.capacityBytes = 64 * 32;  // tight: constant eviction + spill
@@ -449,7 +453,7 @@ TEST(TieredCacheConcurrencyTest, AsyncTierOpsSurviveThreads) {
   cfg.diskCapacityBytes = 64 * 96;
   cfg.diskHighWatermark = 0.9;
   cfg.diskLowWatermark = 0.6;
-  cfg.asyncTierOps = true;
+  cfg.asyncTierOps = asyncTierOps;
 
   sched::ThreadExecutor executor;
   oss::MemOss disk(executor.clock());
@@ -530,6 +534,10 @@ TEST(TieredCacheConcurrencyTest, AsyncTierOpsSurviveThreads) {
   // (weak-reference capture) instead of touching freed memory.
   executor.Stop();
 }
+
+TEST(TieredCacheConcurrencyTest, AsyncTierOpsSurviveThreads) { HammerTierOps(true); }
+
+TEST(TieredCacheConcurrencyTest, InlineTierOpsSurviveThreads) { HammerTierOps(false); }
 
 // ------------------------------------------------- scan-resistance gate
 
