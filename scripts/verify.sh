@@ -18,6 +18,9 @@
 # deterministic metrics against bench/baseline.json (tolerances per
 # metric); set SCALLA_SKIP_BENCH_GATE=1 to skip it.
 #
+# scripts/perf_ab.py (the parent-vs-working-tree perfbench A/B harness)
+# checks its verdict logic with --selftest; no benchmark runs there.
+#
 # The perfbench smoke stage builds the wall-clock benchmark (perfbench/,
 # its own CMake package over src/) into build-perfbench and runs each
 # workload for one second; a src/ API change that breaks it, or a run
@@ -45,6 +48,10 @@ if [[ "${SCALLA_SKIP_BENCH_GATE:-0}" != "1" ]]; then
   }
   ./build/tools/bench_compare bench/baseline.json build/bench_current.json
 fi
+
+echo
+echo "=== perf_ab self-test: A/B verdict logic on canned numbers ==="
+python3 scripts/perf_ab.py --selftest
 
 echo
 echo "=== perfbench smoke: every workload builds, runs and reports correct ==="

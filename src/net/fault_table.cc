@@ -25,16 +25,19 @@ void Toggle(Set& set, const Key& key, bool on) {
 void FaultTable::SetDown(NodeAddr addr, bool down) {
   std::lock_guard lock(mu_);
   Toggle(down_, addr, down);
+  PublishLocked();
 }
 
 void FaultTable::SetLinkCut(NodeAddr a, NodeAddr b, bool cut) {
   std::lock_guard lock(mu_);
   Toggle(cutLinks_, LinkKey(a, b), cut);
+  PublishLocked();
 }
 
 void FaultTable::SetDrop(NodeAddr from, NodeAddr to, bool drop) {
   std::lock_guard lock(mu_);
   Toggle(drops_, PairKey(from, to), drop);
+  PublishLocked();
 }
 
 void FaultTable::SetDelay(NodeAddr from, NodeAddr to, Duration delay) {
@@ -44,15 +47,24 @@ void FaultTable::SetDelay(NodeAddr from, NodeAddr to, Duration delay) {
   } else {
     delays_.erase(PairKey(from, to));
   }
+  PublishLocked();
 }
 
 void FaultTable::SetWedged(NodeAddr addr, bool wedged) {
   std::lock_guard lock(mu_);
   Toggle(wedged_, addr, wedged);
+  PublishLocked();
+}
+
+void FaultTable::PublishLocked() {
+  any_.store(!down_.empty() || !wedged_.empty() || !cutLinks_.empty() ||
+                 !drops_.empty() || !delays_.empty(),
+             std::memory_order_release);
 }
 
 FaultVerdict FaultTable::Check(NodeAddr from, NodeAddr to) const {
   using Fate = FaultVerdict::Fate;
+  if (!any_.load(std::memory_order_acquire)) return {};
   std::lock_guard lock(mu_);
   if (wedged_.count(from) != 0 || wedged_.count(to) != 0) return {Fate::kLose};
   const bool senderDown = down_.count(from) != 0;

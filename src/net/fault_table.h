@@ -2,6 +2,7 @@
 // and TcpFabric so both transports judge a frame with the same code.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
@@ -32,14 +33,18 @@ class FaultTable {
   void SetDelay(NodeAddr from, NodeAddr to, Duration delay);
   void SetWedged(NodeAddr addr, bool wedged);
 
-  /// One lock, one verdict, in the order both transports apply: a wedged
-  /// end loses the frame silently (its connections still look up); a
-  /// downed end or a cut link loses it and signals OnPeerDown unless the
-  /// sender itself is down; a drop loses it silently; otherwise it is
-  /// delivered after the injected delay.
+  /// One verdict, in the order both transports apply: a wedged end loses
+  /// the frame silently (its connections still look up); a downed end or
+  /// a cut link loses it and signals OnPeerDown unless the sender itself
+  /// is down; a drop loses it silently; otherwise it is delivered after
+  /// the injected delay. While no fault is set this is one atomic load and
+  /// takes no lock; otherwise it takes the table's lock once.
   FaultVerdict Check(NodeAddr from, NodeAddr to) const;
 
  private:
+  void PublishLocked();  // refreshes any_ after a setter, under mu_
+
+  std::atomic<bool> any_{false};  // some fault set below is non-empty
   mutable std::mutex mu_;
   std::unordered_set<NodeAddr> down_;
   std::unordered_set<NodeAddr> wedged_;

@@ -4,16 +4,25 @@
 // connections are all readiness-driven handlers on a loop, so the thread
 // count is O(loopThreads), not O(connections).
 //
-// Ownership and threading rules (the whole design in four lines):
-//   - every fd/handler belongs to exactly one Loop; all I/O, epoll
-//     registration and handler state mutation happen on that loop's thread;
-//   - other threads talk to a loop only through Post()/RunSync(), which
-//     enqueue a task and wake the loop via an eventfd;
+// Ownership and threading rules:
+//   - every fd/handler belongs to exactly one Loop. Reads, connect, epoll
+//     registration, closing and all other handler state live on that
+//     loop's thread;
+//   - writes are the one exception: a TcpFabric sender on any thread may
+//     write a frame to an outbound connection's socket under that
+//     connection's qmu_ while its queue is empty and the loop has marked it
+//     writable. The loop clears that mark under qmu_ before it closes or
+//     replaces the fd, and it takes every write the sender could not
+//     finish (EAGAIN, a partial write, an error);
+//   - other threads otherwise talk to a loop only through Post()/RunSync(),
+//     which enqueue a task and wake the loop via an eventfd;
 //   - handlers are dispatched by a monotonically increasing id (never a
 //     raw pointer), so a handler removed mid-batch cannot be reached by a
 //     stale event, even if its fd number is immediately reused;
 //   - timers (connect/write deadlines, idle reaping, injected delays) are
-//     a loop-local multimap drained between epoll_wait rounds.
+//     a loop-local multimap drained between epoll_wait rounds;
+//   - lock order: a connection's qmu_ before the fabric's perPeerMu_ and
+//     the BufferPool lock; no lock is held across a handler callback.
 #pragma once
 
 #include <atomic>

@@ -14,6 +14,7 @@
 #include <deque>
 
 #include "proto/wire.h"
+#include "sched/thread_executor.h"
 #include "util/logger.h"
 
 namespace scalla::net {
@@ -24,15 +25,29 @@ constexpr std::size_t kFrameHeader = 8;  // u32 length + u32 senderAddr
 // Frames batched into one sendmsg; a full batch just means another pass.
 constexpr std::size_t kMaxWritevBatch = 64;
 
-// Receive sizing: read in 64 KiB slices, hand the loop back to other
-// connections after ~1 MiB (level-triggered epoll re-reports leftovers),
-// and give outsized rx buffers back to the allocator once drained.
+// Receive sizing: every recv offers at least 64 KiB of room, the loop
+// goes back to other connections after ~1 MiB (level-triggered epoll
+// re-reports leftovers), and an outsized rx buffer goes back to the
+// allocator once drained.
 constexpr std::size_t kReadChunk = 64 * 1024;
 constexpr std::size_t kMaxReadPerDispatch = 1024 * 1024;
 constexpr std::size_t kRxShrinkCapacity = 1024 * 1024;
 
 std::uint64_t PairKey(NodeAddr from, NodeAddr to) {
   return (static_cast<std::uint64_t>(from) << 32) | to;
+}
+
+void Accumulate(Fabric::Counters& into, const Fabric::Counters& d) {
+  into.messagesSent += d.messagesSent;
+  into.messagesDelivered += d.messagesDelivered;
+  into.messagesDropped += d.messagesDropped;
+  into.framesSent += d.framesSent;
+  into.framesReceived += d.framesReceived;
+  into.bytesSent += d.bytesSent;
+  into.bytesReceived += d.bytesReceived;
+  into.reconnects += d.reconnects;
+  into.idleReaps += d.idleReaps;
+  into.queueOverflows += d.queueOverflows;
 }
 
 }  // namespace
@@ -81,9 +96,9 @@ class TcpFabric::Listener final : public EventHandler {
 };
 
 // ---------------------------------------------------------------------------
-// InConn: one accepted socket. Reads are readiness-driven into a reusable
-// rx buffer; frames are parsed incrementally (a frame may arrive across
-// any number of reads) and delivered to the endpoint's sink.
+// InConn: one accepted socket. Reads are readiness-driven into a reusable,
+// never zero-filled rx buffer; frames are parsed incrementally (a frame may
+// arrive across any number of reads) and delivered to the endpoint's sink.
 
 class TcpFabric::InConn final : public EventHandler,
                                 public std::enable_shared_from_this<InConn> {
@@ -123,10 +138,9 @@ class TcpFabric::InConn final : public EventHandler,
     if (closed_) return;
     std::size_t readThisPass = 0;
     for (;;) {
-      const std::size_t old = rx_.size();
-      rx_.resize(old + kReadChunk);
-      const ssize_t n = ::recv(fd_, rx_.data() + old, kReadChunk, 0);
-      rx_.resize(old + (n > 0 ? static_cast<std::size_t>(n) : 0));
+      MakeRoom();
+      const std::size_t room = cap_ - len_;
+      const ssize_t n = ::recv(fd_, rx_.get() + len_, room, 0);
       if (n == 0) {  // EOF
         CloseOnLoop();
         return;
@@ -137,34 +151,64 @@ class TcpFabric::InConn final : public EventHandler,
         CloseOnLoop();
         return;
       }
+      len_ += static_cast<std::size_t>(n);
       readThisPass += static_cast<std::size_t>(n);
       if (!ParseFrames()) {  // malformed input: drop the connection
         CloseOnLoop();
         return;
       }
-      if (readThisPass >= kMaxReadPerDispatch) break;
+      // A short read emptied the socket: stop rather than pay a recv that
+      // only returns EAGAIN. Level-triggered epoll re-reports later bytes.
+      if (static_cast<std::size_t>(n) < room || readThisPass >= kMaxReadPerDispatch) {
+        break;
+      }
     }
-    Compact();
+    if (pos_ == len_) {
+      pos_ = len_ = 0;
+      if (cap_ > kRxShrinkCapacity) {  // give an outsized buffer back
+        rx_.reset();
+        cap_ = 0;
+      }
+    }
   }
 
  private:
+  // Leaves at least kReadChunk free bytes after len_: moves the unparsed
+  // tail to the front when that frees enough, else grows the buffer. New
+  // capacity is left uninitialised; recv fills what is read.
+  void MakeRoom() {
+    if (cap_ - len_ >= kReadChunk) return;
+    const std::size_t live = len_ - pos_;
+    if (cap_ - live < kReadChunk) {
+      const std::size_t cap = std::max(2 * cap_, live + kReadChunk);
+      std::unique_ptr<char[]> grown(new char[cap]);
+      if (live > 0) std::memcpy(grown.get(), rx_.get() + pos_, live);
+      rx_ = std::move(grown);
+      cap_ = cap;
+    } else if (live > 0) {
+      std::memmove(rx_.get(), rx_.get() + pos_, live);
+    }
+    pos_ = 0;
+    len_ = live;
+  }
+
   // Parses every complete frame currently buffered. Returns false on a
   // frame that can never become valid (bad length, undecodable body).
   bool ParseFrames() {
     for (;;) {
-      const std::size_t avail = rx_.size() - pos_;
+      const std::size_t avail = len_ - pos_;
       if (avail < kFrameHeader) return true;
       std::uint32_t length = 0;
       std::uint32_t sender = 0;
-      std::memcpy(&length, rx_.data() + pos_, 4);
-      std::memcpy(&sender, rx_.data() + pos_ + 4, 4);
+      std::memcpy(&length, rx_.get() + pos_, 4);
+      std::memcpy(&sender, rx_.get() + pos_ + 4, 4);
       if (length == 0 || length > proto::kMaxFrameBody) {
         SCALLA_WARN("tcp", "endpoint %u: bad frame length %u from %u", ep_->addr,
                     length, sender);
         return false;
       }
       if (avail < kFrameHeader + length) return true;
-      const std::string_view body(rx_.data() + pos_ + kFrameHeader, length);
+      const std::string_view body(rx_.get() + pos_ + kFrameHeader, length);
       auto message = proto::Decode(body);
       if (!message.has_value()) {
         SCALLA_WARN("tcp", "endpoint %u: malformed frame from %u", ep_->addr,
@@ -172,21 +216,16 @@ class TcpFabric::InConn final : public EventHandler,
         return false;
       }
       pos_ += kFrameHeader + length;
-      fabric_->counters_.framesReceived.fetch_add(1, std::memory_order_relaxed);
-      fabric_->counters_.bytesReceived.fetch_add(kFrameHeader + length,
-                                                 std::memory_order_relaxed);
-      fabric_->AddPeerReceived(sender, 1, kFrameHeader + length);
       // A fault injected while the frame was on the wire (a downed or
       // wedged end, a cut or lossy link) loses it silently — the
       // connection stays up.
-      if (fabric_->faults_.Check(sender, ep_->addr).fate !=
-          FaultVerdict::Fate::kDeliver) {
-        fabric_->counters_.messagesDropped.fetch_add(1, std::memory_order_relaxed);
-        fabric_->BumpPeer(sender, &Counters::messagesDropped);
-        continue;
-      }
-      fabric_->counters_.messagesDelivered.fetch_add(1, std::memory_order_relaxed);
-      fabric_->BumpPeer(sender, &Counters::messagesDelivered);
+      const bool deliver = fabric_->faults_.Check(sender, ep_->addr).fate ==
+                           FaultVerdict::Fate::kDeliver;
+      fabric_->Count(sender, {.messagesDelivered = deliver,
+                              .messagesDropped = !deliver,
+                              .framesReceived = 1,
+                              .bytesReceived = kFrameHeader + length});
+      if (!deliver) continue;
       MessageSink* sink = ep_->sink;
       if (ep_->executor != nullptr) {
         ep_->executor->Post([sink, sender, msg = std::move(*message)]() mutable {
@@ -198,35 +237,24 @@ class TcpFabric::InConn final : public EventHandler,
     }
   }
 
-  void Compact() {
-    if (pos_ > 0) {
-      if (pos_ == rx_.size()) {
-        rx_.clear();
-      } else {
-        rx_.erase(0, pos_);
-      }
-      pos_ = 0;
-    }
-    if (rx_.empty() && rx_.capacity() > kRxShrinkCapacity) {
-      rx_ = std::string();  // give an outsized buffer back to the allocator
-    }
-  }
-
   TcpFabric* fabric_;
   Endpoint* ep_;
   int fd_;
   Reactor::Loop* loop_;
   std::uint64_t id_ = 0;
   bool closed_ = false;
-  std::string rx_;        // unparsed bytes live in [pos_, rx_.size())
+  std::unique_ptr<char[]> rx_;  // unparsed bytes live in [pos_, len_)
+  std::size_t cap_ = 0;
+  std::size_t len_ = 0;
   std::size_t pos_ = 0;
 };
 
 // ---------------------------------------------------------------------------
-// OutConn: the outbound half of one (from, to) pair. Any thread enqueues
-// framed buffers under qmu_ and "kicks" the owning loop at most once per
-// quiet period; everything else (connect, writev draining, deadlines,
-// delay pacing, idle reaping) is loop-thread-only state.
+// OutConn: the outbound half of one (from, to) pair. Any thread submits
+// frames under qmu_: it writes one through to the connected socket itself
+// when the pair is idle, and otherwise queues it and "kicks" the owning
+// loop at most once per quiet period. Connect, draining a backlog with
+// writev, deadlines, delay pacing and idle reaping stay on the loop.
 
 class TcpFabric::OutConn final : public EventHandler,
                                  public std::enable_shared_from_this<OutConn> {
@@ -236,32 +264,56 @@ class TcpFabric::OutConn final : public EventHandler,
 
   Reactor::Loop* loop() const { return loop_; }
 
-  // Any thread. False means the bounded queue is full (frame not taken).
-  bool Enqueue(std::string frame) {
+  // Any thread. Hands one encoded frame to the pair, in order behind
+  // anything already queued. With `writeThrough` set, an idle connected
+  // pair has the calling thread send the frame itself; whatever the socket
+  // does not take (EAGAIN, the tail of a partial write, or the whole frame
+  // on an error, which resurfaces on the loop's next write) is queued with
+  // its offset for the loop. Returns the bytes this call wrote, or -1 when
+  // the bounded queue is full and the frame was refused.
+  ssize_t Submit(std::string frame, bool writeThrough) {
+    ssize_t written = 0;
+    bool queued = false;
     bool kick = false;
     {
       std::lock_guard lock(qmu_);
-      if (queue_.size() >= fabric_->options_.maxQueuedMessages) {
-        fabric_->pool_.Release(std::move(frame));
-        return false;
+      if (writeThrough && writable_ && queue_.empty()) {
+        const ssize_t n = ::send(fd_, frame.data(), frame.size(), MSG_NOSIGNAL);
+        if (n > 0) {
+          written = n;
+          lastActivity_ = Reactor::Loop::Now();
+        }
       }
-      queue_.push_back(std::move(frame));
-      if (!kicked_) {
+      const auto sent = static_cast<std::size_t>(written);
+      if (sent == frame.size()) {
+        frameDoneSinceConnect_ = true;
+      } else if (queue_.size() >= fabric_->options_.maxQueuedMessages) {
+        written = -1;
+      } else {
+        if (sent > 0) frontOffset_ = sent;  // the loop resumes a partial write
+        queue_.push_back(std::move(frame));
+        queued = true;
+        kick = !kicked_;
         kicked_ = true;
-        kick = true;
       }
     }
     if (kick) {
       loop_->Post([self = shared_from_this()] { self->OnKick(); });
     }
-    return true;
+    if (!queued) fabric_->pool_.Release(std::move(frame));
+    return written;
   }
 
   // Any thread: the peer's endpoint went away locally (Unregister). Treat
   // the cached socket like a peer restart: quietly drop it; the next frame
   // reconnects (counting one reconnect) and only a refused reconnect
-  // escalates to OnPeerDown.
+  // escalates to OnPeerDown. Senders stop writing through at once, so a
+  // frame sent after Unregister queues behind the detach.
   void PostDetachStale() {
+    {
+      std::lock_guard lock(qmu_);
+      writable_ = false;
+    }
     loop_->Post([self = shared_from_this()] { self->DetachStale(); });
   }
 
@@ -270,8 +322,7 @@ class TcpFabric::OutConn final : public EventHandler,
     stopped_ = true;
     CloseFd();
     std::lock_guard lock(qmu_);
-    for (auto& f : queue_) fabric_->pool_.Release(std::move(f));
-    queue_.clear();
+    DropQueueLocked();
   }
 
   void OnEvents(std::uint32_t events) override {
@@ -347,8 +398,7 @@ class TcpFabric::OutConn final : public EventHandler,
       // Replacing a cached connection that had worked: that is a
       // reconnect, and it is transparent unless the new connect fails.
       staleClosed_ = false;
-      fabric_->counters_.reconnects.fetch_add(1, std::memory_order_relaxed);
-      fabric_->BumpPeer(to_, &Counters::reconnects);
+      fabric_->Count(to_, {.reconnects = 1});
     }
     StartConnect();
   }
@@ -369,7 +419,6 @@ class TcpFabric::OutConn final : public EventHandler,
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &size, sizeof(size));
     }
     fd_ = fd;
-    frontOffset_ = 0;
     sockaddr_in sa{};
     sa.sin_family = AF_INET;
     sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -403,14 +452,20 @@ class TcpFabric::OutConn final : public EventHandler,
   void Established() {
     state_ = State::kConnected;
     fabric_->activeOutbound_.fetch_add(1, std::memory_order_relaxed);
-    frameDoneSinceConnect_ = false;
-    frontOffset_ = 0;
     wantWrite_ = false;
     deadlineArmed_ = false;
-    lastActivity_ = Reactor::Loop::Now();
     loop_->Mod(id_, EPOLLIN);
+    const TimePoint now = Reactor::Loop::Now();
+    {
+      std::lock_guard lock(qmu_);
+      frameDoneSinceConnect_ = false;
+      lastActivity_ = now;
+      writable_ = true;
+    }
     if (fabric_->options_.idleTimeout > std::chrono::milliseconds::zero()) {
-      ScheduleIdleCheck();
+      const std::uint64_t gen = ++idleGen_;
+      loop_->ScheduleAt(now + fabric_->options_.idleTimeout,
+                        [self = shared_from_this(), gen] { self->OnIdleCheck(gen); });
     }
     DrainWrites();
   }
@@ -425,20 +480,17 @@ class TcpFabric::OutConn final : public EventHandler,
       const FaultVerdict verdict = fabric_->faults_.Check(from_, to_);
       if (verdict.fate != FaultVerdict::Fate::kDeliver) {
         std::size_t n = 0;
+        bool midFrame = false;
         {
           std::lock_guard lock(qmu_);
-          n = queue_.size();
-          for (auto& f : queue_) fabric_->pool_.Release(std::move(f));
-          queue_.clear();
+          midFrame = frontOffset_ > 0;
+          if (midFrame) writable_ = false;  // no write-through onto a torn frame
+          n = DropQueueLocked();
         }
-        if (n > 0) {
-          fabric_->counters_.messagesDropped.fetch_add(n, std::memory_order_relaxed);
-          fabric_->BumpPeer(to_, &Counters::messagesDropped, n);
-        }
-        if (frontOffset_ > 0) {
+        if (n > 0) fabric_->Count(to_, {.messagesDropped = n});
+        if (midFrame) {
           CloseFd();
           staleClosed_ = true;
-          frontOffset_ = 0;
         } else {
           SetWantWrite(false);
         }
@@ -467,17 +519,14 @@ class TcpFabric::OutConn final : public EventHandler,
       }
       // Build a writev batch from the queue front. The references stay
       // valid while unlocked: only this thread pops, and deque push_back
-      // does not invalidate references to existing elements.
+      // does not invalidate references to existing elements. Senders do
+      // not write through while the queue is non-empty.
       iovec iov[kMaxWritevBatch];
       std::size_t nIov = 0;
       {
         std::lock_guard lock(qmu_);
-        if (queue_.empty()) {
-          SetWantWrite(false);
-          return;
-        }
         const std::size_t limit =
-            delay > Duration::zero() ? 1 : std::min(queue_.size(), kMaxWritevBatch);
+            std::min(queue_.size(), delay > Duration::zero() ? 1 : kMaxWritevBatch);
         for (std::size_t i = 0; i < limit; ++i) {
           const std::string& f = queue_[i];
           const std::size_t off = i == 0 ? frontOffset_ : 0;
@@ -485,6 +534,10 @@ class TcpFabric::OutConn final : public EventHandler,
           iov[nIov].iov_len = f.size() - off;
           ++nIov;
         }
+      }
+      if (nIov == 0) {
+        SetWantWrite(false);
+        return;
       }
       msghdr mh{};
       mh.msg_iov = iov;
@@ -502,13 +555,11 @@ class TcpFabric::OutConn final : public EventHandler,
       }
       // Progress: consume fully-written frames, keep a partial offset.
       deadlineArmed_ = false;
-      lastActivity_ = now;
-      fabric_->counters_.bytesSent.fetch_add(static_cast<std::uint64_t>(n),
-                                             std::memory_order_relaxed);
       std::size_t consumed = static_cast<std::size_t>(n);
       std::uint64_t completed = 0;
       {
         std::lock_guard lock(qmu_);
+        lastActivity_ = now;
         while (consumed > 0 && !queue_.empty()) {
           std::string& f = queue_.front();
           const std::size_t remain = f.size() - frontOffset_;
@@ -523,13 +574,11 @@ class TcpFabric::OutConn final : public EventHandler,
             consumed = 0;
           }
         }
+        if (completed > 0) frameDoneSinceConnect_ = true;
       }
-      fabric_->AddPeerSent(to_, completed, static_cast<std::uint64_t>(n));
-      if (completed > 0) {
-        frameDoneSinceConnect_ = true;
-        fabric_->counters_.framesSent.fetch_add(completed, std::memory_order_relaxed);
-        if (delay > Duration::zero()) nextEligible_ = now + delay;
-      }
+      fabric_->Count(to_, {.framesSent = completed,
+                           .bytesSent = static_cast<std::uint64_t>(n)});
+      if (completed > 0 && delay > Duration::zero()) nextEligible_ = now + delay;
     }
   }
 
@@ -561,31 +610,27 @@ class TcpFabric::OutConn final : public EventHandler,
     HandleBroken();
   }
 
-  void ScheduleIdleCheck() {
-    const std::uint64_t gen = ++idleGen_;
-    loop_->ScheduleAt(
-        lastActivity_ + fabric_->options_.idleTimeout,
-        [self = shared_from_this(), gen] { self->OnIdleCheck(gen); });
-  }
-
   void OnIdleCheck(std::uint64_t gen) {
     if (stopped_ || gen != idleGen_ || state_ != State::kConnected) return;
-    bool empty;
+    const TimePoint now = Reactor::Loop::Now();
+    TimePoint next;
+    bool idle = false;
     {
       std::lock_guard lock(qmu_);
-      empty = queue_.empty();
+      next = lastActivity_ + fabric_->options_.idleTimeout;
+      // Decide and stop write-through in one step, so no sender writes
+      // between the idle verdict and the close.
+      idle = queue_.empty() && next <= now;
+      if (idle) writable_ = false;
     }
-    const TimePoint now = Reactor::Loop::Now();
-    if (empty && now - lastActivity_ >= fabric_->options_.idleTimeout) {
+    if (idle) {
       // Quietly close: no OnPeerDown, no reconnect accounting — the next
       // send re-establishes transparently.
       CloseFd();
       staleClosed_ = false;
-      fabric_->counters_.idleReaps.fetch_add(1, std::memory_order_relaxed);
-      fabric_->BumpPeer(to_, &Counters::idleReaps);
+      fabric_->Count(to_, {.idleReaps = 1});
       return;
     }
-    TimePoint next = lastActivity_ + fabric_->options_.idleTimeout;
     if (next <= now) next = now + fabric_->options_.idleTimeout;
     loop_->ScheduleAt(next,
                       [self = shared_from_this(), gen] { self->OnIdleCheck(gen); });
@@ -597,9 +642,12 @@ class TcpFabric::OutConn final : public EventHandler,
   // transparently. Otherwise it never worked: fail the backlog and tell
   // the sender its peer is down.
   void HandleBroken() {
-    const bool progressed = frameDoneSinceConnect_;
+    bool progressed;
+    {
+      std::lock_guard lock(qmu_);
+      progressed = frameDoneSinceConnect_;
+    }
     CloseFd();
-    frontOffset_ = 0;
     deadlineArmed_ = false;
     if (progressed) {
       staleClosed_ = true;
@@ -613,30 +661,39 @@ class TcpFabric::OutConn final : public EventHandler,
   // cannot jump a failed one) and signal the sending endpoint.
   void FailAll() {
     staleClosed_ = false;
-    frontOffset_ = 0;
     std::size_t n = 0;
     {
       std::lock_guard lock(qmu_);
-      n = queue_.size();
-      for (auto& f : queue_) fabric_->pool_.Release(std::move(f));
-      queue_.clear();
+      n = DropQueueLocked();
     }
-    if (n > 0) {
-      fabric_->counters_.messagesDropped.fetch_add(n, std::memory_order_relaxed);
-      fabric_->BumpPeer(to_, &Counters::messagesDropped, n);
-    }
+    if (n > 0) fabric_->Count(to_, {.messagesDropped = n});
     fabric_->NotifyPeerDown(from_, to_);
+  }
+
+  // Returns the queued frames to the pool; returns how many there were.
+  std::size_t DropQueueLocked() {
+    const std::size_t n = queue_.size();
+    for (auto& f : queue_) fabric_->pool_.Release(std::move(f));
+    queue_.clear();
+    return n;
   }
 
   void DetachStale() {
     if (stopped_) return;
     if (state_ != State::kIdle) CloseFd();
-    frontOffset_ = 0;
     staleClosed_ = true;
     Pump();  // queued frames head for the (possibly restarted) listener
   }
 
+  // Stops write-through before the fd goes, so no sender can write to a
+  // closed (or reused) descriptor, and forgets any partial frame: the
+  // next connection resends it whole.
   void CloseFd() {
+    {
+      std::lock_guard lock(qmu_);
+      writable_ = false;
+      frontOffset_ = 0;
+    }
     if (state_ == State::kConnected) {
       fabric_->activeOutbound_.fetch_sub(1, std::memory_order_relaxed);
     }
@@ -665,20 +722,22 @@ class TcpFabric::OutConn final : public EventHandler,
   const NodeAddr to_;
   Reactor::Loop* loop_;
 
-  // Shared with sender threads.
+  // Shared by the loop and every sending thread, under qmu_.
   std::mutex qmu_;
   std::deque<std::string> queue_;  // encoded frames (header + body)
-  bool kicked_ = false;  // a look at the queue is already scheduled
+  std::size_t frontOffset_ = 0;    // bytes of queue_.front() already sent
+  bool kicked_ = false;            // a look at the queue is already scheduled
+  bool writable_ = false;          // fd_ is connected: senders may write through
+  bool frameDoneSinceConnect_ = false;
+  TimePoint lastActivity_{};
 
-  // Loop-thread-only.
+  // Loop-thread-only (fd_ is written only while writable_ is false).
   State state_ = State::kIdle;
   int fd_ = -1;
   std::uint64_t id_ = 0;
   bool stopped_ = false;
   bool wantWrite_ = false;
   bool staleClosed_ = false;          // last socket was a working one
-  bool frameDoneSinceConnect_ = false;
-  std::size_t frontOffset_ = 0;       // bytes of queue_.front() already sent
   bool deadlineArmed_ = false;
   std::uint64_t deadlineGen_ = 0;
   std::uint64_t connectGen_ = 0;
@@ -686,7 +745,6 @@ class TcpFabric::OutConn final : public EventHandler,
   bool pacingActive_ = false;
   bool delayPumpArmed_ = false;
   TimePoint nextEligible_{};
-  TimePoint lastActivity_{};
 };
 
 // ---------------------------------------------------------------------------
@@ -880,16 +938,13 @@ std::shared_ptr<TcpFabric::OutConn> TcpFabric::GetConnection(NodeAddr from,
 }
 
 void TcpFabric::Send(NodeAddr from, NodeAddr to, proto::Message message) {
-  counters_.messagesSent.fetch_add(1, std::memory_order_relaxed);
-  BumpPeer(to, &Counters::messagesSent);
   // Injected faults: a wedged end or a lossy link loses the frame silently
   // (a wedge keeps the connection looking "up", so only a missing
   // heartbeat exposes it); a downed or cut link also tells the sender.
-  const FaultVerdict::Fate fate = faults_.Check(from, to).fate;
-  if (fate != FaultVerdict::Fate::kDeliver) {
-    counters_.messagesDropped.fetch_add(1, std::memory_order_relaxed);
-    BumpPeer(to, &Counters::messagesDropped);
-    if (fate == FaultVerdict::Fate::kLosePeerDown) NotifyPeerDown(from, to);
+  const FaultVerdict verdict = faults_.Check(from, to);
+  if (verdict.fate != FaultVerdict::Fate::kDeliver) {
+    Count(to, {.messagesSent = 1, .messagesDropped = 1});
+    if (verdict.fate == FaultVerdict::Fate::kLosePeerDown) NotifyPeerDown(from, to);
     return;
   }
 
@@ -898,23 +953,31 @@ void TcpFabric::Send(NodeAddr from, NodeAddr to, proto::Message message) {
   std::string frame = pool_.Acquire();
   frame.resize(kFrameHeader);
   proto::EncodeAppend(message, frame);
-  const auto length = static_cast<std::uint32_t>(frame.size() - kFrameHeader);
+  const std::size_t size = frame.size();
+  const auto length = static_cast<std::uint32_t>(size - kFrameHeader);
   std::memcpy(frame.data(), &length, 4);
   std::memcpy(frame.data() + 4, &from, 4);
 
   auto conn = GetConnection(from, to);
   if (conn == nullptr) {  // fabric shutting down
-    counters_.messagesDropped.fetch_add(1, std::memory_order_relaxed);
-    BumpPeer(to, &Counters::messagesDropped);
+    Count(to, {.messagesSent = 1, .messagesDropped = 1});
     return;
   }
-  if (!conn->Enqueue(std::move(frame))) {
-    counters_.messagesDropped.fetch_add(1, std::memory_order_relaxed);
-    counters_.queueOverflows.fetch_add(1, std::memory_order_relaxed);
-    BumpPeer(to, &Counters::messagesDropped);
-    BumpPeer(to, &Counters::queueOverflows);
+  // The calling thread writes the frame itself unless an injected delay
+  // must pace it, or the caller is an executor with more tasks queued: a
+  // busy sender's frames are left to the loop, which batches them into
+  // one sendmsg instead of one send per frame on the sender's thread.
+  const bool writeThrough =
+      verdict.delay == Duration::zero() && !sched::CallerHasBacklog();
+  const ssize_t written = conn->Submit(std::move(frame), writeThrough);
+  if (written < 0) {
+    Count(to, {.messagesSent = 1, .messagesDropped = 1, .queueOverflows = 1});
     NotifyPeerDown(from, to);
+    return;
   }
+  Count(to, {.messagesSent = 1,
+             .framesSent = static_cast<std::size_t>(written) == size,
+             .bytesSent = static_cast<std::uint64_t>(written)});
 }
 
 void TcpFabric::NotifyPeerDown(NodeAddr from, NodeAddr to) {
@@ -936,40 +999,15 @@ void TcpFabric::NotifyPeerDown(NodeAddr from, NodeAddr to) {
 
 // ---- counters ----
 
-void TcpFabric::AddPeerSent(NodeAddr peer, std::uint64_t frames,
-                            std::uint64_t bytes) {
+void TcpFabric::Count(NodeAddr peer, const Counters& delta) {
   std::lock_guard lock(perPeerMu_);
-  Counters& c = perPeer_[peer];
-  c.framesSent += frames;
-  c.bytesSent += bytes;
-}
-
-void TcpFabric::AddPeerReceived(NodeAddr peer, std::uint64_t frames,
-                                std::uint64_t bytes) {
-  std::lock_guard lock(perPeerMu_);
-  Counters& c = perPeer_[peer];
-  c.framesReceived += frames;
-  c.bytesReceived += bytes;
-}
-
-void TcpFabric::BumpPeer(NodeAddr peer, std::uint64_t Counters::*field,
-                         std::uint64_t delta) {
-  std::lock_guard lock(perPeerMu_);
-  perPeer_[peer].*field += delta;
+  Accumulate(perPeer_[peer], delta);
 }
 
 net::Fabric::Counters TcpFabric::GetCounters() const {
   Counters out;
-  out.messagesSent = counters_.messagesSent.load(std::memory_order_relaxed);
-  out.messagesDelivered = counters_.messagesDelivered.load(std::memory_order_relaxed);
-  out.messagesDropped = counters_.messagesDropped.load(std::memory_order_relaxed);
-  out.framesSent = counters_.framesSent.load(std::memory_order_relaxed);
-  out.framesReceived = counters_.framesReceived.load(std::memory_order_relaxed);
-  out.bytesSent = counters_.bytesSent.load(std::memory_order_relaxed);
-  out.bytesReceived = counters_.bytesReceived.load(std::memory_order_relaxed);
-  out.reconnects = counters_.reconnects.load(std::memory_order_relaxed);
-  out.idleReaps = counters_.idleReaps.load(std::memory_order_relaxed);
-  out.queueOverflows = counters_.queueOverflows.load(std::memory_order_relaxed);
+  std::lock_guard lock(perPeerMu_);
+  for (const auto& [_, c] : perPeer_) Accumulate(out, c);
   return out;
 }
 

@@ -10,10 +10,15 @@
 // Each (from, to) pair still owns an independent connection object with a
 // bounded outbound queue, so traffic to one peer never serializes behind
 // traffic to another and a wedged destination backs up only its own
-// queue. The owning loop drains a pair's whole backlog with one writev
-// (sendmsg) per readiness wakeup, and frame buffers are pooled, so
-// steady-state traffic costs neither a thread wakeup chain nor an
-// allocation per message.
+// queue. Send writes a frame through to the pair's connected socket on
+// the calling thread when the pair's queue is empty, no delay is injected
+// and the caller is not an executor with tasks still queued: a lone frame
+// then costs one send() and no loop wake-up. Everything else is queued
+// for the owning loop, which drains a backlog with one writev (sendmsg)
+// per readiness wakeup and owns connect, partial writes, deadlines, delay
+// pacing and idle reaping. Receives read into a reusable buffer that is
+// never zero-filled, and frame buffers are pooled, so steady-state
+// traffic allocates nothing per message.
 //
 // Failure signalling is asynchronous: a failed connect (timer-based
 // deadline), an expired write-progress deadline, or a queue overflow
@@ -104,12 +109,10 @@ class TcpFabric final : public Fabric {
   void RemoveInbound(Endpoint* ep, InConn* conn);
   void NotifyPeerDown(NodeAddr from, NodeAddr to);
 
-  // Per-peer counter accumulation (framesSent/bytesSent keyed by the
-  // remote peer of the connection, receive counters keyed by the sender).
-  void AddPeerSent(NodeAddr peer, std::uint64_t frames, std::uint64_t bytes);
-  void AddPeerReceived(NodeAddr peer, std::uint64_t frames, std::uint64_t bytes);
-  void BumpPeer(NodeAddr peer, std::uint64_t Counters::*field,
-                std::uint64_t delta = 1);
+  // Adds `delta` to the counters of `peer`: the destination for traffic a
+  // connection sends, the sender for traffic an endpoint receives. Every
+  // event counts against exactly one peer, so the totals are their sum.
+  void Count(NodeAddr peer, const Counters& delta);
 
   std::uint16_t basePort_;
   FabricOptions options_;
@@ -125,24 +128,8 @@ class TcpFabric final : public Fabric {
 
   FaultTable faults_;
 
-  // Atomic counters: neither the send nor the receive path takes a
-  // fabric-wide lock for the global totals.
-  struct AtomicCounters {
-    std::atomic<std::uint64_t> messagesSent{0};
-    std::atomic<std::uint64_t> messagesDelivered{0};
-    std::atomic<std::uint64_t> messagesDropped{0};
-    std::atomic<std::uint64_t> framesSent{0};
-    std::atomic<std::uint64_t> framesReceived{0};
-    std::atomic<std::uint64_t> bytesSent{0};
-    std::atomic<std::uint64_t> bytesReceived{0};
-    std::atomic<std::uint64_t> reconnects{0};
-    std::atomic<std::uint64_t> idleReaps{0};
-    std::atomic<std::uint64_t> queueOverflows{0};
-  };
-  mutable AtomicCounters counters_;
-
-  // Per-peer attribution, updated per frame batch (not per byte), so the
-  // lock is cold relative to the socket syscalls around it.
+  // Per-peer traffic: one acquisition per frame on each side; no other
+  // lock is taken while it is held.
   mutable std::mutex perPeerMu_;
   std::map<NodeAddr, Counters> perPeer_;
 

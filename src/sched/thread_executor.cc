@@ -4,6 +4,17 @@
 #include <vector>
 
 namespace scalla::sched {
+namespace {
+
+// The executor whose dispatch thread this is; null on every other thread.
+thread_local const ThreadExecutor* tlsRunning = nullptr;
+
+}  // namespace
+
+bool CallerHasBacklog() {
+  const ThreadExecutor* running = tlsRunning;
+  return running != nullptr && running->queued_.load(std::memory_order_relaxed) > 0;
+}
 
 ThreadExecutor::ThreadExecutor() : thread_([this] { Run(); }) {}
 
@@ -14,6 +25,7 @@ void ThreadExecutor::Post(Task task) {
     std::lock_guard lock(mu_);
     if (stopping_) return;
     tasks_.push_back(std::move(task));
+    queued_.store(tasks_.size(), std::memory_order_relaxed);
   }
   cv_.notify_one();
 }
@@ -53,11 +65,9 @@ bool ThreadExecutor::Cancel(TimerId id) {
 void ThreadExecutor::Stop() {
   {
     std::lock_guard lock(mu_);
-    if (stopping_) {
-      // Already stopping; just make sure the thread is joined below.
-    }
     stopping_ = true;
     tasks_.clear();
+    queued_.store(0, std::memory_order_relaxed);
     timers_.clear();
   }
   cv_.notify_one();
@@ -71,6 +81,7 @@ bool ThreadExecutor::InDispatchThread() const {
 }
 
 void ThreadExecutor::Run() {
+  tlsRunning = this;
   std::unique_lock lock(mu_);
   while (!stopping_) {
     const TimePoint now = clock_.Now();
@@ -93,6 +104,7 @@ void ThreadExecutor::Run() {
     if (!tasks_.empty()) {
       Task task = std::move(tasks_.front());
       tasks_.pop_front();
+      queued_.store(tasks_.size(), std::memory_order_relaxed);
       lock.unlock();
       task();
       lock.lock();

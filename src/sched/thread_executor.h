@@ -4,6 +4,7 @@
 // actor-style equivalent of the paper's "avoid locks whenever possible".
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -14,6 +15,13 @@
 #include "sched/executor.h"
 
 namespace scalla::sched {
+
+/// True when the calling thread is a ThreadExecutor's dispatch thread and
+/// that executor has further tasks queued behind the one running. Lets a
+/// producer on a busy node leave work for a batching consumer instead of
+/// paying a per-item cost inline (TcpFabric's write-through send). False
+/// on any other thread.
+bool CallerHasBacklog();
 
 class ThreadExecutor final : public Executor {
  public:
@@ -44,6 +52,8 @@ class ThreadExecutor final : public Executor {
     Task task;
   };
 
+  friend bool CallerHasBacklog();
+
   void Run();
   TimerId AddTimer(Duration delay, Duration period, Task task);
 
@@ -51,6 +61,8 @@ class ThreadExecutor final : public Executor {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Task> tasks_;
+  // tasks_.size(), published for CallerHasBacklog's lock-free read.
+  std::atomic<std::size_t> queued_{0};
   std::multimap<TimePoint, Timer> timers_;
   std::uint64_t nextTimerId_ = 1;
   bool stopping_ = false;

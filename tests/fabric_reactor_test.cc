@@ -1,19 +1,29 @@
 // Reactor-core tests for the redesigned transport surface: framing across
-// partial writes (tiny SO_SNDBUF) and coalesced reads, idle-connection
-// reaping with transparent reconnect, per-peer counter attribution,
-// FabricOptions validation, and the uniform FaultInjector contract — the
-// same chaos scenario driven through net::Fabric* against both SimFabric
-// and TcpFabric without downcasting.
+// partial writes (tiny SO_SNDBUF) and coalesced reads, the write-through
+// send path (partial writes handed to the loop, per-pair order, the write
+// deadline), inbound frames split to single bytes or larger than 1 MiB,
+// idle-connection reaping with transparent reconnect, per-peer counter
+// attribution, FabricOptions validation, and the uniform FaultInjector
+// contract — the same chaos scenario driven through net::Fabric* against
+// both SimFabric and TcpFabric without downcasting.
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <functional>
 #include <mutex>
 #include <thread>
 
 #include "net/tcp_fabric.h"
+#include "proto/wire.h"
 #include "sim/event_engine.h"
 #include "sim/sim_fabric.h"
 
@@ -73,6 +83,114 @@ struct CountingSink : net::MessageSink {
 };
 
 proto::Message SmallMessage() { return proto::XrdClose{1, 2}; }
+
+// Checks per-pair order: every XrdClose and XrdWrite carries the next
+// sequence number in its reqId, starting from 0.
+struct SequenceSink : CountingSink {
+  std::uint64_t nextSeq = 0;
+  bool inOrder = true;
+
+  void OnMessage(net::NodeAddr from, proto::Message message) override {
+    std::uint64_t seq = 0;
+    if (const auto* close = std::get_if<proto::XrdClose>(&message)) seq = close->reqId;
+    if (const auto* write = std::get_if<proto::XrdWrite>(&message)) seq = write->reqId;
+    {
+      std::lock_guard lock(mu);
+      if (seq != nextSeq) inOrder = false;
+      nextSeq = seq + 1;
+    }
+    CountingSink::OnMessage(from, std::move(message));
+  }
+  bool InOrder() {
+    std::lock_guard lock(mu);
+    return inOrder;
+  }
+};
+
+proto::Message Sequenced(std::uint64_t seq) { return proto::XrdClose{seq, 0}; }
+
+proto::XrdWrite BigWrite(std::uint64_t seq, std::size_t bytes) {
+  proto::XrdWrite big;
+  big.reqId = seq;
+  big.data.assign(bytes, 'w');
+  return big;
+}
+
+// [u32 length][u32 sender][body], as TcpFabric frames it.
+std::string Frame(const proto::Message& message, net::NodeAddr sender) {
+  const std::string body = proto::Encode(message);
+  const auto length = static_cast<std::uint32_t>(body.size());
+  std::string frame(8, '\0');
+  std::memcpy(frame.data(), &length, 4);
+  std::memcpy(frame.data() + 4, &sender, 4);
+  return frame + body;
+}
+
+bool WaitFor(const std::function<bool()>& done, Duration timeout = 10s) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+// Sends `message` and waits until the frame has left the pair's queue, so
+// the pair is connected and idle: the next Send from a thread that is not
+// an executor with a backlog writes through.
+void PrimeIdlePair(net::TcpFabric& fabric, net::NodeAddr from, net::NodeAddr to,
+                   proto::Message message) {
+  const std::uint64_t sent = fabric.PerPeerCounters(to).framesSent;
+  fabric.Send(from, to, std::move(message));
+  ASSERT_TRUE(WaitFor([&] { return fabric.PerPeerCounters(to).framesSent > sent; }));
+}
+
+// A raw loopback listener on basePort+addr with a tiny receive buffer.
+int RawListen(std::uint16_t basePort, net::NodeAddr addr) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  const int tiny = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny));
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  sa.sin_port = htons(static_cast<std::uint16_t>(basePort + addr));
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
+      ::listen(fd, 8) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// A raw loopback client socket connected to basePort+addr, or -1.
+int RawConnect(std::uint16_t basePort, net::NodeAddr addr) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  sa.sin_port = htons(static_cast<std::uint16_t>(basePort + addr));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool SendAll(int fd, const char* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
 
 TEST(FabricOptionsTest, ValidatesRanges) {
   net::FabricOptions ok;
@@ -150,6 +268,151 @@ TEST(FabricReactorTest, CoalescedSmallFramesAllParsed) {
   const auto c = fabric.GetCounters();
   EXPECT_EQ(c.framesReceived, static_cast<std::uint64_t>(kFrames));
   EXPECT_EQ(c.messagesDelivered, static_cast<std::uint64_t>(kFrames));
+}
+
+// A frame sent to an idle, connected pair is written by the calling
+// thread. When the socket takes only part of it, the loop finishes it from
+// the recorded offset, and frames sent meanwhile queue behind it in order.
+TEST(FabricReactorTest, WriteThroughPartialWriteKeepsPairOrder) {
+  const auto base = NextBasePort();
+  net::FabricOptions cfg;
+  cfg.sendBufferBytes = 4096;
+  CountingSink a;
+  SequenceSink b;
+  net::TcpFabric fabric(base, cfg);
+  ASSERT_TRUE(fabric.Register(1, &a, nullptr));
+  ASSERT_TRUE(fabric.Register(2, &b, nullptr));
+
+  std::uint64_t seq = 0;
+  PrimeIdlePair(fabric, 1, 2, Sequenced(seq++));
+  // Written through: the frame is counted before Send returns.
+  fabric.Send(1, 2, Sequenced(seq++));
+  EXPECT_EQ(fabric.PerPeerCounters(2).framesSent, 2u);
+
+  // 1 MiB does not fit a 4 KiB send buffer.
+  constexpr std::size_t kPayload = 1 << 20;
+  fabric.Send(1, 2, BigWrite(seq++, kPayload));
+  for (int i = 0; i < 1000; ++i) fabric.Send(1, 2, Sequenced(seq++));
+
+  ASSERT_TRUE(b.WaitMessages(static_cast<int>(seq), 30s));
+  EXPECT_TRUE(b.InOrder());
+  EXPECT_TRUE(b.payloadIntact);
+  EXPECT_EQ(b.payloadBytes, kPayload);
+  ASSERT_TRUE(WaitFor([&] { return fabric.GetCounters().framesSent == seq; }));
+  const auto c = fabric.GetCounters();
+  EXPECT_EQ(c.framesReceived, seq);
+  EXPECT_EQ(c.messagesDropped, 0u);
+  EXPECT_EQ(c.reconnects, 0u);
+  EXPECT_EQ(a.PeerDowns(), 0);
+}
+
+// An injected delay shorter than one send paces every frame, so after
+// each frame the next drain pass is already eligible and finds the queue
+// empty. Clearing the delay lets the next frame write through again.
+TEST(FabricReactorTest, PacedPairDrainsInOrderAndGoesIdle) {
+  const auto base = NextBasePort();
+  CountingSink a;
+  SequenceSink b;
+  net::TcpFabric fabric(base);
+  ASSERT_TRUE(fabric.Register(1, &a, nullptr));
+  ASSERT_TRUE(fabric.Register(2, &b, nullptr));
+
+  std::uint64_t seq = 0;
+  PrimeIdlePair(fabric, 1, 2, Sequenced(seq++));
+  fabric.SetDelay(1, 2, 1us);
+  for (int i = 0; i < 50; ++i) {
+    fabric.Send(1, 2, Sequenced(seq++));
+    if (i % 10 == 0) std::this_thread::sleep_for(2ms);  // let the queue drain
+  }
+  ASSERT_TRUE(b.WaitMessages(static_cast<int>(seq)));
+  ASSERT_TRUE(WaitFor([&] { return fabric.GetCounters().framesSent == seq; }));
+
+  fabric.SetDelay(1, 2, Duration::zero());
+  fabric.Send(1, 2, Sequenced(seq++));
+  EXPECT_EQ(fabric.GetCounters().framesSent, seq);  // written through
+  ASSERT_TRUE(b.WaitMessages(static_cast<int>(seq)));
+  EXPECT_TRUE(b.InOrder());
+  EXPECT_EQ(fabric.GetCounters().messagesDropped, 0u);
+}
+
+// A peer that takes one frame and then stops reading: a large frame
+// written through stalls part-way, the loop takes over, and its write
+// deadline tears the connection down. The stale-connection retry stalls
+// the same way, so the sender hears OnPeerDown.
+TEST(FabricReactorTest, WriteThroughToStalledPeerEndsInPeerDown) {
+  const auto base = NextBasePort();
+  net::FabricOptions cfg;
+  cfg.sendBufferBytes = 4096;
+  cfg.writeTimeout = 300ms;
+  CountingSink a;
+  net::TcpFabric fabric(base, cfg);
+  ASSERT_TRUE(fabric.Register(1, &a, nullptr));
+  const int listenFd = RawListen(base, 7);
+  ASSERT_GE(listenFd, 0);
+
+  const std::string first = Frame(Sequenced(0), 1);
+  fabric.Send(1, 7, Sequenced(0));
+  const int peer = ::accept(listenFd, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  std::string got(first.size(), '\0');
+  ASSERT_EQ(::recv(peer, got.data(), got.size(), MSG_WAITALL),
+            static_cast<ssize_t>(got.size()));
+  EXPECT_EQ(got, first);
+  ASSERT_TRUE(WaitFor([&] { return fabric.PerPeerCounters(7).framesSent == 1; }));
+
+  fabric.Send(1, 7, Sequenced(1));  // still fits the socket buffers
+  EXPECT_EQ(fabric.PerPeerCounters(7).framesSent, 2u);
+  fabric.Send(1, 7, BigWrite(2, 4 << 20));
+
+  ASSERT_TRUE(a.WaitPeerDowns(1, 10s));
+  const auto c = fabric.PerPeerCounters(7);
+  EXPECT_EQ(c.framesSent, 2u);
+  EXPECT_EQ(c.messagesDropped, 1u);
+  EXPECT_EQ(c.reconnects, 1u);
+  ::close(peer);
+  ::close(listenFd);
+}
+
+// Inbound framing against a raw client: frames dribbled one byte per
+// segment, then a frame larger than 1 MiB (the rx buffer grows past its
+// shrink threshold), then small frames in one burst (parsed after the big
+// buffer is given back).
+TEST(FabricReactorTest, DribbledAndOversizedInboundFramesParse) {
+  const auto base = NextBasePort();
+  SequenceSink b;
+  net::TcpFabric fabric(base);
+  ASSERT_TRUE(fabric.Register(2, &b, nullptr));
+  const int fd = RawConnect(base, 2);
+  ASSERT_GE(fd, 0);
+
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 5; ++i) {
+    const std::string frame = Frame(Sequenced(seq++), 9);
+    for (const char byte : frame) {
+      ASSERT_TRUE(SendAll(fd, &byte, 1));
+      std::this_thread::sleep_for(50us);
+    }
+  }
+  ASSERT_TRUE(b.WaitMessages(static_cast<int>(seq)));
+
+  constexpr std::size_t kPayload = 3 * 512 * 1024;  // 1.5 MiB
+  const std::string big = Frame(BigWrite(seq++, kPayload), 9);
+  ASSERT_TRUE(SendAll(fd, big.data(), big.size()));
+  ASSERT_TRUE(b.WaitMessages(static_cast<int>(seq)));
+
+  std::string burst;
+  for (int i = 0; i < 50; ++i) burst += Frame(Sequenced(seq++), 9);
+  ASSERT_TRUE(SendAll(fd, burst.data(), burst.size()));
+  ASSERT_TRUE(b.WaitMessages(static_cast<int>(seq)));
+
+  EXPECT_TRUE(b.InOrder());
+  EXPECT_TRUE(b.payloadIntact);
+  EXPECT_EQ(b.payloadBytes, kPayload);
+  const auto from9 = fabric.PerPeerCounters(9);
+  EXPECT_EQ(from9.framesReceived, seq);
+  EXPECT_EQ(from9.messagesDelivered, seq);
+  EXPECT_EQ(fabric.ReaderCount(2), 1u);  // the connection stayed up
+  ::close(fd);
 }
 
 TEST(FabricReactorTest, IdleConnectionReapedAndReconnectsTransparently) {

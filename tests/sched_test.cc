@@ -1,8 +1,9 @@
 // Tests for the real-time ThreadExecutor: ordering, timers, cancellation,
-// shutdown safety.
+// shutdown safety, and the backlog signal CallerHasBacklog() publishes.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 
 #include "sched/thread_executor.h"
 
@@ -101,6 +102,60 @@ TEST(ThreadExecutorTest, ManyProducersOneConsumer) {
     std::this_thread::yield();
   }
   EXPECT_EQ(count.load(), 1000);
+}
+
+TEST(CallerHasBacklogTest, FalseOffAnyDispatchThread) {
+  ThreadExecutor exec;
+  std::promise<void> release;
+  std::atomic<bool> started{false};
+  exec.Post([&] {
+    started = true;
+    release.get_future().wait();
+  });
+  exec.Post([] {});  // queued behind the blocked task
+  while (!started) std::this_thread::yield();
+  // The executor has a backlog, but this thread is not its dispatch thread.
+  EXPECT_FALSE(CallerHasBacklog());
+  std::thread foreign([] { EXPECT_FALSE(CallerHasBacklog()); });
+  foreign.join();
+  release.set_value();
+}
+
+TEST(CallerHasBacklogTest, TracksTheRunningExecutorsQueue) {
+  ThreadExecutor exec;
+  std::promise<bool> idle, busy, drained;
+  exec.Post([&] { idle.set_value(CallerHasBacklog()); });
+  EXPECT_FALSE(idle.get_future().get());  // nothing queued behind it
+
+  std::promise<void> queued;
+  exec.Post([&] {
+    queued.get_future().wait();
+    busy.set_value(CallerHasBacklog());
+  });
+  exec.Post([&] { drained.set_value(CallerHasBacklog()); });
+  queued.set_value();  // the second task is queued before the first reads
+  EXPECT_TRUE(busy.get_future().get());
+  EXPECT_FALSE(drained.get_future().get());  // the last task has no backlog
+}
+
+TEST(CallerHasBacklogTest, StopClearsTheBacklog) {
+  ThreadExecutor exec;
+  std::promise<std::pair<bool, bool>> seen;
+  std::atomic<bool> ranDropped{false};
+  std::promise<void> queued;
+  exec.Post([&] {
+    queued.get_future().wait();
+    const bool before = CallerHasBacklog();
+    exec.Stop();  // from the dispatch thread: drops the queue, no join
+    seen.set_value({before, CallerHasBacklog()});
+  });
+  exec.Post([&] { ranDropped = true; });
+  queued.set_value();
+  const auto [before, after] = seen.get_future().get();
+  EXPECT_TRUE(before);
+  EXPECT_FALSE(after);
+  exec.Stop();  // joins
+  EXPECT_FALSE(ranDropped.load());
 }
 
 }  // namespace
