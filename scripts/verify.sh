@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: the regular build + test suite, the same suite under
 # AddressSanitizer + UndefinedBehaviorSanitizer, and the threaded suites
-# (pcache proxy, TCP cluster, heartbeat liveness, chaos) under
-# ThreadSanitizer (CMake presets "default", "asan-ubsan", "tsan"). Run
+# (pcache proxy, TCP cluster and federation, heartbeat liveness, chaos)
+# under ThreadSanitizer (CMake presets "default", "asan-ubsan", "tsan"). Run
 # from the repository root.
 #
 # ctest is invoked with --test-dir and an explicit -j value: the ctest
@@ -79,7 +79,7 @@ echo "=== build + test (threaded + liveness suites): tsan preset ==="
 cmake --preset tsan
 cmake --build --preset tsan -j
 ctest --test-dir build-tsan --output-on-failure -j 4 \
-  -R "pcache_test|pcache_property_test|tcp_cluster_test|sched_test|tcp_fabric_test|fabric_reactor_test|heartbeat_test|conformance_test|federation_test|cms_cache_property_test"
+  -R "pcache_test|pcache_property_test|tcp_cluster_test|tcp_federation_test|sched_test|tcp_fabric_test|fabric_reactor_test|heartbeat_test|conformance_test|federation_test|cms_cache_property_test"
 # The heartbeat/drain/suspend story over real threads lives inside
 # chaos_test (tier2, TcpLivenessTest fixture) — run the whole suite.
 ctest --test-dir build-tsan --output-on-failure -R chaos_test

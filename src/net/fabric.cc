@@ -3,10 +3,6 @@
 namespace scalla::net {
 
 Result<void> ValidateFabricOptions(const FabricOptions& options) {
-  if (options.loopThreads < 1 || options.loopThreads > 64) {
-    return Result<void>::Err(proto::XrdErr::kInvalid,
-                             "fabric.loopthreads must be between 1 and 64");
-  }
   if (options.maxQueuedMessages == 0) {
     return Result<void>::Err(proto::XrdErr::kInvalid,
                              "fabric.queuedepth must be a positive integer");

@@ -3,7 +3,7 @@
 //   - sim::SimFabric : in-process, latency-modeled, virtual time — used by
 //     tests and the latency/scaling benchmarks;
 //   - net::TcpFabric : length-framed messages over loopback TCP sockets,
-//     multiplexed onto a small epoll reactor pool — used by the
+//     multiplexed onto epoll event loops — used by the
 //     multi-endpoint integration tests ("multi-process test on one server"
 //     per the reproduction band; endpoints are isolated actors that only
 //     communicate through real sockets).
@@ -31,14 +31,10 @@ using NodeAddr = std::uint32_t;
 /// bound semantically and ignores socket-level knobs, which it documents
 /// rather than hides).
 struct FabricOptions {
-  /// Size of the reactor's event-loop pool. Every socket (listeners,
-  /// inbound connections, outbound connections) is owned by exactly one
-  /// loop; a small fixed pool serves an arbitrary number of sockets.
-  int loopThreads = 2;
   /// Bounded per-(from,to) outbound queue; enqueueing past this drops the
   /// message, counts an overflow, and signals OnPeerDown.
   std::size_t maxQueuedMessages = 4096;
-  /// Non-blocking connect() deadline, enforced by a reactor timer.
+  /// Non-blocking connect() deadline, enforced by an event-loop timer.
   std::chrono::milliseconds connectTimeout{1000};
   /// Write-progress deadline: a connection that cannot complete a frame
   /// within this window (no writable readiness, or a peer that stopped
@@ -59,9 +55,11 @@ struct FabricOptions {
 Result<void> ValidateFabricOptions(const FabricOptions& options);
 
 /// Receives messages delivered by the fabric. Handlers run on the
-/// receiver's executor (sim event loop or the endpoint's dispatch thread);
-/// endpoints registered without an executor get callbacks inline on a
-/// reactor loop thread and must not block.
+/// receiver's executor: the sim event loop, or on TCP the endpoint's
+/// ThreadExecutor, which reads the endpoint's sockets and calls the sink
+/// inline (a handler that blocks stalls the endpoint's reads). Another
+/// Executor gets each message posted; endpoints registered without an
+/// executor get callbacks inline on a pool loop thread and must not block.
 class MessageSink {
  public:
   virtual ~MessageSink() = default;

@@ -23,7 +23,7 @@ struct FaultVerdict {
   Duration delay = Duration::zero();  // injected one-way delay (kDeliver only)
 };
 
-/// Thread-safe: setters and Check may race (TcpFabric checks from reactor
+/// Thread-safe: setters and Check may race (TcpFabric checks from event
 /// loops and sender threads while tests inject faults).
 class FaultTable {
  public:

@@ -22,6 +22,9 @@ namespace {
 
 constexpr std::size_t kFrameHeader = 8;  // u32 length + u32 senderAddr
 
+// The pool for endpoints without a ThreadExecutor of their own.
+constexpr int kPoolLoops = 2;
+
 // Frames batched into one sendmsg; a full batch just means another pass.
 constexpr std::size_t kMaxWritevBatch = 64;
 
@@ -32,6 +35,8 @@ constexpr std::size_t kMaxWritevBatch = 64;
 constexpr std::size_t kReadChunk = 64 * 1024;
 constexpr std::size_t kMaxReadPerDispatch = 1024 * 1024;
 constexpr std::size_t kRxShrinkCapacity = 1024 * 1024;
+
+TimePoint Now() { return util::SystemClock::Instance().Now(); }
 
 std::uint64_t PairKey(NodeAddr from, NodeAddr to) {
   return (static_cast<std::uint64_t>(from) << 32) | to;
@@ -56,10 +61,14 @@ struct TcpFabric::Endpoint {
   NodeAddr addr = 0;
   MessageSink* sink = nullptr;
   sched::Executor* executor = nullptr;
+  // `executor` when it is a ThreadExecutor: the endpoint's listener and
+  // its inbound and outbound connections all live on that loop, and frames
+  // reach the sink inline. Null: they go on the fabric's loop pool.
+  sched::ThreadExecutor* host = nullptr;
 
   int listenFd = -1;
   std::uint64_t listenerId = 0;
-  Reactor::Loop* listenerLoop = nullptr;
+  sched::ThreadExecutor* listenerLoop = nullptr;
   std::shared_ptr<Listener> listener;
 
   // Live inbound connections; an InConn removes itself the moment its
@@ -69,10 +78,10 @@ struct TcpFabric::Endpoint {
 };
 
 // ---------------------------------------------------------------------------
-// Listener: accepts on a non-blocking listen socket and spreads the
-// accepted connections round-robin over the reactor loops.
+// Listener: accepts on a non-blocking listen socket and hands each
+// accepted connection to AdoptInbound, which picks its loop.
 
-class TcpFabric::Listener final : public EventHandler {
+class TcpFabric::Listener final : public sched::EventHandler {
  public:
   Listener(TcpFabric* fabric, Endpoint* ep) : fabric_(fabric), ep_(ep) {}
 
@@ -98,15 +107,17 @@ class TcpFabric::Listener final : public EventHandler {
 // ---------------------------------------------------------------------------
 // InConn: one accepted socket. Reads are readiness-driven into a reusable,
 // never zero-filled rx buffer; frames are parsed incrementally (a frame may
-// arrive across any number of reads) and delivered to the endpoint's sink.
+// arrive across any number of reads) and delivered to the endpoint's sink:
+// inline when this loop is the endpoint's own (or it has no executor),
+// else posted to its executor.
 
-class TcpFabric::InConn final : public EventHandler,
+class TcpFabric::InConn final : public sched::EventHandler,
                                 public std::enable_shared_from_this<InConn> {
  public:
-  InConn(TcpFabric* fabric, Endpoint* ep, int fd, Reactor::Loop* loop)
+  InConn(TcpFabric* fabric, Endpoint* ep, int fd, sched::ThreadExecutor* loop)
       : fabric_(fabric), ep_(ep), fd_(fd), loop_(loop) {}
 
-  Reactor::Loop* loop() const { return loop_; }
+  sched::ThreadExecutor* loop() const { return loop_; }
 
   // Loop thread: registers the socket. A CloseOnLoop posted behind us (the
   // endpoint unregistering) still finds id_ set, so teardown stays exact.
@@ -153,10 +164,7 @@ class TcpFabric::InConn final : public EventHandler,
       }
       len_ += static_cast<std::size_t>(n);
       readThisPass += static_cast<std::size_t>(n);
-      if (!ParseFrames()) {  // malformed input: drop the connection
-        CloseOnLoop();
-        return;
-      }
+      if (!ParseFrames()) return;
       // A short read emptied the socket: stop rather than pay a recv that
       // only returns EAGAIN. Level-triggered epoll re-reports later bytes.
       if (static_cast<std::size_t>(n) < room || readThisPass >= kMaxReadPerDispatch) {
@@ -192,8 +200,10 @@ class TcpFabric::InConn final : public EventHandler,
     len_ = live;
   }
 
-  // Parses every complete frame currently buffered. Returns false on a
-  // frame that can never become valid (bad length, undecodable body).
+  // Delivers every complete frame currently buffered. Returns false once
+  // the connection is closed: by a frame that can never become valid (bad
+  // length, undecodable body), or by an inline handler that unregistered
+  // the endpoint — ep_ may then be gone, so nothing here touches it again.
   bool ParseFrames() {
     for (;;) {
       const std::size_t avail = len_ - pos_;
@@ -205,6 +215,7 @@ class TcpFabric::InConn final : public EventHandler,
       if (length == 0 || length > proto::kMaxFrameBody) {
         SCALLA_WARN("tcp", "endpoint %u: bad frame length %u from %u", ep_->addr,
                     length, sender);
+        CloseOnLoop();
         return false;
       }
       if (avail < kFrameHeader + length) return true;
@@ -213,6 +224,7 @@ class TcpFabric::InConn final : public EventHandler,
       if (!message.has_value()) {
         SCALLA_WARN("tcp", "endpoint %u: malformed frame from %u", ep_->addr,
                     sender);
+        CloseOnLoop();
         return false;
       }
       pos_ += kFrameHeader + length;
@@ -227,20 +239,32 @@ class TcpFabric::InConn final : public EventHandler,
                               .bytesReceived = kFrameHeader + length});
       if (!deliver) continue;
       MessageSink* sink = ep_->sink;
-      if (ep_->executor != nullptr) {
+      if (ep_->executor != nullptr && ep_->host == nullptr) {
         ep_->executor->Post([sink, sender, msg = std::move(*message)]() mutable {
           sink->OnMessage(sender, std::move(msg));
         });
-      } else {
-        sink->OnMessage(sender, std::move(*message));
+        continue;
       }
+      // Inline on the endpoint's own loop. A sender in the handler sees a
+      // backlog while another whole frame waits here, so its replies batch.
+      sched::NoteBufferedInput(CompleteFrameBuffered());
+      sink->OnMessage(sender, std::move(*message));
+      if (closed_) return false;
     }
+  }
+
+  bool CompleteFrameBuffered() const {
+    const std::size_t avail = len_ - pos_;
+    if (avail < kFrameHeader) return false;
+    std::uint32_t length = 0;
+    std::memcpy(&length, rx_.get() + pos_, 4);
+    return avail >= kFrameHeader + length;
   }
 
   TcpFabric* fabric_;
   Endpoint* ep_;
   int fd_;
-  Reactor::Loop* loop_;
+  sched::ThreadExecutor* loop_;
   std::uint64_t id_ = 0;
   bool closed_ = false;
   std::unique_ptr<char[]> rx_;  // unparsed bytes live in [pos_, len_)
@@ -254,15 +278,17 @@ class TcpFabric::InConn final : public EventHandler,
 // frames under qmu_: it writes one through to the connected socket itself
 // when the pair is idle, and otherwise queues it and "kicks" the owning
 // loop at most once per quiet period. Connect, draining a backlog with
-// writev, deadlines, delay pacing and idle reaping stay on the loop.
+// writev, deadlines, delay pacing and idle reaping stay on the loop. A
+// hosted sender's pairs live on its own loop, so its kick is a post to
+// itself that drains each pair once the current round is done.
 
-class TcpFabric::OutConn final : public EventHandler,
+class TcpFabric::OutConn final : public sched::EventHandler,
                                  public std::enable_shared_from_this<OutConn> {
  public:
-  OutConn(TcpFabric* fabric, NodeAddr from, NodeAddr to, Reactor::Loop* loop)
+  OutConn(TcpFabric* fabric, NodeAddr from, NodeAddr to, sched::ThreadExecutor* loop)
       : fabric_(fabric), from_(from), to_(to), loop_(loop) {}
 
-  Reactor::Loop* loop() const { return loop_; }
+  sched::ThreadExecutor* loop() const { return loop_; }
 
   // Any thread. Hands one encoded frame to the pair, in order behind
   // anything already queued. With `writeThrough` set, an idle connected
@@ -281,7 +307,7 @@ class TcpFabric::OutConn final : public EventHandler,
         const ssize_t n = ::send(fd_, frame.data(), frame.size(), MSG_NOSIGNAL);
         if (n > 0) {
           written = n;
-          lastActivity_ = Reactor::Loop::Now();
+          lastActivity_ = Now();
         }
       }
       const auto sent = static_cast<std::size_t>(written);
@@ -438,8 +464,8 @@ class TcpFabric::OutConn final : public EventHandler,
     state_ = State::kConnecting;
     id_ = loop_->Add(fd_, EPOLLOUT, shared_from_this());
     const std::uint64_t gen = ++connectGen_;
-    loop_->ScheduleAt(
-        Reactor::Loop::Now() + fabric_->options_.connectTimeout,
+    loop_->RunAt(
+        Now() + fabric_->options_.connectTimeout,
         [self = shared_from_this(), gen] { self->OnConnectDeadline(gen); });
   }
 
@@ -455,7 +481,7 @@ class TcpFabric::OutConn final : public EventHandler,
     wantWrite_ = false;
     deadlineArmed_ = false;
     loop_->Mod(id_, EPOLLIN);
-    const TimePoint now = Reactor::Loop::Now();
+    const TimePoint now = Now();
     {
       std::lock_guard lock(qmu_);
       frameDoneSinceConnect_ = false;
@@ -464,8 +490,8 @@ class TcpFabric::OutConn final : public EventHandler,
     }
     if (fabric_->options_.idleTimeout > std::chrono::milliseconds::zero()) {
       const std::uint64_t gen = ++idleGen_;
-      loop_->ScheduleAt(now + fabric_->options_.idleTimeout,
-                        [self = shared_from_this(), gen] { self->OnIdleCheck(gen); });
+      loop_->RunAt(now + fabric_->options_.idleTimeout,
+                   [self = shared_from_this(), gen] { self->OnIdleCheck(gen); });
     }
     DrainWrites();
   }
@@ -497,7 +523,7 @@ class TcpFabric::OutConn final : public EventHandler,
         return;
       }
       const Duration delay = verdict.delay;
-      const TimePoint now = Reactor::Loop::Now();
+      const TimePoint now = Now();
       if (delay > Duration::zero()) {
         // Per-pair pacing: each frame waits out the injected delay before
         // leaving, exactly one frame per period, stalling only this pair.
@@ -585,7 +611,7 @@ class TcpFabric::OutConn final : public EventHandler,
   void ScheduleDelayPump(TimePoint when) {
     if (delayPumpArmed_) return;
     delayPumpArmed_ = true;
-    loop_->ScheduleAt(when, [self = shared_from_this()] {
+    loop_->RunAt(when, [self = shared_from_this()] {
       self->delayPumpArmed_ = false;
       self->Pump();
     });
@@ -595,8 +621,8 @@ class TcpFabric::OutConn final : public EventHandler,
     if (deadlineArmed_) return;
     deadlineArmed_ = true;
     const std::uint64_t gen = ++deadlineGen_;
-    loop_->ScheduleAt(
-        Reactor::Loop::Now() + fabric_->options_.writeTimeout,
+    loop_->RunAt(
+        Now() + fabric_->options_.writeTimeout,
         [self = shared_from_this(), gen] { self->OnWriteDeadline(gen); });
   }
 
@@ -612,7 +638,7 @@ class TcpFabric::OutConn final : public EventHandler,
 
   void OnIdleCheck(std::uint64_t gen) {
     if (stopped_ || gen != idleGen_ || state_ != State::kConnected) return;
-    const TimePoint now = Reactor::Loop::Now();
+    const TimePoint now = Now();
     TimePoint next;
     bool idle = false;
     {
@@ -632,8 +658,7 @@ class TcpFabric::OutConn final : public EventHandler,
       return;
     }
     if (next <= now) next = now + fabric_->options_.idleTimeout;
-    loop_->ScheduleAt(next,
-                      [self = shared_from_this(), gen] { self->OnIdleCheck(gen); });
+    loop_->RunAt(next, [self = shared_from_this(), gen] { self->OnIdleCheck(gen); });
   }
 
   // The connection broke (EOF, reset, write error, stalled write). If it
@@ -720,7 +745,7 @@ class TcpFabric::OutConn final : public EventHandler,
   TcpFabric* fabric_;
   const NodeAddr from_;
   const NodeAddr to_;
-  Reactor::Loop* loop_;
+  sched::ThreadExecutor* loop_;
 
   // Shared by the loop and every sending thread, under qmu_.
   std::mutex qmu_;
@@ -751,12 +776,17 @@ class TcpFabric::OutConn final : public EventHandler,
 // TcpFabric proper.
 
 TcpFabric::TcpFabric(std::uint16_t basePort, FabricOptions options)
-    : basePort_(basePort), options_(options), reactor_(options.loopThreads) {}
+    : basePort_(basePort), options_(options) {
+  for (int i = 0; i < kPoolLoops; ++i) {
+    loops_.push_back(std::make_unique<sched::ThreadExecutor>());
+  }
+}
 
 TcpFabric::~TcpFabric() {
   shuttingDown_ = true;
   // Stop outbound connections first so none can fire OnPeerDown into an
-  // endpoint that is being torn down.
+  // endpoint that is being torn down. A loop that has stopped runs its
+  // RunSync inline, so executors stopped before the fabric are fine.
   std::map<std::uint64_t, std::shared_ptr<OutConn>> conns;
   {
     std::lock_guard lock(connsMu_);
@@ -773,27 +803,8 @@ TcpFabric::~TcpFabric() {
     for (auto& [_, ep] : endpoints_) eps.push_back(std::move(ep));
     endpoints_.clear();
   }
-  for (auto& ep : eps) {
-    Endpoint* raw = ep.get();
-    raw->listenerLoop->RunSync([raw] {
-      if (raw->listenerId != 0) raw->listenerLoop->Del(raw->listenerId);
-      ::close(raw->listenFd);
-    });
-    std::vector<std::shared_ptr<InConn>> ins;
-    {
-      std::lock_guard lock(raw->inMu);
-      ins = raw->inConns;
-    }
-    for (int i = 0; i < reactor_.size(); ++i) {
-      Reactor::Loop& loop = reactor_.At(i);
-      loop.RunSync([&loop, &ins] {
-        for (auto& c : ins) {
-          if (c->loop() == &loop) c->CloseOnLoop();
-        }
-      });
-    }
-  }
-  // reactor_'s destructor joins the loops after this body.
+  for (auto& ep : eps) CloseEndpoint(ep.get());
+  for (auto& loop : loops_) loop->Stop();
 }
 
 bool TcpFabric::Register(NodeAddr addr, MessageSink* sink,
@@ -802,6 +813,7 @@ bool TcpFabric::Register(NodeAddr addr, MessageSink* sink,
   ep->addr = addr;
   ep->sink = sink;
   ep->executor = executor;
+  ep->host = dynamic_cast<sched::ThreadExecutor*>(executor);
 
   ep->listenFd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (ep->listenFd < 0) return false;
@@ -817,7 +829,7 @@ bool TcpFabric::Register(NodeAddr addr, MessageSink* sink,
     return false;
   }
   ep->listener = std::make_shared<Listener>(this, ep.get());
-  ep->listenerLoop = &reactor_.LoopFor(addr);
+  ep->listenerLoop = ep->host != nullptr ? ep->host : &PoolLoop(addr);
   Endpoint* raw = ep.get();
   {
     std::lock_guard lock(epMu_);
@@ -830,7 +842,18 @@ bool TcpFabric::Register(NodeAddr addr, MessageSink* sink,
 }
 
 void TcpFabric::Unregister(NodeAddr addr) {
-  // 1. Stop this endpoint's own outbound connections; quietly stale-close
+  // 1. Take the endpoint out of the map: from here on no new outbound
+  //    connection of it is placed on its loop and no OnPeerDown reaches it.
+  std::unique_ptr<Endpoint> ep;
+  {
+    std::lock_guard lock(epMu_);
+    const auto it = endpoints_.find(addr);
+    if (it != endpoints_.end()) {
+      ep = std::move(it->second);
+      endpoints_.erase(it);
+    }
+  }
+  // 2. Stop this endpoint's own outbound connections; quietly stale-close
   //    everyone else's connection TO it so their next frame reconnects
   //    (and fails fast against the dead listener, firing OnPeerDown).
   std::vector<std::shared_ptr<OutConn>> mine;
@@ -852,40 +875,39 @@ void TcpFabric::Unregister(NodeAddr addr) {
     raw->loop()->RunSync([raw] { raw->StopOnLoop(); });
   }
   for (auto& conn : toward) conn->PostDetachStale();
+  // 3. The listener and the inbound connections.
+  if (ep != nullptr) CloseEndpoint(ep.get());
+}
 
-  std::unique_ptr<Endpoint> ep;
-  {
-    std::lock_guard lock(epMu_);
-    const auto it = endpoints_.find(addr);
-    if (it == endpoints_.end()) return;
-    ep = std::move(it->second);
-    endpoints_.erase(it);
-  }
-  // 2. Close the listener on its loop (no further accepts, so the inbound
-  //    snapshot below is complete — Attach posts precede our close posts
-  //    in each loop's FIFO).
-  Endpoint* raw = ep.get();
-  raw->listenerLoop->RunSync([raw] {
-    if (raw->listenerId != 0) raw->listenerLoop->Del(raw->listenerId);
-    ::close(raw->listenFd);
-    raw->listenerId = 0;
+void TcpFabric::CloseEndpoint(Endpoint* ep) {
+  // The listener first: no further accepts, so the inbound snapshot below
+  // is complete (Attach posts precede our close posts in each loop's FIFO).
+  ep->listenerLoop->RunSync([ep] {
+    if (ep->listenerId != 0) ep->listenerLoop->Del(ep->listenerId);
+    ::close(ep->listenFd);
+    ep->listenerId = 0;
   });
-  // 3. Close every inbound connection on its owning loop. Loops run tasks
-  //    and dispatches serially, so once each loop's RunSync returns, no
-  //    delivery into this endpoint's sink/executor is running or can
-  //    start — the guarantee Unregister's callers rely on.
+  // Then every inbound connection, on its owning loop. Loops run tasks and
+  // dispatches serially, so once each loop's RunSync returns, no inline
+  // delivery into the endpoint's sink is running or can start — the
+  // guarantee Unregister's callers rely on. A hosted endpoint reads only
+  // on its own loop; a pooled one's connections may sit on any pool loop.
   std::vector<std::shared_ptr<InConn>> ins;
   {
-    std::lock_guard lock(raw->inMu);
-    ins = raw->inConns;
+    std::lock_guard lock(ep->inMu);
+    ins = ep->inConns;
   }
-  for (int i = 0; i < reactor_.size(); ++i) {
-    Reactor::Loop& loop = reactor_.At(i);
+  const auto closeOn = [&ins](sched::ThreadExecutor& loop) {
     loop.RunSync([&loop, &ins] {
       for (auto& c : ins) {
         if (c->loop() == &loop) c->CloseOnLoop();
       }
     });
+  };
+  if (ep->host != nullptr) {
+    closeOn(*ep->host);
+  } else {
+    for (auto& loop : loops_) closeOn(*loop);
   }
 }
 
@@ -902,15 +924,21 @@ std::size_t TcpFabric::ActiveOutboundConnections() const {
 }
 
 void TcpFabric::AdoptInbound(Endpoint* ep, int fd) {
-  Reactor::Loop& loop = reactor_.At(static_cast<int>(
-      nextLoop_.fetch_add(1, std::memory_order_relaxed) %
-      static_cast<std::uint64_t>(reactor_.size())));
+  // A hosted endpoint reads on its own loop, the one running this accept;
+  // a pooled one spreads its connections round-robin over the pool.
+  sched::ThreadExecutor& loop =
+      ep->host != nullptr ? *ep->host
+                          : PoolLoop(nextLoop_.fetch_add(1, std::memory_order_relaxed));
   auto conn = std::make_shared<InConn>(this, ep, fd, &loop);
   {
     std::lock_guard lock(ep->inMu);
     ep->inConns.push_back(conn);
   }
-  loop.Post([conn] { conn->Attach(); });
+  if (loop.InDispatchThread()) {
+    conn->Attach();
+  } else {
+    loop.Post([conn] { conn->Attach(); });
+  }
 }
 
 void TcpFabric::RemoveInbound(Endpoint* ep, InConn* conn) {
@@ -931,8 +959,16 @@ std::shared_ptr<TcpFabric::OutConn> TcpFabric::GetConnection(NodeAddr from,
   if (shuttingDown_) return nullptr;
   auto& slot = conns_[PairKey(from, to)];
   if (slot == nullptr) {
-    slot = std::make_shared<OutConn>(this, from, to,
-                                     &reactor_.LoopFor(PairKey(from, to)));
+    // A hosted sender's pairs share its loop, so it drains its own
+    // backlog; any other sender's go on the pool.
+    sched::ThreadExecutor* loop = nullptr;
+    {
+      std::lock_guard epLock(epMu_);
+      const auto it = endpoints_.find(from);
+      if (it != endpoints_.end()) loop = it->second->host;
+    }
+    if (loop == nullptr) loop = &PoolLoop(PairKey(from, to));
+    slot = std::make_shared<OutConn>(this, from, to, loop);
   }
   return slot;
 }

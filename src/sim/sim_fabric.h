@@ -36,8 +36,8 @@ class SimFabric final : public net::Fabric {
  public:
   /// `options` is the same struct the TCP transport takes; the simulator
   /// honours maxQueuedMessages semantically (as a per-(from,to) in-flight
-  /// bound) and ignores the socket-level knobs (loopThreads, timeouts,
-  /// sendBufferBytes), which have no in-process analogue.
+  /// bound) and ignores the socket-level knobs (timeouts, sendBufferBytes),
+  /// which have no in-process analogue.
   explicit SimFabric(EventEngine& engine, LatencyModel model = {},
                      std::uint64_t seed = 0xfab41cULL,
                      net::FabricOptions options = {});

@@ -48,7 +48,7 @@ std::optional<LoadedNodeConfig> LoadNodeConfig(const std::string& text,
       "pcache.disk.capacity", "pcache.disk.path", "pcache.disk.hiwater",
       "pcache.disk.lowater", "pcache.ghost",
       "fabric.connecttimeout", "fabric.writetimeout", "fabric.queuedepth",
-      "fabric.loopthreads",    "fabric.idletimeout",  "fabric.sendbuf",
+      "fabric.idletimeout",    "fabric.sendbuf",
       "fed.meta",      "fed.cluster",   "fed.locality"};
   for (const auto& [key, _] : parsed->entries()) {
     if (kKnown.count(key) == 0) {
@@ -339,14 +339,6 @@ std::optional<LoadedNodeConfig> LoadNodeConfig(const std::string& text,
       return std::nullopt;
     }
     out.fabric.maxQueuedMessages = static_cast<std::size_t>(*depth);
-  }
-  if (parsed->Has("fabric.loopthreads")) {
-    const auto threads = parsed->GetInt("fabric.loopthreads");
-    if (!threads.has_value()) {
-      Fail(error, "fabric.loopthreads must be an integer");
-      return std::nullopt;
-    }
-    out.fabric.loopThreads = static_cast<int>(*threads);
   }
   if (parsed->Has("fabric.sendbuf")) {
     const auto size = ParseSize(parsed->GetStringOr("fabric.sendbuf", ""));

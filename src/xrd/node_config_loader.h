@@ -50,7 +50,6 @@
 // Transport tuning (any role; parsed once into net::FabricOptions and
 // validated with net::ValidateFabricOptions, so bad values fail loudly):
 //
-//   fabric.loopthreads     2           # reactor event-loop pool size
 //   fabric.connecttimeout  1s          # non-blocking connect deadline
 //   fabric.writetimeout    2s          # write-progress deadline
 //   fabric.queuedepth      4096        # per-peer bounded outbound queue

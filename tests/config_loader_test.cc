@@ -63,7 +63,6 @@ TEST(NodeConfigLoaderTest, FabricDirectivesParsed) {
       "fabric.connecttimeout 250ms\n"
       "fabric.writetimeout 5s\n"
       "fabric.queuedepth 1024\n"
-      "fabric.loopthreads 4\n"
       "fabric.idletimeout 30s\n"
       "fabric.sendbuf 64k\n",
       &error);
@@ -71,7 +70,6 @@ TEST(NodeConfigLoaderTest, FabricDirectivesParsed) {
   EXPECT_EQ(loaded->fabric.connectTimeout, std::chrono::milliseconds(250));
   EXPECT_EQ(loaded->fabric.writeTimeout, std::chrono::milliseconds(5000));
   EXPECT_EQ(loaded->fabric.maxQueuedMessages, 1024u);
-  EXPECT_EQ(loaded->fabric.loopThreads, 4);
   EXPECT_EQ(loaded->fabric.idleTimeout, std::chrono::seconds(30));
   EXPECT_EQ(loaded->fabric.sendBufferBytes, 64u * 1024);
 }
@@ -85,7 +83,6 @@ TEST(NodeConfigLoaderTest, FabricDefaultsWhenUnset) {
   EXPECT_EQ(loaded->fabric.connectTimeout, defaults.connectTimeout);
   EXPECT_EQ(loaded->fabric.writeTimeout, defaults.writeTimeout);
   EXPECT_EQ(loaded->fabric.maxQueuedMessages, defaults.maxQueuedMessages);
-  EXPECT_EQ(loaded->fabric.loopThreads, defaults.loopThreads);
   EXPECT_EQ(loaded->fabric.idleTimeout, defaults.idleTimeout);
   EXPECT_EQ(loaded->fabric.sendBufferBytes, defaults.sendBufferBytes);
 }
@@ -99,11 +96,10 @@ TEST(NodeConfigLoaderTest, RejectsBadFabricValues) {
       LoadNodeConfig(base + "fabric.writetimeout -1s\n", &error).has_value());
   EXPECT_FALSE(LoadNodeConfig(base + "fabric.queuedepth 0\n", &error).has_value());
   EXPECT_FALSE(LoadNodeConfig(base + "fabric.queuedepth lots\n", &error).has_value());
+  // The loop pool has a fixed size; the old sizing directive is unknown.
   EXPECT_FALSE(
-      LoadNodeConfig(base + "fabric.loopthreads 0\n", &error).has_value());
-  EXPECT_NE(error.find("fabric.loopthreads"), std::string::npos);
-  EXPECT_FALSE(
-      LoadNodeConfig(base + "fabric.loopthreads 65\n", &error).has_value());
+      LoadNodeConfig(base + "fabric.loopthreads 2\n", &error).has_value());
+  EXPECT_NE(error.find("unknown directive: fabric.loopthreads"), std::string::npos);
   EXPECT_FALSE(
       LoadNodeConfig(base + "fabric.idletimeout -5s\n", &error).has_value());
   EXPECT_NE(error.find("fabric.idletimeout"), std::string::npos);

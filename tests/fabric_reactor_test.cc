@@ -3,9 +3,13 @@
 // send path (partial writes handed to the loop, per-pair order, the write
 // deadline), inbound frames split to single bytes or larger than 1 MiB,
 // idle-connection reaping with transparent reconnect, per-peer counter
-// attribution, FabricOptions validation, and the uniform FaultInjector
+// attribution, FabricOptions validation, the uniform FaultInjector
 // contract — the same chaos scenario driven through net::Fabric* against
-// both SimFabric and TcpFabric without downcasting.
+// SimFabric, pooled TcpFabric endpoints and ThreadExecutor-hosted ones
+// without downcasting — and the hosted path itself: inline delivery on the
+// endpoint's own loop, per-pair order under foreign and backlogged
+// senders, a blocking handler, the posted path through a forwarding
+// executor, and teardown from the dispatch thread or after Stop.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -19,11 +23,14 @@
 #include <condition_variable>
 #include <cstring>
 #include <functional>
+#include <future>
+#include <map>
 #include <mutex>
 #include <thread>
 
 #include "net/tcp_fabric.h"
 #include "proto/wire.h"
+#include "sched/thread_executor.h"
 #include "sim/event_engine.h"
 #include "sim/sim_fabric.h"
 
@@ -197,18 +204,10 @@ TEST(FabricOptionsTest, ValidatesRanges) {
   EXPECT_TRUE(net::ValidateFabricOptions(ok).ok());
 
   net::FabricOptions bad = ok;
-  bad.loopThreads = 0;
+  bad.maxQueuedMessages = 0;
   auto r = net::ValidateFabricOptions(bad);
   ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.error().message.find("fabric.loopthreads"), std::string::npos);
-
-  bad = ok;
-  bad.loopThreads = 65;
-  EXPECT_FALSE(net::ValidateFabricOptions(bad).ok());
-
-  bad = ok;
-  bad.maxQueuedMessages = 0;
-  EXPECT_FALSE(net::ValidateFabricOptions(bad).ok());
+  EXPECT_NE(r.error().message.find("fabric.queuedepth"), std::string::npos);
 
   bad = ok;
   bad.connectTimeout = std::chrono::milliseconds(0);
@@ -560,18 +559,283 @@ TEST(FaultInjectorContractTest, SimFabric) {
   RunFaultScenario(fabric, 1, 2, sinkA, sinkB, hooks);
 }
 
+TransportHooks TcpHooks() {
+  TransportHooks hooks;
+  hooks.wait = [](CountingSink& s, int n) { return s.WaitMessages(n); };
+  hooks.waitDowns = [](CountingSink& s, int n) { return s.WaitPeerDowns(n); };
+  hooks.settle = [] { std::this_thread::sleep_for(250ms); };
+  return hooks;
+}
+
 TEST(FaultInjectorContractTest, TcpFabric) {
   const auto base = NextBasePort();
   CountingSink sinkA, sinkB;  // sinks must outlive the fabric
   net::TcpFabric fabric(base);
   ASSERT_TRUE(fabric.Register(1, &sinkA, nullptr));
   ASSERT_TRUE(fabric.Register(2, &sinkB, nullptr));
+  RunFaultScenario(fabric, 1, 2, sinkA, sinkB, TcpHooks());
+}
 
-  TransportHooks hooks;
-  hooks.wait = [&](CountingSink& s, int n) { return s.WaitMessages(n); };
-  hooks.waitDowns = [&](CountingSink& s, int n) { return s.WaitPeerDowns(n); };
-  hooks.settle = [] { std::this_thread::sleep_for(250ms); };
-  RunFaultScenario(fabric, 1, 2, sinkA, sinkB, hooks);
+// The same contract with both endpoints hosted on their own loops: every
+// socket of each lives on its ThreadExecutor and frames arrive inline.
+TEST(FaultInjectorContractTest, TcpFabricHostedEndpoints) {
+  const auto base = NextBasePort();
+  CountingSink sinkA, sinkB;
+  sched::ThreadExecutor execA, execB;  // declared before the fabric: outlive it
+  net::TcpFabric fabric(base);
+  ASSERT_TRUE(fabric.Register(1, &sinkA, &execA));
+  ASSERT_TRUE(fabric.Register(2, &sinkB, &execB));
+  RunFaultScenario(fabric, 1, 2, sinkA, sinkB, TcpHooks());
+}
+
+// ---- endpoints hosted on their own ThreadExecutor ----
+
+// Per-sender order, and whether every message ran on `home`'s thread.
+struct PerPairSink : CountingSink {
+  explicit PerPairSink(sched::ThreadExecutor& home) : home(home) {}
+
+  void OnMessage(net::NodeAddr from, proto::Message message) override {
+    const auto* close = std::get_if<proto::XrdClose>(&message);
+    {
+      std::lock_guard lock(mu);
+      if (close == nullptr || close->reqId != nextSeq[from]) inOrder = false;
+      if (close != nullptr) nextSeq[from] = close->reqId + 1;
+      if (!home.InDispatchThread()) offHome = true;
+    }
+    CountingSink::OnMessage(from, std::move(message));
+  }
+
+  bool InOrder() {
+    std::lock_guard lock(mu);
+    return inOrder;
+  }
+  bool OffHome() {
+    std::lock_guard lock(mu);
+    return offHome;
+  }
+
+  sched::ThreadExecutor& home;
+  std::map<net::NodeAddr, std::uint64_t> nextSeq;
+  bool inOrder = true;
+  bool offHome = false;
+};
+
+// Four foreign threads (pooled senders) and one hosted sender that always
+// has tasks queued behind the one sending — so its frames queue and its
+// own loop drains them — all send to one hosted receiver. Every message
+// is handled on the receiver's dispatch thread, in order per sender.
+TEST(HostedEndpointTest, InlineDeliveryKeepsPerPairOrder) {
+  const auto base = NextBasePort();
+  constexpr int kForeign = 4;
+  constexpr int kPerSender = 2000;
+  sched::ThreadExecutor rxExec, txExec;
+  PerPairSink rx(rxExec);
+  CountingSink tx, foreign[kForeign];
+  net::TcpFabric fabric(base);
+  ASSERT_TRUE(fabric.Register(1, &rx, &rxExec));
+  ASSERT_TRUE(fabric.Register(2, &tx, &txExec));
+  for (int i = 0; i < kForeign; ++i) {
+    ASSERT_TRUE(fabric.Register(static_cast<net::NodeAddr>(10 + i), &foreign[i], nullptr));
+  }
+
+  std::atomic<int> backlogged{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kForeign; ++i) {
+    threads.emplace_back([&fabric, i] {
+      for (int seq = 0; seq < kPerSender; ++seq) {
+        fabric.Send(static_cast<net::NodeAddr>(10 + i), 1, Sequenced(seq));
+      }
+    });
+  }
+  // 100 tasks of 20 frames, queued behind a held task so that each runs
+  // with the rest still queued.
+  constexpr int kPerTask = 20;
+  std::promise<void> release;
+  txExec.Post([&release] { release.get_future().wait(); });
+  for (int t = 0; t < kPerSender / kPerTask; ++t) {
+    txExec.Post([&fabric, &backlogged, t] {
+      backlogged += sched::CallerHasBacklog();
+      for (int i = 0; i < kPerTask; ++i) fabric.Send(2, 1, Sequenced(t * kPerTask + i));
+    });
+  }
+  release.set_value();
+  for (auto& t : threads) t.join();
+
+  ASSERT_TRUE(rx.WaitMessages((kForeign + 1) * kPerSender, 30s));
+  EXPECT_TRUE(rx.InOrder());
+  EXPECT_FALSE(rx.OffHome());
+  EXPECT_GT(backlogged.load(), 0);
+  const auto c = fabric.GetCounters();
+  EXPECT_EQ(c.messagesDropped, 0u);
+  EXPECT_EQ(c.reconnects, 0u);
+  EXPECT_EQ(tx.PeerDowns(), 0);
+}
+
+// A hosted handler that blocks stops its endpoint's reads; the peer's
+// frames wait in kernel buffers and the sender's queue, inside the write
+// deadline, and all arrive in order once the handler returns.
+TEST(HostedEndpointTest, BlockingHandlerStallsOnlyItsReads) {
+  const auto base = NextBasePort();
+  struct BlockingSink : SequenceSink {
+    void OnMessage(net::NodeAddr from, proto::Message message) override {
+      const auto* close = std::get_if<proto::XrdClose>(&message);
+      if (close != nullptr && close->reqId == 0) std::this_thread::sleep_for(300ms);
+      SequenceSink::OnMessage(from, std::move(message));
+    }
+  };
+  sched::ThreadExecutor rxExec, txExec;
+  BlockingSink rx;
+  CountingSink tx;
+  net::TcpFabric fabric(base);
+  ASSERT_TRUE(fabric.Register(1, &rx, &rxExec));
+  ASSERT_TRUE(fabric.Register(2, &tx, &txExec));
+
+  constexpr int kSmall = 2000;
+  constexpr int kBig = 16;
+  constexpr std::size_t kBigBytes = 64 * 1024;
+  txExec.Post([&fabric] {
+    std::uint64_t seq = 0;
+    fabric.Send(2, 1, Sequenced(seq++));  // the receiver blocks on this one
+    for (int i = 0; i < kSmall; ++i) fabric.Send(2, 1, Sequenced(seq++));
+    for (int i = 0; i < kBig; ++i) fabric.Send(2, 1, BigWrite(seq++, kBigBytes));
+  });
+
+  ASSERT_TRUE(rx.WaitMessages(1 + kSmall + kBig, 20s));
+  EXPECT_TRUE(rx.InOrder());
+  EXPECT_TRUE(rx.payloadIntact);
+  EXPECT_EQ(rx.payloadBytes, kBig * kBigBytes);
+  EXPECT_EQ(tx.PeerDowns(), 0);
+  const auto c = fabric.GetCounters();
+  EXPECT_EQ(c.reconnects, 0u);
+  EXPECT_EQ(c.messagesDropped, 0u);
+}
+
+// Forwards to a ThreadExecutor, shaped like a tracing wrapper: the fabric
+// sees an Executor that is not a ThreadExecutor, so the endpoint's
+// sockets stay on the pool and each message is posted.
+class ForwardingExecutor final : public sched::Executor {
+ public:
+  explicit ForwardingExecutor(sched::Executor& inner) : inner_(inner) {}
+  void Post(sched::Task task) override {
+    ++posts;
+    inner_.Post(std::move(task));
+  }
+  sched::TimerId RunAfter(Duration delay, sched::Task task) override {
+    return inner_.RunAfter(delay, std::move(task));
+  }
+  sched::TimerId RunEvery(Duration period, sched::Task task) override {
+    return inner_.RunEvery(period, std::move(task));
+  }
+  bool Cancel(sched::TimerId id) override { return inner_.Cancel(id); }
+  util::Clock& clock() override { return inner_.clock(); }
+
+  std::atomic<int> posts{0};
+
+ private:
+  sched::Executor& inner_;
+};
+
+TEST(HostedEndpointTest, ForwardingExecutorKeepsThePostedPath) {
+  const auto base = NextBasePort();
+  sched::ThreadExecutor rxExec;
+  ForwardingExecutor forwarding(rxExec);
+  PerPairSink rx(rxExec);
+  CountingSink tx;
+  net::TcpFabric fabric(base);
+  ASSERT_TRUE(fabric.Register(1, &rx, &forwarding));
+  ASSERT_TRUE(fabric.Register(2, &tx, nullptr));
+
+  constexpr int kFrames = 500;
+  for (int seq = 0; seq < kFrames; ++seq) fabric.Send(2, 1, Sequenced(seq));
+  ASSERT_TRUE(rx.WaitMessages(kFrames));
+  EXPECT_TRUE(rx.InOrder());
+  EXPECT_FALSE(rx.OffHome());  // posted onto the wrapped thread
+  EXPECT_GE(forwarding.posts.load(), kFrames);
+}
+
+// A handler that unregisters its own endpoint: Unregister runs inline on
+// the dispatch thread and returns, and the frames still buffered behind
+// the one being handled are never delivered to the departed endpoint.
+TEST(HostedEndpointTest, UnregisterFromOwnDispatchThread) {
+  const auto base = NextBasePort();
+  sched::ThreadExecutor rxExec;
+  net::TcpFabric fabric(base);
+  struct LeavingSink : CountingSink {
+    net::TcpFabric* fabric = nullptr;
+    std::atomic<bool> unregistered{false};
+    void OnMessage(net::NodeAddr from, proto::Message message) override {
+      if (!unregistered) {
+        fabric->Unregister(1);
+        unregistered = true;
+      }
+      CountingSink::OnMessage(from, std::move(message));
+    }
+  } rx;
+  rx.fabric = &fabric;
+  CountingSink tx;
+  ASSERT_TRUE(fabric.Register(1, &rx, &rxExec));
+  ASSERT_TRUE(fabric.Register(2, &tx, nullptr));
+
+  const int fd = RawConnect(base, 1);
+  ASSERT_GE(fd, 0);
+  std::string burst;
+  for (int i = 0; i < 20; ++i) burst += Frame(Sequenced(i), 9);
+  ASSERT_TRUE(SendAll(fd, burst.data(), burst.size()));
+  ASSERT_TRUE(WaitFor([&] { return rx.unregistered.load(); }));
+  ::close(fd);
+  EXPECT_EQ(fabric.ReaderCount(1), 0u);
+
+  // A task on the dispatch thread may unregister an endpoint too.
+  ASSERT_TRUE(fabric.Register(3, &tx, &rxExec));
+  std::promise<void> done;
+  rxExec.Post([&] {
+    fabric.Unregister(3);
+    done.set_value();
+  });
+  EXPECT_EQ(done.get_future().wait_for(5s), std::future_status::ready);
+  std::this_thread::sleep_for(50ms);  // any frame still buffered would land now
+  EXPECT_EQ(rx.Messages(), 1);
+}
+
+// Stopping every executor and then destroying the fabric — the order a
+// benchmark harness uses — tears the hosted sockets down on the caller.
+TEST(HostedEndpointTest, FabricDestroyedAfterExecutorsStopped) {
+  const auto base = NextBasePort();
+  CountingSink a, b, c;
+  auto execA = std::make_unique<sched::ThreadExecutor>();
+  auto execB = std::make_unique<sched::ThreadExecutor>();
+  auto fabric = std::make_unique<net::TcpFabric>(base);
+  ASSERT_TRUE(fabric->Register(1, &a, execA.get()));
+  ASSERT_TRUE(fabric->Register(2, &b, execB.get()));
+  ASSERT_TRUE(fabric->Register(3, &c, nullptr));
+  for (int i = 0; i < 10; ++i) {
+    fabric->Send(1, 2, SmallMessage());
+    fabric->Send(2, 1, SmallMessage());
+    fabric->Send(3, 1, SmallMessage());
+    fabric->Send(1, 3, SmallMessage());
+  }
+  ASSERT_TRUE(a.WaitMessages(20));
+  ASSERT_TRUE(b.WaitMessages(10));
+  ASSERT_TRUE(c.WaitMessages(10));
+  execA->Stop();
+  execB->Stop();
+  fabric.reset();
+  execA.reset();  // aborts if the fabric left a socket registered on it
+  execB.reset();
+}
+
+// Destroying a ThreadExecutor that still hosts a registered endpoint
+// aborts with a message, rather than leaving the fabric a dangling loop.
+TEST(HostedEndpointDeathTest, ExecutorDestroyedWhileHostingAborts) {
+  const auto base = NextBasePort();
+  EXPECT_DEATH(
+      {
+        CountingSink sink;
+        net::TcpFabric fabric(base);
+        auto exec = std::make_unique<sched::ThreadExecutor>();
+        if (fabric.Register(1, &sink, exec.get())) exec.reset();
+      },
+      "still hosts");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tier-2 soak: the reactor's reason to exist is serving far more sockets
 // than threads. 100 sender addresses each talk to 50 receiver endpoints —
 // 5000 live (from,to) connections, i.e. 10,000 sockets in-process on both
-// ends of the loopback — over FabricOptions::loopThreads event loops.
+// ends of the loopback — over the fabric's two pool event loops.
 // Every pair delivers two waves of messages (the second after the whole
 // mesh is established, exercising connection reuse at scale) and the
 // per-peer counters must still add up.
@@ -59,7 +59,6 @@ TEST(FabricSoakTest, TenThousandSocketMesh) {
   }
 
   net::FabricOptions cfg;
-  cfg.loopThreads = 4;
   cfg.connectTimeout = 10s;  // 5000 concurrent handshakes share the loops
   cfg.writeTimeout = 30s;
   std::vector<std::unique_ptr<CountingSink>> sinks;  // outlive the fabric

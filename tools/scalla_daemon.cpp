@@ -35,6 +35,7 @@
 #include <semaphore>
 #include <sstream>
 
+#include "endpoint_guard.h"
 #include "fed/meta_manager.h"
 #include "net/tcp_fabric.h"
 #include "oss/local_oss.h"
@@ -101,6 +102,7 @@ int main(int argc, char** argv) {
     mcfg.cms = loaded->node.cms;
     mcfg.selection = loaded->node.selection;
     fed::MetaManager meta(mcfg, executor, fabric);
+    const tools::EndpointGuard guard(fabric, mcfg.addr, executor);
     if (!fabric.Register(mcfg.addr, &meta, &executor)) {
       std::fprintf(stderr, "cannot bind 127.0.0.1:%u\n", basePort + mcfg.addr);
       return 1;
@@ -149,6 +151,7 @@ int main(int argc, char** argv) {
       pcfg.diskOss = diskTier.get();
     }
     pcache::ProxyCacheNode proxy(pcfg, executor, fabric);
+    const tools::EndpointGuard guard(fabric, pcfg.addr, executor);
     if (!fabric.Register(pcfg.addr, &proxy, &executor)) {
       std::fprintf(stderr, "cannot bind 127.0.0.1:%u\n", basePort + pcfg.addr);
       return 1;
@@ -189,6 +192,7 @@ int main(int argc, char** argv) {
   xrd::NodeConfig nodeConfig = loaded->node;
   nodeConfig.exportFabricStats = true;
   xrd::ScallaNode node(nodeConfig, executor, fabric, storage.get());
+  const tools::EndpointGuard guard(fabric, loaded->node.addr, executor);
   if (!fabric.Register(loaded->node.addr, &node, &executor)) {
     std::fprintf(stderr, "cannot bind 127.0.0.1:%u\n",
                  basePort + loaded->node.addr);
