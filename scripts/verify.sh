@@ -73,6 +73,9 @@ echo "=== build + test: asan-ubsan preset ==="
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j
 ctest --test-dir build-asan --output-on-failure -j 4 -LE tier2
+# The real-socket chaos and federation suites are tier2, yet their
+# cluster crash, restart and teardown paths are what ASan checks.
+ctest --test-dir build-asan --output-on-failure -R "chaos_test|tcp_federation_test"
 
 echo
 echo "=== build + test (threaded + liveness suites): tsan preset ==="

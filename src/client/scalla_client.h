@@ -72,6 +72,8 @@ class ScallaClient : public net::MessageSink {
  public:
   ScallaClient(const ClientConfig& config, sched::Executor& executor, net::Fabric& fabric);
 
+  const ClientConfig& config() const { return config_; }
+
   using OpenCallback = std::function<void(const OpenOutcome&)>;
   using ReadCallback = std::function<void(proto::XrdErr, std::string data)>;
   using WriteCallback = std::function<void(proto::XrdErr, std::uint32_t written)>;

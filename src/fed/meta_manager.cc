@@ -40,14 +40,14 @@ MetaManager::MetaManager(MetaConfig config, sched::Executor& executor,
              // O(1); there is no subtree below a cluster head to notify.
              [this](const std::string&) { fm_.clusterDeaths.Inc(); }}),
       fm_(metrics_),
-      stats_(config_.addr, executor, fabric, config_.statsTimeout) {}
+      stats_(config_.addr, executor, fabric) {}
 
 MetaManager::~MetaManager() { Stop(); }
 
 void MetaManager::Start() {
   if (started_) return;
   started_ = true;
-  if (config_.startTimers) core_.Start(/*headDuties=*/true);
+  core_.Start(/*headDuties=*/true);
 }
 
 void MetaManager::Stop() {

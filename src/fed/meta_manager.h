@@ -42,8 +42,6 @@ struct MetaConfig {
   // locality * kLocalityScale + its heads' piggybacked load, so nearer
   // clusters win ties. Round-robin ignores locality (still correct).
   cms::SelectCriterion selection = cms::SelectCriterion::kLoad;
-  bool startTimers = true;
-  Duration statsTimeout = std::chrono::seconds(2);
 };
 
 class MetaManager : public net::MessageSink {

@@ -5,8 +5,8 @@
 namespace scalla::obs {
 
 TreeAggregator::TreeAggregator(net::NodeAddr self, sched::Executor& executor,
-                               net::Fabric& fabric, Duration timeout)
-    : self_(self), executor_(executor), fabric_(fabric), timeout_(timeout) {}
+                               net::Fabric& fabric)
+    : self_(self), executor_(executor), fabric_(fabric) {}
 
 void TreeAggregator::OnQuery(net::NodeAddr requester, std::uint64_t reqId,
                              MetricsSnapshot local,
@@ -26,7 +26,7 @@ void TreeAggregator::OnQuery(net::NodeAddr requester, std::uint64_t reqId,
   agg.acc = std::move(local);
   agg.nodeCount = 1;
   agg.outstanding = static_cast<int>(children.size());
-  agg.timer = executor_.RunAfter(timeout_, [this, aggId] { Finish(aggId); });
+  agg.timer = executor_.RunAfter(kTimeout, [this, aggId] { Finish(aggId); });
   for (const net::NodeAddr child : children) {
     fabric_.Send(self_, child, proto::StatsQuery{aggId});
   }

@@ -17,9 +17,12 @@ namespace scalla::obs {
 
 class TreeAggregator {
  public:
+  /// How long a head waits for its children's StatsReply frames before
+  /// answering with whatever the subtree delivered.
+  static constexpr Duration kTimeout = std::chrono::seconds(2);
+
   /// Replies and downward queries are sent from `self`.
-  TreeAggregator(net::NodeAddr self, sched::Executor& executor, net::Fabric& fabric,
-                 Duration timeout);
+  TreeAggregator(net::NodeAddr self, sched::Executor& executor, net::Fabric& fabric);
   ~TreeAggregator() { Cancel(); }
 
   TreeAggregator(const TreeAggregator&) = delete;
@@ -52,7 +55,6 @@ class TreeAggregator {
   const net::NodeAddr self_;
   sched::Executor& executor_;
   net::Fabric& fabric_;
-  const Duration timeout_;
   // Keyed by the reqId of this node's downward queries; replies echo it.
   std::unordered_map<std::uint64_t, Pending> pending_;
   std::uint64_t nextAggId_ = 1;

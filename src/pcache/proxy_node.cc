@@ -4,6 +4,8 @@
 #include <memory>
 #include <utility>
 
+#include "obs/tree_aggregator.h"
+
 namespace scalla::pcache {
 
 namespace {
@@ -542,7 +544,7 @@ void ProxyCacheNode::HandleStatsQuery(net::NodeAddr from, const proto::StatsQuer
         }
         fabric_.Send(config_.addr, from, std::move(reply));
       },
-      config_.statsTimeout);
+      obs::TreeAggregator::kTimeout);
 }
 
 void ProxyCacheNode::HandlePcacheAdmin(net::NodeAddr from, const proto::PcacheAdmin& m) {

@@ -53,7 +53,6 @@ struct ProxyCacheConfig {
   /// simulation). Non-owning; must outlive the proxy.
   oss::Oss* diskOss = nullptr;
   int readAhead = 0;                 // blocks prefetched past a demand miss
-  Duration statsTimeout = std::chrono::seconds(2);  // origin QueryStats wait
 };
 
 class ProxyCacheNode : public net::MessageSink {

@@ -1,6 +1,5 @@
 #include "sim/cluster.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace scalla::sim {
@@ -11,67 +10,45 @@ SimCluster::SimCluster(const ClusterSpec& spec)
       ownedFabric_(std::make_unique<SimFabric>(*ownedEngine_, spec.latency)),
       engine_(ownedEngine_.get()),
       fabric_(ownedFabric_.get()) {
-  Build();
+  Build(1);
 }
 
 SimCluster::SimCluster(const ClusterSpec& spec, EventEngine& engine, SimFabric& fabric,
                        net::NodeAddr firstAddr)
-    : spec_(spec), engine_(&engine), fabric_(&fabric), nextAddr_(firstAddr) {
-  Build();
+    : spec_(spec), engine_(&engine), fabric_(&fabric) {
+  Build(firstAddr);
 }
 
-void SimCluster::Build() {
-  assert(spec_.servers >= 1);
-  assert(spec_.managers >= 1);
-  assert(spec_.fanout >= 2 && spec_.fanout <= kMaxServersPerSet);
-
-  if (spec_.withCnsd) {
-    cnsAddr_ = NextAddr();
-    cns_ = std::make_unique<cnsd::CnsDaemon>(cnsAddr_, *fabric_);
-    fabric_->Register(cnsAddr_, cns_.get());
+void SimCluster::Build(net::NodeAddr firstAddr) {
+  plan_ = PlanCluster(spec_, firstAddr);
+  if (plan_.cnsd != 0) {
+    cns_ = std::make_unique<cnsd::CnsDaemon>(plan_.cnsd, *fabric_);
+    fabric_->Register(plan_.cnsd, cns_.get());
   }
 
-  // The logical head: one manager, or several redundant ones that every
-  // top-level subordinate logs into.
-  std::vector<net::NodeAddr> heads;
-  for (int m = 0; m < spec_.managers; ++m) {
-    xrd::NodeConfig cfg;
-    cfg.role = xrd::NodeRole::kManager;
-    cfg.name = "manager" + std::to_string(m);
-    cfg.addr = NextAddr();
-    cfg.exports = spec_.exports;
-    cfg.cms = spec_.cms;
-    cfg.selection = spec_.selection;
-    cfg.alwaysRespond = spec_.alwaysRespond;
-    cfg.meta = spec_.meta;
-    cfg.clusterName = spec_.clusterName;
-    cfg.locality = spec_.locality;
-    auto node = std::make_unique<xrd::ScallaNode>(cfg, *engine_, *fabric_, nullptr);
+  for (const xrd::NodeConfig& cfg : plan_.nodes) {
+    std::unique_ptr<oss::MemOss> storage;
+    if (cfg.role == xrd::NodeRole::kServer) {
+      storage = spec_.withMss ? std::make_unique<oss::MssOss>(engine_->clock(), spec_.mss)
+                              : std::make_unique<oss::MemOss>(engine_->clock());
+    }
+    auto node = std::make_unique<xrd::ScallaNode>(cfg, *engine_, *fabric_, storage.get());
     fabric_->Register(cfg.addr, node.get());
-    heads.push_back(cfg.addr);
-    managers_.push_back(std::move(node));
+    if (cfg.role == xrd::NodeRole::kManager) {
+      managers_.push_back(std::move(node));
+    } else if (cfg.role == xrd::NodeRole::kSupervisor) {
+      supervisors_.push_back(std::move(node));
+    } else {
+      leaves_.push_back(std::move(node));
+      storages_.push_back(std::move(storage));
+    }
   }
 
-  int maxChildDepth = 0;
-  BuildChildren(heads, spec_.servers, /*level=*/1, &maxChildDepth);
-  depth_ = maxChildDepth + 1;
-
-  if (spec_.withProxy) {
-    pcache::ProxyCacheConfig pcfg;
-    pcfg.addr = NextAddr();
-    pcfg.name = "proxy0";
-    pcfg.origin.head = heads.front();
-    pcfg.origin.extraHeads.assign(heads.begin() + 1, heads.end());
-    pcfg.origin.cnsd = cnsAddr_;
-    pcfg.cache = spec_.proxyCache;
-    pcfg.readAhead = spec_.proxyReadAhead;
-    if (spec_.proxyDiskCapacity > 0) {
+  if (plan_.proxy) {
+    pcache::ProxyCacheConfig pcfg = *plan_.proxy;
+    if (pcfg.diskCapacityBytes > 0) {
       proxyDisk_ = std::make_unique<oss::MemOss>(engine_->clock());
       pcfg.diskOss = proxyDisk_.get();
-      pcfg.diskCapacityBytes = spec_.proxyDiskCapacity;
-      pcfg.diskHighWatermark = spec_.proxyDiskHighWatermark;
-      pcfg.diskLowWatermark = spec_.proxyDiskLowWatermark;
-      pcfg.ghostEntries = spec_.proxyGhostEntries;
     }
     proxy_ = std::make_unique<pcache::ProxyCacheNode>(pcfg, *engine_, *fabric_);
     fabric_->Register(pcfg.addr, proxy_.get());
@@ -83,59 +60,6 @@ SimCluster::~SimCluster() {
   for (auto& m : managers_) m->Stop();
   for (auto& s : supervisors_) s->Stop();
   for (auto& l : leaves_) l->Stop();
-}
-
-void SimCluster::BuildChildren(const std::vector<net::NodeAddr>& parents, int nServers,
-                               int level, int* maxChildDepth) {
-  // Split the servers across at most `fanout` children. A child with one
-  // server is a leaf; a larger share becomes a supervisor subtree.
-  int remaining = nServers;
-  const int children = std::min(spec_.fanout, nServers);
-  for (int c = 0; c < children; ++c) {
-    const int share =
-        remaining / (children - c) + (remaining % (children - c) != 0 ? 1 : 0);
-    const BuildResult child = BuildSubtree(parents, share, level);
-    *maxChildDepth = std::max(*maxChildDepth, child.depth);
-    remaining -= share;
-  }
-}
-
-SimCluster::BuildResult SimCluster::BuildSubtree(const std::vector<net::NodeAddr>& parents,
-                                                 int nServers, int level) {
-  const net::NodeAddr addr = NextAddr();
-  xrd::NodeConfig cfg;
-  cfg.addr = addr;
-  cfg.parent = parents.front();
-  cfg.extraParents.assign(parents.begin() + 1, parents.end());
-  cfg.exports = spec_.exports;
-  cfg.cms = spec_.cms;
-  cfg.selection = spec_.selection;
-  cfg.alwaysRespond = spec_.alwaysRespond;
-
-  if (nServers == 1) {
-    const std::size_t idx = leaves_.size();
-    auto storage = spec_.withMss
-                       ? std::make_unique<oss::MssOss>(engine_->clock(), spec_.mss)
-                       : std::make_unique<oss::MemOss>(engine_->clock());
-    cfg.role = xrd::NodeRole::kServer;
-    cfg.name = "server" + std::to_string(idx);
-    cfg.cnsd = cnsAddr_;  // leaves publish namespace events (0 = none)
-    auto node = std::make_unique<xrd::ScallaNode>(cfg, *engine_, *fabric_, storage.get());
-    fabric_->Register(addr, node.get());
-    leaves_.push_back(std::move(node));
-    storages_.push_back(std::move(storage));
-    return BuildResult{addr, 0};
-  }
-
-  cfg.role = xrd::NodeRole::kSupervisor;
-  cfg.name = "sup" + std::to_string(supervisorSeq_++);
-  auto node = std::make_unique<xrd::ScallaNode>(cfg, *engine_, *fabric_, nullptr);
-  fabric_->Register(addr, node.get());
-  supervisors_.push_back(std::move(node));
-
-  int maxChildDepth = 0;
-  BuildChildren({addr}, nServers, level + 1, &maxChildDepth);
-  return BuildResult{addr, maxChildDepth + 1};
 }
 
 void SimCluster::Start() {
@@ -171,16 +95,8 @@ Result<std::vector<std::string>> SimCluster::ListAndWait(client::ScallaClient& c
 }
 
 client::ScallaClient& SimCluster::NewClient() {
-  client::ClientConfig cfg;
-  cfg.addr = NextAddr();
-  cfg.head = managers_[0]->config().addr;
-  cfg.cnsd = cnsAddr_;
-  if (spec_.clientOpenTimeout > Duration::zero()) {
-    cfg.openTimeout = spec_.clientOpenTimeout;
-  }
-  for (std::size_t m = 1; m < managers_.size(); ++m) {
-    cfg.extraHeads.push_back(managers_[m]->config().addr);
-  }
+  client::ClientConfig cfg = plan_.client;
+  cfg.addr = plan_.nextAddr + static_cast<net::NodeAddr>(clients_.size());
   auto c = std::make_unique<client::ScallaClient>(cfg, *engine_, *fabric_);
   fabric_->Register(cfg.addr, c.get());
   clients_.push_back(std::move(c));
@@ -190,9 +106,9 @@ client::ScallaClient& SimCluster::NewClient() {
 client::ScallaClient& SimCluster::NewProxyClient() {
   assert(proxy_ != nullptr);
   client::ClientConfig cfg;
-  cfg.addr = NextAddr();
+  cfg.addr = plan_.nextAddr + static_cast<net::NodeAddr>(clients_.size());
   cfg.head = proxy_->config().addr;
-  cfg.cnsd = cnsAddr_;
+  cfg.cnsd = plan_.cnsd;
   auto c = std::make_unique<client::ScallaClient>(cfg, *engine_, *fabric_);
   fabric_->Register(cfg.addr, c.get());
   clients_.push_back(std::move(c));

@@ -1,7 +1,8 @@
-// Cluster harness: builds a complete Scalla deployment — 64-ary tree of
-// manager / supervisors / servers (Figure 1), per-leaf storage, clients —
-// inside one discrete-event simulation, and provides synchronous driving
-// helpers for tests, benchmarks and examples.
+// Cluster harness: builds a complete Scalla deployment — the 64-ary tree
+// of manager / supervisors / servers that PlanCluster derives from a
+// ClusterSpec (Figure 1), per-leaf storage, clients — inside one
+// discrete-event simulation, and provides synchronous driving helpers for
+// tests, benchmarks and examples.
 #pragma once
 
 #include <memory>
@@ -14,46 +15,13 @@
 #include "oss/mem_oss.h"
 #include "oss/mss_oss.h"
 #include "pcache/proxy_node.h"
+#include "sim/cluster_plan.h"
 #include "sim/event_engine.h"
 #include "sim/sim_fabric.h"
 #include "util/result.h"
 #include "xrd/scalla_node.h"
 
 namespace scalla::sim {
-
-struct ClusterSpec {
-  int servers = 4;   // leaf data servers
-  int managers = 1;  // redundant logical heads ("which can be one of many")
-  int fanout = kMaxServersPerSet;  // children per head (64 in the paper)
-  std::vector<std::string> exports{"/store"};
-  cms::CmsConfig cms;
-  LatencyModel latency;
-  cms::SelectCriterion selection = cms::SelectCriterion::kRoundRobin;
-  bool alwaysRespond = false;  // E06 baseline protocol
-  bool withMss = false;        // leaves get a staging-capable backend
-  oss::MssConfig mss;
-  bool withCnsd = false;       // run a Cluster Name Space daemon
-  // Proxy cache tier (pcache): one caching proxy fronting the head.
-  bool withProxy = false;
-  pcache::BlockCacheConfig proxyCache;   // DRAM tier
-  // Disk tier (0 disables): simulated with a SimCluster-owned MemOss, so
-  // tests and benches exercise spill/promote/ghost admission without
-  // touching the host file system.
-  std::uint64_t proxyDiskCapacity = 0;
-  double proxyDiskHighWatermark = 0.95;
-  double proxyDiskLowWatermark = 0.80;
-  std::size_t proxyGhostEntries = 0;     // 0 = auto
-  int proxyReadAhead = 0;
-  // Per-attempt open timeout for clients made by NewClient (0 = client
-  // default). Liveness tests shorten it so opens vectored at a wedged
-  // server recover quickly.
-  Duration clientOpenTimeout = Duration::zero();
-  // Federation: when `meta` is set the cluster head subscribes to that
-  // meta-manager under `clusterName` with the given locality weight.
-  net::NodeAddr meta = 0;
-  std::string clusterName;
-  std::uint32_t locality = 0;
-};
 
 class SimCluster {
  public:
@@ -86,7 +54,7 @@ class SimCluster {
 
   /// Tree depth in redirection hops from the head to a leaf (1 when the
   /// manager's children are the servers).
-  int Depth() const { return depth_; }
+  int Depth() const { return plan_.depth; }
 
   /// Creates a client endpoint attached to the head.
   client::ScallaClient& NewClient();
@@ -144,16 +112,7 @@ class SimCluster {
   const ClusterSpec& spec() const { return spec_; }
 
  private:
-  struct BuildResult {
-    net::NodeAddr addr = 0;
-    int depth = 0;
-  };
-  BuildResult BuildSubtree(const std::vector<net::NodeAddr>& parents, int nServers,
-                           int level);
-  void BuildChildren(const std::vector<net::NodeAddr>& parents, int nServers, int level,
-                     int* maxChildDepth);
-  void Build();
-  net::NodeAddr NextAddr() { return nextAddr_++; }
+  void Build(net::NodeAddr firstAddr);
   xrd::ScallaNode* FindNode(net::NodeAddr addr);
 
   ClusterSpec spec_;
@@ -163,12 +122,9 @@ class SimCluster {
   std::unique_ptr<SimFabric> ownedFabric_;
   EventEngine* engine_ = nullptr;
   SimFabric* fabric_ = nullptr;
-  net::NodeAddr nextAddr_ = 1;
-  int depth_ = 0;
-  int supervisorSeq_ = 0;
+  ClusterPlan plan_;
 
   std::unique_ptr<cnsd::CnsDaemon> cns_;
-  net::NodeAddr cnsAddr_ = 0;
   std::vector<std::unique_ptr<xrd::ScallaNode>> managers_;
   std::vector<std::unique_ptr<xrd::ScallaNode>> supervisors_;
   std::vector<std::unique_ptr<xrd::ScallaNode>> leaves_;

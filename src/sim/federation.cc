@@ -12,7 +12,7 @@ constexpr net::NodeAddr kClusterAddrBand = 1000;
 }  // namespace
 
 SimFederation::SimFederation(const FederationSpec& spec)
-    : spec_(spec), fabric_(engine_, spec.latency) {
+    : spec_(spec), fabric_(engine_) {
   assert(spec_.clusters >= 1);
 
   fed::MetaConfig mcfg = spec_.meta;
@@ -36,7 +36,6 @@ SimFederation::SimFederation(const FederationSpec& spec)
     pcfg.addr = nextClientAddr_++;
     pcfg.name = "edge0";
     pcfg.origin.head = mcfg.addr;  // the meta IS the proxy's origin head
-    pcfg.cache = spec_.edgeProxyCache;
     proxy_ = std::make_unique<pcache::ProxyCacheNode>(pcfg, engine_, fabric_);
     fabric_.Register(pcfg.addr, proxy_.get());
   }
@@ -57,9 +56,6 @@ client::ScallaClient& SimFederation::NewClient() {
   client::ClientConfig cfg;
   cfg.addr = nextClientAddr_++;
   cfg.head = meta_->config().addr;
-  if (spec_.cluster.clientOpenTimeout > Duration::zero()) {
-    cfg.openTimeout = spec_.cluster.clientOpenTimeout;
-  }
   auto c = std::make_unique<client::ScallaClient>(cfg, engine_, fabric_);
   fabric_.Register(cfg.addr, c.get());
   clients_.push_back(std::move(c));

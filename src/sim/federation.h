@@ -28,13 +28,11 @@ struct FederationSpec {
   // Meta-manager tier configuration; selection defaults to kLoad so the
   // locality weights below actually steer cross-cluster replica choice.
   fed::MetaConfig meta;
-  LatencyModel latency;
   // Per-cluster locality weight (distance from the meta's site); missing
   // entries default to 0 (= nearest).
   std::vector<std::uint32_t> localities;
   // Federation edge cache: a pcache proxy whose origin head IS the meta.
   bool withEdgeProxy = false;
-  pcache::BlockCacheConfig edgeProxyCache;
 };
 
 class SimFederation {

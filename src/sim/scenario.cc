@@ -62,7 +62,6 @@ ClusterSpec ToClusterSpec(const CampaignSpec& spec) {
   cs.withMss = spec.withMss;
   cs.mss.stageDelay = spec.mssStageDelay;
   cs.withProxy = spec.withProxy;
-  if (spec.withProxy) cs.proxyCache.capacityBytes = spec.proxyCacheBytes;
   return cs;
 }
 
@@ -247,8 +246,8 @@ CampaignResult RunCampaign(const CampaignSpec& spec) {
   // ---- namespace ----
   std::vector<std::string> paths;
   if (spec.filesInMss) {
-    // MSS-resident namespace: files exist on tape, not on any leaf disk;
-    // the first open of each must trigger (exactly one) stage.
+    // MSS-resident namespace: one-byte files exist on tape, not on any
+    // leaf disk; the first open of each must trigger (exactly one) stage.
     paths.reserve(spec.files);
     const std::size_t nServers = cluster.ServerCount();
     for (std::size_t i = 0; i < spec.files; ++i) {
@@ -257,13 +256,13 @@ CampaignResult RunCampaign(const CampaignSpec& spec) {
       for (int c = 0; c < copies; ++c) {
         const std::size_t s = rng.NextBelow(nServers);
         if (oss::MssOss* mss = cluster.mssStorage(s)) {
-          mss->PutInMss(path, std::max<std::size_t>(spec.fileBytes, 1));
+          mss->PutInMss(path, 1);
         }
       }
       paths.push_back(std::move(path));
     }
   } else {
-    paths = PopulateFiles(cluster, spec.files, spec.replication, rng, spec.fileBytes);
+    paths = PopulateFiles(cluster, spec.files, spec.replication, rng);
   }
 
   // ---- client pool ----

@@ -108,12 +108,10 @@ struct CampaignSpec {
   bool withMss = false;
   Duration mssStageDelay = std::chrono::milliseconds(200);
   bool withProxy = false;      // pool actors open through the pcache proxy
-  std::size_t proxyCacheBytes = 64 << 20;
 
   // ---- namespace ----
   std::size_t files = 1024;
   int replication = 2;
-  std::size_t fileBytes = 0;
   bool filesInMss = false;     // files start MSS-resident (staging storms)
 
   // ---- client population ----

@@ -5,9 +5,8 @@
 
 namespace scalla::sim {
 
-SimFabric::SimFabric(EventEngine& engine, LatencyModel model, std::uint64_t seed,
-                     net::FabricOptions options)
-    : engine_(engine), model_(model), rng_(seed), options_(options) {}
+SimFabric::SimFabric(EventEngine& engine, LatencyModel model, net::FabricOptions options)
+    : engine_(engine), model_(model), options_(options) {}
 
 void SimFabric::Register(net::NodeAddr addr, net::MessageSink* sink) {
   sinks_[addr] = sink;
@@ -54,12 +53,7 @@ void SimFabric::Send(net::NodeAddr from, net::NodeAddr to, proto::Message messag
     return;
   }
   ++inFlight;
-  Duration wire = model_.linkLatency;
-  if (model_.jitter > Duration::zero()) {
-    wire += Duration(static_cast<std::int64_t>(
-        rng_.NextBelow(static_cast<std::uint64_t>(model_.jitter.count()))));
-  }
-  wire += verdict.delay;
+  const Duration wire = model_.linkLatency + verdict.delay;
   // Single-threaded receiver model: the message starts service when it
   // arrives AND the receiver is free; handler runs at service completion.
   TimePoint deliverAt = engine_.Now() + wire + model_.serviceTime;

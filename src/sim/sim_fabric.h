@@ -1,7 +1,7 @@
 // In-process message fabric with a configurable latency model, driven by
 // the discrete-event engine. Reproduces the paper's LAN environment shape:
 // a per-link one-way latency (default 25 us) plus a per-message CPU
-// service time (default 5 us), with optional jitter. Implements the full
+// service time (default 5 us). Implements the full
 // net::FaultInjector surface (down, cut, drop, delay, wedge) so chaos
 // scenarios written against net::Fabric* run unchanged over the simulator
 // and over real sockets, and per-message-type counters for the
@@ -16,14 +16,12 @@
 #include "net/fabric.h"
 #include "net/fault_table.h"
 #include "sim/event_engine.h"
-#include "util/rng.h"
 
 namespace scalla::sim {
 
 struct LatencyModel {
   Duration linkLatency = std::chrono::microseconds(25);   // one-way wire+stack
   Duration serviceTime = std::chrono::microseconds(5);    // receiver CPU cost
-  Duration jitter = Duration::zero();                     // uniform [0, jitter)
   // When true (default) each endpoint serves messages one at a time, so
   // offered load queues behind a busy receiver — the contention that makes
   // "redirection time rises with a very low linear slope as load
@@ -39,7 +37,6 @@ class SimFabric final : public net::Fabric {
   /// bound) and ignores the socket-level knobs (timeouts, sendBufferBytes),
   /// which have no in-process analogue.
   explicit SimFabric(EventEngine& engine, LatencyModel model = {},
-                     std::uint64_t seed = 0xfab41cULL,
                      net::FabricOptions options = {});
 
   /// Registers an endpoint. Delivery runs as an engine event.
@@ -83,7 +80,6 @@ class SimFabric final : public net::Fabric {
 
   EventEngine& engine_;
   LatencyModel model_;
-  util::Rng rng_;
   net::FabricOptions options_;
   std::unordered_map<net::NodeAddr, net::MessageSink*> sinks_;
   std::unordered_map<net::NodeAddr, TimePoint> busyUntil_;  // per-receiver queue

@@ -62,24 +62,21 @@ WorkloadResult RunOpenStream(SimCluster& cluster, client::ScallaClient& client,
   return result;
 }
 
-WorkloadResult RunClosedLoopLoad(SimCluster& cluster,
-                                 const std::vector<client::ScallaClient*>& clients,
-                                 std::size_t nClients,
+WorkloadResult RunClosedLoopLoad(SimCluster& cluster, std::size_t nClients,
                                  const std::vector<std::string>& paths,
                                  std::size_t totalOps, double zipfS, util::Rng& rng) {
+  struct Loop {
+    client::ScallaClient* client;
+  };
+  std::vector<Loop> loops;
+  loops.reserve(nClients);
+  for (std::size_t i = 0; i < nClients; ++i) loops.push_back({&cluster.NewClient()});
+
   WorkloadResult result;
   const auto wallStart = std::chrono::steady_clock::now();
   const TimePoint simStart = cluster.engine().Now();
   const util::ZipfSampler zipf(paths.size(), zipfS);
   std::size_t issued = 0;
-
-  struct Loop {
-    client::ScallaClient* client;
-  };
-  std::vector<Loop> loops;
-  nClients = std::min(nClients, clients.size());
-  loops.reserve(nClients);
-  for (std::size_t i = 0; i < nClients; ++i) loops.push_back({clients[i]});
 
   // Each completion immediately issues the next open; captures reference
   // state that outlives every callback (function-local, driven below).
@@ -108,15 +105,6 @@ WorkloadResult RunClosedLoopLoad(SimCluster& cluster,
   result.simElapsed = cluster.engine().Now() - simStart;
   result.wallSeconds = WallSecondsSince(wallStart);
   return result;
-}
-
-WorkloadResult RunClosedLoopLoad(SimCluster& cluster, std::size_t nClients,
-                                 const std::vector<std::string>& paths,
-                                 std::size_t totalOps, double zipfS, util::Rng& rng) {
-  std::vector<client::ScallaClient*> clients;
-  clients.reserve(nClients);
-  for (std::size_t i = 0; i < nClients; ++i) clients.push_back(&cluster.NewClient());
-  return RunClosedLoopLoad(cluster, clients, nClients, paths, totalOps, zipfS, rng);
 }
 
 }  // namespace scalla::sim

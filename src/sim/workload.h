@@ -49,14 +49,4 @@ WorkloadResult RunClosedLoopLoad(SimCluster& cluster, std::size_t nClients,
                                  const std::vector<std::string>& paths,
                                  std::size_t totalOps, double zipfS, util::Rng& rng);
 
-/// Closed-loop load over caller-provided client endpoints (the scenario
-/// factory reuses one bounded actor pool across load phases instead of
-/// registering fresh fabric endpoints per phase). Only the first
-/// `nClients` of `clients` participate.
-WorkloadResult RunClosedLoopLoad(SimCluster& cluster,
-                                 const std::vector<client::ScallaClient*>& clients,
-                                 std::size_t nClients,
-                                 const std::vector<std::string>& paths,
-                                 std::size_t totalOps, double zipfS, util::Rng& rng);
-
 }  // namespace scalla::sim

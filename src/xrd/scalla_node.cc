@@ -14,6 +14,11 @@ using cms::LocateStatus;
 
 namespace {
 
+// Free space a leaf reports is this capacity less what its storage holds.
+constexpr std::uint64_t kAssumedCapacity = std::uint64_t{1} << 40;  // 1 TB
+// The longest wait a leaf hands a client whose file is being staged.
+constexpr Duration kStagePollHint = std::chrono::seconds(5);
+
 AccessMode ModeOf(std::uint8_t raw) {
   return raw == 0 ? AccessMode::kRead : AccessMode::kWrite;
 }
@@ -50,7 +55,7 @@ ScallaNode::ScallaNode(NodeConfig config, sched::Executor& executor, net::Fabric
             {"node.", &CmsQueryFrame, [](ServerSlot, std::uint32_t load) { return load; },
              [this](const std::string& name) { FanToSupervisors(proto::CmsDeath{name}); }}),
       nm_(metrics_),
-      stats_(config_.addr, executor, fabric, config_.statsTimeout) {
+      stats_(config_.addr, executor, fabric) {
   if (config_.parent != 0) parents_.push_back(config_.parent);
   for (const net::NodeAddr p : config_.extraParents) {
     if (p != 0) parents_.push_back(p);
@@ -76,7 +81,6 @@ void ScallaNode::Start() {
   if (started_) return;
   started_ = true;
   if (!parents_.empty()) SendLogins();
-  if (!config_.startTimers) return;
   core_.Start(IsHead());
   if (config_.role == NodeRole::kServer && config_.loadReportInterval > Duration::zero()) {
     loadTimer_ = executor_.RunEvery(config_.loadReportInterval, [this] {
@@ -248,8 +252,7 @@ obs::MetricsSnapshot ScallaNode::SnapshotMetrics() const {
 std::pair<std::uint32_t, std::uint64_t> ScallaNode::CurrentLoad() const {
   if (config_.role != NodeRole::kServer || storage_ == nullptr) return {0, 0};
   const std::uint64_t used = storage_->UsedBytes().value_or(0);
-  const std::uint64_t free =
-      used < config_.assumedCapacity ? config_.assumedCapacity - used : 0;
+  const std::uint64_t free = used < kAssumedCapacity ? kAssumedCapacity - used : 0;
   return {static_cast<std::uint32_t>(openFiles_.size()), free};
 }
 
@@ -624,8 +627,8 @@ void ScallaNode::LeafOpen(net::NodeAddr from, const proto::XrdOpen& m) {
       // Kick (or poll) the stage and tell the client how long to wait.
       const auto remaining = storage_->BeginStage(m.path);
       resp.status = proto::XrdStatus::kWait;
-      const Duration wait = remaining.value_or(config_.stagePollHint);
-      resp.waitNs = std::min(wait, config_.stagePollHint).count();
+      const Duration wait = remaining.value_or(kStagePollHint);
+      resp.waitNs = std::min(wait, kStagePollHint).count();
       if (resp.waitNs <= 0) resp.waitNs = Duration(std::chrono::milliseconds(1)).count();
       nm_.waitsIssued.Inc();
       break;

@@ -50,17 +50,11 @@ struct NodeConfig {
   cms::SelectCriterion selection = cms::SelectCriterion::kRoundRobin;
   bool allowWrite = true;
   bool alwaysRespond = false;    // E06 baseline: emit explicit CmsNoHave
-  bool startTimers = true;       // window tick / sweep / drop scan
   net::NodeAddr cnsd = 0;        // Cluster Name Space daemon to notify (0 = none)
   Duration loginRetry = std::chrono::seconds(2);
-  Duration stagePollHint = std::chrono::seconds(5);  // wait we hand staging clients
   // Periodic load/space reports to parents (selection metrics, paper
   // section II-B3). Zero disables; tests may call ReportLoad directly.
   Duration loadReportInterval = Duration::zero();
-  std::uint64_t assumedCapacity = std::uint64_t{1} << 40;  // 1 TB default
-  // How long a head waits for subordinate StatsReply frames before
-  // answering a StatsQuery with whatever the subtree delivered.
-  Duration statsTimeout = std::chrono::seconds(2);
   // Federation (managers only): subscribe this cluster into a meta-manager
   // so clients holding only the meta's address can reach files here. The
   // manager answers the meta's FedQuery floods by resolving within its own

@@ -8,10 +8,10 @@
 #include <set>
 
 #include "client/sync_client.h"
-#include "net/tcp_fabric.h"
 #include "oss/mem_oss.h"
-#include "sched/thread_executor.h"
 #include "sim/cluster.h"
+#include "sim/tcp_cluster.h"
+#include "tcp_test_support.h"
 #include "sim/workload.h"
 
 namespace scalla::sim {
@@ -138,123 +138,41 @@ TEST(ChaosTest, FullServerCreationFailsOverToEmptyOne) {
 
 class TcpChaosTest : public ::testing::Test {
  protected:
-  // Distinct band from tcp_cluster_test (24000+), pcache_test (27000+)
-  // and tcp_fabric_test (30000+).
-  static std::uint16_t NextBasePort() {
-    static std::atomic<std::uint16_t> next{21000};
-    return next.fetch_add(200);
+  void SetUp() override { Build(); }
+
+  // Stands up manager + 3 servers + sync client, honouring whatever spec_
+  // tuning the fixture applied first.
+  void Build() {
+    spec_.servers = 3;
+    spec_.cms.deadline = std::chrono::milliseconds(500);
+    spec_.cms.sweepPeriod = std::chrono::milliseconds(50);
+    auto made = TcpCluster::Create(spec_, NextBasePort(PortBand::kChaos));
+    ASSERT_TRUE(made.ok()) << made.error().message;
+    cluster_ = std::move(made).value();
+    client_ = cluster_->NewClient(syncTimeout_);
+    ASSERT_NE(client_, nullptr);
   }
 
-  void SetUp() override {
-    cms_.deadline = std::chrono::milliseconds(500);
-    cms_.sweepPeriod = std::chrono::milliseconds(50);
-    BuildTree(NextBasePort());
-  }
+  net::NodeAddr Addr(std::size_t server) { return cluster_->server(server).config().addr; }
 
-  // Stands up manager + 3 servers + sync client on `basePort`, honouring
-  // whatever cms_ tuning the fixture applied first.
-  void BuildTree(std::uint16_t basePort) {
-    fabric_ = std::make_unique<net::TcpFabric>(basePort);
-
-    xrd::NodeConfig mgr;
-    mgr.role = xrd::NodeRole::kManager;
-    mgr.name = "manager";
-    mgr.addr = 1;
-    mgr.exports = {"/store"};
-    mgr.cms = cms_;
-    managerExec_ = std::make_unique<sched::ThreadExecutor>();
-    manager_ = std::make_unique<xrd::ScallaNode>(mgr, *managerExec_, *fabric_, nullptr);
-    ASSERT_TRUE(fabric_->Register(1, manager_.get(), managerExec_.get()));
-    manager_->Start();
-
-    for (int i = 0; i < 3; ++i) StartServer(static_cast<net::NodeAddr>(10 + i));
-    WaitMembers(3);
-
-    client::ClientConfig cc;
-    cc.addr = 100;
-    cc.head = 1;
-    clientExec_ = std::make_unique<sched::ThreadExecutor>();
-    client_ = std::make_unique<client::SyncClient>(cc, *clientExec_, *fabric_,
-                                                   syncTimeout_);
-    ASSERT_TRUE(fabric_->Register(100, &client_->async(), clientExec_.get()));
-  }
-
-  void TearDown() override {
-    if (manager_) manager_->Stop();
-    for (auto& node : nodes_) node->Stop();
-    // Quiesce inbound delivery first: Unregister joins each endpoint's
-    // reader threads, so nothing posts new work to the executors below.
-    if (fabric_) {
-      fabric_->Unregister(100);
-      for (const auto& [addr, idx] : addrToIdx_) fabric_->Unregister(addr);
-      fabric_->Unregister(1);
-    }
-    // Join the executors while the fabric is still alive: already-queued
-    // tasks may still call Send, which now just drops (endpoints gone).
-    client_.reset();
-    clientExec_.reset();
-    execs_.clear();
-    managerExec_.reset();
-    fabric_.reset();
-  }
-
-  void StartServer(net::NodeAddr addr) {
-    xrd::NodeConfig leaf;
-    leaf.role = xrd::NodeRole::kServer;
-    leaf.name = "server" + std::to_string(addr);
-    leaf.addr = addr;
-    leaf.parent = 1;
-    leaf.exports = {"/store"};
-    leaf.cms = cms_;
-    leaf.loginRetry = std::chrono::milliseconds(100);
-    execs_.push_back(std::make_unique<sched::ThreadExecutor>());
-    storages_.push_back(std::make_unique<oss::MemOss>(execs_.back()->clock()));
-    nodes_.push_back(std::make_unique<xrd::ScallaNode>(leaf, *execs_.back(), *fabric_,
-                                                       storages_.back().get()));
-    addrToIdx_[addr] = nodes_.size() - 1;
-    ASSERT_TRUE(fabric_->Register(addr, nodes_.back().get(), execs_.back().get()));
-    nodes_.back()->Start();
-  }
-
-  void WaitMembers(std::size_t n) {
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (manager_->membership().MemberCount() < n &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ASSERT_GE(manager_->membership().MemberCount(), n);
-  }
-
-  oss::MemOss& StorageOf(net::NodeAddr addr) {
-    return *storages_[addrToIdx_.at(addr)];
-  }
-
-  std::unique_ptr<net::TcpFabric> fabric_;
-  cms::CmsConfig cms_;
+  ClusterSpec spec_;
   Duration syncTimeout_ = std::chrono::seconds(20);
-  std::unique_ptr<sched::ThreadExecutor> managerExec_;
-  std::unique_ptr<xrd::ScallaNode> manager_;
-  std::vector<std::unique_ptr<sched::ThreadExecutor>> execs_;
-  std::vector<std::unique_ptr<oss::MemOss>> storages_;
-  std::vector<std::unique_ptr<xrd::ScallaNode>> nodes_;
-  std::map<net::NodeAddr, std::size_t> addrToIdx_;
-  std::unique_ptr<sched::ThreadExecutor> clientExec_;
-  std::unique_ptr<client::SyncClient> client_;
+  std::unique_ptr<TcpCluster> cluster_;
+  client::SyncClient* client_ = nullptr;
 };
 
 TEST_F(TcpChaosTest, WorkloadSurvivesCrashRestartCyclesOverTcp) {
   // Every file on two replicas; crash one server per round (full endpoint
   // teardown — its connections die mid-protocol) and restart it fresh.
-  for (int f = 0; f < 6; ++f) {
+  for (std::size_t f = 0; f < 6; ++f) {
     const std::string path = "/store/f" + std::to_string(f);
-    StorageOf(static_cast<net::NodeAddr>(10 + f % 3)).Put(path, "data");
-    StorageOf(static_cast<net::NodeAddr>(10 + (f + 1) % 3)).Put(path, "data");
+    cluster_->storage(f % 3).Put(path, "data");
+    cluster_->storage((f + 1) % 3).Put(path, "data");
   }
 
-  for (int round = 0; round < 3; ++round) {
-    const auto victim = static_cast<net::NodeAddr>(10 + round % 3);
-    nodes_[addrToIdx_.at(victim)]->Stop();
-    fabric_->Unregister(victim);
+  for (std::size_t round = 0; round < 3; ++round) {
+    const std::size_t victim = round % 3;
+    cluster_->CrashServer(victim);
 
     for (int i = 0; i < 6; ++i) {
       const std::string path = "/store/f" + std::to_string(i);
@@ -264,17 +182,9 @@ TEST_F(TcpChaosTest, WorkloadSurvivesCrashRestartCyclesOverTcp) {
       EXPECT_EQ(data.value(), "data");
     }
 
-    // Restart the victim on the same address with fresh state (the files
-    // it held come back with it, like a rebooted data server).
-    std::vector<std::string> held;
-    for (int f = 0; f < 6; ++f) {
-      const auto a = static_cast<net::NodeAddr>(10 + f % 3);
-      const auto b = static_cast<net::NodeAddr>(10 + (f + 1) % 3);
-      if (a == victim || b == victim) held.push_back("/store/f" + std::to_string(f));
-    }
-    StartServer(victim);
-    for (const auto& path : held) StorageOf(victim).Put(path, "data");
-    WaitMembers(3);
+    // Restart the victim as a fresh node on the same address; the files it
+    // held come back with its storage, like a rebooted data server's.
+    ASSERT_TRUE(cluster_->RestartServer(victim).ok());
   }
 }
 
@@ -283,26 +193,27 @@ TEST_F(TcpChaosTest, InjectedPartitionRecoversViaRefreshAvoid) {
   // (injected partition — the leaf is healthy, the manager still lists
   // it). Every open must land on the reachable replica through the
   // paper's refresh/avoid recovery, and heal when the partition does.
-  StorageOf(10).Put("/store/part", "x");
-  StorageOf(11).Put("/store/part", "x");
+  cluster_->storage(0).Put("/store/part", "x");
+  cluster_->storage(1).Put("/store/part", "x");
   const auto warm = client_->Open("/store/part", AccessMode::kRead);
   ASSERT_EQ(warm.err, proto::XrdErr::kNone);
   (void)client_->Close(warm.file);
 
-  fabric_->SetLinkCut(100, 10, true);
+  const net::NodeAddr me = client_->async().config().addr;
+  cluster_->fabric().SetLinkCut(me, Addr(0), true);
   for (int i = 0; i < 4; ++i) {
     const auto open = client_->Open("/store/part", AccessMode::kRead);
     ASSERT_EQ(open.err, proto::XrdErr::kNone)
         << i << " redirects=" << open.redirects << " waits=" << open.waits
         << " recoveries=" << open.recoveries;
-    EXPECT_EQ(open.file.node, 11u) << i;
+    EXPECT_EQ(open.file.node, Addr(1)) << i;
     const auto data = client_->Read(open.file, 0, 8);
     ASSERT_TRUE(data.ok());
     EXPECT_EQ(data.value(), "x");
     (void)client_->Close(open.file);
   }
 
-  fabric_->SetLinkCut(100, 10, false);
+  cluster_->fabric().SetLinkCut(me, Addr(0), false);
   // Healed: both replicas are reachable again; opens succeed either way.
   const auto open = client_->Open("/store/part", AccessMode::kRead);
   ASSERT_EQ(open.err, proto::XrdErr::kNone);
@@ -319,112 +230,95 @@ TEST_F(TcpChaosTest, InjectedPartitionRecoversViaRefreshAvoid) {
 
 class TcpLivenessTest : public TcpChaosTest {
  protected:
-  // Own band: between TcpChaosTest (21000+) and tcp_cluster_test (24000+).
-  static std::uint16_t NextLivenessBasePort() {
-    static std::atomic<std::uint16_t> next{22500};
-    return next.fetch_add(200);
-  }
-
   void SetUp() override {
-    cms_.deadline = std::chrono::milliseconds(500);
-    cms_.sweepPeriod = std::chrono::milliseconds(50);
-    cms_.ping = std::chrono::milliseconds(150);
-    cms_.missLimit = 3;
-    cms_.suspendLoad = 100;
-    cms_.resumeLoad = 40;
-    cms_.dropDelay = std::chrono::minutes(30);  // the dead stay members
+    spec_.cms.ping = std::chrono::milliseconds(150);
+    spec_.cms.missLimit = 3;
+    spec_.cms.suspendLoad = 100;
+    spec_.cms.resumeLoad = 40;
+    spec_.cms.dropDelay = std::chrono::minutes(30);  // the dead stay members
     // Every operation here either completes in milliseconds or is
     // expected to fail; cap how long a deliberate not-found can grind
     // through the client's recovery cycles.
     syncTimeout_ = std::chrono::seconds(5);
-    BuildTree(NextLivenessBasePort());
+    Build();
   }
 
-  void Wedge(net::NodeAddr addr, bool on) { fabric_->SetWedged(addr, on); }
+  void Wedge(std::size_t server, bool on) { cluster_->fabric().SetWedged(Addr(server), on); }
 
-  // Polls a predicate evaluated against live node state (the repo's
-  // cross-thread test idiom, as in WaitMembers).
-  template <typename Pred>
-  [[nodiscard]] bool WaitFor(Pred pred,
-                             std::chrono::seconds timeout = std::chrono::seconds(10)) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (pred()) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return pred();
+  // The head's membership view is internally locked: safe from the test
+  // thread, unlike the node's own actor state.
+  cms::Membership& Members() { return cluster_->head().membership(); }
+
+  obs::MetricsSnapshot HeadMetrics() {
+    xrd::ScallaNode& head = cluster_->head();
+    return cluster_->RunOn(head.config().addr, [&head] { return head.SnapshotMetrics(); });
   }
 
-  // Resolves a server's slot through Membership (internally locked — safe
-  // from the test thread, unlike the node's own actor state).
-  ServerSlot SlotOf(net::NodeAddr addr) {
-    const auto slot =
-        manager_->membership().SlotOf("server" + std::to_string(addr));
+  // Resolves a server's slot at the head by its planned name.
+  ServerSlot SlotOf(std::size_t server) {
+    const auto slot = Members().SlotOf(cluster_->server(server).config().name);
     EXPECT_TRUE(slot.has_value());
     return slot.value_or(0);
   }
 };
 
 TEST_F(TcpLivenessTest, WedgedServerDiesIsAvoidedAndRejoinsOnHeal) {
-  StorageOf(10).Put("/store/live", "x");
-  StorageOf(11).Put("/store/live", "x");
-  StorageOf(10).Put("/store/only10", "x");  // sole replica on the victim
-  const auto slot = SlotOf(10);
+  cluster_->storage(0).Put("/store/live", "x");
+  cluster_->storage(1).Put("/store/live", "x");
+  cluster_->storage(0).Put("/store/only0", "x");  // sole replica on the victim
+  const auto slot = SlotOf(0);
 
-  Wedge(10, true);
+  Wedge(0, true);
   // Ping x misslimit is 450 ms; give the real clock ample slack but
   // require the death verdict to come from the heartbeat alone.
-  ASSERT_TRUE(WaitFor([&] { return !manager_->membership().OnlineSet().test(slot); }));
-  EXPECT_GE(manager_->SnapshotMetrics().Counter("membership.deaths"), 1u);
+  ASSERT_TRUE(WaitFor([&] { return !Members().OnlineSet().test(slot); }));
+  EXPECT_GE(HeadMetrics().Counter("membership.deaths"), 1u);
 
   // Dead means gone from resolution: every open lands on the live replica,
   // and the file whose only holder died is honestly not found.
   for (int i = 0; i < 4; ++i) {
     const auto open = client_->Open("/store/live", AccessMode::kRead);
     ASSERT_EQ(open.err, proto::XrdErr::kNone) << i;
-    EXPECT_EQ(open.file.node, 11u) << i;
+    EXPECT_EQ(open.file.node, Addr(1)) << i;
     (void)client_->Close(open.file);
   }
-  EXPECT_NE(client_->Open("/store/only10", AccessMode::kRead).err,
+  EXPECT_NE(client_->Open("/store/only0", AccessMode::kRead).err,
             proto::XrdErr::kNone);
 
   // Heal the loss: the next probe's reconnect invitation brings it back,
   // and the paths only it holds resolve again — no full refresh involved.
-  Wedge(10, false);
-  ASSERT_TRUE(WaitFor([&] { return manager_->membership().IsSelectable(slot); }));
-  EXPECT_GE(manager_->SnapshotMetrics().Counter("membership.rejoins"), 1u);
+  Wedge(0, false);
+  ASSERT_TRUE(WaitFor([&] { return Members().IsSelectable(slot); }));
+  EXPECT_GE(HeadMetrics().Counter("membership.rejoins"), 1u);
 
-  const auto back = client_->Open("/store/only10", AccessMode::kRead);
+  const auto back = client_->Open("/store/only0", AccessMode::kRead);
   ASSERT_EQ(back.err, proto::XrdErr::kNone)
       << "redirects=" << back.redirects << " waits=" << back.waits;
-  EXPECT_EQ(back.file.node, 10u);
+  EXPECT_EQ(back.file.node, Addr(0));
   (void)client_->Close(back.file);
 }
 
 TEST_F(TcpLivenessTest, OverloadSuspendsAndResumesOverTcp) {
-  StorageOf(10).Put("/store/s", "x");
-  StorageOf(11).Put("/store/s", "x");
-  const auto slot = SlotOf(10);
+  cluster_->storage(0).Put("/store/s", "x");
+  cluster_->storage(1).Put("/store/s", "x");
+  const auto slot = SlotOf(0);
 
-  // The server reports overload from its own executor thread, as the
-  // periodic load reporter would.
-  xrd::ScallaNode* victim = nodes_[addrToIdx_.at(10)].get();
-  execs_[addrToIdx_.at(10)]->Post(
-      [victim] { victim->ReportLoad(150, std::uint64_t{1} << 30); });
-  ASSERT_TRUE(
-      WaitFor([&] { return manager_->membership().SuspendedSet().test(slot); }));
-  EXPECT_TRUE(manager_->membership().OnlineSet().test(slot));  // alive, just busy
+  // The server reports overload from its own loop, as the periodic load
+  // reporter would.
+  xrd::ScallaNode& victim = cluster_->server(0);
+  cluster_->RunOn(Addr(0), [&victim] { victim.ReportLoad(150, std::uint64_t{1} << 30); });
+  ASSERT_TRUE(WaitFor([&] { return Members().SuspendedSet().test(slot); }));
+  EXPECT_TRUE(Members().OnlineSet().test(slot));  // alive, just busy
 
   for (int i = 0; i < 4; ++i) {
     const auto open = client_->Open("/store/s", AccessMode::kRead);
     ASSERT_EQ(open.err, proto::XrdErr::kNone) << i;
-    EXPECT_EQ(open.file.node, 11u) << i;
+    EXPECT_EQ(open.file.node, Addr(1)) << i;
     (void)client_->Close(open.file);
   }
 
-  execs_[addrToIdx_.at(10)]->Post(
-      [victim] { victim->ReportLoad(30, std::uint64_t{1} << 30); });
-  ASSERT_TRUE(WaitFor([&] { return manager_->membership().IsSelectable(slot); }));
+  cluster_->RunOn(Addr(0), [&victim] { victim.ReportLoad(30, std::uint64_t{1} << 30); });
+  ASSERT_TRUE(WaitFor([&] { return Members().IsSelectable(slot); }));
   std::set<net::NodeAddr> landed;
   for (int i = 0; i < 6; ++i) {
     const auto open = client_->Open("/store/s", AccessMode::kRead);
@@ -432,29 +326,30 @@ TEST_F(TcpLivenessTest, OverloadSuspendsAndResumesOverTcp) {
     landed.insert(open.file.node);
     (void)client_->Close(open.file);
   }
-  EXPECT_EQ(landed.count(10), 1u);
+  EXPECT_EQ(landed.count(Addr(0)), 1u);
 }
 
 TEST_F(TcpLivenessTest, OperatorDrainOverTcp) {
-  StorageOf(10).Put("/store/d", "x");
-  StorageOf(11).Put("/store/d", "x");
-  const auto slot = SlotOf(10);
+  cluster_->storage(0).Put("/store/d", "x");
+  cluster_->storage(1).Put("/store/d", "x");
+  const auto slot = SlotOf(0);
+  const std::string victim = cluster_->server(0).config().name;
 
-  const auto drained = client_->Drain("server10");
+  const auto drained = client_->Drain(victim);
   ASSERT_TRUE(drained.ok()) << drained.error().message;
   EXPECT_TRUE(drained.value().applied);
-  EXPECT_TRUE(manager_->membership().DrainingSet().test(slot));
+  EXPECT_TRUE(Members().DrainingSet().test(slot));
 
   for (int i = 0; i < 4; ++i) {
     const auto open = client_->Open("/store/d", AccessMode::kRead);
     ASSERT_EQ(open.err, proto::XrdErr::kNone) << i;
-    EXPECT_EQ(open.file.node, 11u) << i;
+    EXPECT_EQ(open.file.node, Addr(1)) << i;
     (void)client_->Close(open.file);
   }
 
-  const auto restored = client_->Drain("server10", /*restore=*/true);
+  const auto restored = client_->Drain(victim, /*restore=*/true);
   ASSERT_TRUE(restored.ok()) << restored.error().message;
-  ASSERT_TRUE(WaitFor([&] { return manager_->membership().IsSelectable(slot); }));
+  ASSERT_TRUE(WaitFor([&] { return Members().IsSelectable(slot); }));
   std::set<net::NodeAddr> landed;
   for (int i = 0; i < 6; ++i) {
     const auto open = client_->Open("/store/d", AccessMode::kRead);
@@ -462,7 +357,7 @@ TEST_F(TcpLivenessTest, OperatorDrainOverTcp) {
     landed.insert(open.file.node);
     (void)client_->Close(open.file);
   }
-  EXPECT_EQ(landed.count(10), 1u);
+  EXPECT_EQ(landed.count(Addr(0)), 1u);
 
   const auto unknown = client_->Drain("nosuchserver");
   ASSERT_FALSE(unknown.ok());

@@ -14,13 +14,11 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <functional>
 #include <future>
@@ -33,63 +31,12 @@
 #include "sched/thread_executor.h"
 #include "sim/event_engine.h"
 #include "sim/sim_fabric.h"
+#include "tcp_test_support.h"
 
 namespace scalla {
 namespace {
 
 using namespace std::chrono_literals;
-
-// Own band: above bench_fabric (14000–15536) and below the fabric soak
-// (18000). Every band stays below the ephemeral port range (32768+) so a
-// leftover outbound socket can never squat on a listener port.
-std::uint16_t NextBasePort() {
-  static std::atomic<std::uint16_t> next{16500};
-  return next.fetch_add(100);
-}
-
-struct CountingSink : net::MessageSink {
-  std::mutex mu;
-  std::condition_variable cv;
-  int messages = 0;
-  int peerDowns = 0;
-  std::uint64_t payloadBytes = 0;  // total XrdWrite data received
-  bool payloadIntact = true;       // every XrdWrite data byte was 'w'
-
-  void OnMessage(net::NodeAddr, proto::Message message) override {
-    std::lock_guard lock(mu);
-    ++messages;
-    if (const auto* write = std::get_if<proto::XrdWrite>(&message)) {
-      payloadBytes += write->data.size();
-      for (const char c : write->data) {
-        if (c != 'w') payloadIntact = false;
-      }
-    }
-    cv.notify_all();
-  }
-  void OnPeerDown(net::NodeAddr) override {
-    std::lock_guard lock(mu);
-    ++peerDowns;
-    cv.notify_all();
-  }
-  int Messages() {
-    std::lock_guard lock(mu);
-    return messages;
-  }
-  int PeerDowns() {
-    std::lock_guard lock(mu);
-    return peerDowns;
-  }
-  bool WaitMessages(int n, Duration timeout = 10s) {
-    std::unique_lock lock(mu);
-    return cv.wait_for(lock, timeout, [&] { return messages >= n; });
-  }
-  bool WaitPeerDowns(int n, Duration timeout = 10s) {
-    std::unique_lock lock(mu);
-    return cv.wait_for(lock, timeout, [&] { return peerDowns >= n; });
-  }
-};
-
-proto::Message SmallMessage() { return proto::XrdClose{1, 2}; }
 
 // Checks per-pair order: every XrdClose and XrdWrite carries the next
 // sequence number in its reqId, starting from 0.
@@ -133,15 +80,6 @@ std::string Frame(const proto::Message& message, net::NodeAddr sender) {
   return frame + body;
 }
 
-bool WaitFor(const std::function<bool()>& done, Duration timeout = 10s) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (!done()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(1ms);
-  }
-  return true;
-}
-
 // Sends `message` and waits until the frame has left the pair's queue, so
 // the pair is connected and idle: the next Send from a thread that is not
 // an executor with a backlog writes through.
@@ -166,23 +104,6 @@ int RawListen(std::uint16_t basePort, net::NodeAddr addr) {
   sa.sin_port = htons(static_cast<std::uint16_t>(basePort + addr));
   if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
       ::listen(fd, 8) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-// A raw loopback client socket connected to basePort+addr, or -1.
-int RawConnect(std::uint16_t basePort, net::NodeAddr addr) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  sa.sin_port = htons(static_cast<std::uint16_t>(basePort + addr));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
     ::close(fd);
     return -1;
   }
@@ -228,7 +149,7 @@ TEST(FabricOptionsTest, ValidatesRanges) {
 // the connection takes EAGAIN mid-frame and must resume from its partial
 // offset without corrupting the stream.
 TEST(FabricReactorTest, PartialWritesPreserveFraming) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   net::FabricOptions cfg;
   cfg.sendBufferBytes = 4096;
   CountingSink a, b;  // sinks must outlive the fabric
@@ -255,7 +176,7 @@ TEST(FabricReactorTest, PartialWritesPreserveFraming) {
 // the receive path must slice frames back out of arbitrary read-chunk
 // boundaries.
 TEST(FabricReactorTest, CoalescedSmallFramesAllParsed) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   CountingSink a, b;
   net::TcpFabric fabric(base);
   ASSERT_TRUE(fabric.Register(1, &a, nullptr));
@@ -273,7 +194,7 @@ TEST(FabricReactorTest, CoalescedSmallFramesAllParsed) {
 // thread. When the socket takes only part of it, the loop finishes it from
 // the recorded offset, and frames sent meanwhile queue behind it in order.
 TEST(FabricReactorTest, WriteThroughPartialWriteKeepsPairOrder) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   net::FabricOptions cfg;
   cfg.sendBufferBytes = 4096;
   CountingSink a;
@@ -309,7 +230,7 @@ TEST(FabricReactorTest, WriteThroughPartialWriteKeepsPairOrder) {
 // each frame the next drain pass is already eligible and finds the queue
 // empty. Clearing the delay lets the next frame write through again.
 TEST(FabricReactorTest, PacedPairDrainsInOrderAndGoesIdle) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   CountingSink a;
   SequenceSink b;
   net::TcpFabric fabric(base);
@@ -339,7 +260,7 @@ TEST(FabricReactorTest, PacedPairDrainsInOrderAndGoesIdle) {
 // deadline tears the connection down. The stale-connection retry stalls
 // the same way, so the sender hears OnPeerDown.
 TEST(FabricReactorTest, WriteThroughToStalledPeerEndsInPeerDown) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   net::FabricOptions cfg;
   cfg.sendBufferBytes = 4096;
   cfg.writeTimeout = 300ms;
@@ -377,7 +298,7 @@ TEST(FabricReactorTest, WriteThroughToStalledPeerEndsInPeerDown) {
 // shrink threshold), then small frames in one burst (parsed after the big
 // buffer is given back).
 TEST(FabricReactorTest, DribbledAndOversizedInboundFramesParse) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   SequenceSink b;
   net::TcpFabric fabric(base);
   ASSERT_TRUE(fabric.Register(2, &b, nullptr));
@@ -415,7 +336,7 @@ TEST(FabricReactorTest, DribbledAndOversizedInboundFramesParse) {
 }
 
 TEST(FabricReactorTest, IdleConnectionReapedAndReconnectsTransparently) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   net::FabricOptions cfg;
   cfg.idleTimeout = 200ms;
   CountingSink a, b;
@@ -445,7 +366,7 @@ TEST(FabricReactorTest, IdleConnectionReapedAndReconnectsTransparently) {
 }
 
 TEST(FabricReactorTest, PerPeerCountersAttributeTraffic) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   CountingSink a, b, c;
   net::TcpFabric fabric(base);
   ASSERT_TRUE(fabric.Register(1, &a, nullptr));
@@ -568,7 +489,7 @@ TransportHooks TcpHooks() {
 }
 
 TEST(FaultInjectorContractTest, TcpFabric) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   CountingSink sinkA, sinkB;  // sinks must outlive the fabric
   net::TcpFabric fabric(base);
   ASSERT_TRUE(fabric.Register(1, &sinkA, nullptr));
@@ -579,7 +500,7 @@ TEST(FaultInjectorContractTest, TcpFabric) {
 // The same contract with both endpoints hosted on their own loops: every
 // socket of each lives on its ThreadExecutor and frames arrive inline.
 TEST(FaultInjectorContractTest, TcpFabricHostedEndpoints) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   CountingSink sinkA, sinkB;
   sched::ThreadExecutor execA, execB;  // declared before the fabric: outlive it
   net::TcpFabric fabric(base);
@@ -625,7 +546,7 @@ struct PerPairSink : CountingSink {
 // own loop drains them — all send to one hosted receiver. Every message
 // is handled on the receiver's dispatch thread, in order per sender.
 TEST(HostedEndpointTest, InlineDeliveryKeepsPerPairOrder) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   constexpr int kForeign = 4;
   constexpr int kPerSender = 2000;
   sched::ThreadExecutor rxExec, txExec;
@@ -675,7 +596,7 @@ TEST(HostedEndpointTest, InlineDeliveryKeepsPerPairOrder) {
 // frames wait in kernel buffers and the sender's queue, inside the write
 // deadline, and all arrive in order once the handler returns.
 TEST(HostedEndpointTest, BlockingHandlerStallsOnlyItsReads) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   struct BlockingSink : SequenceSink {
     void OnMessage(net::NodeAddr from, proto::Message message) override {
       const auto* close = std::get_if<proto::XrdClose>(&message);
@@ -736,7 +657,7 @@ class ForwardingExecutor final : public sched::Executor {
 };
 
 TEST(HostedEndpointTest, ForwardingExecutorKeepsThePostedPath) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   sched::ThreadExecutor rxExec;
   ForwardingExecutor forwarding(rxExec);
   PerPairSink rx(rxExec);
@@ -757,7 +678,7 @@ TEST(HostedEndpointTest, ForwardingExecutorKeepsThePostedPath) {
 // the dispatch thread and returns, and the frames still buffered behind
 // the one being handled are never delivered to the departed endpoint.
 TEST(HostedEndpointTest, UnregisterFromOwnDispatchThread) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   sched::ThreadExecutor rxExec;
   net::TcpFabric fabric(base);
   struct LeavingSink : CountingSink {
@@ -800,7 +721,7 @@ TEST(HostedEndpointTest, UnregisterFromOwnDispatchThread) {
 // Stopping every executor and then destroying the fabric — the order a
 // benchmark harness uses — tears the hosted sockets down on the caller.
 TEST(HostedEndpointTest, FabricDestroyedAfterExecutorsStopped) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   CountingSink a, b, c;
   auto execA = std::make_unique<sched::ThreadExecutor>();
   auto execB = std::make_unique<sched::ThreadExecutor>();
@@ -827,7 +748,7 @@ TEST(HostedEndpointTest, FabricDestroyedAfterExecutorsStopped) {
 // Destroying a ThreadExecutor that still hosts a registered endpoint
 // aborts with a message, rather than leaving the fabric a dangling loop.
 TEST(HostedEndpointDeathTest, ExecutorDestroyedWhileHostingAborts) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kFabricReactor);
   EXPECT_DEATH(
       {
         CountingSink sink;

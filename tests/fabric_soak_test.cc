@@ -9,45 +9,20 @@
 
 #include <sys/resource.h>
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <vector>
 
 #include "net/tcp_fabric.h"
+#include "tcp_test_support.h"
 
 namespace scalla {
 namespace {
 
 using namespace std::chrono_literals;
 
-// Below the ephemeral port range (32768+) like every other test band.
-constexpr std::uint16_t kBasePort = 18000;
 constexpr int kSenders = 100;    // addresses 1..100, never registered
 constexpr int kReceivers = 50;   // addresses 201..250, registered endpoints
 constexpr int kPairs = kSenders * kReceivers;
-
-struct CountingSink : net::MessageSink {
-  std::mutex mu;
-  std::condition_variable cv;
-  int messages = 0;
-  int peerDowns = 0;
-
-  void OnMessage(net::NodeAddr, proto::Message) override {
-    std::lock_guard lock(mu);
-    ++messages;
-    cv.notify_all();
-  }
-  void OnPeerDown(net::NodeAddr) override {
-    std::lock_guard lock(mu);
-    ++peerDowns;
-  }
-  bool WaitMessages(int n, Duration timeout) {
-    std::unique_lock lock(mu);
-    return cv.wait_for(lock, timeout, [&] { return messages >= n; });
-  }
-};
 
 TEST(FabricSoakTest, TenThousandSocketMesh) {
   rlimit limit{};
@@ -62,7 +37,7 @@ TEST(FabricSoakTest, TenThousandSocketMesh) {
   cfg.connectTimeout = 10s;  // 5000 concurrent handshakes share the loops
   cfg.writeTimeout = 30s;
   std::vector<std::unique_ptr<CountingSink>> sinks;  // outlive the fabric
-  net::TcpFabric fabric(kBasePort, cfg);
+  net::TcpFabric fabric(NextBasePort(PortBand::kFabricSoak), cfg);
   for (int r = 0; r < kReceivers; ++r) {
     sinks.push_back(std::make_unique<CountingSink>());
     ASSERT_TRUE(fabric.Register(static_cast<net::NodeAddr>(201 + r),

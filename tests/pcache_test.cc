@@ -9,13 +9,12 @@
 #include <thread>
 
 #include "client/sync_client.h"
-#include "net/tcp_fabric.h"
 #include "oss/mem_oss.h"
 #include "pcache/block_cache.h"
 #include "pcache/proxy_node.h"
-#include "sched/thread_executor.h"
 #include "sim/cluster.h"
-#include "xrd/scalla_node.h"
+#include "sim/tcp_cluster.h"
+#include "tcp_test_support.h"
 
 namespace scalla {
 namespace {
@@ -566,112 +565,52 @@ TEST(ProxySimTest, NonProxyNodeRefusesCacheAdmin) {
 
 // ------------------------------------------------------- TCP: end-to-end
 
-std::uint16_t NextBasePort() {
-  static std::atomic<std::uint16_t> next{27000};
-  return next.fetch_add(200);
-}
-
 class ProxyTcpTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    fabric_ = std::make_unique<net::TcpFabric>(NextBasePort());
-
-    cms::CmsConfig cms;
-    cms.deadline = std::chrono::milliseconds(500);
-    cms.sweepPeriod = std::chrono::milliseconds(50);
-
-    xrd::NodeConfig mgr;
-    mgr.role = xrd::NodeRole::kManager;
-    mgr.name = "manager";
-    mgr.addr = 1;
-    mgr.exports = {"/store"};
-    mgr.cms = cms;
-    managerExec_ = std::make_unique<sched::ThreadExecutor>();
-    manager_ = std::make_unique<xrd::ScallaNode>(mgr, *managerExec_, *fabric_, nullptr);
-    ASSERT_TRUE(fabric_->Register(1, manager_.get(), managerExec_.get()));
-
-    for (int i = 0; i < 2; ++i) {
-      xrd::NodeConfig leaf;
-      leaf.role = xrd::NodeRole::kServer;
-      leaf.name = "server" + std::to_string(i);
-      leaf.addr = static_cast<net::NodeAddr>(10 + i);
-      leaf.parent = 1;
-      leaf.exports = {"/store"};
-      leaf.cms = cms;
-      leaf.loginRetry = std::chrono::milliseconds(100);
-      execs_.push_back(std::make_unique<sched::ThreadExecutor>());
-      storages_.push_back(std::make_unique<oss::MemOss>(execs_.back()->clock()));
-      nodes_.push_back(std::make_unique<xrd::ScallaNode>(leaf, *execs_.back(), *fabric_,
-                                                         storages_.back().get()));
-      ASSERT_TRUE(fabric_->Register(leaf.addr, nodes_.back().get(), execs_.back().get()));
-    }
-
-    pcache::ProxyCacheConfig pcfg;
-    pcfg.addr = 50;
-    pcfg.origin.head = 1;
-    pcfg.cache.blockSize = 64;
-    pcfg.cache.capacityBytes = 64 * 1024;
-    pcfg.readAhead = 0;
-    proxyExec_ = std::make_unique<sched::ThreadExecutor>();
-    proxy_ = std::make_unique<pcache::ProxyCacheNode>(pcfg, *proxyExec_, *fabric_);
-    ASSERT_TRUE(fabric_->Register(50, proxy_.get(), proxyExec_.get()));
-
-    manager_->Start();
-    for (auto& node : nodes_) node->Start();
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (manager_->membership().MemberCount() < 2 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ASSERT_EQ(manager_->membership().MemberCount(), 2u);
-
-    client::ClientConfig cc;
-    cc.addr = 100;
-    cc.head = 50;  // the proxy IS this client's head
-    clientExec_ = std::make_unique<sched::ThreadExecutor>();
-    client_ = std::make_unique<client::SyncClient>(cc, *clientExec_, *fabric_,
-                                                   std::chrono::seconds(20));
-    ASSERT_TRUE(fabric_->Register(100, &client_->async(), clientExec_.get()));
+    sim::ClusterSpec spec;
+    spec.servers = 2;
+    spec.cms.deadline = std::chrono::milliseconds(500);
+    spec.cms.sweepPeriod = std::chrono::milliseconds(50);
+    spec.withProxy = true;
+    spec.proxyCache.blockSize = 64;
+    spec.proxyCache.capacityBytes = 64 * 1024;
+    auto made = sim::TcpCluster::Create(spec, NextBasePort(PortBand::kPcache));
+    ASSERT_TRUE(made.ok()) << made.error().message;
+    cluster_ = std::move(made).value();
+    client_ = cluster_->NewProxyClient(std::chrono::seconds(20));  // the proxy IS its head
+    ASSERT_NE(client_, nullptr);
   }
 
-  void TearDown() override {
-    if (manager_) manager_->Stop();
-    for (auto& node : nodes_) node->Stop();
-    fabric_.reset();
-  }
-
-  std::unique_ptr<net::TcpFabric> fabric_;
-  std::unique_ptr<sched::ThreadExecutor> managerExec_;
-  std::unique_ptr<xrd::ScallaNode> manager_;
-  std::vector<std::unique_ptr<sched::ThreadExecutor>> execs_;
-  std::vector<std::unique_ptr<oss::MemOss>> storages_;
-  std::vector<std::unique_ptr<xrd::ScallaNode>> nodes_;
-  std::unique_ptr<sched::ThreadExecutor> proxyExec_;
-  std::unique_ptr<pcache::ProxyCacheNode> proxy_;
-  std::unique_ptr<sched::ThreadExecutor> clientExec_;
-  std::unique_ptr<client::SyncClient> client_;
+  std::unique_ptr<sim::TcpCluster> cluster_;
+  client::SyncClient* client_ = nullptr;
 };
 
 TEST_F(ProxyTcpTest, ColdThenWarmReadsThroughProxy) {
   const std::string payload(200, 'w');
-  storages_[0]->Put("/store/f", payload);
+  cluster_->storage(0).Put("/store/f", payload);
 
   const auto cold = client_->GetFile("/store/f");
   ASSERT_TRUE(cold.ok()) << cold.error().message;
   EXPECT_EQ(cold.value(), payload);
-  const std::uint64_t fetches =
-      proxy_->metrics().GetCounter("pcache.origin_fetches").Value();
+  // The proxy's state is read on its own loop.
+  pcache::ProxyCacheNode& proxy = *cluster_->proxy();
+  const net::NodeAddr at = proxy.config().addr;
+  const auto originFetches = [&] {
+    return proxy.metrics().GetCounter("pcache.origin_fetches").Value();
+  };
+  const std::uint64_t fetches = cluster_->RunOn(at, originFetches);
   EXPECT_GT(fetches, 0u);
 
   const auto warm = client_->GetFile("/store/f");
   ASSERT_TRUE(warm.ok()) << warm.error().message;
   EXPECT_EQ(warm.value(), payload);
-  EXPECT_EQ(proxy_->metrics().GetCounter("pcache.origin_fetches").Value(), fetches);
-  EXPECT_GT(proxy_->cache().GetStats().hits, 0u);
+  EXPECT_EQ(cluster_->RunOn(at, originFetches), fetches);
+  EXPECT_GT(cluster_->RunOn(at, [&] { return proxy.cache().GetStats().hits; }), 0u);
 }
 
 TEST_F(ProxyTcpTest, StatsThroughProxyReportPcacheCounters) {
-  storages_[1]->Put("/store/g", std::string(150, 'g'));
+  cluster_->storage(1).Put("/store/g", std::string(150, 'g'));
   ASSERT_TRUE(client_->GetFile("/store/g").ok());
   ASSERT_TRUE(client_->GetFile("/store/g").ok());  // warm: generate hits
 
@@ -686,7 +625,7 @@ TEST_F(ProxyTcpTest, StatsThroughProxyReportPcacheCounters) {
 }
 
 TEST_F(ProxyTcpTest, PurgeAdminAndMistargetedPurge) {
-  storages_[0]->Put("/store/h", std::string(100, 'h'));
+  cluster_->storage(0).Put("/store/h", std::string(100, 'h'));
   ASSERT_TRUE(client_->GetFile("/store/h").ok());
 
   const auto purged = client_->CacheAdmin(proto::PcacheAdminOp::kPurgePath, "/store/h");
@@ -695,16 +634,11 @@ TEST_F(ProxyTcpTest, PurgeAdminAndMistargetedPurge) {
   EXPECT_EQ(purged.value().blockCount, 0u);
 
   // The same frame at a regular manager fails loudly with kInvalid.
-  client::ClientConfig cc;
-  cc.addr = 101;
-  cc.head = 1;
-  sched::ThreadExecutor exec;
-  client::SyncClient direct(cc, exec, *fabric_, std::chrono::seconds(10));
-  ASSERT_TRUE(fabric_->Register(101, &direct.async(), &exec));
-  const auto refused = direct.CacheAdmin(proto::PcacheAdminOp::kPurgeAll);
+  client::SyncClient* direct = cluster_->NewClient(std::chrono::seconds(10));
+  ASSERT_NE(direct, nullptr);
+  const auto refused = direct->CacheAdmin(proto::PcacheAdminOp::kPurgeAll);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.error().code, proto::XrdErr::kInvalid);
-  fabric_->Unregister(101);  // `direct` dies before the fixture's fabric
 }
 
 }  // namespace

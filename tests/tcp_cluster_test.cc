@@ -1,106 +1,56 @@
-// Integration tests over real loopback TCP: every node runs on its own
-// dispatch thread and endpoints communicate only through sockets — the
+// Integration tests over real loopback TCP, on clusters sim::TcpCluster
+// builds from the simulator's plan: every node and client runs on its own
+// event loop and endpoints communicate only through sockets — the
 // "multi-process test on one server" configuration, with threads standing
-// in as isolated actors. Also covers the wire framing under concurrency
-// and connection-loss handling.
+// in as isolated actors. Also covers the wire framing under concurrency,
+// connection-loss handling, and the host itself: plan parity with
+// SimCluster over a supervisor chain under redundant heads, and teardown.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "client/sync_client.h"
-#include "net/tcp_fabric.h"
-#include "oss/mem_oss.h"
-#include "sched/thread_executor.h"
-#include "xrd/scalla_node.h"
+#include "sim/cluster.h"
+#include "sim/tcp_cluster.h"
+#include "tcp_test_support.h"
 
 namespace scalla {
 namespace {
 
 using cms::AccessMode;
+using namespace std::chrono_literals;
 
-// Picks a distinct port band per test to avoid TIME_WAIT collisions.
-std::uint16_t NextBasePort() {
-  static std::atomic<std::uint16_t> next{24000};
-  return next.fetch_add(200);
+// The real-time cms tuning every TCP cluster test runs with.
+sim::ClusterSpec TcpSpec(int servers) {
+  sim::ClusterSpec spec;
+  spec.servers = servers;
+  spec.cms.deadline = 500ms;
+  spec.cms.sweepPeriod = 50ms;
+  return spec;
 }
 
 class TcpClusterTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    fabric_ = std::make_unique<net::TcpFabric>(NextBasePort());
-
-    cms::CmsConfig cms;
-    cms.deadline = std::chrono::milliseconds(500);
-    cms.sweepPeriod = std::chrono::milliseconds(50);
-
-    xrd::NodeConfig mgr;
-    mgr.role = xrd::NodeRole::kManager;
-    mgr.name = "manager";
-    mgr.addr = 1;
-    mgr.exports = {"/store"};
-    mgr.cms = cms;
-    managerExec_ = std::make_unique<sched::ThreadExecutor>();
-    manager_ = std::make_unique<xrd::ScallaNode>(mgr, *managerExec_, *fabric_, nullptr);
-    ASSERT_TRUE(fabric_->Register(1, manager_.get(), managerExec_.get()));
-
-    for (int i = 0; i < 3; ++i) {
-      xrd::NodeConfig leaf;
-      leaf.role = xrd::NodeRole::kServer;
-      leaf.name = "server" + std::to_string(i);
-      leaf.addr = static_cast<net::NodeAddr>(10 + i);
-      leaf.parent = 1;
-      leaf.exports = {"/store"};
-      leaf.cms = cms;
-      leaf.loginRetry = std::chrono::milliseconds(100);
-      execs_.push_back(std::make_unique<sched::ThreadExecutor>());
-      storages_.push_back(std::make_unique<oss::MemOss>(execs_.back()->clock()));
-      nodes_.push_back(std::make_unique<xrd::ScallaNode>(leaf, *execs_.back(), *fabric_,
-                                                         storages_.back().get()));
-      ASSERT_TRUE(fabric_->Register(leaf.addr, nodes_.back().get(), execs_.back().get()));
-    }
-
-    manager_->Start();
-    for (auto& node : nodes_) node->Start();
-
-    // Wait for all logins (login retry makes this robust).
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (manager_->membership().MemberCount() < 3 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ASSERT_EQ(manager_->membership().MemberCount(), 3u);
-
-    client::ClientConfig cc;
-    cc.addr = 100;
-    cc.head = 1;
-    clientExec_ = std::make_unique<sched::ThreadExecutor>();
-    client_ = std::make_unique<client::SyncClient>(cc, *clientExec_, *fabric_,
-                                                   std::chrono::seconds(20));
-    ASSERT_TRUE(fabric_->Register(100, &client_->async(), clientExec_.get()));
+    auto made = sim::TcpCluster::Create(TcpSpec(3), NextBasePort(PortBand::kTcpCluster));
+    ASSERT_TRUE(made.ok()) << made.error().message;
+    cluster_ = std::move(made).value();
+    client_ = cluster_->NewClient(20s);
+    ASSERT_NE(client_, nullptr);
   }
 
-  void TearDown() override {
-    // Stop node timers before the fabric tears down its reader threads.
-    if (manager_) manager_->Stop();
-    for (auto& node : nodes_) node->Stop();
-    fabric_.reset();
-  }
+  net::NodeAddr Addr(std::size_t server) { return cluster_->server(server).config().addr; }
 
-  std::unique_ptr<net::TcpFabric> fabric_;
-  std::unique_ptr<sched::ThreadExecutor> managerExec_;
-  std::unique_ptr<xrd::ScallaNode> manager_;
-  std::vector<std::unique_ptr<sched::ThreadExecutor>> execs_;
-  std::vector<std::unique_ptr<oss::MemOss>> storages_;
-  std::vector<std::unique_ptr<xrd::ScallaNode>> nodes_;
-  std::unique_ptr<sched::ThreadExecutor> clientExec_;
-  std::unique_ptr<client::SyncClient> client_;
+  std::unique_ptr<sim::TcpCluster> cluster_;
+  client::SyncClient* client_ = nullptr;
 };
 
 TEST_F(TcpClusterTest, OpenReadOverRealSockets) {
-  storages_[1]->Put("/store/f1", "over the wire");
+  cluster_->storage(1).Put("/store/f1", "over the wire");
   const auto open = client_->Open("/store/f1", AccessMode::kRead);
   ASSERT_EQ(open.err, proto::XrdErr::kNone);
-  EXPECT_EQ(open.file.node, 11u);
+  EXPECT_EQ(open.file.node, Addr(1));
   EXPECT_EQ(open.redirects, 1);
 
   const auto data = client_->Read(open.file, 0, 64);
@@ -117,7 +67,7 @@ TEST_F(TcpClusterTest, CreateWriteReadBack) {
 }
 
 TEST_F(TcpClusterTest, StatAndUnlink) {
-  storages_[0]->Put("/store/s", "12345");
+  cluster_->storage(0).Put("/store/s", "12345");
   const auto size = client_->Stat("/store/s");
   ASSERT_TRUE(size.ok()) << size.error().message;
   EXPECT_EQ(size.value(), 5u);
@@ -132,24 +82,16 @@ TEST_F(TcpClusterTest, MissingFileNotFound) {
 }
 
 TEST_F(TcpClusterTest, ConcurrentClientsResolveIndependently) {
-  for (int i = 0; i < 3; ++i) {
-    storages_[static_cast<std::size_t>(i)]->Put("/store/c" + std::to_string(i), "data");
+  for (std::size_t i = 0; i < 3; ++i) {
+    cluster_->storage(i).Put("/store/c" + std::to_string(i), "data");
+  }
+  std::vector<client::SyncClient*> clients;
+  for (int c = 0; c < 3; ++c) {
+    clients.push_back(cluster_->NewClient(20s));
+    ASSERT_NE(clients.back(), nullptr);
   }
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
-  std::vector<std::unique_ptr<sched::ThreadExecutor>> clientExecs;
-  std::vector<std::unique_ptr<client::SyncClient>> clients;
-  for (int c = 0; c < 3; ++c) {
-    client::ClientConfig cc;
-    cc.addr = static_cast<net::NodeAddr>(120 + c);
-    cc.head = 1;
-    clientExecs.push_back(std::make_unique<sched::ThreadExecutor>());
-    clients.push_back(std::make_unique<client::SyncClient>(cc, *clientExecs.back(),
-                                                           *fabric_,
-                                                           std::chrono::seconds(20)));
-    ASSERT_TRUE(
-        fabric_->Register(cc.addr, &clients.back()->async(), clientExecs.back().get()));
-  }
   for (int c = 0; c < 3; ++c) {
     threads.emplace_back([&, c] {
       for (int i = 0; i < 20; ++i) {
@@ -161,29 +103,25 @@ TEST_F(TcpClusterTest, ConcurrentClientsResolveIndependently) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  // The fixture's fabric outlives the local executors; detach them first
-  // so no reader thread can Post into a dying executor.
-  for (int c = 0; c < 3; ++c) fabric_->Unregister(static_cast<net::NodeAddr>(120 + c));
 }
 
 TEST_F(TcpClusterTest, DeadServerTriggersClientRecovery) {
-  storages_[0]->Put("/store/dual", "x");
-  storages_[2]->Put("/store/dual", "x");
+  cluster_->storage(0).Put("/store/dual", "x");
+  cluster_->storage(2).Put("/store/dual", "x");
   // Warm the manager cache.
   const auto first = client_->Open("/store/dual", AccessMode::kRead);
   ASSERT_EQ(first.err, proto::XrdErr::kNone);
   (void)client_->Close(first.file);
 
   // Kill one replica's endpoint entirely.
-  nodes_[0]->Stop();
-  fabric_->Unregister(10);
+  cluster_->CrashServer(0);
 
   // Repeated opens must always land on the survivor, possibly after a
   // recovery hop through the head.
   for (int i = 0; i < 4; ++i) {
     const auto open = client_->Open("/store/dual", AccessMode::kRead);
     ASSERT_EQ(open.err, proto::XrdErr::kNone) << i;
-    EXPECT_EQ(open.file.node, 12u);
+    EXPECT_EQ(open.file.node, Addr(2));
     (void)client_->Close(open.file);
   }
 }
@@ -192,9 +130,9 @@ TEST_F(TcpClusterTest, StalledServerDelaysOnlyItsOwnTraffic) {
   // One destination is wedged (per-pair injected delay on the client's
   // writer queue); reads served by the other leaves must keep completing
   // at full speed — per-peer queues, no fabric-wide serialization.
-  storages_[0]->Put("/store/wedged", "w");
-  storages_[1]->Put("/store/fine1", "a");
-  storages_[2]->Put("/store/fine2", "b");
+  cluster_->storage(0).Put("/store/wedged", "w");
+  cluster_->storage(1).Put("/store/fine1", "a");
+  cluster_->storage(2).Put("/store/fine2", "b");
 
   // Resolve all three once so the manager cache pins each file to its
   // leaf and subsequent opens redirect deterministically.
@@ -204,13 +142,19 @@ TEST_F(TcpClusterTest, StalledServerDelaysOnlyItsOwnTraffic) {
     (void)client_->Close(open.file);
   }
 
-  // Wedge the client -> server10 pair only. Opens still route through the
-  // manager; only the data path to server10 is stalled.
-  fabric_->SetDelay(100, 10, std::chrono::milliseconds(400));
+  // A second client hammers the healthy leaves meanwhile.
+  client::SyncClient* fast = cluster_->NewClient(20s);
+  ASSERT_NE(fast, nullptr);
+
+  // Wedge the client -> server0 pair only. Opens still route through the
+  // manager; only the data path to server0 is stalled.
+  const net::NodeAddr me = client_->async().config().addr;
+  cluster_->fabric().SetDelay(me, Addr(0), 400ms);
 
   std::atomic<bool> wedgedDone{false};
-  std::thread slow([&] {
-    // Open redirects to server10, then the XrdOpen to it crawls through
+  // A jthread joins on every way out of this test, a failed ASSERT too.
+  std::jthread slow([&] {
+    // Open redirects to server0, then the XrdOpen to it crawls through
     // the delayed queue.
     const auto open = client_->Open("/store/wedged", AccessMode::kRead);
     EXPECT_EQ(open.err, proto::XrdErr::kNone);
@@ -218,14 +162,6 @@ TEST_F(TcpClusterTest, StalledServerDelaysOnlyItsOwnTraffic) {
     wedgedDone = true;
   });
 
-  // Meanwhile a second client hammers the healthy leaves.
-  client::ClientConfig cc;
-  cc.addr = 101;
-  cc.head = 1;
-  auto exec = std::make_unique<sched::ThreadExecutor>();
-  auto fast = std::make_unique<client::SyncClient>(cc, *exec, *fabric_,
-                                                   std::chrono::seconds(20));
-  ASSERT_TRUE(fabric_->Register(101, &fast->async(), exec.get()));
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 20; ++i) {
     const auto data = fast->GetFile(i % 2 == 0 ? "/store/fine1" : "/store/fine2");
@@ -233,62 +169,43 @@ TEST_F(TcpClusterTest, StalledServerDelaysOnlyItsOwnTraffic) {
   }
   const auto healthyElapsed = std::chrono::steady_clock::now() - start;
   // 20 healthy reads finish before even one 400 ms-delayed hop can.
-  EXPECT_LT(healthyElapsed, std::chrono::milliseconds(400));
+  EXPECT_LT(healthyElapsed, 400ms);
   EXPECT_FALSE(wedgedDone.load());
 
-  fabric_->SetDelay(100, 10, Duration::zero());
+  cluster_->fabric().SetDelay(me, Addr(0), Duration::zero());
   slow.join();
-  fabric_->Unregister(101);
 }
 
 TEST_F(TcpClusterTest, ServerRestartReconnectsTransparently) {
-  storages_[1]->Put("/store/r", "before");
+  cluster_->storage(1).Put("/store/r", "before");
   ASSERT_TRUE(client_->GetFile("/store/r").ok());  // warm connections
 
-  // Restart leaf 11: drop it from the fabric and bring it back on the
+  // Restart leaf 1: drop it from the fabric and bring it back on the
   // same address. Peers' cached connections to it are now stale.
-  nodes_[1]->Stop();
-  fabric_->Unregister(11);
-  xrd::NodeConfig cfg = nodes_[1]->config();
-  auto exec = std::make_unique<sched::ThreadExecutor>();
-  auto storage = std::make_unique<oss::MemOss>(exec->clock());
-  storage->Put("/store/r", "after");
-  auto node = std::make_unique<xrd::ScallaNode>(cfg, *exec, *fabric_, storage.get());
-  ASSERT_TRUE(fabric_->Register(11, node.get(), exec.get()));
-  node->Start();
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (manager_->membership().MemberCount() < 3 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_EQ(manager_->membership().MemberCount(), 3u);
+  cluster_->CrashServer(1);
+  cluster_->storage(1).Put("/store/r", "after");
+  ASSERT_TRUE(cluster_->RestartServer(1).ok());
+  ASSERT_EQ(cluster_->head().membership().MemberCount(), 3u);
 
   // Reads against the restarted leaf succeed again; the transport's
   // stale-connection retry shows up in the reconnect counter.
-  const auto reconnectsBefore = fabric_->GetCounters().reconnects;
+  const auto reconnectsBefore = cluster_->fabric().GetCounters().reconnects;
   const auto ok = [&] {
-    const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    const auto end = std::chrono::steady_clock::now() + 10s;
     while (std::chrono::steady_clock::now() < end) {
       const auto data = client_->GetFile("/store/r");
       if (data.ok() && data.value() == "after") return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      std::this_thread::sleep_for(50ms);
     }
     return false;
   }();
   EXPECT_TRUE(ok);
-  EXPECT_GT(fabric_->GetCounters().reconnects, reconnectsBefore);
-
-  node->Stop();
-  fabric_->Unregister(11);
-  // Keep the fixture's TearDown happy: nodes_[1] is already stopped.
-  execs_.push_back(std::move(exec));
-  storages_.push_back(std::move(storage));
-  nodes_.push_back(std::move(node));
+  EXPECT_GT(cluster_->fabric().GetCounters().reconnects, reconnectsBefore);
 }
 
 TEST_F(TcpClusterTest, StatsQueryAggregatesWholeCluster) {
   // Generate traffic, then ask the manager for tree-aggregated metrics.
-  storages_[0]->Put("/store/stats1", "aaaa");
+  cluster_->storage(0).Put("/store/stats1", "aaaa");
   ASSERT_TRUE(client_->GetFile("/store/stats1").ok());
   ASSERT_TRUE(client_->PutFile("/store/stats2", "bbbb").ok());
 
@@ -302,6 +219,95 @@ TEST_F(TcpClusterTest, StatsQueryAggregatesWholeCluster) {
   EXPECT_GE(snap.Counter("node.logins_accepted"), 3u);
   EXPECT_GE(snap.Counter("node.reads"), 1u);
   EXPECT_GE(snap.Counter("node.writes"), 1u);
+}
+
+// ---- the host ----
+
+TEST(TcpClusterHostTest, PlanMatchesSimulatorAndReachesTheDeepestLeaf) {
+  // Five servers at fanout 2 under two redundant managers, plus the proxy:
+  //   manager0, manager1 -> sup0 -> sup1 -> server0, server1
+  //                              -> server2
+  //                      -> sup2 -> server3, server4
+  sim::ClusterSpec spec = TcpSpec(5);
+  spec.fanout = 2;
+  spec.managers = 2;
+  spec.withProxy = true;
+  sim::SimCluster des(spec);
+  auto made = sim::TcpCluster::Create(spec, NextBasePort(PortBand::kTcpCluster));
+  ASSERT_TRUE(made.ok()) << made.error().message;
+  sim::TcpCluster& tcp = *made.value();
+
+  const auto nodesOf = [](auto& cluster) {
+    std::vector<xrd::ScallaNode*> nodes;
+    for (std::size_t i = 0; i < cluster.ManagerCount(); ++i) nodes.push_back(&cluster.manager(i));
+    for (std::size_t i = 0; i < cluster.SupervisorCount(); ++i) {
+      nodes.push_back(&cluster.supervisor(i));
+    }
+    for (std::size_t i = 0; i < cluster.ServerCount(); ++i) nodes.push_back(&cluster.server(i));
+    return nodes;
+  };
+  const auto desNodes = nodesOf(des);
+  const auto tcpNodes = nodesOf(tcp);
+  ASSERT_EQ(tcpNodes.size(), desNodes.size());
+  EXPECT_EQ(tcp.SupervisorCount(), 3u);
+  EXPECT_EQ(tcp.Depth(), des.Depth());
+  for (std::size_t i = 0; i < tcpNodes.size(); ++i) {
+    const xrd::NodeConfig& want = desNodes[i]->config();
+    const xrd::NodeConfig& got = tcpNodes[i]->config();
+    EXPECT_EQ(got.addr, want.addr) << want.name;
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.role, want.role) << want.name;
+    EXPECT_EQ(got.parent, want.parent) << want.name;
+    EXPECT_EQ(got.extraParents, want.extraParents) << want.name;
+    // Over TCP every node logged into every parent.
+    xrd::ScallaNode* node = tcpNodes[i];
+    EXPECT_TRUE(tcp.RunOn(got.addr, [node] { return node->LoggedIn(); })) << want.name;
+  }
+  EXPECT_EQ(tcp.supervisor(0).Parents().size(), 2u);  // both managers
+  EXPECT_EQ(tcp.proxy()->config().addr, des.proxy()->config().addr);
+
+  // server0 is the deepest leaf: manager0 -> sup0 -> sup1 -> server0. A
+  // file only it holds opens with one redirect per level.
+  EXPECT_EQ(tcp.Depth(), 3);
+  EXPECT_EQ(tcp.server(0).config().parent, tcp.supervisor(1).config().addr);
+  EXPECT_EQ(tcp.supervisor(1).config().parent, tcp.supervisor(0).config().addr);
+  tcp.storage(0).Put("/store/deep", "bottom");
+  client::SyncClient* client = tcp.NewClient(20s);
+  ASSERT_NE(client, nullptr);
+  const auto open = client->Open("/store/deep", AccessMode::kRead);
+  ASSERT_EQ(open.err, proto::XrdErr::kNone);
+  EXPECT_EQ(open.file.node, tcp.server(0).config().addr);
+  EXPECT_EQ(open.redirects, tcp.Depth());
+  EXPECT_TRUE(client->Close(open.file).ok());
+}
+
+TEST(TcpClusterHostTest, TeardownAfterCrashRestartClientsAndAnOpenInFlight) {
+  auto made = sim::TcpCluster::Create(TcpSpec(3), NextBasePort(PortBand::kTcpCluster));
+  ASSERT_TRUE(made.ok()) << made.error().message;
+  std::unique_ptr<sim::TcpCluster> cluster = std::move(made).value();
+  cluster->storage(1).Put("/store/t", "x");
+  cluster->CrashServer(0);
+  ASSERT_TRUE(cluster->RestartServer(0).ok());
+
+  std::vector<client::SyncClient*> clients;
+  for (int i = 0; i < 3; ++i) {
+    clients.push_back(cluster->NewClient(20s));
+    ASSERT_NE(clients.back(), nullptr);
+  }
+  ASSERT_TRUE(clients[0]->GetFile("/store/t").ok());
+
+  // Hold the next open's first frame in its client's queue, so the open
+  // is still in flight when the host goes.
+  client::SyncClient* c = clients[1];
+  const net::NodeAddr addr = c->async().config().addr;
+  cluster->fabric().SetDelay(addr, cluster->head().config().addr, 10s);
+  auto finished = std::make_shared<std::atomic<bool>>(false);
+  cluster->RunOn(addr, [c, finished] {
+    c->async().Open("/store/t", AccessMode::kRead, false,
+                    [finished](const client::OpenOutcome&) { *finished = true; });
+  });
+  cluster.reset();
+  EXPECT_FALSE(finished->load());
 }
 
 }  // namespace

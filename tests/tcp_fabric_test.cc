@@ -11,83 +11,22 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
 #include <thread>
 
 #include "net/tcp_fabric.h"
 #include "proto/wire.h"
+#include "tcp_test_support.h"
 
 namespace scalla {
 namespace {
 
 using namespace std::chrono_literals;
 
-// Distinct band from tcp_cluster_test (24000) and pcache_test (27000).
-std::uint16_t NextBasePort() {
-  static std::atomic<std::uint16_t> next{30000};
-  return next.fetch_add(200);
-}
-
-struct CountingSink : net::MessageSink {
-  std::mutex mu;
-  std::condition_variable cv;
-  int messages = 0;
-  int peerDowns = 0;
-  net::NodeAddr lastDown = 0;
-
-  void OnMessage(net::NodeAddr, proto::Message) override {
-    std::lock_guard lock(mu);
-    ++messages;
-    cv.notify_all();
-  }
-  void OnPeerDown(net::NodeAddr peer) override {
-    std::lock_guard lock(mu);
-    ++peerDowns;
-    lastDown = peer;
-    cv.notify_all();
-  }
-  int Messages() {
-    std::lock_guard lock(mu);
-    return messages;
-  }
-  int PeerDowns() {
-    std::lock_guard lock(mu);
-    return peerDowns;
-  }
-  bool WaitMessages(int n, Duration timeout = 5s) {
-    std::unique_lock lock(mu);
-    return cv.wait_for(lock, timeout, [&] { return messages >= n; });
-  }
-  bool WaitPeerDowns(int n, Duration timeout = 5s) {
-    std::unique_lock lock(mu);
-    return cv.wait_for(lock, timeout, [&] { return peerDowns >= n; });
-  }
-};
-
-proto::Message SmallMessage() { return proto::XrdClose{1, 2}; }
-
-// A raw loopback client socket connected to basePort+addr, or -1.
-int RawConnect(std::uint16_t basePort, net::NodeAddr addr) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  sa.sin_port = htons(static_cast<std::uint16_t>(basePort + addr));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
 TEST(TcpFabricTest, DeliversBetweenEndpoints) {
-  const auto base = NextBasePort();
-  CountingSink a, b;  // sinks must outlive the fabric's reader threads
+  const auto base = NextBasePort(PortBand::kTcpFabric);
+  CountingSink a, b;  // sinks must outlive the fabric's loops
   net::TcpFabric fabric(base);
   ASSERT_TRUE(fabric.Register(1, &a, nullptr));
   ASSERT_TRUE(fabric.Register(2, &b, nullptr));
@@ -100,10 +39,10 @@ TEST(TcpFabricTest, DeliversBetweenEndpoints) {
 }
 
 TEST(TcpFabricTest, PeerDownOnConnectRefused) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kTcpFabric);
   net::FabricOptions cfg;
   cfg.connectTimeout = 500ms;
-  CountingSink a;  // sinks must outlive the fabric's reader threads
+  CountingSink a;  // sinks must outlive the fabric's loops
   net::TcpFabric fabric(base, cfg);
   ASSERT_TRUE(fabric.Register(1, &a, nullptr));
   // Nothing listens at address 9: the writer's connect is refused and the
@@ -115,10 +54,10 @@ TEST(TcpFabricTest, PeerDownOnConnectRefused) {
 }
 
 TEST(TcpFabricTest, PeerDownOnWriteDeadline) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kTcpFabric);
   net::FabricOptions cfg;
   cfg.writeTimeout = 300ms;
-  CountingSink a;  // sinks must outlive the fabric's reader threads
+  CountingSink a;  // sinks must outlive the fabric's loops
   net::TcpFabric fabric(base, cfg);
   ASSERT_TRUE(fabric.Register(1, &a, nullptr));
 
@@ -149,8 +88,8 @@ TEST(TcpFabricTest, PeerDownOnWriteDeadline) {
 }
 
 TEST(TcpFabricTest, ReconnectCountedAfterPeerRestart) {
-  const auto base = NextBasePort();
-  CountingSink a, b1, b2;  // sinks must outlive the fabric's reader threads
+  const auto base = NextBasePort(PortBand::kTcpFabric);
+  CountingSink a, b1, b2;  // sinks must outlive the fabric's loops
   net::TcpFabric fabric(base);
   ASSERT_TRUE(fabric.Register(1, &a, nullptr));
   ASSERT_TRUE(fabric.Register(2, &b1, nullptr));
@@ -173,10 +112,10 @@ TEST(TcpFabricTest, ReconnectCountedAfterPeerRestart) {
 }
 
 TEST(TcpFabricTest, BoundedQueueOverflowDropsAndSignals) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kTcpFabric);
   net::FabricOptions cfg;
   cfg.maxQueuedMessages = 2;
-  CountingSink a, b;  // sinks must outlive the fabric's reader threads
+  CountingSink a, b;  // sinks must outlive the fabric's loops
   net::TcpFabric fabric(base, cfg);
   ASSERT_TRUE(fabric.Register(1, &a, nullptr));
   ASSERT_TRUE(fabric.Register(2, &b, nullptr));
@@ -195,8 +134,8 @@ TEST(TcpFabricTest, BoundedQueueOverflowDropsAndSignals) {
 }
 
 TEST(TcpFabricTest, MalformedFrameDisconnects) {
-  const auto base = NextBasePort();
-  CountingSink b;  // sinks must outlive the fabric's reader threads
+  const auto base = NextBasePort(PortBand::kTcpFabric);
+  CountingSink b;  // sinks must outlive the fabric's loops
   net::TcpFabric fabric(base);
   ASSERT_TRUE(fabric.Register(2, &b, nullptr));
 
@@ -230,8 +169,8 @@ TEST(TcpFabricTest, MalformedFrameDisconnects) {
 }
 
 TEST(TcpFabricTest, FinishedReadersAreReaped) {
-  const auto base = NextBasePort();
-  CountingSink b;  // sinks must outlive the fabric's reader threads
+  const auto base = NextBasePort(PortBand::kTcpFabric);
+  CountingSink b;  // sinks must outlive the fabric's loops
   net::TcpFabric fabric(base);
   ASSERT_TRUE(fabric.Register(2, &b, nullptr));
 
@@ -253,8 +192,8 @@ TEST(TcpFabricTest, FinishedReadersAreReaped) {
 }
 
 TEST(TcpFabricTest, LinkCutDropsAndRestores) {
-  const auto base = NextBasePort();
-  CountingSink a, b;  // sinks must outlive the fabric's reader threads
+  const auto base = NextBasePort(PortBand::kTcpFabric);
+  CountingSink a, b;  // sinks must outlive the fabric's loops
   net::TcpFabric fabric(base);
   ASSERT_TRUE(fabric.Register(1, &a, nullptr));
   ASSERT_TRUE(fabric.Register(2, &b, nullptr));
@@ -270,8 +209,8 @@ TEST(TcpFabricTest, LinkCutDropsAndRestores) {
 }
 
 TEST(TcpFabricTest, DownedEndpointDropsBothDirections) {
-  const auto base = NextBasePort();
-  CountingSink a, b;  // sinks must outlive the fabric's reader threads
+  const auto base = NextBasePort(PortBand::kTcpFabric);
+  CountingSink a, b;  // sinks must outlive the fabric's loops
   net::TcpFabric fabric(base);
   ASSERT_TRUE(fabric.Register(1, &a, nullptr));
   ASSERT_TRUE(fabric.Register(2, &b, nullptr));
@@ -286,8 +225,8 @@ TEST(TcpFabricTest, DownedEndpointDropsBothDirections) {
 }
 
 TEST(TcpFabricTest, SilentDropLosesFramesWithoutSignal) {
-  const auto base = NextBasePort();
-  CountingSink a, b;  // sinks must outlive the fabric's reader threads
+  const auto base = NextBasePort(PortBand::kTcpFabric);
+  CountingSink a, b;  // sinks must outlive the fabric's loops
   net::TcpFabric fabric(base);
   ASSERT_TRUE(fabric.Register(1, &a, nullptr));
   ASSERT_TRUE(fabric.Register(2, &b, nullptr));
@@ -310,7 +249,7 @@ TEST(TcpFabricTest, SilentDropLosesFramesWithoutSignal) {
 // one-lock-per-fabric design, where the delayed sends would serialize
 // everything behind them.
 TEST(TcpFabricTest, StalledPeerDelaysOnlyItsOwnQueue) {
-  const auto base = NextBasePort();
+  const auto base = NextBasePort(PortBand::kTcpFabric);
   CountingSink sender, wedged, healthy;  // sinks outlive the fabric
   net::TcpFabric fabric(base);
   ASSERT_TRUE(fabric.Register(1, &sender, nullptr));

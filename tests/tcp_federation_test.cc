@@ -1,38 +1,31 @@
 // Federation twin over real loopback TCP: two independent clusters
-// (manager + 2 data servers each) subscribe to a meta-manager, every
-// node on its own dispatch thread, and a client holding only the meta
-// address opens files in either cluster through the two-hop redirect
-// walk. Tier-2: real sockets, real clocks.
+// (manager + 2 data servers each, built by sim::TcpCluster on one shared
+// fabric) subscribe to a meta-manager, every node on its own event loop,
+// and a client holding only the meta address opens files in either
+// cluster through the two-hop redirect walk. Tier-2: real sockets, real
+// clocks.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
+#include <optional>
 
 #include "client/sync_client.h"
 #include "fed/meta_manager.h"
+#include "net/endpoint_guard.h"
 #include "net/tcp_fabric.h"
-#include "oss/mem_oss.h"
 #include "sched/thread_executor.h"
-#include "xrd/scalla_node.h"
+#include "sim/tcp_cluster.h"
+#include "tcp_test_support.h"
 
 namespace scalla {
 namespace {
 
 using cms::AccessMode;
 
-// Distinct port band (tcp_cluster_test uses 24000+; stay clear of it).
-std::uint16_t NextBasePort() {
-  static std::atomic<std::uint16_t> next{31000};
-  return next.fetch_add(200);
-}
-
 class TcpFederationTest : public ::testing::Test {
  protected:
   static constexpr net::NodeAddr kMeta = 1;
 
   void SetUp() override {
-    fabric_ = std::make_unique<net::TcpFabric>(NextBasePort());
-
     cms::CmsConfig cms;
     cms.deadline = std::chrono::milliseconds(500);
     cms.sweepPeriod = std::chrono::milliseconds(50);
@@ -40,96 +33,49 @@ class TcpFederationTest : public ::testing::Test {
     fed::MetaConfig mcfg;
     mcfg.addr = kMeta;
     mcfg.cms = cms;
-    metaExec_ = std::make_unique<sched::ThreadExecutor>();
-    meta_ = std::make_unique<fed::MetaManager>(mcfg, *metaExec_, *fabric_);
-    ASSERT_TRUE(fabric_->Register(kMeta, meta_.get(), metaExec_.get()));
+    meta_ = std::make_unique<fed::MetaManager>(mcfg, metaLoop_, fabric_);
+    ASSERT_TRUE(fabric_.Register(kMeta, meta_.get(), &metaLoop_));
+    metaGuard_.emplace(fabric_, kMeta, metaLoop_);
+    metaLoop_.RunSync([this] { meta_->Start(); });
 
+    // Cluster c takes addresses 10(c+1) on: its manager, then its servers.
     for (int c = 0; c < 2; ++c) {
-      const net::NodeAddr base = 10 * (c + 1);
-      xrd::NodeConfig mgr;
-      mgr.role = xrd::NodeRole::kManager;
-      mgr.name = "manager" + std::to_string(c);
-      mgr.addr = base;
-      mgr.exports = {"/store"};
-      mgr.cms = cms;
-      mgr.loginRetry = std::chrono::milliseconds(100);
-      mgr.meta = kMeta;
-      mgr.clusterName = "cluster" + std::to_string(c);
-      execs_.push_back(std::make_unique<sched::ThreadExecutor>());
-      nodes_.push_back(std::make_unique<xrd::ScallaNode>(mgr, *execs_.back(), *fabric_,
-                                                         nullptr));
-      managers_[c] = nodes_.back().get();
-      ASSERT_TRUE(fabric_->Register(mgr.addr, nodes_.back().get(), execs_.back().get()));
-
-      for (int i = 0; i < 2; ++i) {
-        xrd::NodeConfig leaf;
-        leaf.role = xrd::NodeRole::kServer;
-        leaf.name = "server" + std::to_string(c) + std::to_string(i);
-        leaf.addr = base + 1 + i;
-        leaf.parent = base;
-        leaf.exports = {"/store"};
-        leaf.cms = cms;
-        leaf.loginRetry = std::chrono::milliseconds(100);
-        execs_.push_back(std::make_unique<sched::ThreadExecutor>());
-        storages_.push_back(std::make_unique<oss::MemOss>(execs_.back()->clock()));
-        storageOf_[leaf.addr] = storages_.back().get();
-        nodes_.push_back(std::make_unique<xrd::ScallaNode>(
-            leaf, *execs_.back(), *fabric_, storages_.back().get()));
-        ASSERT_TRUE(
-            fabric_->Register(leaf.addr, nodes_.back().get(), execs_.back().get()));
-      }
+      sim::ClusterSpec spec;
+      spec.servers = 2;
+      spec.cms = cms;
+      spec.meta = kMeta;
+      spec.clusterName = "cluster" + std::to_string(c);
+      auto made = sim::TcpCluster::Create(spec, fabric_, 10 * (c + 1));
+      ASSERT_TRUE(made.ok()) << made.error().message;
+      clusters_[c] = std::move(made).value();
     }
 
-    meta_->Start();
-    for (auto& node : nodes_) node->Start();
-
-    // Wait for cluster logins AND both federation subscriptions.
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    auto settled = [&] {
-      return managers_[0]->membership().MemberCount() == 2 &&
-             managers_[1]->membership().MemberCount() == 2 &&
-             meta_->membership().MemberCount() == 2;
-    };
-    while (!settled() && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ASSERT_TRUE(settled());
-
-    client::ClientConfig cc;
-    cc.addr = 100;
-    cc.head = kMeta;  // the client knows ONLY the meta
-    clientExec_ = std::make_unique<sched::ThreadExecutor>();
-    client_ = std::make_unique<client::SyncClient>(cc, *clientExec_, *fabric_,
-                                                   std::chrono::seconds(20));
-    ASSERT_TRUE(fabric_->Register(100, &client_->async(), clientExec_.get()));
+    client_ = clusters_[0]->NewClient(std::chrono::seconds(20), kMeta);  // knows ONLY the meta
+    ASSERT_NE(client_, nullptr);
   }
 
   void TearDown() override {
-    meta_->Stop();
-    for (auto& node : nodes_) node->Stop();
-    fabric_.reset();
+    for (auto& cluster : clusters_) cluster.reset();
+    metaLoop_.RunSync([this] { meta_->Stop(); });
+    metaGuard_.reset();  // unregisters the meta, then stops its loop
   }
 
-  std::unique_ptr<net::TcpFabric> fabric_;
-  std::unique_ptr<sched::ThreadExecutor> metaExec_;
+  net::TcpFabric fabric_{NextBasePort(PortBand::kTcpFederation)};
+  sched::ThreadExecutor metaLoop_;
   std::unique_ptr<fed::MetaManager> meta_;
-  std::vector<std::unique_ptr<sched::ThreadExecutor>> execs_;
-  std::vector<std::unique_ptr<oss::MemOss>> storages_;
-  std::unordered_map<net::NodeAddr, oss::MemOss*> storageOf_;
-  std::vector<std::unique_ptr<xrd::ScallaNode>> nodes_;
-  xrd::ScallaNode* managers_[2] = {nullptr, nullptr};
-  std::unique_ptr<sched::ThreadExecutor> clientExec_;
-  std::unique_ptr<client::SyncClient> client_;
+  std::optional<net::EndpointGuard> metaGuard_;
+  std::unique_ptr<sim::TcpCluster> clusters_[2];
+  client::SyncClient* client_ = nullptr;
 };
 
 TEST_F(TcpFederationTest, OpensInEitherClusterThroughMetaOverRealSockets) {
-  storageOf_[11]->Put("/store/west", "first cluster");
-  storageOf_[22]->Put("/store/east", "second cluster");
+  clusters_[0]->storage(0).Put("/store/west", "first cluster");
+  clusters_[1]->storage(1).Put("/store/east", "second cluster");
 
   const auto west = client_->Open("/store/west", AccessMode::kRead);
   ASSERT_EQ(west.err, proto::XrdErr::kNone);
   EXPECT_GE(west.redirects, 2);  // meta -> head -> server
-  EXPECT_EQ(west.file.node, 11u);
+  EXPECT_EQ(west.file.node, clusters_[0]->server(0).config().addr);
   const auto w = client_->Read(west.file, 0, 64);
   ASSERT_TRUE(w.ok()) << w.error().message;
   EXPECT_EQ(w.value(), "first cluster");
@@ -137,7 +83,7 @@ TEST_F(TcpFederationTest, OpensInEitherClusterThroughMetaOverRealSockets) {
 
   const auto east = client_->Open("/store/east", AccessMode::kRead);
   ASSERT_EQ(east.err, proto::XrdErr::kNone);
-  EXPECT_EQ(east.file.node, 22u);
+  EXPECT_EQ(east.file.node, clusters_[1]->server(1).config().addr);
   const auto e = client_->Read(east.file, 0, 64);
   ASSERT_TRUE(e.ok()) << e.error().message;
   EXPECT_EQ(e.value(), "second cluster");
@@ -152,16 +98,21 @@ TEST_F(TcpFederationTest, CreateThroughMetaLandsInSomeClusterAndReadsBack) {
 }
 
 TEST_F(TcpFederationTest, RepeatOpenHitsMetaCache) {
-  storageOf_[12]->Put("/store/hot", "x");
+  clusters_[0]->storage(1).Put("/store/hot", "x");
   const auto first = client_->Open("/store/hot", AccessMode::kRead);
   ASSERT_EQ(first.err, proto::XrdErr::kNone);
   EXPECT_TRUE(client_->Close(first.file).ok());
 
-  const auto before = meta_->SnapshotMetrics();
+  const auto snapshot = [this] {
+    obs::MetricsSnapshot snap;
+    metaLoop_.RunSync([&] { snap = meta_->SnapshotMetrics(); });
+    return snap;
+  };
+  const auto before = snapshot();
   const auto second = client_->Open("/store/hot", AccessMode::kRead);
   ASSERT_EQ(second.err, proto::XrdErr::kNone);
   EXPECT_TRUE(client_->Close(second.file).ok());
-  const auto after = meta_->SnapshotMetrics();
+  const auto after = snapshot();
   EXPECT_GT(after.Counter("cache.hits"), before.Counter("cache.hits"));
 }
 

@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "client/sync_client.h"
-#include "endpoint_guard.h"
+#include "net/endpoint_guard.h"
 #include "net/tcp_fabric.h"
 #include "sched/thread_executor.h"
 
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   net::TcpFabric fabric(basePort);
   sched::ThreadExecutor executor;
   client::SyncClient client(cfg, executor, fabric, std::chrono::seconds(30));
-  const tools::EndpointGuard guard(fabric, cfg.addr, executor);
+  const net::EndpointGuard guard(fabric, cfg.addr, executor);
   if (!fabric.Register(cfg.addr, &client.async(), &executor)) {
     std::fprintf(stderr, "cannot bind client port %u\n", basePort + cfg.addr);
     return 1;
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
       } sink;
       auto fut = sink.prom.get_future();
       const net::NodeAddr addr = cfg.addr + 1;
-      const tools::EndpointGuard locateGuard(fabric, addr, executor);
+      const net::EndpointGuard locateGuard(fabric, addr, executor);
       if (!fabric.Register(addr, &sink, &executor)) {
         std::fprintf(stderr, "cannot bind client port %u\n", basePort + addr);
         return 1;
