@@ -74,8 +74,10 @@ cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j
 ctest --test-dir build-asan --output-on-failure -j 4 -LE tier2
 # The real-socket chaos and federation suites are tier2, yet their
-# cluster crash, restart and teardown paths are what ASan checks.
-ctest --test-dir build-asan --output-on-failure -R "chaos_test|tcp_federation_test"
+# cluster crash, restart and teardown paths are what ASan checks; so is
+# the fabric soak's 10k-socket mesh, whose sockets each carry frames both
+# ways and are closed by whichever end owns them.
+ctest --test-dir build-asan --output-on-failure -R "chaos_test|tcp_federation_test|fabric_soak_test"
 
 echo
 echo "=== build + test (threaded + liveness suites): tsan preset ==="

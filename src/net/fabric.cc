@@ -1,5 +1,8 @@
 #include "net/fabric.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace scalla::net {
 
 Result<void> ValidateFabricOptions(const FabricOptions& options) {
@@ -20,6 +23,13 @@ Result<void> ValidateFabricOptions(const FabricOptions& options) {
                              "fabric.idletimeout must be non-negative (0 disables)");
   }
   return Result<void>::Ok();
+}
+
+void RequireValidFabricOptions(const FabricOptions& options) {
+  if (Result<void> valid = ValidateFabricOptions(options); !valid) {
+    std::fprintf(stderr, "fabric: %s\n", valid.error().message.c_str());
+    std::abort();
+  }
 }
 
 }  // namespace scalla::net

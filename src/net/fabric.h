@@ -40,19 +40,26 @@ struct FabricOptions {
   /// within this window (no writable readiness, or a peer that stopped
   /// draining) is treated as broken and the peer marked down.
   std::chrono::milliseconds writeTimeout{2000};
-  /// Idle-connection reaping: a connection with no traffic for this long
-  /// is quietly closed and re-established transparently on the next send
-  /// (no OnPeerDown). Zero disables reaping.
+  /// Idle-connection reaping: a connection with no traffic either way for
+  /// this long is quietly closed by the end that dialed it and
+  /// re-established transparently on the next send (no OnPeerDown). Zero
+  /// disables reaping.
   std::chrono::milliseconds idleTimeout{0};
-  /// SO_SNDBUF for outbound sockets; 0 keeps the OS default. Tests force a
-  /// tiny buffer to exercise partial-write framing.
+  /// SO_SNDBUF for every socket the fabric sends on, dialed or accepted
+  /// (replies ride the accepted side); 0 keeps the OS default. Tests force
+  /// a tiny buffer to exercise partial-write framing.
   std::size_t sendBufferBytes = 0;
 };
 
 /// Rejects out-of-range options with a descriptive error (used by the
 /// config loader so bad `fabric.*` directives fail loudly, and by
-/// transports at construction).
+/// transports at construction through RequireValidFabricOptions).
 Result<void> ValidateFabricOptions(const FabricOptions& options);
+
+/// Aborts with ValidateFabricOptions' message when `options` are out of
+/// range. Both transports call it in their constructors: a zero queue
+/// depth, say, would otherwise refuse every frame.
+void RequireValidFabricOptions(const FabricOptions& options);
 
 /// Receives messages delivered by the fabric. Handlers run on the
 /// receiver's executor: the sim event loop, or on TCP the endpoint's
@@ -120,10 +127,11 @@ class Fabric : public FaultInjector {
   };
   virtual Counters GetCounters() const = 0;
 
-  /// Traffic attributed to one remote peer: frames/bytes sent over
-  /// connections TO `peer`, frames/bytes received over connections FROM
-  /// `peer`, and the message counts for that link. Lets bench_fabric and
-  /// the obs stats tree attribute wire traffic to individual links.
+  /// Traffic attributed to one remote peer: frames/bytes sent TO `peer`
+  /// and frames/bytes received FROM `peer`, whichever socket carried them
+  /// (on TCP one connection carries a pair both ways), and the message
+  /// counts for that link. Lets bench_fabric and the obs stats tree
+  /// attribute wire traffic to individual links.
   virtual Counters PerPeerCounters(NodeAddr peer) const = 0;
 };
 

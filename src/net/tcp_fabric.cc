@@ -42,6 +42,16 @@ std::uint64_t PairKey(NodeAddr from, NodeAddr to) {
   return (static_cast<std::uint64_t>(from) << 32) | to;
 }
 
+// Options every socket the fabric sends on gets, dialed or accepted.
+void TuneSocket(int fd, const FabricOptions& options) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  if (options.sendBufferBytes > 0) {
+    const int size = static_cast<int>(options.sendBufferBytes);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &size, sizeof(size));
+  }
+}
+
 void Accumulate(Fabric::Counters& into, const Fabric::Counters& d) {
   into.messagesSent += d.messagesSent;
   into.messagesDelivered += d.messagesDelivered;
@@ -62,8 +72,8 @@ struct TcpFabric::Endpoint {
   MessageSink* sink = nullptr;
   sched::Executor* executor = nullptr;
   // `executor` when it is a ThreadExecutor: the endpoint's listener and
-  // its inbound and outbound connections all live on that loop, and frames
-  // reach the sink inline. Null: they go on the fabric's loop pool.
+  // every socket it accepts or dials live on that loop, and frames reach
+  // the sink inline. Null: they go on the fabric's loop pool.
   sched::ThreadExecutor* host = nullptr;
 
   int listenFd = -1;
@@ -71,10 +81,10 @@ struct TcpFabric::Endpoint {
   sched::ThreadExecutor* listenerLoop = nullptr;
   std::shared_ptr<Listener> listener;
 
-  // Live inbound connections; an InConn removes itself the moment its
-  // socket dies, so the list never accumulates dead entries.
+  // Live accepted sockets; a Conn leaves the list the moment its accepted
+  // socket closes, so the list never accumulates dead entries.
   mutable std::mutex inMu;
-  std::vector<std::shared_ptr<InConn>> inConns;
+  std::vector<std::shared_ptr<Conn>> inConns;
 };
 
 // ---------------------------------------------------------------------------
@@ -93,8 +103,7 @@ class TcpFabric::Listener final : public sched::EventHandler {
         if (errno == EINTR) continue;
         break;  // EAGAIN, or the listener is being torn down
       }
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      TuneSocket(fd, fabric_->options_);
       fabric_->AdoptInbound(ep_, fd);
     }
   }
@@ -105,204 +114,80 @@ class TcpFabric::Listener final : public sched::EventHandler {
 };
 
 // ---------------------------------------------------------------------------
-// InConn: one accepted socket. Reads are readiness-driven into a reusable,
-// never zero-filled rx buffer; frames are parsed incrementally (a frame may
-// arrive across any number of reads) and delivered to the endpoint's sink:
-// inline when this loop is the endpoint's own (or it has no executor),
-// else posted to its executor.
+// Conn: one socket, dialed or accepted, carrying frames both ways, and the
+// send path of the (local, peer) pair that uses it.
+//
+// Receive: reads are readiness-driven into a reusable, never zero-filled
+// rx buffer; frames are parsed incrementally (a frame may arrive across any
+// number of reads) and delivered to the local endpoint's sink: inline when
+// this loop is the endpoint's own (or it has no executor), else posted to
+// its executor. A dialed Conn knows its peer; an accepted one learns it
+// from its first frame and offers itself as the endpoint's path to that
+// peer (TcpFabric::Claim). A frame naming any other sender closes it.
+//
+// Send: any thread submits frames under qmu_. It writes one through to the
+// connected socket itself when the pair is idle, and otherwise queues it and
+// "kicks" the owning loop at most once per quiet period. Connect, draining a
+// backlog with writev, deadlines, delay pacing and idle reaping stay on the
+// loop. A hosted endpoint's sockets live on its own loop, so its kick is a
+// post to itself that drains each pair once the current round is done.
 
-class TcpFabric::InConn final : public sched::EventHandler,
-                                public std::enable_shared_from_this<InConn> {
+class TcpFabric::Conn final : public sched::EventHandler,
+                              public std::enable_shared_from_this<Conn> {
  public:
-  InConn(TcpFabric* fabric, Endpoint* ep, int fd, sched::ThreadExecutor* loop)
-      : fabric_(fabric), ep_(ep), fd_(fd), loop_(loop) {}
+  // Submit's answer once this Conn has handed its pair to another socket:
+  // the sender looks the pair up again.
+  static constexpr ssize_t kRetired = -2;
+
+  // A pair's send path with no socket yet: its first frame dials `peer`.
+  // `ep` is the local endpoint frames arriving on it go to (null: none).
+  Conn(TcpFabric* fabric, Endpoint* ep, NodeAddr local, NodeAddr peer,
+       sched::ThreadExecutor* loop)
+      : fabric_(fabric), ep_(ep), local_(local), loop_(loop), peer_(peer),
+        peerKnown_(true) {}
+
+  // A socket `ep`'s listener accepted; Attach registers it.
+  Conn(TcpFabric* fabric, Endpoint* ep, int fd, sched::ThreadExecutor* loop)
+      : fabric_(fabric), ep_(ep), local_(ep->addr), loop_(loop), fd_(fd),
+        accepted_(true) {}
 
   sched::ThreadExecutor* loop() const { return loop_; }
+  Endpoint* endpoint() const { return ep_; }
+  NodeAddr local() const { return local_; }
+  NodeAddr peer() const { return peer_; }  // loop thread, once known
+  // An accepted Conn's peer, set and read under the fabric's connsMu_.
+  void LearnPeer(NodeAddr peer) {
+    peer_ = peer;
+    peerKnown_ = true;
+  }
+  bool KnowsPeer(NodeAddr peer) const { return peerKnown_ && peer_ == peer; }
 
-  // Loop thread: registers the socket. A CloseOnLoop posted behind us (the
-  // endpoint unregistering) still finds id_ set, so teardown stays exact.
+  // Loop thread: registers an accepted socket. A StopOnLoop that ran first
+  // (the endpoint unregistering after a stopped loop) already closed it.
   void Attach() {
-    if (closed_) {
-      if (fd_ >= 0) ::close(fd_);
-      fd_ = -1;
-      return;
-    }
+    if (stopped_) return;
     id_ = loop_->Add(fd_, EPOLLIN, shared_from_this());
+    state_ = State::kConnected;
+    std::lock_guard lock(qmu_);
+    hasSocket_ = true;
+    writable_ = true;
   }
-
-  // Loop thread.
-  void CloseOnLoop() {
-    if (closed_) return;
-    closed_ = true;
-    if (id_ != 0) {
-      loop_->Del(id_);
-      id_ = 0;
-    }
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    fabric_->RemoveInbound(ep_, this);
-  }
-
-  void OnEvents(std::uint32_t /*events*/) override {
-    if (closed_) return;
-    std::size_t readThisPass = 0;
-    for (;;) {
-      MakeRoom();
-      const std::size_t room = cap_ - len_;
-      const ssize_t n = ::recv(fd_, rx_.get() + len_, room, 0);
-      if (n == 0) {  // EOF
-        CloseOnLoop();
-        return;
-      }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        CloseOnLoop();
-        return;
-      }
-      len_ += static_cast<std::size_t>(n);
-      readThisPass += static_cast<std::size_t>(n);
-      if (!ParseFrames()) return;
-      // A short read emptied the socket: stop rather than pay a recv that
-      // only returns EAGAIN. Level-triggered epoll re-reports later bytes.
-      if (static_cast<std::size_t>(n) < room || readThisPass >= kMaxReadPerDispatch) {
-        break;
-      }
-    }
-    if (pos_ == len_) {
-      pos_ = len_ = 0;
-      if (cap_ > kRxShrinkCapacity) {  // give an outsized buffer back
-        rx_.reset();
-        cap_ = 0;
-      }
-    }
-  }
-
- private:
-  // Leaves at least kReadChunk free bytes after len_: moves the unparsed
-  // tail to the front when that frees enough, else grows the buffer. New
-  // capacity is left uninitialised; recv fills what is read.
-  void MakeRoom() {
-    if (cap_ - len_ >= kReadChunk) return;
-    const std::size_t live = len_ - pos_;
-    if (cap_ - live < kReadChunk) {
-      const std::size_t cap = std::max(2 * cap_, live + kReadChunk);
-      std::unique_ptr<char[]> grown(new char[cap]);
-      if (live > 0) std::memcpy(grown.get(), rx_.get() + pos_, live);
-      rx_ = std::move(grown);
-      cap_ = cap;
-    } else if (live > 0) {
-      std::memmove(rx_.get(), rx_.get() + pos_, live);
-    }
-    pos_ = 0;
-    len_ = live;
-  }
-
-  // Delivers every complete frame currently buffered. Returns false once
-  // the connection is closed: by a frame that can never become valid (bad
-  // length, undecodable body), or by an inline handler that unregistered
-  // the endpoint — ep_ may then be gone, so nothing here touches it again.
-  bool ParseFrames() {
-    for (;;) {
-      const std::size_t avail = len_ - pos_;
-      if (avail < kFrameHeader) return true;
-      std::uint32_t length = 0;
-      std::uint32_t sender = 0;
-      std::memcpy(&length, rx_.get() + pos_, 4);
-      std::memcpy(&sender, rx_.get() + pos_ + 4, 4);
-      if (length == 0 || length > proto::kMaxFrameBody) {
-        SCALLA_WARN("tcp", "endpoint %u: bad frame length %u from %u", ep_->addr,
-                    length, sender);
-        CloseOnLoop();
-        return false;
-      }
-      if (avail < kFrameHeader + length) return true;
-      const std::string_view body(rx_.get() + pos_ + kFrameHeader, length);
-      auto message = proto::Decode(body);
-      if (!message.has_value()) {
-        SCALLA_WARN("tcp", "endpoint %u: malformed frame from %u", ep_->addr,
-                    sender);
-        CloseOnLoop();
-        return false;
-      }
-      pos_ += kFrameHeader + length;
-      // A fault injected while the frame was on the wire (a downed or
-      // wedged end, a cut or lossy link) loses it silently — the
-      // connection stays up.
-      const bool deliver = fabric_->faults_.Check(sender, ep_->addr).fate ==
-                           FaultVerdict::Fate::kDeliver;
-      fabric_->Count(sender, {.messagesDelivered = deliver,
-                              .messagesDropped = !deliver,
-                              .framesReceived = 1,
-                              .bytesReceived = kFrameHeader + length});
-      if (!deliver) continue;
-      MessageSink* sink = ep_->sink;
-      if (ep_->executor != nullptr && ep_->host == nullptr) {
-        ep_->executor->Post([sink, sender, msg = std::move(*message)]() mutable {
-          sink->OnMessage(sender, std::move(msg));
-        });
-        continue;
-      }
-      // Inline on the endpoint's own loop. A sender in the handler sees a
-      // backlog while another whole frame waits here, so its replies batch.
-      sched::NoteBufferedInput(CompleteFrameBuffered());
-      sink->OnMessage(sender, std::move(*message));
-      if (closed_) return false;
-    }
-  }
-
-  bool CompleteFrameBuffered() const {
-    const std::size_t avail = len_ - pos_;
-    if (avail < kFrameHeader) return false;
-    std::uint32_t length = 0;
-    std::memcpy(&length, rx_.get() + pos_, 4);
-    return avail >= kFrameHeader + length;
-  }
-
-  TcpFabric* fabric_;
-  Endpoint* ep_;
-  int fd_;
-  sched::ThreadExecutor* loop_;
-  std::uint64_t id_ = 0;
-  bool closed_ = false;
-  std::unique_ptr<char[]> rx_;  // unparsed bytes live in [pos_, len_)
-  std::size_t cap_ = 0;
-  std::size_t len_ = 0;
-  std::size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// OutConn: the outbound half of one (from, to) pair. Any thread submits
-// frames under qmu_: it writes one through to the connected socket itself
-// when the pair is idle, and otherwise queues it and "kicks" the owning
-// loop at most once per quiet period. Connect, draining a backlog with
-// writev, deadlines, delay pacing and idle reaping stay on the loop. A
-// hosted sender's pairs live on its own loop, so its kick is a post to
-// itself that drains each pair once the current round is done.
-
-class TcpFabric::OutConn final : public sched::EventHandler,
-                                 public std::enable_shared_from_this<OutConn> {
- public:
-  OutConn(TcpFabric* fabric, NodeAddr from, NodeAddr to, sched::ThreadExecutor* loop)
-      : fabric_(fabric), from_(from), to_(to), loop_(loop) {}
-
-  sched::ThreadExecutor* loop() const { return loop_; }
 
   // Any thread. Hands one encoded frame to the pair, in order behind
   // anything already queued. With `writeThrough` set, an idle connected
   // pair has the calling thread send the frame itself; whatever the socket
   // does not take (EAGAIN, the tail of a partial write, or the whole frame
   // on an error, which resurfaces on the loop's next write) is queued with
-  // its offset for the loop. Returns the bytes this call wrote, or -1 when
-  // the bounded queue is full and the frame was refused.
-  ssize_t Submit(std::string frame, bool writeThrough) {
+  // its offset for the loop. Returns the bytes this call wrote, -1 when the
+  // bounded queue is full and the frame was refused, or kRetired (the frame
+  // is left with the caller).
+  ssize_t Submit(std::string& frame, bool writeThrough) {
     ssize_t written = 0;
     bool queued = false;
     bool kick = false;
     {
       std::lock_guard lock(qmu_);
+      if (retired_) return kRetired;
       if (writeThrough && writable_ && queue_.empty()) {
         const ssize_t n = ::send(fd_, frame.data(), frame.size(), MSG_NOSIGNAL);
         if (n > 0) {
@@ -330,8 +215,18 @@ class TcpFabric::OutConn final : public sched::EventHandler,
     return written;
   }
 
+  // Any thread, under the fabric's connsMu_: gives the pair up when this
+  // Conn has no socket and nothing queued. A later Submit sends its caller
+  // back to look the pair up again, so no frame can pass one queued here.
+  bool RetireIfIdle() {
+    std::lock_guard lock(qmu_);
+    if (hasSocket_ || !queue_.empty()) return false;
+    retired_ = true;
+    return true;
+  }
+
   // Any thread: the peer's endpoint went away locally (Unregister). Treat
-  // the cached socket like a peer restart: quietly drop it; the next frame
+  // the socket like a peer restart: quietly drop it; the next frame
   // reconnects (counting one reconnect) and only a refused reconnect
   // escalates to OnPeerDown. Senders stop writing through at once, so a
   // frame sent after Unregister queues behind the detach.
@@ -345,6 +240,7 @@ class TcpFabric::OutConn final : public sched::EventHandler,
 
   // Loop thread (via RunSync): terminal teardown, no signalling.
   void StopOnLoop() {
+    if (stopped_) return;
     stopped_ = true;
     CloseFd();
     std::lock_guard lock(qmu_);
@@ -370,19 +266,7 @@ class TcpFabric::OutConn final : public sched::EventHandler,
       return;
     }
     if (state_ != State::kConnected) return;
-    if ((events & EPOLLIN) != 0) {
-      // Peers never send application data back on an outbound socket;
-      // readable here means EOF or reset (or stray bytes we discard).
-      char buf[4096];
-      for (;;) {
-        const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-        if (n > 0) continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        if (n < 0 && errno == EINTR) continue;
-        HandleBroken();
-        return;
-      }
-    }
+    if ((events & EPOLLIN) != 0 && !ReadFrames()) return;
     if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
       HandleBroken();
       return;
@@ -392,6 +276,143 @@ class TcpFabric::OutConn final : public sched::EventHandler,
 
  private:
   enum class State { kIdle, kConnecting, kConnected };
+
+  // ---- receive ----
+
+  // Reads what the socket holds and delivers every complete frame. Returns
+  // false once the socket is gone: EOF, an error, a frame that can never
+  // become valid, or an inline handler that unregistered the endpoint.
+  bool ReadFrames() {
+    std::size_t readThisPass = 0;
+    for (;;) {
+      MakeRoom();
+      const std::size_t room = cap_ - len_;
+      const ssize_t n = ::recv(fd_, rx_.get() + len_, room, 0);
+      if (n == 0) {  // EOF
+        HandleBroken();
+        return false;
+      }
+      if (n < 0) {
+        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+        if (errno == EINTR) continue;
+        HandleBroken();
+        return false;
+      }
+      len_ += static_cast<std::size_t>(n);
+      readThisPass += static_cast<std::size_t>(n);
+      if (!ParseFrames()) return false;
+      // A short read emptied the socket: stop rather than pay a recv that
+      // only returns EAGAIN. Level-triggered epoll re-reports later bytes.
+      if (static_cast<std::size_t>(n) < room || readThisPass >= kMaxReadPerDispatch) {
+        break;
+      }
+    }
+    if (fabric_->options_.idleTimeout > std::chrono::milliseconds::zero()) {
+      lastRx_ = Now();
+    }
+    if (pos_ == len_) {
+      pos_ = len_ = 0;
+      if (cap_ > kRxShrinkCapacity) {  // give an outsized buffer back
+        rx_.reset();
+        cap_ = 0;
+      }
+    }
+    return true;
+  }
+
+  // Leaves at least kReadChunk free bytes after len_: moves the unparsed
+  // tail to the front when that frees enough, else grows the buffer. New
+  // capacity is left uninitialised; recv fills what is read.
+  void MakeRoom() {
+    if (cap_ - len_ >= kReadChunk) return;
+    const std::size_t live = len_ - pos_;
+    if (cap_ - live < kReadChunk) {
+      const std::size_t cap = std::max(2 * cap_, live + kReadChunk);
+      std::unique_ptr<char[]> grown(new char[cap]);
+      if (live > 0) std::memcpy(grown.get(), rx_.get() + pos_, live);
+      rx_ = std::move(grown);
+      cap_ = cap;
+    } else if (live > 0) {
+      std::memmove(rx_.get(), rx_.get() + pos_, live);
+    }
+    pos_ = 0;
+    len_ = live;
+  }
+
+  // Delivers every complete frame currently buffered. Returns false once
+  // the socket is closed: by a frame that can never become valid (bad
+  // length, undecodable body, a sender other than the peer), or by an
+  // inline handler that unregistered the endpoint — ep_ may then be gone,
+  // so nothing here touches it again.
+  bool ParseFrames() {
+    for (;;) {
+      const std::size_t avail = len_ - pos_;
+      if (avail < kFrameHeader) return true;
+      std::uint32_t length = 0;
+      std::uint32_t sender = 0;
+      std::memcpy(&length, rx_.get() + pos_, 4);
+      std::memcpy(&sender, rx_.get() + pos_ + 4, 4);
+      if (length == 0 || length > proto::kMaxFrameBody) {
+        SCALLA_WARN("tcp", "endpoint %u: bad frame length %u from %u", local_, length,
+                    sender);
+        HandleBroken();
+        return false;
+      }
+      if (avail < kFrameHeader + length) return true;
+      const std::string_view body(rx_.get() + pos_ + kFrameHeader, length);
+      auto message = proto::Decode(body);
+      if (!message.has_value()) {
+        SCALLA_WARN("tcp", "endpoint %u: malformed frame from %u", local_, sender);
+        HandleBroken();
+        return false;
+      }
+      if (!peerKnown_) {
+        fabric_->Claim(shared_from_this(), sender);
+      } else if (sender != peer_) {
+        // The first sender decides where this endpoint's replies to it
+        // go, so a connection speaks for one peer only.
+        SCALLA_WARN("tcp", "endpoint %u: frame from %u on %u's connection", local_,
+                    sender, peer_);
+        HandleBroken();
+        return false;
+      }
+      pos_ += kFrameHeader + length;
+      // A fault injected while the frame was on the wire (a downed or
+      // wedged end, a cut or lossy link) loses it silently — the
+      // connection stays up. So does a frame for an address with no
+      // endpoint (a dialed socket whose sender never registered).
+      const bool deliver =
+          ep_ != nullptr &&
+          fabric_->faults_.Check(sender, local_).fate == FaultVerdict::Fate::kDeliver;
+      fabric_->Count(sender, {.messagesDelivered = deliver,
+                              .messagesDropped = !deliver,
+                              .framesReceived = 1,
+                              .bytesReceived = kFrameHeader + length});
+      if (!deliver) continue;
+      MessageSink* sink = ep_->sink;
+      if (ep_->executor != nullptr && ep_->host == nullptr) {
+        ep_->executor->Post([sink, sender, msg = std::move(*message)]() mutable {
+          sink->OnMessage(sender, std::move(msg));
+        });
+        continue;
+      }
+      // Inline on the endpoint's own loop. A sender in the handler sees a
+      // backlog while another whole frame waits here, so its replies batch.
+      sched::NoteBufferedInput(CompleteFrameBuffered());
+      sink->OnMessage(sender, std::move(*message));
+      if (stopped_ || state_ != State::kConnected) return false;
+    }
+  }
+
+  bool CompleteFrameBuffered() const {
+    const std::size_t avail = len_ - pos_;
+    if (avail < kFrameHeader) return false;
+    std::uint32_t length = 0;
+    std::memcpy(&length, rx_.get() + pos_, 4);
+    return avail >= kFrameHeader + length;
+  }
+
+  // ---- send ----
 
   void OnKick() {
     {
@@ -421,10 +442,10 @@ class TcpFabric::OutConn final : public sched::EventHandler,
       if (queue_.empty()) return;
     }
     if (staleClosed_) {
-      // Replacing a cached connection that had worked: that is a
-      // reconnect, and it is transparent unless the new connect fails.
+      // Replacing a connection that had worked: that is a reconnect, and
+      // it is transparent unless the new connect fails.
       staleClosed_ = false;
-      fabric_->Count(to_, {.reconnects = 1});
+      fabric_->Count(peer_, {.reconnects = 1});
     }
     StartConnect();
   }
@@ -435,21 +456,20 @@ class TcpFabric::OutConn final : public sched::EventHandler,
       FailAll();
       return;
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    TuneSocket(fd, fabric_->options_);
     // Without SO_REUSEADDR here, this socket's TIME_WAIT remnant blocks any
     // later listener bind that lands on the same (ephemeral) local port.
+    const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (fabric_->options_.sendBufferBytes > 0) {
-      const int size = static_cast<int>(fabric_->options_.sendBufferBytes);
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &size, sizeof(size));
-    }
     fd_ = fd;
+    {
+      std::lock_guard lock(qmu_);
+      hasSocket_ = true;
+    }
     sockaddr_in sa{};
     sa.sin_family = AF_INET;
     sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    sa.sin_port =
-        htons(static_cast<std::uint16_t>(fabric_->basePort_ + to_));
+    sa.sin_port = htons(static_cast<std::uint16_t>(fabric_->basePort_ + peer_));
     const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa));
     if (rc == 0) {
       id_ = loop_->Add(fd_, EPOLLIN, shared_from_this());
@@ -488,7 +508,9 @@ class TcpFabric::OutConn final : public sched::EventHandler,
       lastActivity_ = now;
       writable_ = true;
     }
+    // The dialing end reaps a quiet socket; the accepting end sees EOF.
     if (fabric_->options_.idleTimeout > std::chrono::milliseconds::zero()) {
+      lastRx_ = now;
       const std::uint64_t gen = ++idleGen_;
       loop_->RunAt(now + fabric_->options_.idleTimeout,
                    [self = shared_from_this(), gen] { self->OnIdleCheck(gen); });
@@ -503,7 +525,7 @@ class TcpFabric::OutConn final : public sched::EventHandler,
       // silently (Send-time signalling already happened). If half a frame
       // already hit the wire, drop the socket too so the peer's framing
       // never desynchronizes; the next send transparently reconnects.
-      const FaultVerdict verdict = fabric_->faults_.Check(from_, to_);
+      const FaultVerdict verdict = fabric_->faults_.Check(local_, peer_);
       if (verdict.fate != FaultVerdict::Fate::kDeliver) {
         std::size_t n = 0;
         bool midFrame = false;
@@ -513,7 +535,7 @@ class TcpFabric::OutConn final : public sched::EventHandler,
           if (midFrame) writable_ = false;  // no write-through onto a torn frame
           n = DropQueueLocked();
         }
-        if (n > 0) fabric_->Count(to_, {.messagesDropped = n});
+        if (n > 0) fabric_->Count(peer_, {.messagesDropped = n});
         if (midFrame) {
           CloseFd();
           staleClosed_ = true;
@@ -602,8 +624,8 @@ class TcpFabric::OutConn final : public sched::EventHandler,
         }
         if (completed > 0) frameDoneSinceConnect_ = true;
       }
-      fabric_->Count(to_, {.framesSent = completed,
-                           .bytesSent = static_cast<std::uint64_t>(n)});
+      fabric_->Count(peer_, {.framesSent = completed,
+                             .bytesSent = static_cast<std::uint64_t>(n)});
       if (completed > 0 && delay > Duration::zero()) nextEligible_ = now + delay;
     }
   }
@@ -643,7 +665,7 @@ class TcpFabric::OutConn final : public sched::EventHandler,
     bool idle = false;
     {
       std::lock_guard lock(qmu_);
-      next = lastActivity_ + fabric_->options_.idleTimeout;
+      next = std::max(lastActivity_, lastRx_) + fabric_->options_.idleTimeout;
       // Decide and stop write-through in one step, so no sender writes
       // between the idle verdict and the close.
       idle = queue_.empty() && next <= now;
@@ -654,26 +676,33 @@ class TcpFabric::OutConn final : public sched::EventHandler,
       // send re-establishes transparently.
       CloseFd();
       staleClosed_ = false;
-      fabric_->Count(to_, {.idleReaps = 1});
+      fabric_->Count(peer_, {.idleReaps = 1});
+      fabric_->HandOver(shared_from_this());
       return;
     }
     if (next <= now) next = now + fabric_->options_.idleTimeout;
     loop_->RunAt(next, [self = shared_from_this(), gen] { self->OnIdleCheck(gen); });
   }
 
-  // The connection broke (EOF, reset, write error, stalled write). If it
-  // completed at least one frame since it connected it was a working,
-  // cached connection that went stale (peer restart): replace it
-  // transparently. Otherwise it never worked: fail the backlog and tell
-  // the sender its peer is down.
+  // The socket broke: EOF, a reset, a write error, a stalled write, or a
+  // frame that can never become valid. An accepted socket with nothing
+  // queued just closes: the peer that dialed it decides when it ends (an
+  // idle reap, a shutdown). Otherwise, if it completed at least one frame
+  // since it connected it was a working, cached connection that went stale
+  // (peer restart): replace it transparently. If it never worked, fail the
+  // backlog and tell the local endpoint its peer is down.
   void HandleBroken() {
     bool progressed;
+    bool queued;
     {
       std::lock_guard lock(qmu_);
       progressed = frameDoneSinceConnect_;
+      queued = !queue_.empty();
     }
+    const bool accepted = accepted_;
     CloseFd();
     deadlineArmed_ = false;
+    if (accepted && !queued) return;
     if (progressed) {
       staleClosed_ = true;
       MaybeConnect();
@@ -683,7 +712,7 @@ class TcpFabric::OutConn final : public sched::EventHandler,
   }
 
   // Drop the whole backlog (delivery is per-pair FIFO, so later frames
-  // cannot jump a failed one) and signal the sending endpoint.
+  // cannot jump a failed one) and signal the local endpoint.
   void FailAll() {
     staleClosed_ = false;
     std::size_t n = 0;
@@ -691,8 +720,8 @@ class TcpFabric::OutConn final : public sched::EventHandler,
       std::lock_guard lock(qmu_);
       n = DropQueueLocked();
     }
-    if (n > 0) fabric_->Count(to_, {.messagesDropped = n});
-    fabric_->NotifyPeerDown(from_, to_);
+    if (n > 0) fabric_->Count(peer_, {.messagesDropped = n});
+    fabric_->NotifyPeerDown(local_, peer_);
   }
 
   // Returns the queued frames to the pool; returns how many there were.
@@ -712,14 +741,16 @@ class TcpFabric::OutConn final : public sched::EventHandler,
 
   // Stops write-through before the fd goes, so no sender can write to a
   // closed (or reused) descriptor, and forgets any partial frame: the
-  // next connection resends it whole.
+  // next connection resends it whole. Whatever was half-received is lost
+  // with the socket.
   void CloseFd() {
     {
       std::lock_guard lock(qmu_);
       writable_ = false;
+      hasSocket_ = false;
       frontOffset_ = 0;
     }
-    if (state_ == State::kConnected) {
+    if (state_ == State::kConnected && !accepted_) {
       fabric_->activeOutbound_.fetch_sub(1, std::memory_order_relaxed);
     }
     if (id_ != 0) {
@@ -730,8 +761,14 @@ class TcpFabric::OutConn final : public sched::EventHandler,
       ::close(fd_);
       fd_ = -1;
     }
+    if (accepted_) {
+      accepted_ = false;  // a reconnect dials
+      fabric_->RemoveInbound(ep_, this);
+    }
     state_ = State::kIdle;
     wantWrite_ = false;
+    rx_.reset();
+    cap_ = len_ = pos_ = 0;
   }
 
   void SetWantWrite(bool want) {
@@ -743,9 +780,9 @@ class TcpFabric::OutConn final : public sched::EventHandler,
   }
 
   TcpFabric* fabric_;
-  const NodeAddr from_;
-  const NodeAddr to_;
-  sched::ThreadExecutor* loop_;
+  Endpoint* const ep_;
+  const NodeAddr local_;
+  sched::ThreadExecutor* const loop_;
 
   // Shared by the loop and every sending thread, under qmu_.
   std::mutex qmu_;
@@ -753,12 +790,20 @@ class TcpFabric::OutConn final : public sched::EventHandler,
   std::size_t frontOffset_ = 0;    // bytes of queue_.front() already sent
   bool kicked_ = false;            // a look at the queue is already scheduled
   bool writable_ = false;          // fd_ is connected: senders may write through
+  bool hasSocket_ = false;         // connecting or connected
+  bool retired_ = false;           // another Conn carries the pair now
   bool frameDoneSinceConnect_ = false;
-  TimePoint lastActivity_{};
+  TimePoint lastActivity_{};       // last frame this side sent
+
+  // An accepted Conn's are set by Claim under the fabric's connsMu_, on
+  // the loop, so HandOver may read them under that lock.
+  NodeAddr peer_ = 0;
+  bool peerKnown_ = false;
 
   // Loop-thread-only (fd_ is written only while writable_ is false).
   State state_ = State::kIdle;
   int fd_ = -1;
+  bool accepted_ = false;             // fd_ came from the listener
   std::uint64_t id_ = 0;
   bool stopped_ = false;
   bool wantWrite_ = false;
@@ -767,9 +812,14 @@ class TcpFabric::OutConn final : public sched::EventHandler,
   std::uint64_t deadlineGen_ = 0;
   std::uint64_t connectGen_ = 0;
   std::uint64_t idleGen_ = 0;
+  TimePoint lastRx_{};                // last read, kept while reaping is on
   bool pacingActive_ = false;
   bool delayPumpArmed_ = false;
   TimePoint nextEligible_{};
+  std::unique_ptr<char[]> rx_;  // unparsed bytes live in [pos_, len_)
+  std::size_t cap_ = 0;
+  std::size_t len_ = 0;
+  std::size_t pos_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -777,6 +827,7 @@ class TcpFabric::OutConn final : public sched::EventHandler,
 
 TcpFabric::TcpFabric(std::uint16_t basePort, FabricOptions options)
     : basePort_(basePort), options_(options) {
+  RequireValidFabricOptions(options_);
   for (int i = 0; i < kPoolLoops; ++i) {
     loops_.push_back(std::make_unique<sched::ThreadExecutor>());
   }
@@ -784,16 +835,16 @@ TcpFabric::TcpFabric(std::uint16_t basePort, FabricOptions options)
 
 TcpFabric::~TcpFabric() {
   shuttingDown_ = true;
-  // Stop outbound connections first so none can fire OnPeerDown into an
+  // Stop every pair's connection first so none can fire OnPeerDown into an
   // endpoint that is being torn down. A loop that has stopped runs its
   // RunSync inline, so executors stopped before the fabric are fine.
-  std::map<std::uint64_t, std::shared_ptr<OutConn>> conns;
+  std::map<std::uint64_t, std::shared_ptr<Conn>> conns;
   {
     std::lock_guard lock(connsMu_);
     conns.swap(conns_);
   }
   for (auto& [_, conn] : conns) {
-    OutConn* raw = conn.get();
+    Conn* raw = conn.get();
     raw->loop()->RunSync([raw] { raw->StopOnLoop(); });
   }
 
@@ -842,8 +893,8 @@ bool TcpFabric::Register(NodeAddr addr, MessageSink* sink,
 }
 
 void TcpFabric::Unregister(NodeAddr addr) {
-  // 1. Take the endpoint out of the map: from here on no new outbound
-  //    connection of it is placed on its loop and no OnPeerDown reaches it.
+  // 1. Take the endpoint out of the map: from here on no connection of it
+  //    is placed on its loop or claims a pair, and no OnPeerDown reaches it.
   std::unique_ptr<Endpoint> ep;
   {
     std::lock_guard lock(epMu_);
@@ -853,11 +904,9 @@ void TcpFabric::Unregister(NodeAddr addr) {
       endpoints_.erase(it);
     }
   }
-  // 2. Stop this endpoint's own outbound connections; quietly stale-close
-  //    everyone else's connection TO it so their next frame reconnects
-  //    (and fails fast against the dead listener, firing OnPeerDown).
-  std::vector<std::shared_ptr<OutConn>> mine;
-  std::vector<std::shared_ptr<OutConn>> toward;
+  // 2. Collect this endpoint's own pairs, and everyone else's pairs TO it.
+  std::vector<std::shared_ptr<Conn>> mine;
+  std::vector<std::shared_ptr<Conn>> toward;
   {
     std::lock_guard lock(connsMu_);
     for (auto it = conns_.begin(); it != conns_.end();) {
@@ -870,29 +919,33 @@ void TcpFabric::Unregister(NodeAddr addr) {
       }
     }
   }
+  // 3. Quietly stale-close everyone else's connection to it, before its own
+  //    sockets close, so no sender writes through onto a dying socket:
+  //    their next frame reconnects (and fails fast against the dead
+  //    listener, firing OnPeerDown).
+  for (auto& conn : toward) conn->PostDetachStale();
+  // 4. Its own pairs, then the listener and the sockets it accepted.
   for (auto& conn : mine) {
-    OutConn* raw = conn.get();
+    Conn* raw = conn.get();
     raw->loop()->RunSync([raw] { raw->StopOnLoop(); });
   }
-  for (auto& conn : toward) conn->PostDetachStale();
-  // 3. The listener and the inbound connections.
   if (ep != nullptr) CloseEndpoint(ep.get());
 }
 
 void TcpFabric::CloseEndpoint(Endpoint* ep) {
-  // The listener first: no further accepts, so the inbound snapshot below
+  // The listener first: no further accepts, so the accepted snapshot below
   // is complete (Attach posts precede our close posts in each loop's FIFO).
   ep->listenerLoop->RunSync([ep] {
     if (ep->listenerId != 0) ep->listenerLoop->Del(ep->listenerId);
     ::close(ep->listenFd);
     ep->listenerId = 0;
   });
-  // Then every inbound connection, on its owning loop. Loops run tasks and
+  // Then every accepted socket, on its owning loop. Loops run tasks and
   // dispatches serially, so once each loop's RunSync returns, no inline
   // delivery into the endpoint's sink is running or can start — the
   // guarantee Unregister's callers rely on. A hosted endpoint reads only
-  // on its own loop; a pooled one's connections may sit on any pool loop.
-  std::vector<std::shared_ptr<InConn>> ins;
+  // on its own loop; a pooled one's sockets may sit on any pool loop.
+  std::vector<std::shared_ptr<Conn>> ins;
   {
     std::lock_guard lock(ep->inMu);
     ins = ep->inConns;
@@ -900,7 +953,7 @@ void TcpFabric::CloseEndpoint(Endpoint* ep) {
   const auto closeOn = [&ins](sched::ThreadExecutor& loop) {
     loop.RunSync([&loop, &ins] {
       for (auto& c : ins) {
-        if (c->loop() == &loop) c->CloseOnLoop();
+        if (c->loop() == &loop) c->StopOnLoop();
       }
     });
   };
@@ -925,11 +978,11 @@ std::size_t TcpFabric::ActiveOutboundConnections() const {
 
 void TcpFabric::AdoptInbound(Endpoint* ep, int fd) {
   // A hosted endpoint reads on its own loop, the one running this accept;
-  // a pooled one spreads its connections round-robin over the pool.
+  // a pooled one spreads its sockets round-robin over the pool.
   sched::ThreadExecutor& loop =
       ep->host != nullptr ? *ep->host
                           : PoolLoop(nextLoop_.fetch_add(1, std::memory_order_relaxed));
-  auto conn = std::make_shared<InConn>(this, ep, fd, &loop);
+  auto conn = std::make_shared<Conn>(this, ep, fd, &loop);
   {
     std::lock_guard lock(ep->inMu);
     ep->inConns.push_back(conn);
@@ -941,7 +994,7 @@ void TcpFabric::AdoptInbound(Endpoint* ep, int fd) {
   }
 }
 
-void TcpFabric::RemoveInbound(Endpoint* ep, InConn* conn) {
+void TcpFabric::RemoveInbound(Endpoint* ep, Conn* conn) {
   std::lock_guard lock(ep->inMu);
   for (auto it = ep->inConns.begin(); it != ep->inConns.end(); ++it) {
     if (it->get() == conn) {
@@ -951,24 +1004,60 @@ void TcpFabric::RemoveInbound(Endpoint* ep, InConn* conn) {
   }
 }
 
+void TcpFabric::Claim(const std::shared_ptr<Conn>& conn, NodeAddr peer) {
+  std::lock_guard lock(connsMu_);
+  conn->LearnPeer(peer);
+  if (shuttingDown_) return;
+  {
+    std::lock_guard epLock(epMu_);
+    const auto it = endpoints_.find(conn->local());
+    if (it == endpoints_.end() || it->second.get() != conn->endpoint()) return;
+  }
+  // A pair that already has a socket keeps it (a crossing dial); one whose
+  // connection is socketless and idle hands over.
+  auto& slot = conns_[PairKey(conn->local(), conn->peer())];
+  if (slot == nullptr || slot->RetireIfIdle()) slot = conn;
+}
+
+void TcpFabric::HandOver(const std::shared_ptr<Conn>& conn) {
+  Endpoint* ep = conn->endpoint();
+  if (ep == nullptr) return;
+  std::lock_guard lock(connsMu_);
+  // Still the pair's connection, so the endpoint is still registered.
+  const auto it = conns_.find(PairKey(conn->local(), conn->peer()));
+  if (it == conns_.end() || it->second != conn) return;
+  std::shared_ptr<Conn> heir;
+  {
+    std::lock_guard inLock(ep->inMu);
+    for (const auto& c : ep->inConns) {
+      if (c->KnowsPeer(conn->peer())) {
+        heir = c;
+        break;
+      }
+    }
+  }
+  if (heir != nullptr && conn->RetireIfIdle()) it->second = heir;
+}
+
 // ---- send path ----
 
-std::shared_ptr<TcpFabric::OutConn> TcpFabric::GetConnection(NodeAddr from,
-                                                             NodeAddr to) {
+std::shared_ptr<TcpFabric::Conn> TcpFabric::GetConnection(NodeAddr from, NodeAddr to) {
   std::lock_guard lock(connsMu_);
   if (shuttingDown_) return nullptr;
   auto& slot = conns_[PairKey(from, to)];
   if (slot == nullptr) {
-    // A hosted sender's pairs share its loop, so it drains its own
-    // backlog; any other sender's go on the pool.
-    sched::ThreadExecutor* loop = nullptr;
+    // A hosted sender's pairs share its loop, so it drains its own backlog
+    // and handles the replies arriving on them; any other sender's go on
+    // the pool.
+    Endpoint* ep = nullptr;
     {
       std::lock_guard epLock(epMu_);
       const auto it = endpoints_.find(from);
-      if (it != endpoints_.end()) loop = it->second->host;
+      if (it != endpoints_.end()) ep = it->second.get();
     }
+    sched::ThreadExecutor* loop = ep != nullptr ? ep->host : nullptr;
     if (loop == nullptr) loop = &PoolLoop(PairKey(from, to));
-    slot = std::make_shared<OutConn>(this, from, to, loop);
+    slot = std::make_shared<Conn>(this, ep, from, to, loop);
   }
   return slot;
 }
@@ -994,18 +1083,21 @@ void TcpFabric::Send(NodeAddr from, NodeAddr to, proto::Message message) {
   std::memcpy(frame.data(), &length, 4);
   std::memcpy(frame.data() + 4, &from, 4);
 
-  auto conn = GetConnection(from, to);
-  if (conn == nullptr) {  // fabric shutting down
-    Count(to, {.messagesSent = 1, .messagesDropped = 1});
-    return;
-  }
   // The calling thread writes the frame itself unless an injected delay
   // must pace it, or the caller is an executor with more tasks queued: a
   // busy sender's frames are left to the loop, which batches them into
   // one sendmsg instead of one send per frame on the sender's thread.
   const bool writeThrough =
       verdict.delay == Duration::zero() && !sched::CallerHasBacklog();
-  const ssize_t written = conn->Submit(std::move(frame), writeThrough);
+  ssize_t written = Conn::kRetired;
+  while (written == Conn::kRetired) {  // the pair changed hands: look again
+    auto conn = GetConnection(from, to);
+    if (conn == nullptr) {  // fabric shutting down
+      Count(to, {.messagesSent = 1, .messagesDropped = 1});
+      return;
+    }
+    written = conn->Submit(frame, writeThrough);
+  }
   if (written < 0) {
     Count(to, {.messagesSent = 1, .messagesDropped = 1, .queueOverflows = 1});
     NotifyPeerDown(from, to);

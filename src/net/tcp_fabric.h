@@ -1,13 +1,12 @@
 // Loopback TCP transport on epoll event loops: each registered endpoint
 // gets a listening socket on basePort+addr; frames are [u32 length][u32
-// senderAddr][encoded message]. Listeners, inbound connections and
-// outbound connections are all non-blocking readiness handlers owned by
-// one sched::ThreadExecutor loop:
+// senderAddr][encoded message]. Listeners and connections are all
+// non-blocking readiness handlers owned by one sched::ThreadExecutor loop:
 //   - an endpoint registered with a ThreadExecutor is hosted on it: its
-//     listener, the connections it accepts and the connections it opens
-//     all live on that loop, so a frame is read, decoded and handed to
-//     OnMessage inline on the thread that owns the node, and the node's
-//     sends are drained by that same thread;
+//     listener and every socket it accepts or dials live on that loop, so
+//     a frame is read, decoded and handed to OnMessage inline on the thread
+//     that owns the node, and the node's sends are drained by that same
+//     thread;
 //   - an endpoint registered with no executor, or with another Executor
 //     (a tracing wrapper, a test's forwarding executor), has its sockets
 //     on the fabric's own pool of two loops. Frames are posted to its
@@ -15,32 +14,49 @@
 // The thread count is therefore fixed by the endpoints and the pool, not
 // by the number of connections.
 //
-// Each (from, to) pair owns an independent connection object with a
-// bounded outbound queue, so traffic to one peer never serializes behind
-// traffic to another and a wedged destination backs up only its own
-// queue. Send writes a frame through to the pair's connected socket on
-// the calling thread when the pair's queue is empty, no delay is injected
-// and the caller's loop has no backlog (sched::CallerHasBacklog: queued
-// tasks, undispatched ready events, or another whole frame buffered behind
-// the one being handled): a lone frame then costs one send() and no loop
-// wake-up. Everything else is queued for the owning loop, which drains a
-// backlog with one writev (sendmsg) per pass and owns connect, partial
-// writes, deadlines, delay pacing and idle reaping. Receives read into a
-// reusable buffer that is never zero-filled, and frame buffers are pooled,
-// so steady-state traffic allocates nothing per message.
+// One connection per endpoint pair. Every socket, dialed or accepted,
+// carries frames both ways: a request and its reply share a socket, so
+// data flowing back carries the kernel's ACK instead of a pure ACK segment
+// per frame. A (from, to) pair sends over the connection `from` already
+// shares with `to`: a socket it dialed, or an accepted socket whose first
+// frame named `to`. It dials only when it has neither, and keeps its
+// connection until that socket closes, so per-pair order holds. Two ends
+// that dial each other at once each keep their own socket for sending; the
+// other socket then only carries frames the other way, until one end reaps
+// its own socket idle and moves its pair onto the one it accepted. A frame
+// naming a sender other than its connection's peer closes the connection,
+// as a bad length does, and a frame for an address with no endpoint (a
+// socket dialed by an unregistered sender) is counted as dropped.
+//
+// Each connection has a bounded outbound queue, so traffic to one peer
+// never serializes behind traffic to another and a wedged destination
+// backs up only its own queue. Send writes a frame through to the pair's
+// connected socket on the calling thread when the pair's queue is empty,
+// no delay is injected and the caller's loop has no backlog
+// (sched::CallerHasBacklog: queued tasks, undispatched ready events, or
+// another whole frame buffered behind the one being handled): a lone frame
+// then costs one send() and no loop wake-up. Everything else is queued for
+// the owning loop, which drains a backlog with one writev (sendmsg) per
+// pass and owns connect, partial writes, deadlines, delay pacing and idle
+// reaping (by the dialing end). Receives read into a reusable buffer that
+// is never zero-filled, and frame buffers are pooled, so steady-state
+// traffic allocates nothing per message.
 //
 // Failure signalling is asynchronous: a failed connect (timer-based
 // deadline), an expired write-progress deadline, or a queue overflow
 // marks the peer down and fires the sending endpoint's OnPeerDown —
 // exactly the signal the cmsd uses to mark a subordinate offline. A
-// connection that made progress (>= 1 complete frame) before breaking is
-// treated as a stale cached connection and transparently re-established
-// once; only a connection that never progresses fails the peer, so a
-// restarting peer costs one reconnect, not an OnPeerDown storm.
+// connection that made progress (>= 1 complete frame sent) before breaking
+// is treated as a stale cached connection and transparently re-established
+// once by dialing, whichever end made its socket; only a connection that
+// never progresses fails the peer, so a restarting peer costs one
+// reconnect, not an OnPeerDown storm. An accepted socket whose peer closes
+// it with nothing queued just closes: the dialing end owns its lifetime.
 //
 // Fault injection implements the full net::FaultInjector surface
-// (SetDown / SetLinkCut / SetDrop / SetDelay / SetWedged), so chaos
-// scenarios written against Fabric* run unchanged over real sockets.
+// (SetDown / SetLinkCut / SetDrop / SetDelay / SetWedged), checked per
+// frame in each direction, so chaos scenarios written against Fabric* run
+// unchanged over real sockets.
 //
 // Ownership and threading rules (the loop's own rules are in
 // sched/thread_executor.h):
@@ -48,16 +64,17 @@
 //     endpoint's own ThreadExecutor. Reads, connect, epoll registration,
 //     closing and all other handler state live on that loop's thread;
 //   - writes are the one exception: a sender on any thread may write a
-//     frame to an outbound connection's socket under that connection's
-//     qmu_ while its queue is empty and the loop has marked it writable.
-//     The loop clears that mark under qmu_ before it closes or replaces
-//     the fd, and it takes every write the sender could not finish
-//     (EAGAIN, a partial write, an error);
+//     frame to a connection's socket under that connection's qmu_ while
+//     its queue is empty and the loop has marked it writable. The loop
+//     clears that mark under qmu_ before it closes or replaces the fd, and
+//     it takes every write the sender could not finish (EAGAIN, a partial
+//     write, an error);
 //   - other threads otherwise talk to a loop only through Post()/RunSync();
 //   - timers (connect/write deadlines, idle reaping, injected delays) are
 //     the loop's RunAt timers;
-//   - lock order: a connection's qmu_ before the fabric's perPeerMu_ and
-//     the BufferPool lock; no lock is held across a handler callback;
+//   - lock order: the fabric's connsMu_, then epMu_ or a connection's qmu_;
+//     a qmu_ before perPeerMu_ and the BufferPool lock; no lock is held
+//     across a handler callback;
 //   - a hosted endpoint's handlers run on the loop that reads its sockets,
 //     so a handler that blocks stops that endpoint's reads and the drain
 //     of its queued sends until it returns. Peers sending to it then fill
@@ -153,35 +170,43 @@ class TcpFabric final : public Fabric {
   }
   void SetWedged(NodeAddr addr, bool wedged) override { faults_.SetWedged(addr, wedged); }
 
-  /// Live inbound connections accepted by `addr`'s listener (closed ones
-  /// are removed immediately) — observability for connection reaping.
+  /// Live sockets accepted by `addr`'s listener (closed ones are removed
+  /// immediately) — observability for connection reaping.
   std::size_t ReaderCount(NodeAddr addr) const;
 
-  /// Live outbound connections whose socket is currently established —
-  /// observability for the idle-reap logic.
+  /// Live dialed sockets whose connect has completed — observability for
+  /// the idle-reap logic and for connection sharing.
   std::size_t ActiveOutboundConnections() const;
 
  private:
   class Listener;
-  class InConn;
-  class OutConn;
+  class Conn;
   struct Endpoint;
   friend class Listener;
-  friend class InConn;
-  friend class OutConn;
+  friend class Conn;
 
-  std::shared_ptr<OutConn> GetConnection(NodeAddr from, NodeAddr to);
+  /// The (from, to) pair's connection, created (socketless, to dial) when
+  /// the pair has none; null while the fabric shuts down.
+  std::shared_ptr<Conn> GetConnection(NodeAddr from, NodeAddr to);
+  /// An accepted socket's first frame named `peer`: it becomes its
+  /// endpoint's connection to that peer unless the pair's connection has
+  /// a socket or frames queued.
+  void Claim(const std::shared_ptr<Conn>& conn, NodeAddr peer);
+  /// `conn` was reaped idle: its pair moves to a live accepted socket
+  /// from the same peer (left by a crossing dial), if the endpoint has
+  /// one, instead of dialing again on its next send.
+  void HandOver(const std::shared_ptr<Conn>& conn);
   void CloseEndpoint(Endpoint* ep);
   void AdoptInbound(Endpoint* ep, int fd);
-  void RemoveInbound(Endpoint* ep, InConn* conn);
+  void RemoveInbound(Endpoint* ep, Conn* conn);
   void NotifyPeerDown(NodeAddr from, NodeAddr to);
   /// The pool loop for `key` (same key, same loop).
   sched::ThreadExecutor& PoolLoop(std::uint64_t key) {
     return *loops_[static_cast<std::size_t>(key % loops_.size())];
   }
 
-  // Adds `delta` to the counters of `peer`: the destination for traffic a
-  // connection sends, the sender for traffic an endpoint receives. Every
+  // Adds `delta` to the counters of `peer`: the destination for traffic
+  // an endpoint sends, the sender for traffic it receives. Every
   // event counts against exactly one peer, so the totals are their sum.
   void Count(NodeAddr peer, const Counters& delta);
 
@@ -191,13 +216,13 @@ class TcpFabric final : public Fabric {
   // Loops for the sockets of endpoints without a ThreadExecutor of their
   // own. Declared after pool_, so they are joined before it goes.
   std::vector<std::unique_ptr<sched::ThreadExecutor>> loops_;
-  std::atomic<std::uint64_t> nextLoop_{0};  // round-robin inbound placement
+  std::atomic<std::uint64_t> nextLoop_{0};  // round-robin accepted placement
 
   mutable std::mutex epMu_;
   std::map<NodeAddr, std::unique_ptr<Endpoint>> endpoints_;
 
   mutable std::mutex connsMu_;
-  std::map<std::uint64_t, std::shared_ptr<OutConn>> conns_;  // (from<<32|to)
+  std::map<std::uint64_t, std::shared_ptr<Conn>> conns_;  // (from<<32|to)
 
   FaultTable faults_;
 

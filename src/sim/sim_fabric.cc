@@ -6,7 +6,9 @@
 namespace scalla::sim {
 
 SimFabric::SimFabric(EventEngine& engine, LatencyModel model, net::FabricOptions options)
-    : engine_(engine), model_(model), options_(options) {}
+    : engine_(engine), model_(model), options_(options) {
+  net::RequireValidFabricOptions(options_);
+}
 
 void SimFabric::Register(net::NodeAddr addr, net::MessageSink* sink) {
   sinks_[addr] = sink;

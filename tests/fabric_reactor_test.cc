@@ -9,7 +9,11 @@
 // without downcasting — and the hosted path itself: inline delivery on the
 // endpoint's own loop, per-pair order under foreign and backlogged
 // senders, a blocking handler, the posted path through a forwarding
-// executor, and teardown from the dispatch thread or after Stop.
+// executor, and teardown from the dispatch thread or after Stop — and the
+// shared connection of an endpoint pair: replies ride the socket the
+// request came on, crossing dials each keep their own socket until one
+// goes idle, an accepted reply path reconnects to a restarted peer, and
+// options are validated when a fabric is built.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -19,7 +23,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <functional>
 #include <future>
 #include <map>
@@ -27,7 +30,6 @@
 #include <thread>
 
 #include "net/tcp_fabric.h"
-#include "proto/wire.h"
 #include "sched/thread_executor.h"
 #include "sim/event_engine.h"
 #include "sim/sim_fabric.h"
@@ -68,16 +70,6 @@ proto::XrdWrite BigWrite(std::uint64_t seq, std::size_t bytes) {
   big.reqId = seq;
   big.data.assign(bytes, 'w');
   return big;
-}
-
-// [u32 length][u32 sender][body], as TcpFabric frames it.
-std::string Frame(const proto::Message& message, net::NodeAddr sender) {
-  const std::string body = proto::Encode(message);
-  const auto length = static_cast<std::uint32_t>(body.size());
-  std::string frame(8, '\0');
-  std::memcpy(frame.data(), &length, 4);
-  std::memcpy(frame.data() + 4, &sender, 4);
-  return frame + body;
 }
 
 // Sends `message` and waits until the frame has left the pair's queue, so
@@ -745,6 +737,189 @@ TEST(HostedEndpointTest, FabricDestroyedAfterExecutorsStopped) {
   execB.reset();
 }
 
+// ---- one connection per endpoint pair ----
+
+// Answers every XrdClose with the same message back to its sender.
+struct EchoSink : SequenceSink {
+  EchoSink(net::Fabric& fabric, net::NodeAddr self) : fabric(fabric), self(self) {}
+  void OnMessage(net::NodeAddr from, proto::Message message) override {
+    fabric.Send(self, from, message);
+    SequenceSink::OnMessage(from, std::move(message));
+  }
+  net::Fabric& fabric;
+  const net::NodeAddr self;
+};
+
+// The server answers on the socket its client dialed: one socket serves
+// the pair, so the client's ACKs ride its next request and the server's
+// ride its replies. Once the client reaps that socket idle, its next
+// request dials again and the server's new accepted socket takes the pair
+// over from the closed one, so the pair is still served by one socket.
+TEST(SharedConnectionTest, RequestReplyLeavesOneSocketPerPair) {
+  const auto base = NextBasePort(PortBand::kFabricReactor);
+  net::FabricOptions cfg;
+  cfg.idleTimeout = 300ms;
+  sched::ThreadExecutor clientExec, serverExec;
+  net::TcpFabric fabric(base, cfg);
+  SequenceSink client;
+  EchoSink server(fabric, 2);
+  ASSERT_TRUE(fabric.Register(1, &client, &clientExec));
+  ASSERT_TRUE(fabric.Register(2, &server, &serverExec));
+
+  constexpr int kRequests = 500;
+  for (int round = 1; round <= 2; ++round) {
+    clientExec.Post([&fabric, round] {
+      for (int seq = (round - 1) * kRequests; seq < round * kRequests; ++seq) {
+        fabric.Send(1, 2, Sequenced(seq));
+      }
+    });
+    ASSERT_TRUE(client.WaitMessages(round * kRequests));
+    EXPECT_EQ(fabric.ActiveOutboundConnections(), 1u) << "round " << round;
+    EXPECT_EQ(fabric.ReaderCount(2), 1u) << "round " << round;
+    EXPECT_EQ(fabric.ReaderCount(1), 0u) << "round " << round;
+    if (round == 1) {  // the client reaps its quiet socket
+      ASSERT_TRUE(WaitFor([&] { return fabric.ActiveOutboundConnections() == 0; }));
+      ASSERT_TRUE(WaitFor([&] { return fabric.ReaderCount(2) == 0; }));
+    }
+  }
+  EXPECT_TRUE(client.InOrder());
+  EXPECT_TRUE(server.InOrder());
+  const auto c = fabric.GetCounters();
+  EXPECT_EQ(c.framesSent, 4u * kRequests);
+  EXPECT_EQ(c.messagesDelivered, 4u * kRequests);
+  EXPECT_EQ(c.messagesDropped, 0u);
+  EXPECT_EQ(c.idleReaps, 1u);
+  EXPECT_EQ(c.reconnects, 0u);
+  EXPECT_EQ(client.PeerDowns() + server.PeerDowns(), 0);
+}
+
+// Endpoints 1 and 2, hosted on `execA` and `execB`, each send `frames`
+// sequenced frames to the other while neither loop can run, so each dials
+// the other before it can accept: two sockets serve the pair.
+void SendCrossing(net::TcpFabric& fabric, sched::ThreadExecutor& execA,
+                  sched::ThreadExecutor& execB, std::uint64_t frames) {
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  execA.Post([released] { released.wait(); });
+  execB.Post([released] { released.wait(); });
+  for (std::uint64_t seq = 0; seq < frames; ++seq) {
+    fabric.Send(1, 2, Sequenced(seq));
+    fabric.Send(2, 1, Sequenced(seq));
+  }
+  release.set_value();
+}
+
+// Both ends send before either loop can accept, so each dials the other:
+// each keeps sending on the socket it dialed, receives on the one it
+// accepted, and both directions deliver in order.
+TEST(SharedConnectionTest, CrossingDialsBothDeliverInOrder) {
+  const auto base = NextBasePort(PortBand::kFabricReactor);
+  sched::ThreadExecutor execA, execB;
+  SequenceSink a, b;
+  net::TcpFabric fabric(base);
+  ASSERT_TRUE(fabric.Register(1, &a, &execA));
+  ASSERT_TRUE(fabric.Register(2, &b, &execB));
+
+  constexpr int kFrames = 200;
+  SendCrossing(fabric, execA, execB, kFrames);
+  ASSERT_TRUE(a.WaitMessages(kFrames));
+  ASSERT_TRUE(b.WaitMessages(kFrames));
+  EXPECT_EQ(fabric.ActiveOutboundConnections(), 2u);
+  EXPECT_EQ(fabric.ReaderCount(1), 1u);
+  EXPECT_EQ(fabric.ReaderCount(2), 1u);
+
+  // Later frames stay on the sockets each end dialed.
+  for (std::uint64_t seq = kFrames; seq < 2 * kFrames; ++seq) {
+    fabric.Send(1, 2, Sequenced(seq));
+    fabric.Send(2, 1, Sequenced(seq));
+  }
+  ASSERT_TRUE(a.WaitMessages(2 * kFrames));
+  ASSERT_TRUE(b.WaitMessages(2 * kFrames));
+  EXPECT_TRUE(a.InOrder());
+  EXPECT_TRUE(b.InOrder());
+  EXPECT_EQ(fabric.ActiveOutboundConnections(), 2u);
+  const auto c = fabric.GetCounters();
+  EXPECT_EQ(c.messagesDelivered, 4u * kFrames);
+  EXPECT_EQ(c.messagesDropped, 0u);
+  EXPECT_EQ(c.reconnects, 0u);
+  EXPECT_EQ(a.PeerDowns() + b.PeerDowns(), 0);
+}
+
+// After crossing dials, an end whose own socket goes quiet reaps it and
+// moves the pair to the socket the other end dialed: its next frames ride
+// that socket, and the pair is back to one connection.
+TEST(SharedConnectionTest, IdleReapedPairMovesToTheCrossingSocket) {
+  const auto base = NextBasePort(PortBand::kFabricReactor);
+  net::FabricOptions cfg;
+  cfg.idleTimeout = 200ms;
+  sched::ThreadExecutor execA, execB;
+  SequenceSink a, b;
+  net::TcpFabric fabric(base, cfg);
+  ASSERT_TRUE(fabric.Register(1, &a, &execA));
+  ASSERT_TRUE(fabric.Register(2, &b, &execB));
+
+  constexpr std::uint64_t kFrames = 50;
+  SendCrossing(fabric, execA, execB, kFrames);
+  ASSERT_TRUE(a.WaitMessages(kFrames));
+  ASSERT_TRUE(b.WaitMessages(kFrames));
+  ASSERT_EQ(fabric.ActiveOutboundConnections(), 2u);
+
+  // 2 keeps talking to 1 on its own dial; 1's dial carries nothing now.
+  std::uint64_t seqToA = kFrames;
+  ASSERT_TRUE(WaitFor([&] {
+    fabric.Send(2, 1, Sequenced(seqToA++));
+    std::this_thread::sleep_for(20ms);
+    return fabric.GetCounters().idleReaps >= 1;
+  }));
+  EXPECT_EQ(fabric.ActiveOutboundConnections(), 1u);
+
+  for (std::uint64_t seq = kFrames; seq < 2 * kFrames; ++seq) {
+    fabric.Send(1, 2, Sequenced(seq));
+  }
+  ASSERT_TRUE(b.WaitMessages(2 * kFrames));
+  ASSERT_TRUE(a.WaitMessages(static_cast<int>(seqToA)));
+  EXPECT_TRUE(a.InOrder());
+  EXPECT_TRUE(b.InOrder());
+  EXPECT_EQ(fabric.ActiveOutboundConnections(), 1u);  // no second dial
+  EXPECT_TRUE(WaitFor([&] { return fabric.ReaderCount(2) == 0; }));
+  EXPECT_EQ(fabric.ReaderCount(1), 1u);
+  const auto c = fabric.GetCounters();
+  EXPECT_EQ(c.idleReaps, 1u);
+  EXPECT_EQ(c.messagesDropped, 0u);
+  EXPECT_EQ(c.reconnects, 0u);
+  EXPECT_EQ(a.PeerDowns() + b.PeerDowns(), 0);
+}
+
+// The server's path to its client is the socket the client dialed. When
+// the client leaves, that path goes stale: a restarted client gets the
+// server's next frame over a fresh dial, counted as a reconnect, and a
+// client that stays gone ends in OnPeerDown.
+TEST(SharedConnectionTest, AcceptedReplyPathReconnectsToRestartedClient) {
+  const auto base = NextBasePort(PortBand::kFabricReactor);
+  sched::ThreadExecutor clientExec, serverExec;
+  net::TcpFabric fabric(base);
+  CountingSink client, restarted;
+  EchoSink server(fabric, 2);
+  ASSERT_TRUE(fabric.Register(1, &client, &clientExec));
+  ASSERT_TRUE(fabric.Register(2, &server, &serverExec));
+  fabric.Send(1, 2, Sequenced(0));
+  ASSERT_TRUE(client.WaitMessages(1));  // the echo rode the client's socket
+  ASSERT_EQ(fabric.ActiveOutboundConnections(), 1u);
+
+  fabric.Unregister(1);
+  ASSERT_TRUE(fabric.Register(1, &restarted, &clientExec));
+  fabric.Send(2, 1, Sequenced(1));
+  ASSERT_TRUE(restarted.WaitMessages(1));
+  EXPECT_GE(fabric.GetCounters().reconnects, 1u);
+  EXPECT_EQ(server.PeerDowns(), 0);
+  EXPECT_EQ(client.Messages(), 1);
+
+  fabric.Unregister(1);
+  fabric.Send(2, 1, Sequenced(2));
+  ASSERT_TRUE(server.WaitPeerDowns(1));
+  EXPECT_EQ(server.lastDown, 1u);
+}
+
 // Destroying a ThreadExecutor that still hosts a registered endpoint
 // aborts with a message, rather than leaving the fabric a dangling loop.
 TEST(HostedEndpointDeathTest, ExecutorDestroyedWhileHostingAborts) {
@@ -757,6 +932,20 @@ TEST(HostedEndpointDeathTest, ExecutorDestroyedWhileHostingAborts) {
         if (fabric.Register(1, &sink, exec.get())) exec.reset();
       },
       "still hosts");
+}
+
+// Options no transport can run with stop both at construction with the
+// validation message, instead of refusing every frame later.
+TEST(FabricOptionsDeathTest, InvalidOptionsAbortAtConstruction) {
+  const auto base = NextBasePort(PortBand::kFabricReactor);
+  EXPECT_DEATH({ net::TcpFabric fabric(base, {.maxQueuedMessages = 0}); },
+               "fabric.queuedepth must be a positive integer");
+  EXPECT_DEATH(
+      {
+        sim::EventEngine engine;
+        sim::SimFabric fabric(engine, {}, {.writeTimeout = std::chrono::milliseconds(0)});
+      },
+      "fabric.writetimeout must be a positive duration");
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
 // Failure-path tests for the per-peer TCP transport: peer-down delivery on
 // connect refusal and on an expired write deadline, reconnect accounting
-// across a peer restart, bounded-queue overflow, malformed-frame
-// disconnects, fault injection (down / cut / drop / delay), inbound
-// connection reaping, and the head-of-line isolation guarantee — a
+// across a peer restart, bounded-queue overflow, malformed-frame and
+// spoofed-sender disconnects, fault injection (down / cut / drop / delay),
+// inbound connection reaping, and the head-of-line isolation guarantee — a
 // stalled destination delays only its own queue.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -166,6 +167,35 @@ TEST(TcpFabricTest, MalformedFrameDisconnects) {
 
   EXPECT_EQ(b.Messages(), 0);
   EXPECT_EQ(fabric.GetCounters().messagesDelivered, 0u);
+}
+
+// A connection speaks for one peer: the first frame's sender decides
+// where the endpoint's replies to it go, so a later frame naming anyone
+// else closes the connection, as a bad length does.
+TEST(TcpFabricTest, FrameNamingAnotherSenderDisconnects) {
+  const auto base = NextBasePort(PortBand::kTcpFabric);
+  CountingSink b;  // sinks must outlive the fabric's loops
+  net::TcpFabric fabric(base);
+  ASSERT_TRUE(fabric.Register(2, &b, nullptr));
+
+  const int fd = RawConnect(base, 2);
+  ASSERT_GE(fd, 0);
+  const std::string first = Frame(SmallMessage(), 9);
+  ASSERT_EQ(::send(fd, first.data(), first.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(first.size()));
+  ASSERT_TRUE(b.WaitMessages(1));
+  const std::string spoofed = Frame(SmallMessage(), 10);
+  ASSERT_EQ(::send(fd, spoofed.data(), spoofed.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(spoofed.size()));
+  pollfd closed{fd, POLLIN, 0};
+  EXPECT_EQ(::poll(&closed, 1, 10'000), 1);  // the close arrives, not a timeout
+  char buf[1];
+  EXPECT_LE(::recv(fd, buf, 1, MSG_DONTWAIT), 0);  // remote closed
+  ::close(fd);
+
+  EXPECT_EQ(b.Messages(), 1);
+  EXPECT_EQ(fabric.PerPeerCounters(10).messagesDelivered, 0u);
+  EXPECT_TRUE(WaitFor([&] { return fabric.ReaderCount(2) == 0; }));
 }
 
 TEST(TcpFabricTest, FinishedReadersAreReaped) {

@@ -1,5 +1,6 @@
 // Shared support for the loopback TCP test binaries: port bands, a sink
-// that counts what an endpoint is handed, and socket and polling helpers.
+// that counts what an endpoint is handed, raw frames, and socket and
+// polling helpers.
 //
 // An endpoint at address `addr` listens on basePort + addr, and ctest runs
 // the binaries in parallel, so each binary draws its base ports from a band
@@ -22,11 +23,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "net/fabric.h"
+#include "proto/wire.h"
 
 namespace scalla {
 
@@ -96,6 +100,16 @@ struct CountingSink : net::MessageSink {
 };
 
 inline proto::Message SmallMessage() { return proto::XrdClose{1, 2}; }
+
+/// [u32 length][u32 sender][body], as TcpFabric frames it.
+inline std::string Frame(const proto::Message& message, net::NodeAddr sender) {
+  const std::string body = proto::Encode(message);
+  const auto length = static_cast<std::uint32_t>(body.size());
+  std::string frame(8, '\0');
+  std::memcpy(frame.data(), &length, 4);
+  std::memcpy(frame.data() + 4, &sender, 4);
+  return frame + body;
+}
 
 /// Polls `done` until it holds; false once `timeout` has passed.
 inline bool WaitFor(const std::function<bool()>& done,
