@@ -18,6 +18,14 @@ alternating which side goes first; --held-out-seed adds one more pair with
 that seed. Each run's JSON line is appended to runs.jsonl in the work
 directory as it completes.
 
+Host steal decides which pairs count. Each run's steal_pct comes from its
+perfbench `host:` line. A pair counts only when its two sides' steal
+differs by at most 3 points; a pair that misses is re-run, up to twice,
+and its first matching attempt counts. The report prints each side's steal
+and how many pairs matched. With fewer than 10 matched pairs every metric
+of the workload reads "host too noisy" instead of a verdict. Runs recorded
+without a host line (older runs.jsonl files) count as matched.
+
 For each workload and metric the report prints each side's median and
 quartiles, the change/parent ratio of the medians, the pairs the change
 won (ties count for neither side), and a verdict:
@@ -37,12 +45,16 @@ Metrics without a bound (the per-layer ones of a --trace 1 run) get only
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GAIN_SHARE = 0.9
+STEAL_MATCH_POINTS = 3.0  # most steal difference between a pair's two sides
+PAIR_RERUNS = 2           # re-runs of a pair whose steal does not match
+MIN_MATCHED_PAIRS = 10    # fewer matched pairs: "host too noisy"
 
 
 # ---------------------------------------------------------------- statistics
@@ -85,6 +97,52 @@ def verdict(parent, change, direction, bound):
     return ("regression" if worse_by > bound else "within bound"), wins
 
 
+# ---------------------------------------------------------------- host steal
+
+def steal_of(result):
+    """steal_pct from a run's `host:` line; None when none was recorded."""
+    m = re.search(r"steal_pct=([0-9.]+)", result.get("host", ""))
+    return float(m.group(1)) if m else None
+
+
+def steal_matches(parent, change):
+    """True when the two runs' steal differs by at most STEAL_MATCH_POINTS,
+    or when either run has no steal on record."""
+    ps, cs = steal_of(parent["result"]), steal_of(change["result"])
+    return ps is None or cs is None or abs(ps - cs) <= STEAL_MATCH_POINTS
+
+
+def run_pair(run_side, order):
+    """Runs both sides of one pair in `order` via run_side(side, attempt),
+    which returns the run's record; re-runs the pair up to PAIR_RERUNS
+    times while the steal does not match. Returns every attempt's records."""
+    attempts = []
+    for attempt in range(PAIR_RERUNS + 1):
+        recs = {side: run_side(side, attempt) for side in order}
+        attempts.append(recs)
+        if steal_matches(recs["parent"], recs["change"]):
+            break
+    return attempts
+
+
+def matched_pairs(runs, wl):
+    """Workload wl's pairs as {"parent": rec, "change": rec}: per pair, the
+    first attempt with both sides whose steal matches. Returns (matched
+    pairs in pair order, number of pairs run)."""
+    attempts = {}
+    for r in runs:
+        if r["workload"] == wl:
+            attempts.setdefault(r["pair"], {}).setdefault(r.get("attempt", 0), {})[r["side"]] = r
+    matched = []
+    for pair in sorted(attempts):
+        for a in sorted(attempts[pair]):
+            sides = attempts[pair][a]
+            if len(sides) == 2 and steal_matches(sides["parent"], sides["change"]):
+                matched.append(sides)
+                break
+    return matched, len(attempts)
+
+
 # ---------------------------------------------------------------- reporting
 
 def load_benchmark():
@@ -105,19 +163,22 @@ def report(runs, specs, out=sys.stdout):
     for r in runs:
         if r["workload"] not in workloads:
             workloads.append(r["workload"])
+    fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
     for wl in workloads:
-        by_pair = {}
-        for r in runs:
-            if r["workload"] == wl:
-                by_pair.setdefault(r["pair"], {})[r["side"]] = r
-        pairs = [by_pair[k] for k in sorted(by_pair) if len(by_pair[k]) == 2]
-        bad = [f"{p[s]['side']}@seed{p[s]['seed']}" for p in pairs for s in p
-               if not p[s]["result"].get("correct") or p[s]["result"].get("failed", 1) != 0]
-        print(f"\n== {wl}: {len(pairs)} pairs"
+        pairs, total = matched_pairs(runs, wl)
+        bad = [f"{r['side']}@seed{r['seed']}" for r in runs if r["workload"] == wl
+               and (not r["result"].get("correct") or r["result"].get("failed", 1) != 0)]
+        print(f"\n== {wl}: {len(pairs)} of {total} pairs matched within "
+              f"{STEAL_MATCH_POINTS:g} steal points"
               + (f"; NOT CORRECT or failed ops: {', '.join(bad)}" if bad else
                  "; every run correct, 0 failed ops"), file=out)
         if not pairs:
             continue
+        steals = {side: [steal_of(p[side]["result"]) for p in pairs] for side in ("parent", "change")}
+        if all(v is not None for vs in steals.values() for v in vs):
+            print(f"{'steal_pct':34} {fmt(quartiles(steals['parent'])):>28}"
+                  f" {fmt(quartiles(steals['change'])):>28}", file=out)
+        noisy = len(pairs) < MIN_MATCHED_PAIRS
         print(f"{'metric':34} {'parent med [q1, q3]':>28} {'change med [q1, q3]':>28}"
               f" {'ratio':>6} {'won':>6}  verdict", file=out)
         names = [n for n in specs if all(n in p[s]["result"].get("metrics", {})
@@ -129,11 +190,12 @@ def report(runs, specs, out=sys.stdout):
             pq = quartiles(par)
             cq = quartiles(chg)
             v, wins = verdict(par, chg, direction, bound)
+            if noisy:
+                v = "host too noisy"
             ratio = cq[1] / pq[1] if pq[1] else float("nan")
             rows.append({"workload": wl, "metric": name, "unit": unit,
                          "parent": pq, "change": cq, "ratio": ratio,
                          "wins": wins, "pairs": len(pairs), "verdict": v})
-            fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
             print(f"{name:34} {fmt(pq):>28} {fmt(cq):>28} {ratio:6.3f}"
                   f" {wins:>2}/{len(pairs):<3}  {v}", file=out)
     return rows
@@ -215,22 +277,28 @@ def measure(args, bench):
           file=sys.stderr)
     for wl in workloads:
         for i, seed in enumerate(seeds):
-            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-            for side in order:
+            def run_side(side, attempt):
                 src, target = sides[side]
                 result = run_once(src, target, wl, seed, args.seconds, args.trace)
-                rec = {"workload": wl, "pair": i, "seed": seed, "side": side,
-                       "held_out": seed == args.held_out_seed, "parent_rev": sha,
-                       "seconds": args.seconds, "trace": args.trace, "result": result}
+                rec = {"workload": wl, "pair": i, "attempt": attempt, "seed": seed,
+                       "side": side, "held_out": seed == args.held_out_seed,
+                       "parent_rev": sha, "seconds": args.seconds, "trace": args.trace,
+                       "result": result}
                 runs.append(rec)
                 with open(runs_path, "a") as f:
                     f.write(json.dumps(rec) + "\n")
                 m = result.get("metrics", {})
                 key = "open_p50_us" if "open_p50_us" in m else next(iter(m), None)
                 shown = f"{key}={m[key]['value']}" if key else result.get("error", "")
-                print(f"  {wl} pair {i} seed {seed} {side}: correct="
+                print(f"  {wl} pair {i} attempt {attempt} seed {seed} {side}: correct="
                       f"{result.get('correct')} failed={result.get('failed')} {shown} "
-                      f"{result.get('host', '')}", file=sys.stderr)
+                      f"steal={steal_of(result)}", file=sys.stderr)
+                return rec
+            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            attempts = run_pair(run_side, order)
+            if not steal_matches(attempts[-1]["parent"], attempts[-1]["change"]):
+                print(f"  {wl} pair {i}: steal never matched in {len(attempts)} attempts",
+                      file=sys.stderr)
     return runs
 
 
@@ -262,17 +330,68 @@ def selftest():
         failed += not ok
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {got} ({wins} won)"
               + ("" if ok else f", want {want} ({want_wins} won)"))
-    # The report pairs runs by (workload, pair) and orders sides correctly.
-    runs = []
-    for i, (p, c) in enumerate(zip([100, 101, 99], [80, 81, 79])):
-        for side, v in (("parent", p), ("change", c)):
-            runs.append({"workload": "w", "pair": i, "seed": i, "side": side,
-                         "result": {"correct": True, "failed": 0,
-                                    "metrics": {"m": {"value": v, "unit": "us"}}}})
-    rows = report(runs, {"m": ("lower", 0.25, "us")}, out=open(os.devnull, "w"))
-    ok = len(rows) == 1 and rows[0]["verdict"] == "gain" and rows[0]["wins"] == 3
-    failed += not ok
-    print(f"{'ok  ' if ok else 'FAIL'} report pairs runs by seed")
+    def check(name, ok):
+        print(f"{'ok  ' if ok else 'FAIL'} {name}")
+        return not ok
+
+    def rec(pair, side, value, steal=None, attempt=None):
+        r = {"workload": "w", "pair": pair, "seed": pair, "side": side,
+             "result": {"correct": True, "failed": 0,
+                        "metrics": {"m": {"value": value, "unit": "us"}}}}
+        if steal is not None:
+            r["result"]["host"] = f"host: calibration_loop_s=0.1000 steal_pct={steal:.2f} " \
+                                  "iowait_pct=0.00 (window, all CPUs)"
+        if attempt is not None:
+            r["attempt"] = attempt
+        return r
+
+    def table(runs):
+        return report(runs, {"m": ("lower", 0.25, "us")}, out=open(os.devnull, "w"))
+
+    # The report pairs runs by (workload, pair) and orders sides correctly;
+    # records without an attempt or a host line (older runs.jsonl) still read.
+    runs = [rec(i, side, v) for i in range(10)
+            for side, v in (("parent", 100 + i % 3), ("change", 80 + i % 3))]
+    rows = table(runs)
+    failed += check("report pairs runs by seed",
+                    len(rows) == 1 and rows[0]["verdict"] == "gain" and rows[0]["wins"] == 10)
+    # Steal comes from the host line.
+    failed += check("steal read from the host line",
+                    steal_of(rec(0, "parent", 1, steal=12.5)["result"]) == 12.5
+                    and steal_of(rec(0, "parent", 1)["result"]) is None)
+    # A pair matches within 3 points of steal, not beyond.
+    failed += check("steal 3 points apart matches, 3.1 does not",
+                    steal_matches(rec(0, "parent", 1, steal=2.0), rec(0, "change", 1, steal=5.0))
+                    and not steal_matches(rec(0, "parent", 1, steal=2.0),
+                                          rec(0, "change", 1, steal=5.1)))
+    # A pair whose steal misses is re-run, at most twice.
+    for name, steals, want in (("matched pair runs once", [(4, 5)], 1),
+                               ("missed pair re-runs until it matches", [(1, 9), (1, 2)], 2),
+                               ("missed pair re-runs at most twice", [(1, 9)] * 5, 3)):
+        it = iter(steals)
+        current = {}
+
+        def run_side(side, attempt):
+            if side == "parent":
+                current["pair"] = next(it)
+            return rec(0, side, 1, steal=current["pair"][0 if side == "parent" else 1],
+                       attempt=attempt)
+        failed += check(name, len(run_pair(run_side, ["parent", "change"])) == want)
+    # The report counts a re-run pair's matching attempt, not its first.
+    runs = [rec(i, side, v, steal=1.0, attempt=0) for i in range(10)
+            for side, v in (("parent", 100), ("change", 80))]
+    runs[0] = rec(0, "parent", 100, steal=20.0, attempt=0)
+    runs += [rec(0, "parent", 100, steal=2.0, attempt=1), rec(0, "change", 70, steal=1.0, attempt=1)]
+    pairs, total = matched_pairs(runs, "w")
+    failed += check("report takes a re-run pair's matching attempt",
+                    len(pairs) == 10 and total == 10
+                    and pairs[0]["change"]["result"]["metrics"]["m"]["value"] == 70)
+    # Fewer than 10 matched pairs: no verdict.
+    runs[-2] = rec(0, "parent", 100, steal=20.0, attempt=1)
+    rows = table(runs)
+    failed += check("9 matched pairs read host too noisy",
+                    len(rows) == 1 and rows[0]["pairs"] == 9
+                    and rows[0]["verdict"] == "host too noisy")
     print("selftest: " + ("passed" if failed == 0 else f"{failed} failed"))
     return 1 if failed else 0
 

@@ -3,6 +3,20 @@
 #include <utility>
 
 namespace scalla::client {
+namespace {
+
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
+// The value a walk's successful answer carries to its callback.
+std::uint64_t ValueOf(const proto::XrdOpenResp& m) { return m.fileHandle; }
+std::uint64_t ValueOf(const proto::XrdStatResp& m) { return m.size; }
+std::uint64_t ValueOf(const proto::XrdUnlinkResp&) { return 0; }
+std::uint64_t ValueOf(const proto::XrdChecksumResp& m) { return m.crc32; }
+
+}  // namespace
 
 ScallaClient::ScallaClient(const ClientConfig& config, sched::Executor& executor,
                            net::Fabric& fabric)
@@ -35,161 +49,253 @@ void ScallaClient::RotateHeadAwayFrom(net::NodeAddr dead) {
   failoversMetric_.Inc();
 }
 
-void ScallaClient::Open(const std::string& path, cms::AccessMode mode, bool create,
-                        OpenCallback done) {
-  const std::uint64_t reqId = nextReqId_++;
-  OpenState state;
-  state.path = path;
-  state.mode = mode;
-  state.create = create;
-  state.currentNode = CurrentHead();
-  state.done = std::move(done);
-  state.start = executor_.clock().Now();
-  opens_.emplace(reqId, std::move(state));
-  SendOpen(reqId);
+ScallaClient::Table::iterator ScallaClient::Track(Kind kind, net::NodeAddr node,
+                                                  Callback done) {
+  const auto it = pending_.try_emplace(nextReqId_++).first;
+  it->second.kind = kind;
+  it->second.node = node;
+  it->second.done = std::move(done);
+  return it;
 }
 
-void ScallaClient::SendOpen(std::uint64_t reqId) {
-  const auto it = opens_.find(reqId);
-  if (it == opens_.end()) return;
-  OpenState& s = it->second;
-  proto::XrdOpen msg;
-  msg.reqId = reqId;
-  msg.path = s.path;
-  msg.mode = s.mode == cms::AccessMode::kRead ? 0 : 1;
-  msg.create = s.create;
-  msg.refresh = s.refresh;
-  msg.avoidNode = s.avoidNode;
-  // Refresh requests always restart at the head node.
-  s.refresh = false;
-  fabric_.Send(config_.addr, s.currentNode, std::move(msg));
-  CancelOpenTimer(s);
-  if (config_.openTimeout > Duration::zero()) {
-    s.timer = executor_.RunAfter(config_.openTimeout,
-                                 [this, reqId] { OnOpenTimeout(reqId); });
-  }
+// ------------------------------------------------------------ the walk
+
+void ScallaClient::StartWalk(Kind kind, const std::string& path, Callback done,
+                             std::uint8_t mode, bool create) {
+  const auto it = Track(kind, CurrentHead(), std::move(done));
+  Pending& p = it->second;
+  p.path = path;
+  p.mode = mode;
+  p.create = create;
+  p.start = executor_.clock().Now();
+  SendAttempt(it->first);
 }
 
-void ScallaClient::CancelOpenTimer(OpenState& s) {
-  if (s.timer == sched::kInvalidTimer) return;
-  executor_.Cancel(s.timer);
-  s.timer = sched::kInvalidTimer;
-}
-
-void ScallaClient::OnOpenTimeout(std::uint64_t reqId) {
-  const auto it = opens_.find(reqId);
-  if (it == opens_.end()) return;
-  OpenState& s = it->second;
-  s.timer = sched::kInvalidTimer;
-  // The current target went silent without breaking the connection (a
-  // wedged process): recover exactly as if the connection had died.
-  if (++s.outcome.recoveries > config_.maxRecoveries) {
-    FinishOpen(reqId, proto::XrdErr::kIo, {});
+void ScallaClient::SendAttempt(std::uint64_t reqId) {
+  const auto it = pending_.find(reqId);
+  if (it == pending_.end()) return;
+  Pending& p = it->second;
+  if (p.kind == Kind::kStatsQuery) {  // its one deadline keeps running
+    fabric_.Send(config_.addr, p.node, proto::StatsQuery{reqId});
     return;
   }
-  recoveriesMetric_.Inc();
-  if (IsHead(s.currentNode)) {
-    RotateHeadAwayFrom(s.currentNode);
-  } else {
-    s.refresh = true;
-    s.avoidNode = s.currentNode;
+  // Armed before the send: a fabric that reports the peer down inside
+  // Send may finish this request, so nothing touches `p` afterwards.
+  CancelTimer(p);
+  p.timer = executor_.RunAfter(kAttemptTimeout, [this, reqId] { OnTimeout(reqId); });
+  // A refresh goes with one attempt only: the one that restarts at the head.
+  const bool refresh = std::exchange(p.refresh, false);
+  switch (p.kind) {
+    case Kind::kOpen: {
+      proto::XrdOpen msg;
+      msg.reqId = reqId;
+      msg.path = p.path;
+      msg.mode = p.mode;
+      msg.create = p.create;
+      msg.refresh = refresh;
+      msg.avoidNode = p.avoidNode;
+      fabric_.Send(config_.addr, p.node, std::move(msg));
+      return;
+    }
+    case Kind::kStat:
+      fabric_.Send(config_.addr, p.node, proto::XrdStat{reqId, p.path, refresh, p.avoidNode});
+      return;
+    case Kind::kUnlink:
+      fabric_.Send(config_.addr, p.node,
+                   proto::XrdUnlink{reqId, p.path, refresh, p.avoidNode});
+      return;
+    case Kind::kChecksum:
+      fabric_.Send(config_.addr, p.node,
+                   proto::XrdChecksum{reqId, p.path, refresh, p.avoidNode});
+      return;
+    default:
+      return;
   }
-  s.currentNode = CurrentHead();
-  SendOpen(reqId);
 }
 
-void ScallaClient::FinishOpen(std::uint64_t reqId, proto::XrdErr err, FileRef file) {
-  auto node = opens_.extract(reqId);
-  if (node.empty()) return;
-  OpenState& s = node.mapped();
-  CancelOpenTimer(s);
-  s.outcome.err = err;
-  s.outcome.file = file;
-  s.outcome.elapsed = executor_.clock().Now() - s.start;
-  if (err == proto::XrdErr::kNone) openLatency_.Record(s.outcome.elapsed);
-  s.done(s.outcome);
-}
-
-void ScallaClient::HandleOpenResp(net::NodeAddr from, const proto::XrdOpenResp& m) {
-  const auto it = opens_.find(m.reqId);
-  if (it == opens_.end()) return;
-  OpenState& s = it->second;
+template <typename Resp>
+void ScallaClient::OnWalkResp(net::NodeAddr from, const Resp& m, Kind kind) {
+  const auto it = pending_.find(m.reqId);
+  if (it == pending_.end() || it->second.kind != kind) return;
+  Pending& p = it->second;
   // Any response ends the current attempt; delayed re-sends re-arm it.
-  CancelOpenTimer(s);
+  CancelTimer(p);
 
   switch (m.status) {
     case proto::XrdStatus::kOk:
-      FinishOpen(m.reqId, proto::XrdErr::kNone, FileRef{from, m.fileHandle});
+      Finish(m.reqId, proto::XrdErr::kNone, from, ValueOf(m));
       return;
 
     case proto::XrdStatus::kRedirect:
-      if (++s.outcome.redirects > config_.maxRedirects) {
+      if (++p.redirects > kMaxRedirects) {
         loopBreaksMetric_.Inc();
-        FinishOpen(m.reqId, proto::XrdErr::kLoop, {});
+        Finish(m.reqId, proto::XrdErr::kLoop);
         return;
       }
       redirectsMetric_.Inc();
-      s.currentNode = m.redirectNode;
-      SendOpen(m.reqId);
+      p.node = m.redirectNode;
+      SendAttempt(m.reqId);
       return;
 
-    case proto::XrdStatus::kWait: {
-      if (++s.outcome.waits > config_.maxWaits) {
-        FinishOpen(m.reqId, proto::XrdErr::kIo, {});
-        return;
-      }
+    case proto::XrdStatus::kWait:
+      if (++p.waits > kMaxWaits) break;
       retriesMetric_.Inc();
-      const Duration wait{m.waitNs};
-      executor_.RunAfter(wait, [this, reqId = m.reqId] { SendOpen(reqId); });
+      executor_.RunAfter(Duration{m.waitNs}, [this, reqId = m.reqId] { SendAttempt(reqId); });
       return;
-    }
 
     case proto::XrdStatus::kError:
       if (m.err == proto::XrdErr::kStale) {
-        // Transient inconsistency: retry from the head — but never
-        // synchronously and never forever. A head that keeps answering
-        // kStale would otherwise spin an infinite immediate re-send loop;
-        // cap the retries and space them with a short jittered delay.
-        if (++s.staleRetries > config_.maxStaleRetries) {
-          FinishOpen(m.reqId, proto::XrdErr::kStale, {});
+        // Transient inconsistency: retry from the head, but never
+        // synchronously and never forever, spaced by a jittered delay.
+        if (++p.staleRetries > kMaxStaleRetries) {
+          Finish(m.reqId, proto::XrdErr::kStale);
           return;
         }
         retriesMetric_.Inc();
-        s.currentNode = CurrentHead();
-        const auto base = config_.staleRetryDelay.count();
+        p.node = CurrentHead();
+        const auto base = kStaleRetryDelay.count();
         const Duration delay{base + static_cast<Duration::rep>(rng_.NextBelow(
                                         static_cast<std::uint64_t>(base) + 1))};
-        executor_.RunAfter(delay, [this, reqId = m.reqId] { SendOpen(reqId); });
+        executor_.RunAfter(delay, [this, reqId = m.reqId] { SendAttempt(reqId); });
         return;
       }
       if ((m.err == proto::XrdErr::kNotFound || m.err == proto::XrdErr::kNoSpace) &&
           !IsHead(from)) {
         // Vectored to a server that cannot serve the file (stale cache,
-        // or a full server refusing a creation): the general recovery is
-        // to reissue at the head asking for a cache refresh and naming
-        // the failing host (section III-C1).
-        if (++s.outcome.recoveries > config_.maxRecoveries) {
-          FinishOpen(m.reqId, proto::XrdErr::kNotFound, {});
+        // or a full server refusing a creation): reissue at the head
+        // asking for a cache refresh and naming the failing host
+        // (section III-C1).
+        if (!Recover(p, from)) {
+          Finish(m.reqId, proto::XrdErr::kNotFound);
           return;
         }
-        recoveriesMetric_.Inc();
-        s.refresh = true;
-        s.avoidNode = from;
-        s.currentNode = CurrentHead();
-        SendOpen(m.reqId);
+        SendAttempt(m.reqId);
         return;
       }
-      FinishOpen(m.reqId, m.err, {});
+      Finish(m.reqId, m.err);
       return;
   }
+  Finish(m.reqId, proto::XrdErr::kIo);
+}
+
+bool ScallaClient::Recover(Pending& p, net::NodeAddr failed) {
+  if (++p.recoveries > kMaxRecoveries) return false;
+  recoveriesMetric_.Inc();
+  if (IsHead(failed)) {
+    RotateHeadAwayFrom(failed);
+  } else {
+    p.refresh = true;
+    p.avoidNode = failed;
+  }
+  p.node = CurrentHead();
+  return true;
+}
+
+void ScallaClient::OnTimeout(std::uint64_t reqId) {
+  const auto it = pending_.find(reqId);
+  if (it == pending_.end()) return;
+  Pending& p = it->second;
+  p.timer = sched::kInvalidTimer;
+  // A walk's target went silent without breaking the connection (a wedged
+  // process): recover exactly as if the connection had died. A stats
+  // query's deadline passed: the head never answered.
+  if (IsWalk(p.kind) && Recover(p, p.node)) {
+    SendAttempt(reqId);
+    return;
+  }
+  Finish(reqId, proto::XrdErr::kIo);
+}
+
+void ScallaClient::CancelTimer(Pending& p) {
+  if (p.timer == sched::kInvalidTimer) return;
+  executor_.Cancel(p.timer);
+  p.timer = sched::kInvalidTimer;
+}
+
+template <typename Cb, typename... Args>
+void ScallaClient::Complete(std::uint64_t reqId, Kind kind, Args&&... args) {
+  const auto it = pending_.find(reqId);
+  if (it == pending_.end() || it->second.kind != kind) return;  // stray or mistyped reply
+  CancelTimer(it->second);
+  auto entry = pending_.extract(it);
+  std::get<Cb>(entry.mapped().done)(std::forward<Args>(args)...);
+}
+
+void ScallaClient::Finish(std::uint64_t reqId, proto::XrdErr err, net::NodeAddr node,
+                          std::uint64_t value) {
+  auto entry = pending_.extract(reqId);
+  if (entry.empty()) return;
+  Pending& p = entry.mapped();
+  CancelTimer(p);
+  std::visit(Overloaded{
+                 [&](OpenCallback& done) {
+                   OpenOutcome outcome;
+                   outcome.err = err;
+                   outcome.file = FileRef{node, value};
+                   outcome.redirects = p.redirects;
+                   outcome.waits = p.waits;
+                   outcome.recoveries = p.recoveries;
+                   outcome.elapsed = executor_.clock().Now() - p.start;
+                   if (err == proto::XrdErr::kNone) openLatency_.Record(outcome.elapsed);
+                   done(outcome);
+                 },
+                 [&](StatCallback& done) { done(err, value); },
+                 [&](WriteCallback& done) { done(err, static_cast<std::uint32_t>(value)); },
+                 [&](DoneCallback& done) { done(err); },
+                 [&](ReadCallback& done) { done(err, {}); },
+                 [&](ReadVCallback& done) { done(err, {}); },
+                 [&](StatsQueryCallback& done) { done(ClusterStats{}); },
+                 [&](CacheAdminCallback& done) { done(err, {}); },
+                 [&](DrainCallback& done) { done(err, {}); },
+             },
+             p.done);
+}
+
+void ScallaClient::OnPeerDown(net::NodeAddr peer) {
+  // A dead head hands its requests to the next head, if there is one.
+  RotateHeadAwayFrom(peer);
+  const bool alternate = CurrentHead() != peer;
+  std::vector<std::uint64_t> resend;
+  std::vector<std::uint64_t> failed;
+  for (auto& [id, p] : pending_) {
+    if (p.node != peer) continue;
+    // A walk recovers and a stats query moves to the next head; nothing
+    // else has anywhere to go.
+    if (alternate && (IsWalk(p.kind) ? Recover(p, peer) : p.kind == Kind::kStatsQuery)) {
+      p.node = CurrentHead();
+      resend.push_back(id);
+    } else {
+      failed.push_back(id);
+    }
+  }
+  for (const std::uint64_t id : resend) SendAttempt(id);
+  for (const std::uint64_t id : failed) Finish(id, proto::XrdErr::kIo);
+}
+
+// ------------------------------------------------------------ requests
+
+void ScallaClient::Open(const std::string& path, cms::AccessMode mode, bool create,
+                        OpenCallback done) {
+  StartWalk(Kind::kOpen, path, std::move(done), mode == cms::AccessMode::kRead ? 0 : 1,
+            create);
+}
+
+void ScallaClient::Stat(const std::string& path, StatCallback done) {
+  StartWalk(Kind::kStat, path, std::move(done));
+}
+
+void ScallaClient::Unlink(const std::string& path, DoneCallback done) {
+  StartWalk(Kind::kUnlink, path, std::move(done));
+}
+
+void ScallaClient::Checksum(const std::string& path, ChecksumCallback done) {
+  StartWalk(Kind::kChecksum, path, std::move(done));
 }
 
 void ScallaClient::Read(const FileRef& file, std::uint64_t offset, std::uint32_t length,
                         ReadCallback done) {
-  const std::uint64_t reqId = nextReqId_++;
-  reads_.emplace(reqId, std::move(done));
   proto::XrdRead msg;
-  msg.reqId = reqId;
+  msg.reqId = Track(Kind::kRead, file.node, std::move(done))->first;
   msg.fileHandle = file.handle;
   msg.offset = offset;
   msg.length = length;
@@ -198,73 +304,17 @@ void ScallaClient::Read(const FileRef& file, std::uint64_t offset, std::uint32_t
 
 void ScallaClient::ReadV(const FileRef& file, std::vector<proto::ReadSeg> segments,
                          ReadVCallback done) {
-  const std::uint64_t reqId = nextReqId_++;
-  readvs_.emplace(reqId, std::move(done));
   proto::XrdReadV msg;
-  msg.reqId = reqId;
+  msg.reqId = Track(Kind::kReadV, file.node, std::move(done))->first;
   msg.fileHandle = file.handle;
   msg.segments = std::move(segments);
   fabric_.Send(config_.addr, file.node, std::move(msg));
 }
 
-void ScallaClient::Checksum(const std::string& path, ChecksumCallback done) {
-  const std::uint64_t reqId = nextReqId_++;
-  ChecksumState state;
-  state.path = path;
-  state.currentNode = CurrentHead();
-  state.done = std::move(done);
-  checksums_.emplace(reqId, std::move(state));
-  fabric_.Send(config_.addr, CurrentHead(), proto::XrdChecksum{reqId, path});
-}
-
-void ScallaClient::HandleChecksumResp(net::NodeAddr from, const proto::XrdChecksumResp& m) {
-  (void)from;
-  const auto it = checksums_.find(m.reqId);
-  if (it == checksums_.end()) return;
-  ChecksumState& s = it->second;
-  switch (m.status) {
-    case proto::XrdStatus::kOk: {
-      auto node = checksums_.extract(m.reqId);
-      node.mapped().done(proto::XrdErr::kNone, m.crc32);
-      return;
-    }
-    case proto::XrdStatus::kRedirect:
-      if (++s.hops > config_.maxRedirects) {
-        loopBreaksMetric_.Inc();
-        auto node = checksums_.extract(m.reqId);
-        node.mapped().done(proto::XrdErr::kLoop, 0);
-        return;
-      }
-      s.currentNode = m.redirectNode;
-      fabric_.Send(config_.addr, s.currentNode, proto::XrdChecksum{m.reqId, s.path});
-      return;
-    case proto::XrdStatus::kWait: {
-      if (++s.waits > config_.maxWaits) break;
-      const Duration wait{m.waitNs};
-      executor_.RunAfter(wait, [this, reqId = m.reqId] {
-        const auto cit = checksums_.find(reqId);
-        if (cit == checksums_.end()) return;
-        fabric_.Send(config_.addr, cit->second.currentNode,
-                     proto::XrdChecksum{reqId, cit->second.path});
-      });
-      return;
-    }
-    case proto::XrdStatus::kError: {
-      auto node = checksums_.extract(m.reqId);
-      node.mapped().done(m.err, 0);
-      return;
-    }
-  }
-  auto node = checksums_.extract(m.reqId);
-  node.mapped().done(proto::XrdErr::kIo, 0);
-}
-
 void ScallaClient::Write(const FileRef& file, std::uint64_t offset, std::string data,
                          WriteCallback done) {
-  const std::uint64_t reqId = nextReqId_++;
-  writes_.emplace(reqId, std::move(done));
   proto::XrdWrite msg;
-  msg.reqId = reqId;
+  msg.reqId = Track(Kind::kWrite, file.node, std::move(done))->first;
   msg.fileHandle = file.handle;
   msg.offset = offset;
   msg.data = std::move(data);
@@ -272,220 +322,16 @@ void ScallaClient::Write(const FileRef& file, std::uint64_t offset, std::string 
 }
 
 void ScallaClient::Close(const FileRef& file, DoneCallback done) {
-  const std::uint64_t reqId = nextReqId_++;
-  closes_.emplace(reqId, std::move(done));
+  const std::uint64_t reqId = Track(Kind::kClose, file.node, std::move(done))->first;
   fabric_.Send(config_.addr, file.node, proto::XrdClose{reqId, file.handle});
-}
-
-void ScallaClient::Stat(const std::string& path, StatCallback done) {
-  const std::uint64_t reqId = nextReqId_++;
-  StatState state;
-  state.path = path;
-  state.currentNode = CurrentHead();
-  state.done = std::move(done);
-  stats_.emplace(reqId, std::move(state));
-  fabric_.Send(config_.addr, CurrentHead(), proto::XrdStat{reqId, path});
-}
-
-void ScallaClient::HandleStatResp(net::NodeAddr from, const proto::XrdStatResp& m) {
-  (void)from;
-  const auto it = stats_.find(m.reqId);
-  if (it == stats_.end()) return;
-  StatState& s = it->second;
-  switch (m.status) {
-    case proto::XrdStatus::kOk: {
-      auto node = stats_.extract(m.reqId);
-      node.mapped().done(proto::XrdErr::kNone, m.size);
-      return;
-    }
-    case proto::XrdStatus::kRedirect:
-      if (++s.hops > config_.maxRedirects) {
-        loopBreaksMetric_.Inc();
-        auto node = stats_.extract(m.reqId);
-        node.mapped().done(proto::XrdErr::kLoop, 0);
-        return;
-      }
-      s.currentNode = m.redirectNode;
-      fabric_.Send(config_.addr, s.currentNode, proto::XrdStat{m.reqId, s.path});
-      return;
-    case proto::XrdStatus::kWait: {
-      if (++s.waits > config_.maxWaits) break;
-      const Duration wait{m.waitNs};
-      executor_.RunAfter(wait, [this, reqId = m.reqId] {
-        const auto sit = stats_.find(reqId);
-        if (sit == stats_.end()) return;
-        fabric_.Send(config_.addr, sit->second.currentNode,
-                     proto::XrdStat{reqId, sit->second.path});
-      });
-      return;
-    }
-    case proto::XrdStatus::kError: {
-      auto node = stats_.extract(m.reqId);
-      node.mapped().done(m.err, 0);
-      return;
-    }
-  }
-  auto node = stats_.extract(m.reqId);
-  node.mapped().done(proto::XrdErr::kIo, 0);
-}
-
-void ScallaClient::Unlink(const std::string& path, DoneCallback done) {
-  const std::uint64_t reqId = nextReqId_++;
-  UnlinkState state;
-  state.path = path;
-  state.currentNode = CurrentHead();
-  state.done = std::move(done);
-  unlinks_.emplace(reqId, std::move(state));
-  fabric_.Send(config_.addr, CurrentHead(), proto::XrdUnlink{reqId, path});
-}
-
-void ScallaClient::HandleUnlinkResp(net::NodeAddr from, const proto::XrdUnlinkResp& m) {
-  (void)from;
-  const auto it = unlinks_.find(m.reqId);
-  if (it == unlinks_.end()) return;
-  UnlinkState& s = it->second;
-  switch (m.status) {
-    case proto::XrdStatus::kOk: {
-      auto node = unlinks_.extract(m.reqId);
-      node.mapped().done(proto::XrdErr::kNone);
-      return;
-    }
-    case proto::XrdStatus::kRedirect:
-      if (++s.hops > config_.maxRedirects) {
-        loopBreaksMetric_.Inc();
-        auto node = unlinks_.extract(m.reqId);
-        node.mapped().done(proto::XrdErr::kLoop);
-        return;
-      }
-      s.currentNode = m.redirectNode;
-      fabric_.Send(config_.addr, s.currentNode, proto::XrdUnlink{m.reqId, s.path});
-      return;
-    case proto::XrdStatus::kWait: {
-      if (++s.waits > config_.maxWaits) break;
-      const Duration wait{m.waitNs};
-      executor_.RunAfter(wait, [this, reqId = m.reqId] {
-        const auto uit = unlinks_.find(reqId);
-        if (uit == unlinks_.end()) return;
-        fabric_.Send(config_.addr, uit->second.currentNode,
-                     proto::XrdUnlink{reqId, uit->second.path});
-      });
-      return;
-    }
-    case proto::XrdStatus::kError: {
-      auto node = unlinks_.extract(m.reqId);
-      node.mapped().done(m.err);
-      return;
-    }
-  }
-  auto node = unlinks_.extract(m.reqId);
-  node.mapped().done(proto::XrdErr::kIo);
 }
 
 void ScallaClient::Prepare(const std::vector<std::string>& paths, cms::AccessMode mode,
                            DoneCallback done) {
-  const std::uint64_t reqId = nextReqId_++;
-  prepares_.emplace(reqId, std::move(done));
   proto::XrdPrepare msg;
-  msg.reqId = reqId;
+  msg.reqId = Track(Kind::kPrepare, CurrentHead(), std::move(done))->first;
   msg.paths = paths;
   msg.mode = mode == cms::AccessMode::kRead ? 0 : 1;
-  fabric_.Send(config_.addr, CurrentHead(), std::move(msg));
-}
-
-void ScallaClient::OnPeerDown(net::NodeAddr peer) {
-  if (IsHead(peer)) {
-    // Head gone: fail over to a redundant head if one is configured,
-    // restarting the affected requests there; otherwise fail them.
-    RotateHeadAwayFrom(peer);
-    const bool haveAlternate = CurrentHead() != peer;
-    std::vector<std::uint64_t> dead;
-    for (auto& [id, s] : opens_) {
-      if (s.currentNode != peer) continue;
-      if (haveAlternate && ++s.outcome.recoveries <= config_.maxRecoveries) {
-        recoveriesMetric_.Inc();
-        s.currentNode = CurrentHead();
-        SendOpen(id);
-      } else {
-        dead.push_back(id);
-      }
-    }
-    for (const std::uint64_t id : dead) FinishOpen(id, proto::XrdErr::kIo, {});
-    if (haveAlternate) {
-      // Stats queries only ever target the head: re-issue every pending
-      // one at the standby (the original timeout keeps running).
-      for (const auto& [id, s] : statsQueries_) {
-        (void)s;
-        fabric_.Send(config_.addr, CurrentHead(), proto::StatsQuery{id});
-      }
-    }
-    return;
-  }
-  // A data server died: restart affected opens at the head with the
-  // refresh/avoid recovery the paper prescribes for failing vectors.
-  for (auto& [id, s] : opens_) {
-    if (s.currentNode != peer) continue;
-    if (++s.outcome.recoveries > config_.maxRecoveries) {
-      // Cap reached; surface the failure. (Finish outside the loop.)
-      continue;
-    }
-    recoveriesMetric_.Inc();
-    s.refresh = true;
-    s.avoidNode = peer;
-    s.currentNode = CurrentHead();
-    SendOpen(id);
-  }
-  std::vector<std::uint64_t> failed;
-  for (const auto& [id, s] : opens_) {
-    if (s.currentNode == peer && s.outcome.recoveries > config_.maxRecoveries) {
-      failed.push_back(id);
-    }
-  }
-  for (const std::uint64_t id : failed) FinishOpen(id, proto::XrdErr::kIo, {});
-}
-
-void ScallaClient::QueryStats(StatsQueryCallback done, Duration timeout) {
-  const std::uint64_t reqId = nextReqId_++;
-  StatsQueryState state;
-  state.done = std::move(done);
-  state.timer = executor_.RunAfter(timeout, [this, reqId] {
-    auto node = statsQueries_.extract(reqId);
-    if (node.empty()) return;
-    node.mapped().done(ClusterStats{});  // ok=false: head never answered
-  });
-  statsQueries_.emplace(reqId, std::move(state));
-  fabric_.Send(config_.addr, CurrentHead(), proto::StatsQuery{reqId});
-}
-
-void ScallaClient::HandleStatsReply(net::NodeAddr from, const proto::StatsReply& m) {
-  (void)from;
-  auto node = statsQueries_.extract(m.reqId);
-  if (node.empty()) return;  // reply after timeout
-  if (node.mapped().timer != sched::kInvalidTimer) executor_.Cancel(node.mapped().timer);
-  ClusterStats out;
-  out.ok = true;
-  out.nodeCount = m.nodeCount;
-  out.snapshot = m.snapshot;
-  node.mapped().done(out);
-}
-
-void ScallaClient::CacheAdmin(proto::PcacheAdminOp op, const std::string& path,
-                              CacheAdminCallback done) {
-  const std::uint64_t reqId = nextReqId_++;
-  cacheAdmins_.emplace(reqId, std::move(done));
-  proto::PcacheAdmin msg;
-  msg.reqId = reqId;
-  msg.op = op;
-  msg.path = path;
-  fabric_.Send(config_.addr, CurrentHead(), std::move(msg));
-}
-
-void ScallaClient::Drain(const std::string& server, bool restore, DrainCallback done) {
-  const std::uint64_t reqId = nextReqId_++;
-  drains_.emplace(reqId, std::move(done));
-  proto::CmsDrain msg;
-  msg.reqId = reqId;
-  msg.server = server;
-  msg.restore = restore;
   fabric_.Send(config_.addr, CurrentHead(), std::move(msg));
 }
 
@@ -494,9 +340,32 @@ void ScallaClient::List(const std::string& prefix, ListCallback done) {
     done(proto::XrdErr::kInvalid, {});
     return;
   }
-  const std::uint64_t reqId = nextReqId_++;
-  lists_.emplace(reqId, std::move(done));
+  const std::uint64_t reqId = Track(Kind::kList, config_.cnsd, std::move(done))->first;
   fabric_.Send(config_.addr, config_.cnsd, proto::CnsList{reqId, prefix});
+}
+
+void ScallaClient::QueryStats(StatsQueryCallback done, Duration timeout) {
+  const auto it = Track(Kind::kStatsQuery, CurrentHead(), std::move(done));
+  const std::uint64_t reqId = it->first;
+  it->second.timer = executor_.RunAfter(timeout, [this, reqId] { OnTimeout(reqId); });
+  SendAttempt(reqId);
+}
+
+void ScallaClient::CacheAdmin(proto::PcacheAdminOp op, const std::string& path,
+                              CacheAdminCallback done) {
+  proto::PcacheAdmin msg;
+  msg.reqId = Track(Kind::kCacheAdmin, CurrentHead(), std::move(done))->first;
+  msg.op = op;
+  msg.path = path;
+  fabric_.Send(config_.addr, CurrentHead(), std::move(msg));
+}
+
+void ScallaClient::Drain(const std::string& server, bool restore, DrainCallback done) {
+  proto::CmsDrain msg;
+  msg.reqId = Track(Kind::kDrain, CurrentHead(), std::move(done))->first;
+  msg.server = server;
+  msg.restore = restore;
+  fabric_.Send(config_.addr, CurrentHead(), std::move(msg));
 }
 
 void ScallaClient::OnMessage(net::NodeAddr from, proto::Message message) {
@@ -504,41 +373,34 @@ void ScallaClient::OnMessage(net::NodeAddr from, proto::Message message) {
       [this, from](auto&& m) {
         using M = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<M, proto::XrdOpenResp>) {
-          HandleOpenResp(from, m);
-        } else if constexpr (std::is_same_v<M, proto::XrdReadResp>) {
-          auto node = reads_.extract(m.reqId);
-          if (!node.empty()) node.mapped()(m.err, std::move(m.data));
-        } else if constexpr (std::is_same_v<M, proto::XrdReadVResp>) {
-          auto node = readvs_.extract(m.reqId);
-          if (!node.empty()) node.mapped()(m.err, std::move(m.chunks));
-        } else if constexpr (std::is_same_v<M, proto::XrdChecksumResp>) {
-          HandleChecksumResp(from, m);
-        } else if constexpr (std::is_same_v<M, proto::XrdWriteResp>) {
-          auto node = writes_.extract(m.reqId);
-          if (!node.empty()) node.mapped()(m.err, m.written);
-        } else if constexpr (std::is_same_v<M, proto::XrdCloseResp>) {
-          auto node = closes_.extract(m.reqId);
-          if (!node.empty()) node.mapped()(m.err);
+          OnWalkResp(from, m, Kind::kOpen);
         } else if constexpr (std::is_same_v<M, proto::XrdStatResp>) {
-          HandleStatResp(from, m);
+          OnWalkResp(from, m, Kind::kStat);
         } else if constexpr (std::is_same_v<M, proto::XrdUnlinkResp>) {
-          HandleUnlinkResp(from, m);
+          OnWalkResp(from, m, Kind::kUnlink);
+        } else if constexpr (std::is_same_v<M, proto::XrdChecksumResp>) {
+          OnWalkResp(from, m, Kind::kChecksum);
+        } else if constexpr (std::is_same_v<M, proto::XrdReadResp>) {
+          Complete<ReadCallback>(m.reqId, Kind::kRead, m.err, std::move(m.data));
+        } else if constexpr (std::is_same_v<M, proto::XrdReadVResp>) {
+          Complete<ReadVCallback>(m.reqId, Kind::kReadV, m.err, std::move(m.chunks));
+        } else if constexpr (std::is_same_v<M, proto::XrdWriteResp>) {
+          Complete<WriteCallback>(m.reqId, Kind::kWrite, m.err, m.written);
+        } else if constexpr (std::is_same_v<M, proto::XrdCloseResp>) {
+          Complete<DoneCallback>(m.reqId, Kind::kClose, m.err);
         } else if constexpr (std::is_same_v<M, proto::XrdPrepareResp>) {
-          auto node = prepares_.extract(m.reqId);
-          if (!node.empty()) node.mapped()(m.err);
+          Complete<DoneCallback>(m.reqId, Kind::kPrepare, m.err);
         } else if constexpr (std::is_same_v<M, proto::CnsListResp>) {
-          auto node = lists_.extract(m.reqId);
-          if (!node.empty()) node.mapped()(m.err, std::move(m.names));
+          Complete<ListCallback>(m.reqId, Kind::kList, m.err, std::move(m.names));
         } else if constexpr (std::is_same_v<M, proto::StatsReply>) {
-          HandleStatsReply(from, m);
+          Complete<StatsQueryCallback>(m.reqId, Kind::kStatsQuery,
+                                       ClusterStats{true, m.nodeCount, std::move(m.snapshot)});
         } else if constexpr (std::is_same_v<M, proto::PcacheAdminResp>) {
-          auto node = cacheAdmins_.extract(m.reqId);
-          if (!node.empty()) node.mapped()(m.err, std::move(m));
+          const proto::XrdErr err = m.err;
+          Complete<CacheAdminCallback>(m.reqId, Kind::kCacheAdmin, err, std::move(m));
         } else if constexpr (std::is_same_v<M, proto::CmsDrainResp>) {
-          auto node = drains_.extract(m.reqId);
-          if (!node.empty()) {
-            node.mapped()(m.ok ? proto::XrdErr::kNone : proto::XrdErr::kInvalid, m);
-          }
+          Complete<DrainCallback>(m.reqId, Kind::kDrain,
+                                  m.ok ? proto::XrdErr::kNone : proto::XrdErr::kInvalid, m);
         }
       },
       std::move(message));

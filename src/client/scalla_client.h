@@ -1,8 +1,11 @@
-// Asynchronous Scalla client: speaks the xrd protocol to a cluster head,
-// following redirects down the tree, honouring wait/retry responses, and
-// performing the paper's client recovery — on being vectored to a server
-// that cannot serve the file it re-asks the head with a refresh request
-// naming the failing host (section III-C1).
+// Asynchronous Scalla client: speaks the xrd protocol to a cluster head.
+// Every redirected request (open, stat, unlink, checksum) runs one walk:
+// it follows redirects down the tree under a loop guard, honours wait and
+// stale-retry responses, bounds each attempt with a timeout, and performs
+// the paper's client recovery — on being vectored to a server that cannot
+// serve the file it re-asks the head with a refresh request naming the
+// failing host (section III-C1). Every pending request remembers the node
+// its current attempt went to, so a dead peer strands none of them.
 //
 // The client is an actor on an executor (event-driven), so the same code
 // runs under the discrete-event simulator and over real TCP; SyncClient
@@ -13,6 +16,7 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "cms/types.h"
@@ -23,6 +27,30 @@
 
 namespace scalla::client {
 
+// The request walk's bounds (docs/PROTOCOL.md, "Client recovery rules").
+// Every redirected request (open, stat, unlink, checksum) walks under them.
+/// Refresh/avoid (or head-rotation) cycles before a walk gives up.
+inline constexpr int kMaxRecoveries = 4;
+/// Redirect-loop guard: bounds the TOTAL redirect hops one request may
+/// follow across all its attempts. Two heads pointing at each other (e.g.
+/// a meta-manager and a cluster head with crossed caches) would otherwise
+/// ping-pong the client forever; on breach the request fails with the
+/// distinct XrdErr::kLoop instead of a generic I/O error. 8 comfortably
+/// covers the deepest legitimate walk: meta -> cluster head -> supervisor
+/// chain -> server.
+inline constexpr int kMaxRedirects = 8;
+/// Wait/retry cycles (staging can be long).
+inline constexpr int kMaxWaits = 64;
+/// kStale answers are re-issued at the head after a jittered delay in
+/// [kStaleRetryDelay, 2 x kStaleRetryDelay] (never synchronously) and give
+/// up past the cap: a head stuck answering stale must not spin the client.
+inline constexpr int kMaxStaleRetries = 8;
+inline constexpr Duration kStaleRetryDelay = std::chrono::milliseconds(2);
+/// Per-attempt timeout. A wedged node never answers and never breaks the
+/// connection, so without it a walk vectored at one would hang forever; on
+/// expiry the walk runs the same recovery as on a connection loss.
+inline constexpr Duration kAttemptTimeout = std::chrono::seconds(10);
+
 struct ClientConfig {
   net::NodeAddr addr = 0;       // this client's fabric address
   net::NodeAddr head = 0;       // the cluster's logical head node
@@ -31,26 +59,6 @@ struct ClientConfig {
   // to the next and restarts affected requests there.
   std::vector<net::NodeAddr> extraHeads;
   net::NodeAddr cnsd = 0;       // Cluster Name Space daemon (0 = none)
-  int maxRecoveries = 4;        // refresh/avoid cycles before giving up
-  // Redirect-loop guard (config directive `client.maxredirects`): bounds
-  // the TOTAL redirect hops one request may follow across all attempts.
-  // Two heads pointing at each other (e.g. a meta-manager and a cluster
-  // head with crossed caches) would otherwise ping-pong the client
-  // forever; on breach the request fails with the distinct XrdErr::kLoop
-  // instead of a generic I/O error. 8 comfortably covers the deepest
-  // legitimate walk: meta -> cluster head -> supervisor chain -> server.
-  int maxRedirects = 8;
-  int maxWaits = 64;            // wait/retry cycles (staging can be long)
-  // kStale answers are re-issued at the head after a short jittered delay
-  // (never synchronously) and give up past the cap — a head stuck
-  // answering stale must not spin the client forever.
-  int maxStaleRetries = 8;
-  Duration staleRetryDelay = std::chrono::milliseconds(2);
-  // Per-attempt open timeout. A wedged server never answers and never
-  // breaks the connection, so without this an open vectored at it would
-  // hang forever; on expiry the open runs the same refresh/avoid recovery
-  // as a connection loss. Zero disables the timer.
-  Duration openTimeout = std::chrono::seconds(10);
 };
 
 /// A successfully opened file: which node serves it and its handle there.
@@ -139,9 +147,11 @@ class ScallaClient : public net::MessageSink {
 
   // net::MessageSink
   void OnMessage(net::NodeAddr from, proto::Message message) override;
-  /// Connection-loss recovery: pending opens/stats/unlinks aimed at the
-  /// dead node restart at the head (with avoid+refresh for opens, the
-  /// paper's recovery idiom); pending I/O on it fails with kIo.
+  /// Connection loss: walks aimed at the dead node restart at the next
+  /// head, or at the head with refresh+avoid (the paper's recovery idiom);
+  /// stats queries move to a standby head; every other request aimed at
+  /// it, and any walk or stats query with nowhere left to go, fails with
+  /// kIo (a stats query with ok=false).
   void OnPeerDown(net::NodeAddr peer) override;
 
   /// Latency of completed Open calls (the redirection-latency metric the
@@ -157,55 +167,61 @@ class ScallaClient : public net::MessageSink {
   net::NodeAddr CurrentHead() const { return heads_[headIdx_]; }
 
  private:
-  struct OpenState {
+  // What a pending request is. The first four are walks: redirected
+  // requests that recover like an open.
+  enum class Kind : std::uint8_t {
+    kOpen, kStat, kUnlink, kChecksum,
+    kRead, kReadV, kWrite, kClose, kPrepare, kList, kStatsQuery, kCacheAdmin, kDrain,
+  };
+  static bool IsWalk(Kind kind) { return kind <= Kind::kChecksum; }
+
+  // The caller's callback, one alternative per distinct signature.
+  using Callback = std::variant<OpenCallback, ReadCallback, ReadVCallback, WriteCallback,
+                                DoneCallback, StatCallback, StatsQueryCallback,
+                                CacheAdminCallback, DrainCallback>;
+
+  // One pending request of any kind, keyed by its reqId.
+  struct Pending {
+    Kind kind = Kind::kOpen;
+    net::NodeAddr node = 0;  // where the current attempt went
+    Callback done;
+    sched::TimerId timer = sched::kInvalidTimer;  // attempt timeout; a stats query's deadline
+    // Walk state.
     std::string path;
-    cms::AccessMode mode;
+    std::uint8_t mode = 0;  // wire AccessMode (opens)
     bool create = false;
-    bool refresh = false;
-    net::NodeAddr avoidNode = 0;
-    net::NodeAddr currentNode = 0;
-    OpenCallback done;
-    OpenOutcome outcome;
-    TimePoint start{};
-    int staleRetries = 0;
-    sched::TimerId timer = sched::kInvalidTimer;  // per-attempt timeout
-  };
-  struct StatState {
-    std::string path;
-    net::NodeAddr currentNode = 0;
-    StatCallback done;
-    int hops = 0;
-    int waits = 0;
-  };
-  struct UnlinkState {
-    std::string path;
-    net::NodeAddr currentNode = 0;
-    DoneCallback done;
-    int hops = 0;
+    bool refresh = false;         // the next attempt asks the head for a refresh
+    net::NodeAddr avoidNode = 0;  // the node the refresh names
+    int redirects = 0;
     int waits = 0;
     int recoveries = 0;
+    int staleRetries = 0;
+    TimePoint start{};
   };
-  struct ChecksumState {
-    std::string path;
-    net::NodeAddr currentNode = 0;
-    ChecksumCallback done;
-    int hops = 0;
-    int waits = 0;
-  };
-  struct StatsQueryState {
-    StatsQueryCallback done;
-    sched::TimerId timer = sched::kInvalidTimer;
-  };
+  using Table = std::unordered_map<std::uint64_t, Pending>;
 
-  void SendOpen(std::uint64_t reqId);
-  void FinishOpen(std::uint64_t reqId, proto::XrdErr err, FileRef file);
-  void CancelOpenTimer(OpenState& s);
-  void OnOpenTimeout(std::uint64_t reqId);
-  void HandleOpenResp(net::NodeAddr from, const proto::XrdOpenResp& m);
-  void HandleStatResp(net::NodeAddr from, const proto::XrdStatResp& m);
-  void HandleUnlinkResp(net::NodeAddr from, const proto::XrdUnlinkResp& m);
-  void HandleChecksumResp(net::NodeAddr from, const proto::XrdChecksumResp& m);
-  void HandleStatsReply(net::NodeAddr from, const proto::StatsReply& m);
+  /// Enters a request aimed at `node` under a fresh reqId.
+  Table::iterator Track(Kind kind, net::NodeAddr node, Callback done);
+  void StartWalk(Kind kind, const std::string& path, Callback done, std::uint8_t mode = 0,
+                 bool create = false);
+  /// Sends a walk's next attempt and arms its timeout; re-sends a stats
+  /// query (whose one deadline keeps running).
+  void SendAttempt(std::uint64_t reqId);
+  template <typename Resp>
+  void OnWalkResp(net::NodeAddr from, const Resp& m, Kind kind);
+  /// One recovery cycle after `failed` let the walk down; false once the
+  /// cap is spent.
+  bool Recover(Pending& p, net::NodeAddr failed);
+  void OnTimeout(std::uint64_t reqId);
+  void CancelTimer(Pending& p);
+  /// Calls back request `reqId` with a reply's fields when it is of `kind`.
+  template <typename Cb, typename... Args>
+  void Complete(std::uint64_t reqId, Kind kind, Args&&... args);
+  /// The single exit of every walk and of every failed request: removes
+  /// it and calls back with `err` (on a walk's success, also the serving
+  /// node and the result value).
+  void Finish(std::uint64_t reqId, proto::XrdErr err, net::NodeAddr node = 0,
+              std::uint64_t value = 0);
 
   bool IsHead(net::NodeAddr addr) const;
   void RotateHeadAwayFrom(net::NodeAddr dead);
@@ -218,19 +234,7 @@ class ScallaClient : public net::MessageSink {
   util::Rng rng_;  // stale-retry jitter (seeded per client for determinism)
 
   std::uint64_t nextReqId_ = 1;
-  std::unordered_map<std::uint64_t, OpenState> opens_;
-  std::unordered_map<std::uint64_t, StatState> stats_;
-  std::unordered_map<std::uint64_t, UnlinkState> unlinks_;
-  std::unordered_map<std::uint64_t, ReadCallback> reads_;
-  std::unordered_map<std::uint64_t, ReadVCallback> readvs_;
-  std::unordered_map<std::uint64_t, ChecksumState> checksums_;
-  std::unordered_map<std::uint64_t, WriteCallback> writes_;
-  std::unordered_map<std::uint64_t, DoneCallback> closes_;
-  std::unordered_map<std::uint64_t, DoneCallback> prepares_;
-  std::unordered_map<std::uint64_t, ListCallback> lists_;
-  std::unordered_map<std::uint64_t, StatsQueryState> statsQueries_;
-  std::unordered_map<std::uint64_t, CacheAdminCallback> cacheAdmins_;
-  std::unordered_map<std::uint64_t, DrainCallback> drains_;
+  Table pending_;
 
   // Registry first: the instrument references below point into it.
   obs::MetricsRegistry metrics_;

@@ -5,14 +5,6 @@
 namespace scalla::client {
 namespace {
 
-// Waits for the async result, mapping a timeout to kIo. The shared_ptr
-// keeps the promise alive if the callback outlives an abandoned wait.
-template <typename T>
-T Await(std::future<T>& future, Duration timeout, T timeoutValue) {
-  if (future.wait_for(timeout) != std::future_status::ready) return timeoutValue;
-  return future.get();
-}
-
 ScallaError MakeError(proto::XrdErr err, const char* op, const std::string& subject) {
   return ScallaError{err, std::string(op) + " '" + subject + "': " + XrdErrName(err)};
 }
@@ -23,117 +15,92 @@ SyncClient::SyncClient(const ClientConfig& config, sched::Executor& executor,
                        net::Fabric& fabric, Duration timeout)
     : executor_(executor), inner_(config, executor, fabric), timeout_(timeout) {}
 
-OpenOutcome SyncClient::Open(const std::string& path, cms::AccessMode mode, bool create) {
-  auto prom = std::make_shared<std::promise<OpenOutcome>>();
+template <typename T, typename Start>
+T SyncClient::Call(T timedOut, Start start, Duration extraWait) {
+  // The shared_ptr keeps the promise alive if the callback outlives an
+  // abandoned wait.
+  auto prom = std::make_shared<std::promise<T>>();
   auto fut = prom->get_future();
-  executor_.Post([this, path, mode, create, prom] {
-    inner_.Open(path, mode, create,
-                [prom](const OpenOutcome& outcome) { prom->set_value(outcome); });
+  executor_.Post([start = std::move(start), prom]() mutable {
+    start([prom](auto&&... args) { prom->set_value(T{std::forward<decltype(args)>(args)...}); });
   });
+  if (fut.wait_for(timeout_ + extraWait) != std::future_status::ready) return timedOut;
+  return fut.get();
+}
+
+OpenOutcome SyncClient::Open(const std::string& path, cms::AccessMode mode, bool create) {
   OpenOutcome timedOut;
   timedOut.err = proto::XrdErr::kIo;
-  return Await(fut, timeout_, timedOut);
+  return Call(timedOut, [this, path, mode, create](auto done) {
+    inner_.Open(path, mode, create, std::move(done));
+  });
 }
 
 Result<std::string> SyncClient::Read(const FileRef& file, std::uint64_t offset,
                                      std::uint32_t length) {
-  auto prom = std::make_shared<std::promise<std::pair<proto::XrdErr, std::string>>>();
-  auto fut = prom->get_future();
-  executor_.Post([this, file, offset, length, prom] {
-    inner_.Read(file, offset, length, [prom](proto::XrdErr err, std::string data) {
-      prom->set_value({err, std::move(data)});
-    });
-  });
-  auto [err, data] = Await(fut, timeout_, {proto::XrdErr::kIo, std::string()});
+  auto [err, data] = Call(std::pair{proto::XrdErr::kIo, std::string()},
+                          [this, file, offset, length](auto done) {
+                            inner_.Read(file, offset, length, std::move(done));
+                          });
   if (err != proto::XrdErr::kNone) return MakeError(err, "read", "handle");
   return std::move(data);
 }
 
 Result<std::vector<std::string>> SyncClient::ReadV(
     const FileRef& file, const std::vector<proto::ReadSeg>& segments) {
-  auto prom = std::make_shared<
-      std::promise<std::pair<proto::XrdErr, std::vector<std::string>>>>();
-  auto fut = prom->get_future();
-  executor_.Post([this, file, segments, prom]() mutable {
-    inner_.ReadV(file, std::move(segments),
-                 [prom](proto::XrdErr err, std::vector<std::string> chunks) {
-                   prom->set_value({err, std::move(chunks)});
-                 });
-  });
-  auto [err, chunks] = Await(fut, timeout_, {proto::XrdErr::kIo, std::vector<std::string>()});
+  auto [err, chunks] = Call(std::pair{proto::XrdErr::kIo, std::vector<std::string>()},
+                            [this, file, segments](auto done) mutable {
+                              inner_.ReadV(file, std::move(segments), std::move(done));
+                            });
   if (err != proto::XrdErr::kNone) return MakeError(err, "readv", "handle");
   return std::move(chunks);
 }
 
 Result<std::uint32_t> SyncClient::Checksum(const std::string& path) {
-  auto prom = std::make_shared<std::promise<std::pair<proto::XrdErr, std::uint32_t>>>();
-  auto fut = prom->get_future();
-  executor_.Post([this, path, prom] {
-    inner_.Checksum(path, [prom](proto::XrdErr err, std::uint32_t crc) {
-      prom->set_value({err, crc});
-    });
-  });
-  const auto [err, crc] = Await(fut, timeout_, {proto::XrdErr::kIo, std::uint32_t{0}});
+  const auto [err, crc] = Call(std::pair{proto::XrdErr::kIo, std::uint32_t{0}},
+                               [this, path](auto done) { inner_.Checksum(path, std::move(done)); });
   if (err != proto::XrdErr::kNone) return MakeError(err, "checksum", path);
   return crc;
 }
 
 Result<std::uint32_t> SyncClient::Write(const FileRef& file, std::uint64_t offset,
                                         std::string data) {
-  auto prom = std::make_shared<std::promise<std::pair<proto::XrdErr, std::uint32_t>>>();
-  auto fut = prom->get_future();
-  executor_.Post([this, file, offset, data = std::move(data), prom]() mutable {
-    inner_.Write(file, offset, std::move(data),
-                 [prom](proto::XrdErr err, std::uint32_t n) { prom->set_value({err, n}); });
-  });
-  const auto [err, n] = Await(fut, timeout_, {proto::XrdErr::kIo, std::uint32_t{0}});
+  const auto [err, n] = Call(std::pair{proto::XrdErr::kIo, std::uint32_t{0}},
+                             [this, file, offset, data = std::move(data)](auto done) mutable {
+                               inner_.Write(file, offset, std::move(data), std::move(done));
+                             });
   if (err != proto::XrdErr::kNone) return MakeError(err, "write", "handle");
   return n;
 }
 
 Result<void> SyncClient::Close(const FileRef& file) {
-  auto prom = std::make_shared<std::promise<proto::XrdErr>>();
-  auto fut = prom->get_future();
-  executor_.Post([this, file, prom] {
-    inner_.Close(file, [prom](proto::XrdErr err) { prom->set_value(err); });
+  const proto::XrdErr err = Call(proto::XrdErr::kIo, [this, file](auto done) {
+    inner_.Close(file, std::move(done));
   });
-  const proto::XrdErr err = Await(fut, timeout_, proto::XrdErr::kIo);
   if (err != proto::XrdErr::kNone) return MakeError(err, "close", "handle");
   return Result<void>::Ok();
 }
 
 Result<std::uint64_t> SyncClient::Stat(const std::string& path) {
-  auto prom = std::make_shared<std::promise<std::pair<proto::XrdErr, std::uint64_t>>>();
-  auto fut = prom->get_future();
-  executor_.Post([this, path, prom] {
-    inner_.Stat(path, [prom](proto::XrdErr err, std::uint64_t size) {
-      prom->set_value({err, size});
-    });
-  });
-  const auto [err, size] = Await(fut, timeout_, {proto::XrdErr::kIo, std::uint64_t{0}});
+  const auto [err, size] = Call(std::pair{proto::XrdErr::kIo, std::uint64_t{0}},
+                                [this, path](auto done) { inner_.Stat(path, std::move(done)); });
   if (err != proto::XrdErr::kNone) return MakeError(err, "stat", path);
   return size;
 }
 
 Result<void> SyncClient::Unlink(const std::string& path) {
-  auto prom = std::make_shared<std::promise<proto::XrdErr>>();
-  auto fut = prom->get_future();
-  executor_.Post([this, path, prom] {
-    inner_.Unlink(path, [prom](proto::XrdErr err) { prom->set_value(err); });
+  const proto::XrdErr err = Call(proto::XrdErr::kIo, [this, path](auto done) {
+    inner_.Unlink(path, std::move(done));
   });
-  const proto::XrdErr err = Await(fut, timeout_, proto::XrdErr::kIo);
   if (err != proto::XrdErr::kNone) return MakeError(err, "unlink", path);
   return Result<void>::Ok();
 }
 
 Result<void> SyncClient::Prepare(const std::vector<std::string>& paths,
                                  cms::AccessMode mode) {
-  auto prom = std::make_shared<std::promise<proto::XrdErr>>();
-  auto fut = prom->get_future();
-  executor_.Post([this, paths, mode, prom] {
-    inner_.Prepare(paths, mode, [prom](proto::XrdErr err) { prom->set_value(err); });
+  const proto::XrdErr err = Call(proto::XrdErr::kIo, [this, paths, mode](auto done) {
+    inner_.Prepare(paths, mode, std::move(done));
   });
-  const proto::XrdErr err = Await(fut, timeout_, proto::XrdErr::kIo);
   if (err != proto::XrdErr::kNone) return MakeError(err, "prepare", "batch");
   return Result<void>::Ok();
 }
@@ -168,45 +135,31 @@ Result<std::string> SyncClient::GetFile(const std::string& path) {
 }
 
 Result<ScallaClient::ClusterStats> SyncClient::Stats() {
-  auto prom = std::make_shared<std::promise<ScallaClient::ClusterStats>>();
-  auto fut = prom->get_future();
-  executor_.Post([this, prom] {
-    inner_.QueryStats(
-        [prom](const ScallaClient::ClusterStats& stats) { prom->set_value(stats); },
-        timeout_);
-  });
   // The inner query times out on its own; pad the blocking wait a little so
   // the ok=false outcome (rather than a promise abandonment) surfaces.
-  ScallaClient::ClusterStats stats =
-      Await(fut, timeout_ + std::chrono::seconds(1), ScallaClient::ClusterStats{});
+  ScallaClient::ClusterStats stats = Call(
+      ScallaClient::ClusterStats{},
+      [this](auto done) { inner_.QueryStats(std::move(done), timeout_); },
+      std::chrono::seconds(1));
   if (!stats.ok) return MakeError(proto::XrdErr::kIo, "stats", "cluster");
   return stats;
 }
 
 Result<proto::PcacheAdminResp> SyncClient::CacheAdmin(proto::PcacheAdminOp op,
                                                       const std::string& path) {
-  auto prom = std::make_shared<std::promise<std::pair<proto::XrdErr, proto::PcacheAdminResp>>>();
-  auto fut = prom->get_future();
-  executor_.Post([this, op, path, prom] {
-    inner_.CacheAdmin(op, path, [prom](proto::XrdErr err, proto::PcacheAdminResp resp) {
-      prom->set_value({err, std::move(resp)});
-    });
-  });
-  auto [err, resp] = Await(fut, timeout_, {proto::XrdErr::kIo, proto::PcacheAdminResp{}});
+  auto [err, resp] = Call(std::pair{proto::XrdErr::kIo, proto::PcacheAdminResp{}},
+                          [this, op, path](auto done) {
+                            inner_.CacheAdmin(op, path, std::move(done));
+                          });
   if (err != proto::XrdErr::kNone) return MakeError(err, "cache-admin", path);
   return resp;
 }
 
 Result<proto::CmsDrainResp> SyncClient::Drain(const std::string& server, bool restore) {
-  auto prom = std::make_shared<std::promise<std::pair<proto::XrdErr, proto::CmsDrainResp>>>();
-  auto fut = prom->get_future();
-  executor_.Post([this, server, restore, prom] {
-    inner_.Drain(server, restore,
-                 [prom](proto::XrdErr err, const proto::CmsDrainResp& resp) {
-                   prom->set_value({err, resp});
-                 });
-  });
-  auto [err, resp] = Await(fut, timeout_, {proto::XrdErr::kIo, proto::CmsDrainResp{}});
+  auto [err, resp] = Call(std::pair{proto::XrdErr::kIo, proto::CmsDrainResp{}},
+                          [this, server, restore](auto done) {
+                            inner_.Drain(server, restore, std::move(done));
+                          });
   if (err != proto::XrdErr::kNone) {
     return ScallaError{err, "drain '" + server + "': " +
                                 (resp.error.empty() ? XrdErrName(err) : resp.error)};

@@ -54,6 +54,12 @@ class SyncClient {
   Result<proto::CmsDrainResp> Drain(const std::string& server, bool restore = false);
 
  private:
+  /// Posts `start(callback)` onto the client's executor and blocks until
+  /// the callback delivers its arguments as a T, or until the timeout (plus
+  /// `extraWait`) passes, which returns `timedOut`.
+  template <typename T, typename Start>
+  T Call(T timedOut, Start start, Duration extraWait = Duration::zero());
+
   sched::Executor& executor_;
   ScallaClient inner_;
   Duration timeout_;

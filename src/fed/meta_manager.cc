@@ -93,13 +93,19 @@ void MetaManager::OnMessage(net::NodeAddr from, proto::Message message) {
           HandleOpen(from, m);
         } else if constexpr (std::is_same_v<M, proto::XrdStat>) {
           fm_.locates.Inc();
-          core_.Answer<proto::XrdStatResp>(from, m.reqId, m.path, {}, {&fm_.redirects});
+          core_.Answer<proto::XrdStatResp>(from, m.reqId, m.path,
+                                           core_.OptionsFor(0, m.refresh, m.avoidNode),
+                                           {&fm_.redirects});
         } else if constexpr (std::is_same_v<M, proto::XrdUnlink>) {
           fm_.locates.Inc();
-          core_.Answer<proto::XrdUnlinkResp>(from, m.reqId, m.path, {}, {&fm_.redirects});
+          core_.Answer<proto::XrdUnlinkResp>(from, m.reqId, m.path,
+                                             core_.OptionsFor(0, m.refresh, m.avoidNode),
+                                             {&fm_.redirects});
         } else if constexpr (std::is_same_v<M, proto::XrdChecksum>) {
           fm_.locates.Inc();
-          core_.Answer<proto::XrdChecksumResp>(from, m.reqId, m.path, {}, {&fm_.redirects});
+          core_.Answer<proto::XrdChecksumResp>(from, m.reqId, m.path,
+                                               core_.OptionsFor(0, m.refresh, m.avoidNode),
+                                               {&fm_.redirects});
         } else if constexpr (std::is_same_v<M, proto::XrdPrepare>) {
           // Parallel prepare at federation scope warms the cluster-location
           // cache for every named path concurrently.

@@ -4,8 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "obs/tree_aggregator.h"
-
 namespace scalla::pcache {
 
 namespace {
@@ -35,6 +33,7 @@ ProxyCacheNode::ProxyCacheNode(const ProxyCacheConfig& config,
       fabric_(fabric),
       cache_(TieredConfig(config), config.diskOss, &executor, executor.clock()),
       origin_(OriginConfig(config), executor, fabric),
+      stats_(config.addr, executor, fabric),
       opensLocal_(metrics_.GetCounter("pcache.opens_local")),
       originOpens_(metrics_.GetCounter("pcache.origin_opens")),
       originFetches_(metrics_.GetCounter("pcache.origin_fetches")),
@@ -70,7 +69,10 @@ void ProxyCacheNode::OnMessage(net::NodeAddr from, proto::Message message) {
         } else if constexpr (std::is_same_v<M, proto::XrdPrepare>) {
           HandlePrepare(from, m);
         } else if constexpr (std::is_same_v<M, proto::StatsQuery>) {
-          HandleStatsQuery(from, m);
+          // The origin's current head answers for the cluster behind it.
+          stats_.OnQuery(from, m.reqId, SnapshotMetrics(), {origin_.CurrentHead()});
+        } else if constexpr (std::is_same_v<M, proto::StatsReply>) {
+          if (from == origin_.CurrentHead()) stats_.OnReply(m);
         } else if constexpr (std::is_same_v<M, proto::PcacheAdmin>) {
           HandlePcacheAdmin(from, m);
         } else if constexpr (std::is_same_v<M, proto::XrdWrite>) {
@@ -87,8 +89,7 @@ void ProxyCacheNode::OnMessage(net::NodeAddr from, proto::Message message) {
                              std::is_same_v<M, proto::XrdUnlinkResp> ||
                              std::is_same_v<M, proto::XrdPrepareResp> ||
                              std::is_same_v<M, proto::XrdChecksumResp> ||
-                             std::is_same_v<M, proto::CnsListResp> ||
-                             std::is_same_v<M, proto::StatsReply>) {
+                             std::is_same_v<M, proto::CnsListResp>) {
           // Origin-side responses belong to the embedded client.
           origin_.OnMessage(from, std::forward<decltype(m)>(m));
         }
@@ -528,23 +529,6 @@ void ProxyCacheNode::HandlePrepare(net::NodeAddr from, const proto::XrdPrepare& 
     resp.err = err;
     fabric_.Send(config_.addr, from, std::move(resp));
   });
-}
-
-void ProxyCacheNode::HandleStatsQuery(net::NodeAddr from, const proto::StatsQuery& m) {
-  const std::uint64_t reqId = m.reqId;
-  origin_.QueryStats(
-      [this, from, reqId](const client::ScallaClient::ClusterStats& cs) {
-        proto::StatsReply reply;
-        reply.reqId = reqId;
-        reply.snapshot = SnapshotMetrics();
-        reply.nodeCount = 1;
-        if (cs.ok) {
-          reply.snapshot.Merge(cs.snapshot);
-          reply.nodeCount += cs.nodeCount;
-        }
-        fabric_.Send(config_.addr, from, std::move(reply));
-      },
-      obs::TreeAggregator::kTimeout);
 }
 
 void ProxyCacheNode::HandlePcacheAdmin(net::NodeAddr from, const proto::PcacheAdmin& m) {

@@ -28,6 +28,7 @@
 #include "client/scalla_client.h"
 #include "net/fabric.h"
 #include "obs/metrics.h"
+#include "obs/tree_aggregator.h"
 #include "pcache/block_cache.h"
 #include "pcache/tiered_cache.h"
 #include "sched/executor.h"
@@ -115,7 +116,6 @@ class ProxyCacheNode : public net::MessageSink {
   void HandleUnlink(net::NodeAddr from, const proto::XrdUnlink& m);
   void HandleChecksum(net::NodeAddr from, const proto::XrdChecksum& m);
   void HandlePrepare(net::NodeAddr from, const proto::XrdPrepare& m);
-  void HandleStatsQuery(net::NodeAddr from, const proto::StatsQuery& m);
   void HandlePcacheAdmin(net::NodeAddr from, const proto::PcacheAdmin& m);
 
   // origin-side plumbing
@@ -146,6 +146,7 @@ class ProxyCacheNode : public net::MessageSink {
   TieredBlockCache cache_;
   SingleFlight singleFlight_;
   client::ScallaClient origin_;
+  obs::TreeAggregator stats_;  // one child: the origin's current head
 
   std::unordered_map<std::string, FileSession> sessions_;
   std::unordered_map<std::uint64_t, std::string> handles_;  // client handle -> path

@@ -100,7 +100,7 @@ enum class XrdErr : std::int32_t {
   kExists = 17,        // EEXIST
   kInvalid = 22,       // EINVAL
   kNoSpace = 28,       // ENOSPC
-  kLoop = 40,          // ELOOP: redirect chain exceeded client.maxredirects
+  kLoop = 40,          // ELOOP: redirect chain exceeded client::kMaxRedirects
   kStale = 116,        // ESTALE: retry from a consistent state
 };
 
@@ -173,10 +173,13 @@ struct XrdReadVResp {
 
 /// Checksum query (xrootd's kXR_query checksum): managers redirect it
 /// like any meta-data operation; the data server computes CRC32 over the
-/// file content.
+/// file content. `refresh` and `avoidNode` carry the client recovery, as
+/// on XrdOpen (so do XrdStat's and XrdUnlink's).
 struct XrdChecksum {
   std::uint64_t reqId = 0;
   std::string path;
+  bool refresh = false;
+  std::uint32_t avoidNode = 0;
 };
 
 struct XrdChecksumResp {
@@ -201,6 +204,8 @@ struct XrdCloseResp {
 struct XrdStat {
   std::uint64_t reqId = 0;
   std::string path;
+  bool refresh = false;
+  std::uint32_t avoidNode = 0;
 };
 
 struct XrdStatResp {
@@ -215,6 +220,8 @@ struct XrdStatResp {
 struct XrdUnlink {
   std::uint64_t reqId = 0;
   std::string path;
+  bool refresh = false;
+  std::uint32_t avoidNode = 0;
 };
 
 struct XrdUnlinkResp {

@@ -51,11 +51,15 @@ template <class Ar> void Visit(Ar& ar, XrdWriteResp& m) {
 }
 template <class Ar> void Visit(Ar& ar, XrdClose& m) { ar.Fields(m.reqId, m.fileHandle); }
 template <class Ar> void Visit(Ar& ar, XrdCloseResp& m) { ar.Fields(m.reqId, m.err); }
-template <class Ar> void Visit(Ar& ar, XrdStat& m) { ar.Fields(m.reqId, m.path); }
+template <class Ar> void Visit(Ar& ar, XrdStat& m) {
+  ar.Fields(m.reqId, m.path, m.refresh, m.avoidNode);
+}
 template <class Ar> void Visit(Ar& ar, XrdStatResp& m) {
   ar.Fields(m.reqId, m.status, m.err, m.redirectNode, m.waitNs, m.size);
 }
-template <class Ar> void Visit(Ar& ar, XrdUnlink& m) { ar.Fields(m.reqId, m.path); }
+template <class Ar> void Visit(Ar& ar, XrdUnlink& m) {
+  ar.Fields(m.reqId, m.path, m.refresh, m.avoidNode);
+}
 template <class Ar> void Visit(Ar& ar, XrdUnlinkResp& m) {
   ar.Fields(m.reqId, m.status, m.err, m.redirectNode, m.waitNs);
 }
@@ -73,7 +77,9 @@ template <class Ar> void Visit(Ar& ar, XrdReadV& m) {
 template <class Ar> void Visit(Ar& ar, XrdReadVResp& m) {
   ar.Fields(m.reqId, m.err, m.chunks);
 }
-template <class Ar> void Visit(Ar& ar, XrdChecksum& m) { ar.Fields(m.reqId, m.path); }
+template <class Ar> void Visit(Ar& ar, XrdChecksum& m) {
+  ar.Fields(m.reqId, m.path, m.refresh, m.avoidNode);
+}
 template <class Ar> void Visit(Ar& ar, XrdChecksumResp& m) {
   ar.Fields(m.reqId, m.status, m.err, m.redirectNode, m.waitNs, m.crc32);
 }

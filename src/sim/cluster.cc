@@ -73,25 +73,28 @@ oss::MssOss* SimCluster::mssStorage(std::size_t i) {
   return spec_.withMss ? static_cast<oss::MssOss*>(storages_[i].get()) : nullptr;
 }
 
+template <typename T, typename Begin>
+std::optional<T> SimCluster::Await(Begin begin, Duration timeout) {
+  // A callback that outlives a timed-out wait lands in shared storage,
+  // never in a dead stack slot.
+  auto result = std::make_shared<std::optional<T>>();
+  begin([result](auto&&... args) { result->emplace(std::forward<decltype(args)>(args)...); });
+  engine_->RunUntilPredicate([result] { return result->has_value(); },
+                            engine_->Now() + timeout);
+  return std::move(*result);
+}
+
 Result<std::vector<std::string>> SimCluster::ListAndWait(client::ScallaClient& c,
                                                          const std::string& prefix) {
-  // Callbacks that outlive a timed-out wait land in shared storage, never
-  // in dead stack slots (same pattern in every AndWait helper below).
-  auto result =
-      std::make_shared<std::optional<std::pair<proto::XrdErr, std::vector<std::string>>>>();
-  c.List(prefix, [result](proto::XrdErr err, std::vector<std::string> names) {
-    *result = std::make_pair(err, std::move(names));
-  });
-  engine_->RunUntilPredicate([result] { return result->has_value(); },
-                            engine_->Now() + std::chrono::seconds(30));
-  if (!result->has_value()) {
+  auto result = Await<std::pair<proto::XrdErr, std::vector<std::string>>>(
+      [&](auto done) { c.List(prefix, std::move(done)); }, std::chrono::seconds(30));
+  if (!result.has_value()) {
     return ScallaError{proto::XrdErr::kIo, "list '" + prefix + "': timed out"};
   }
-  if ((*result)->first != proto::XrdErr::kNone) {
-    return ScallaError{(*result)->first,
-                       "list '" + prefix + "': " + XrdErrName((*result)->first)};
+  if (result->first != proto::XrdErr::kNone) {
+    return ScallaError{result->first, "list '" + prefix + "': " + XrdErrName(result->first)};
   }
-  return std::move((*result)->second);
+  return std::move(result->second);
 }
 
 client::ScallaClient& SimCluster::NewClient() {
@@ -122,17 +125,14 @@ void SimCluster::PlaceFile(std::size_t i, const std::string& path, std::string d
 client::OpenOutcome SimCluster::OpenAndWait(client::ScallaClient& c,
                                             const std::string& path, cms::AccessMode mode,
                                             bool create, Duration timeout) {
-  auto result = std::make_shared<std::optional<client::OpenOutcome>>();
-  c.Open(path, mode, create,
-         [result](const client::OpenOutcome& o) { *result = o; });
-  engine_->RunUntilPredicate([result] { return result->has_value(); },
-                            engine_->Now() + timeout);
-  if (!result->has_value()) {
+  auto result = Await<client::OpenOutcome>(
+      [&](auto done) { c.Open(path, mode, create, std::move(done)); }, timeout);
+  if (!result.has_value()) {
     client::OpenOutcome timedOut;
     timedOut.err = proto::XrdErr::kIo;
     return timedOut;
   }
-  return **result;
+  return *result;
 }
 
 Result<std::string> SimCluster::ReadAll(client::ScallaClient& c,
@@ -144,27 +144,20 @@ Result<std::string> SimCluster::ReadAll(client::ScallaClient& c,
   std::string all;
   std::uint64_t offset = 0;
   for (;;) {
-    auto result = std::make_shared<std::optional<std::pair<proto::XrdErr, std::string>>>();
-    c.Read(open.file, offset, 1 << 16, [result](proto::XrdErr err, std::string data) {
-      *result = std::make_pair(err, std::move(data));
-    });
-    engine_->RunUntilPredicate([result] { return result->has_value(); },
-                              engine_->Now() + std::chrono::seconds(30));
-    if (!result->has_value()) {
+    auto result = Await<std::pair<proto::XrdErr, std::string>>(
+        [&](auto done) { c.Read(open.file, offset, 1 << 16, std::move(done)); },
+        std::chrono::seconds(30));
+    if (!result.has_value()) {
       return ScallaError{proto::XrdErr::kIo, "read '" + path + "': timed out"};
     }
-    if ((*result)->first != proto::XrdErr::kNone) {
-      return ScallaError{(*result)->first,
-                         "read '" + path + "': " + XrdErrName((*result)->first)};
+    if (result->first != proto::XrdErr::kNone) {
+      return ScallaError{result->first, "read '" + path + "': " + XrdErrName(result->first)};
     }
-    if ((*result)->second.empty()) break;
-    offset += (*result)->second.size();
-    all += std::move((*result)->second);
+    if (result->second.empty()) break;
+    offset += result->second.size();
+    all += std::move(result->second);
   }
-  auto closed = std::make_shared<std::optional<proto::XrdErr>>();
-  c.Close(open.file, [closed](proto::XrdErr err) { *closed = err; });
-  engine_->RunUntilPredicate([closed] { return closed->has_value(); },
-                            engine_->Now() + std::chrono::seconds(30));
+  (void)CloseAndWait(c, open.file);
   return all;
 }
 
@@ -174,49 +167,41 @@ Result<void> SimCluster::PutFile(client::ScallaClient& c, const std::string& pat
   if (open.err != proto::XrdErr::kNone) {
     return ScallaError{open.err, "open '" + path + "': " + XrdErrName(open.err)};
   }
-  auto werr = std::make_shared<std::optional<proto::XrdErr>>();
-  c.Write(open.file, 0, std::move(data),
-          [werr](proto::XrdErr err, std::uint32_t) { *werr = err; });
-  engine_->RunUntilPredicate([werr] { return werr->has_value(); },
-                            engine_->Now() + std::chrono::seconds(30));
-  auto cerr = std::make_shared<std::optional<proto::XrdErr>>();
-  c.Close(open.file, [cerr](proto::XrdErr err) { *cerr = err; });
-  engine_->RunUntilPredicate([cerr] { return cerr->has_value(); },
-                            engine_->Now() + std::chrono::seconds(30));
-  return Result<void>::From(
-      werr->value_or(proto::XrdErr::kIo) != proto::XrdErr::kNone
-          ? werr->value_or(proto::XrdErr::kIo)
-          : cerr->value_or(proto::XrdErr::kIo),
-      "put '" + path + "'");
+  const auto written = Await<std::pair<proto::XrdErr, std::uint32_t>>(
+      [&](auto done) { c.Write(open.file, 0, std::move(data), std::move(done)); },
+      std::chrono::seconds(30));
+  const Result<void> closed = CloseAndWait(c, open.file);
+  const proto::XrdErr werr = written ? written->first : proto::XrdErr::kIo;
+  return Result<void>::From(werr != proto::XrdErr::kNone ? werr : closed.code(),
+                            "put '" + path + "'");
+}
+
+Result<void> SimCluster::CloseAndWait(client::ScallaClient& c, const client::FileRef& file,
+                                      Duration timeout) {
+  const auto err = Await<proto::XrdErr>(
+      [&](auto done) { c.Close(file, std::move(done)); }, timeout);
+  return Result<void>::From(err.value_or(proto::XrdErr::kIo), "close");
 }
 
 Result<void> SimCluster::UnlinkAndWait(client::ScallaClient& c, const std::string& path) {
-  auto result = std::make_shared<std::optional<proto::XrdErr>>();
-  c.Unlink(path, [result](proto::XrdErr err) { *result = err; });
-  engine_->RunUntilPredicate([result] { return result->has_value(); },
-                            engine_->Now() + std::chrono::seconds(60));
-  return Result<void>::From(result->value_or(proto::XrdErr::kIo),
-                            "unlink '" + path + "'");
+  const auto err = Await<proto::XrdErr>(
+      [&](auto done) { c.Unlink(path, std::move(done)); }, std::chrono::seconds(60));
+  return Result<void>::From(err.value_or(proto::XrdErr::kIo), "unlink '" + path + "'");
 }
 
 Result<void> SimCluster::PrepareAndWait(client::ScallaClient& c,
                                         const std::vector<std::string>& paths,
                                         cms::AccessMode mode) {
-  auto result = std::make_shared<std::optional<proto::XrdErr>>();
-  c.Prepare(paths, mode, [result](proto::XrdErr err) { *result = err; });
-  engine_->RunUntilPredicate([result] { return result->has_value(); },
-                            engine_->Now() + std::chrono::seconds(60));
-  return Result<void>::From(result->value_or(proto::XrdErr::kIo), "prepare batch");
+  const auto err = Await<proto::XrdErr>(
+      [&](auto done) { c.Prepare(paths, mode, std::move(done)); }, std::chrono::seconds(60));
+  return Result<void>::From(err.value_or(proto::XrdErr::kIo), "prepare batch");
 }
 
 client::ScallaClient::ClusterStats SimCluster::ClusterStats(client::ScallaClient* c) {
   client::ScallaClient& querier = c ? *c : NewClient();
-  auto result = std::make_shared<std::optional<client::ScallaClient::ClusterStats>>();
-  querier.QueryStats(
-      [result](const client::ScallaClient::ClusterStats& stats) { *result = stats; });
-  engine_->RunUntilPredicate([result] { return result->has_value(); },
-                            engine_->Now() + std::chrono::seconds(30));
-  return result->value_or(client::ScallaClient::ClusterStats{});
+  return Await<client::ScallaClient::ClusterStats>(
+             [&](auto done) { querier.QueryStats(std::move(done)); }, std::chrono::seconds(30))
+      .value_or(client::ScallaClient::ClusterStats{});
 }
 
 xrd::ScallaNode* SimCluster::FindNode(net::NodeAddr addr) {
@@ -274,24 +259,17 @@ void SimCluster::UnwedgeServer(std::size_t i) {
 Result<proto::CmsDrainResp> SimCluster::DrainAndWait(client::ScallaClient& c,
                                                      const std::string& server,
                                                      bool restore) {
-  auto result =
-      std::make_shared<std::optional<std::pair<proto::XrdErr, proto::CmsDrainResp>>>();
-  c.Drain(server, restore,
-          [result](proto::XrdErr err, const proto::CmsDrainResp& resp) {
-            *result = std::make_pair(err, resp);
-          });
-  engine_->RunUntilPredicate([result] { return result->has_value(); },
-                            engine_->Now() + std::chrono::seconds(30));
-  if (!result->has_value()) {
+  auto result = Await<std::pair<proto::XrdErr, proto::CmsDrainResp>>(
+      [&](auto done) { c.Drain(server, restore, std::move(done)); }, std::chrono::seconds(30));
+  if (!result.has_value()) {
     return ScallaError{proto::XrdErr::kIo, "drain '" + server + "': timed out"};
   }
-  if ((*result)->first != proto::XrdErr::kNone) {
-    const std::string detail = (*result)->second.error.empty()
-                                   ? XrdErrName((*result)->first)
-                                   : (*result)->second.error;
-    return ScallaError{(*result)->first, "drain '" + server + "': " + detail};
+  if (result->first != proto::XrdErr::kNone) {
+    const std::string detail =
+        result->second.error.empty() ? XrdErrName(result->first) : result->second.error;
+    return ScallaError{result->first, "drain '" + server + "': " + detail};
   }
-  return (*result)->second;
+  return result->second;
 }
 
 void SimCluster::RunFor(Duration d) { engine_->RunUntil(engine_->Now() + d); }

@@ -81,6 +81,8 @@ class SimCluster {
   Result<std::string> ReadAll(client::ScallaClient& c, const std::string& path);
   Result<void> PutFile(client::ScallaClient& c, const std::string& path,
                        std::string data);
+  Result<void> CloseAndWait(client::ScallaClient& c, const client::FileRef& file,
+                            Duration timeout = std::chrono::seconds(30));
   Result<void> UnlinkAndWait(client::ScallaClient& c, const std::string& path);
   Result<void> PrepareAndWait(client::ScallaClient& c,
                               const std::vector<std::string>& paths,
@@ -113,6 +115,11 @@ class SimCluster {
 
  private:
   void Build(net::NodeAddr firstAddr);
+  /// Starts a client call with `begin(callback)` and runs the engine until
+  /// the callback delivers its arguments as a T, or `timeout` of virtual
+  /// time passes (nullopt).
+  template <typename T, typename Begin>
+  std::optional<T> Await(Begin begin, Duration timeout);
   xrd::ScallaNode* FindNode(net::NodeAddr addr);
 
   ClusterSpec spec_;

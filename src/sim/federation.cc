@@ -99,13 +99,7 @@ Result<void> SimFederation::PutFile(client::ScallaClient& c, const std::string& 
 
 client::ScallaClient::ClusterStats SimFederation::FederationStats(
     client::ScallaClient* c) {
-  client::ScallaClient& querier = c ? *c : NewClient();
-  auto result = std::make_shared<std::optional<client::ScallaClient::ClusterStats>>();
-  querier.QueryStats(
-      [result](const client::ScallaClient::ClusterStats& stats) { *result = stats; });
-  engine_.RunUntilPredicate([result] { return result->has_value(); },
-                            engine_.Now() + std::chrono::seconds(30));
-  return result->value_or(client::ScallaClient::ClusterStats{});
+  return clusters_.front()->ClusterStats(c != nullptr ? c : &NewClient());
 }
 
 void SimFederation::PartitionCluster(std::size_t i) {

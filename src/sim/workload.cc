@@ -49,10 +49,7 @@ WorkloadResult RunOpenStream(SimCluster& cluster, client::ScallaClient& client,
     if (outcome.err == proto::XrdErr::kNone) {
       result.latency.Record(cluster.engine().Now() - start);
       ++result.completed;
-      auto closed = std::make_shared<std::optional<proto::XrdErr>>();
-      client.Close(outcome.file, [closed](proto::XrdErr err) { *closed = err; });
-      cluster.engine().RunUntilPredicate([closed] { return closed->has_value(); },
-                                         cluster.engine().Now() + std::chrono::seconds(5));
+      (void)cluster.CloseAndWait(client, outcome.file, std::chrono::seconds(5));
     } else {
       ++result.errors;
     }

@@ -593,10 +593,15 @@ void ScallaNode::HandleOpen(net::NodeAddr from, const proto::XrdOpen& m) {
     LeafOpen(from, m);
     return;
   }
-  if (m.refresh) nm_.refreshes.Inc();
   core_.Answer<proto::XrdOpenResp>(from, m.reqId, m.path,
-                                   core_.OptionsFor(m.mode, m.refresh, m.avoidNode),
+                                   HeadOptions(m.mode, m.refresh, m.avoidNode),
                                    {&nm_.redirectsIssued, &nm_.waitsIssued}, m.create);
+}
+
+cms::LocateOptions ScallaNode::HeadOptions(std::uint8_t mode, bool refresh,
+                                           net::NodeAddr avoid) {
+  if (refresh) nm_.refreshes.Inc();
+  return core_.OptionsFor(mode, refresh, avoid);
 }
 
 void ScallaNode::LeafOpen(net::NodeAddr from, const proto::XrdOpen& m) {
@@ -733,7 +738,8 @@ void ScallaNode::HandleChecksum(net::NodeAddr from, const proto::XrdChecksum& m)
     return;
   }
   // Head: redirect like any meta-data operation.
-  core_.Answer<proto::XrdChecksumResp>(from, m.reqId, m.path, {}, {});
+  core_.Answer<proto::XrdChecksumResp>(from, m.reqId, m.path,
+                                       HeadOptions(0, m.refresh, m.avoidNode), {});
 }
 
 void ScallaNode::HandleWrite(net::NodeAddr from, const proto::XrdWrite& m) {
@@ -777,7 +783,8 @@ void ScallaNode::HandleStat(net::NodeAddr from, const proto::XrdStat& m) {
     return;
   }
   // Stat is a read-mode meta-data operation.
-  core_.Answer<proto::XrdStatResp>(from, m.reqId, m.path, {}, {});
+  core_.Answer<proto::XrdStatResp>(from, m.reqId, m.path,
+                                   HeadOptions(0, m.refresh, m.avoidNode), {});
 }
 
 void ScallaNode::HandleUnlink(net::NodeAddr from, const proto::XrdUnlink& m) {
@@ -798,7 +805,8 @@ void ScallaNode::HandleUnlink(net::NodeAddr from, const proto::XrdUnlink& m) {
     fabric_.Send(config_.addr, from, std::move(resp));
     return;
   }
-  core_.Answer<proto::XrdUnlinkResp>(from, m.reqId, m.path, {}, {});
+  core_.Answer<proto::XrdUnlinkResp>(from, m.reqId, m.path,
+                                     HeadOptions(0, m.refresh, m.avoidNode), {});
 }
 
 void ScallaNode::HandlePrepare(net::NodeAddr from, const proto::XrdPrepare& m) {

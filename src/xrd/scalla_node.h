@@ -159,6 +159,9 @@ class ScallaNode : public net::MessageSink {
   void HandleStat(net::NodeAddr from, const proto::XrdStat& m);
   void HandleUnlink(net::NodeAddr from, const proto::XrdUnlink& m);
   void HandlePrepare(net::NodeAddr from, const proto::XrdPrepare& m);
+  /// Locate options for a redirected request (an open, or a read-mode
+  /// stat, unlink or checksum), counting a client's refresh.
+  cms::LocateOptions HeadOptions(std::uint8_t mode, bool refresh, net::NodeAddr avoid);
 
   /// Answers a parent's CmsQuery (or the meta's FedQuery) from this
   /// subtree with a single CmsHave (FedHave).
@@ -199,7 +202,7 @@ class ScallaNode : public net::MessageSink {
     obs::Counter& creates;
     obs::Counter& loginsAccepted;  // subordinate logins this head admitted
     obs::Counter& loginsSent;      // login attempts toward parents
-    obs::Counter& refreshes;       // opens carrying the refresh flag
+    obs::Counter& refreshes;       // walks (open, stat, unlink, checksum) asking a refresh
     obs::Counter& statsQueries;    // StatsQuery frames served
     explicit NodeMetrics(obs::MetricsRegistry& r);
   };

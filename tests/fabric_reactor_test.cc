@@ -264,9 +264,11 @@ TEST(FabricReactorTest, WriteThroughToStalledPeerEndsInPeerDown) {
 
   const std::string first = Frame(Sequenced(0), 1);
   fabric.Send(1, 7, Sequenced(0));
+  ASSERT_TRUE(WaitReadable(listenFd));
   const int peer = ::accept(listenFd, nullptr, nullptr);
   ASSERT_GE(peer, 0);
   std::string got(first.size(), '\0');
+  ASSERT_TRUE(WaitReadable(peer));
   ASSERT_EQ(::recv(peer, got.data(), got.size(), MSG_WAITALL),
             static_cast<ssize_t>(got.size()));
   EXPECT_EQ(got, first);

@@ -14,6 +14,7 @@
 #include "sim/event_engine.h"
 #include "sim/federation.h"
 #include "sim/sim_fabric.h"
+#include "walk_test_support.h"
 
 namespace scalla::sim {
 namespace {
@@ -205,28 +206,30 @@ TEST(FederationTest, EdgeProxyFrontsTheFederation) {
 }
 
 // Two heads pointing at each other: without the redirect-loop guard the
-// client would ping-pong forever; with it the open fails fast with the
-// distinct kLoop error after client.maxredirects hops.
+// client would ping-pong forever; with it the walk fails fast with the
+// distinct kLoop error after client::kMaxRedirects hops.
 class PingPongHead : public net::MessageSink {
  public:
   PingPongHead(net::Fabric& fabric, net::NodeAddr self, net::NodeAddr other)
       : fabric_(fabric), self_(self), other_(other) {}
 
   void OnMessage(net::NodeAddr from, proto::Message message) override {
-    if (const auto* open = std::get_if<proto::XrdOpen>(&message)) {
-      proto::XrdOpenResp resp;
-      resp.reqId = open->reqId;
+    AnswerWalk(message, [&](const auto&, auto& resp) {
+      ++requestsSeen_;
       resp.status = proto::XrdStatus::kRedirect;
       resp.redirectNode = other_;
       fabric_.Send(self_, from, resp);
-    }
+    });
   }
   void OnPeerDown(net::NodeAddr) override {}
+
+  int requestsSeen() const { return requestsSeen_; }
 
  private:
   net::Fabric& fabric_;
   net::NodeAddr self_;
   net::NodeAddr other_;
+  int requestsSeen_ = 0;
 };
 
 TEST(FederationTest, RedirectLoopGuardFailsWithDistinctError) {
@@ -240,7 +243,6 @@ TEST(FederationTest, RedirectLoopGuardFailsWithDistinctError) {
   client::ClientConfig cfg;
   cfg.addr = 1;
   cfg.head = 10;
-  cfg.maxRedirects = 4;
   client::ScallaClient c(cfg, engine, fabric);
   fabric.Register(cfg.addr, &c);
 
@@ -251,8 +253,37 @@ TEST(FederationTest, RedirectLoopGuardFailsWithDistinctError) {
                            engine.Now() + std::chrono::seconds(30));
   ASSERT_TRUE(outcome->has_value());
   EXPECT_EQ((*outcome)->err, proto::XrdErr::kLoop);
-  EXPECT_EQ((*outcome)->redirects, cfg.maxRedirects + 1);
+  EXPECT_EQ((*outcome)->redirects, client::kMaxRedirects + 1);
   EXPECT_EQ(c.SnapshotMetrics().Counter("client.redirect_loop_breaks"), 1u);
+}
+
+TEST(FederationTest, RedirectLoopGuardCoversEveryWalk) {
+  for (const WalkKind kind : kWalkKinds) {
+    SCOPED_TRACE(WalkName(kind));
+    EventEngine engine;
+    SimFabric fabric(engine, LatencyModel{});
+    PingPongHead a(fabric, 10, 11);
+    PingPongHead b(fabric, 11, 10);
+    fabric.Register(10, &a);
+    fabric.Register(11, &b);
+
+    client::ClientConfig cfg;
+    cfg.addr = 1;
+    cfg.head = 10;
+    client::ScallaClient c(cfg, engine, fabric);
+    fabric.Register(cfg.addr, &c);
+
+    std::optional<proto::XrdErr> err;
+    StartWalk(c, kind, "/store/loop", [&err](proto::XrdErr e) { err = e; });
+    engine.RunUntilPredicate([&err] { return err.has_value(); },
+                             engine.Now() + std::chrono::seconds(30));
+    EXPECT_EQ(err, proto::XrdErr::kLoop);
+    EXPECT_EQ(a.requestsSeen() + b.requestsSeen(), client::kMaxRedirects + 1);
+    const obs::MetricsSnapshot snap = c.SnapshotMetrics();
+    EXPECT_EQ(snap.Counter("client.redirects_followed"),
+              static_cast<std::uint64_t>(client::kMaxRedirects));
+    EXPECT_EQ(snap.Counter("client.redirect_loop_breaks"), 1u);
+  }
 }
 
 }  // namespace

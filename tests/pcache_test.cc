@@ -404,6 +404,30 @@ TEST(ProxySimTest, StatsQueryMergesClusterAndProxyView) {
   EXPECT_EQ(stats.snapshot.Counter("node.count"), 6u);
 }
 
+// The proxy sizes a new file with one origin stat. A leaf that wedges
+// between the origin open and that stat must not leave the path opening
+// for good: the stat walk times out and recovers, and the client open
+// parked behind it is answered.
+TEST(ProxySimTest, OpenParkedBehindAStatAtAWedgedLeafIsAnswered) {
+  sim::SimCluster cluster(ProxySpec(2));
+  cluster.Start();
+  cluster.PlaceFile(0, "/store/f", std::string(64, 's'));
+
+  auto& c = cluster.NewProxyClient();
+  std::optional<client::OpenOutcome> open;
+  c.Open("/store/f", AccessMode::kRead, false,
+         [&open](const client::OpenOutcome& o) { open = o; });
+  // The origin open lands at leaf 0, and its stat is then on the way.
+  ASSERT_TRUE(cluster.engine().RunUntilPredicate(
+      [&] { return cluster.proxy()->origin().OpenLatency().count() == 1; },
+      cluster.engine().Now() + std::chrono::seconds(10)));
+  cluster.WedgeServer(0);
+  cluster.engine().RunUntilPredicate([&open] { return open.has_value(); },
+                                     cluster.engine().Now() + std::chrono::seconds(120));
+  ASSERT_TRUE(open.has_value());
+  EXPECT_EQ(open->err, proto::XrdErr::kNone);
+}
+
 TEST(ProxySimTest, WritesAreRefused) {
   sim::SimCluster cluster(ProxySpec());
   cluster.Start();

@@ -8,7 +8,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -149,7 +148,8 @@ TEST(TcpFabricTest, MalformedFrameDisconnects) {
   std::memcpy(header + 4, &sender, 4);
   ASSERT_EQ(::send(fd, header, sizeof(header), MSG_NOSIGNAL), 8);
   char buf[1];
-  EXPECT_LE(::recv(fd, buf, 1, 0), 0);  // remote closed
+  EXPECT_TRUE(WaitReadable(fd));  // the close arrives, not a timeout
+  EXPECT_LE(::recv(fd, buf, 1, MSG_DONTWAIT), 0);  // remote closed
   ::close(fd);
 
   // Well-framed but undecodable body: same verdict.
@@ -162,7 +162,8 @@ TEST(TcpFabricTest, MalformedFrameDisconnects) {
   ASSERT_EQ(::send(fd, header, sizeof(header), MSG_NOSIGNAL), 8);
   ASSERT_EQ(::send(fd, junk.data(), junk.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(junk.size()));
-  EXPECT_LE(::recv(fd, buf, 1, 0), 0);
+  EXPECT_TRUE(WaitReadable(fd));
+  EXPECT_LE(::recv(fd, buf, 1, MSG_DONTWAIT), 0);
   ::close(fd);
 
   EXPECT_EQ(b.Messages(), 0);
@@ -187,8 +188,7 @@ TEST(TcpFabricTest, FrameNamingAnotherSenderDisconnects) {
   const std::string spoofed = Frame(SmallMessage(), 10);
   ASSERT_EQ(::send(fd, spoofed.data(), spoofed.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(spoofed.size()));
-  pollfd closed{fd, POLLIN, 0};
-  EXPECT_EQ(::poll(&closed, 1, 10'000), 1);  // the close arrives, not a timeout
+  EXPECT_TRUE(WaitReadable(fd));  // the close arrives, not a timeout
   char buf[1];
   EXPECT_LE(::recv(fd, buf, 1, MSG_DONTWAIT), 0);  // remote closed
   ::close(fd);

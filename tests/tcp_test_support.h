@@ -16,6 +16,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -120,6 +121,15 @@ inline bool WaitFor(const std::function<bool()>& done,
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return true;
+}
+
+/// Polls `fd` until it is readable (data, a pending connection on a
+/// listener, or the peer's close); false once `timeout` has passed. Raw
+/// socket tests wait with it instead of a blocking call, so a regression
+/// fails the test rather than hanging the binary.
+inline bool WaitReadable(int fd, std::chrono::milliseconds timeout = std::chrono::seconds(10)) {
+  pollfd p{fd, POLLIN, 0};
+  return ::poll(&p, 1, static_cast<int>(timeout.count())) == 1;
 }
 
 /// A raw loopback client socket connected to basePort+addr, or -1.
