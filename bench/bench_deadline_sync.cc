@@ -7,6 +7,7 @@
 #include <variant>
 
 #include "bench/bench_common.h"
+#include "obs/metrics.h"
 #include "sim/cluster.h"
 
 namespace scalla {
@@ -36,7 +37,7 @@ Result Run(int concurrentClients, bool deadlineSync) {
 
   Result result;
   std::size_t done = 0;
-  util::LatencyRecorder rec;
+  obs::Histogram rec;
   const TimePoint t0 = cluster.engine().Now();
   for (auto* c : clients) {
     c->Open("/store/thundering-herd", cms::AccessMode::kRead, false,

@@ -5,6 +5,7 @@
 // (ablation), and show the sweep bound engaging when servers respond
 // slower than 133ms.
 #include "bench/bench_common.h"
+#include "obs/metrics.h"
 #include "sim/cluster.h"
 #include "sim/workload.h"
 
@@ -24,16 +25,17 @@ double MeanFirstOpenUs(bool fastResponse, Duration linkLatency, std::size_t file
   util::Rng rng(21);
   const auto paths = sim::PopulateFiles(cluster, files, 1, rng);
   auto& client = cluster.NewClient();
-  util::LatencyRecorder rec;
+  obs::Histogram rec;
   for (const auto& path : paths) {
     const TimePoint t0 = cluster.engine().Now();
     const auto open = cluster.OpenAndWait(client, path, cms::AccessMode::kRead, false,
                                           std::chrono::minutes(2));
     if (open.err == proto::XrdErr::kNone) rec.Record(cluster.engine().Now() - t0);
   }
-  if (p99 != nullptr) *p99 = static_cast<double>(rec.PercentileNanos(0.99)) / 1e3;
-  if (maxUs != nullptr) *maxUs = static_cast<double>(rec.MaxNanos()) / 1e3;
-  return rec.MeanNanos() / 1e3;
+  const obs::HistogramStat latency = rec.Digest();
+  if (p99 != nullptr) *p99 = static_cast<double>(latency.Percentile(0.99)) / 1e3;
+  if (maxUs != nullptr) *maxUs = static_cast<double>(latency.maxNanos) / 1e3;
+  return latency.MeanNanos() / 1e3;
 }
 
 }  // namespace

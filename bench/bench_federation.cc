@@ -9,7 +9,7 @@
 // per-shape warm/cold means and the meta's cache hit rate.
 #include "bench/bench_common.h"
 #include "sim/federation.h"
-#include "util/stats.h"
+#include "obs/metrics.h"
 
 namespace scalla {
 namespace {
@@ -44,7 +44,7 @@ ShapeResult Measure(int clusters, int filesPerCluster) {
   fed.Start();
   auto& client = fed.NewClient();
 
-  util::LatencyRecorder cold, warm;
+  obs::Histogram cold, warm;
   for (const auto& path : paths) {
     const TimePoint t0 = fed.engine().Now();
     const auto open = fed.OpenAndWait(client, path, cms::AccessMode::kRead, false);

@@ -16,6 +16,7 @@
 
 #include "bench/bench_common.h"
 #include "sim/cluster.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -62,14 +63,13 @@ Access TimedAccess(sim::SimCluster& cluster, client::ScallaClient& c,
   return out;
 }
 
-std::string StatsJson(const util::LatencyRecorder& r) {
-  const auto pcts = r.PercentilesNanos({0.5, 0.99});
+std::string StatsJson(const obs::HistogramStat& h) {
   char buf[192];
   std::snprintf(buf, sizeof(buf),
-                "{\"n\":%zu,\"mean_us\":%.2f,\"p50_us\":%.2f,\"p99_us\":%.2f}",
-                r.count(), r.MeanNanos() / 1e3,
-                static_cast<double>(pcts[0]) / 1e3,
-                static_cast<double>(pcts[1]) / 1e3);
+                "{\"n\":%llu,\"mean_us\":%.2f,\"p50_us\":%.2f,\"p99_us\":%.2f}",
+                static_cast<unsigned long long>(h.count), h.MeanNanos() / 1e3,
+                static_cast<double>(h.Percentile(0.5)) / 1e3,
+                static_cast<double>(h.Percentile(0.99)) / 1e3);
   return buf;
 }
 
@@ -100,8 +100,8 @@ void PlaceWorkingSet(sim::SimCluster& cluster) {
 }
 
 // Hit rate across a window bounded by two stats snapshots.
-double WindowHitRate(const pcache::BlockCacheStats& before,
-                     const pcache::BlockCacheStats& after) {
+double WindowHitRate(const pcache::TieredCacheStats& before,
+                     const pcache::TieredCacheStats& after) {
   const std::uint64_t hits = after.hits - before.hits;
   const std::uint64_t total = hits + (after.misses - before.misses);
   return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
@@ -132,7 +132,7 @@ TierSweepPoint RunTierPoint(double dramFraction) {
   obs::Counter& originOpens =
       cluster.proxy()->metrics().GetCounter("pcache.origin_opens");
 
-  util::LatencyRecorder warmLat;
+  obs::Histogram warmLat;
   for (std::size_t i = 0; i < kProxyRequests; ++i) {
     const std::size_t f = zipf.Sample(rng);
     const std::uint64_t offset = rng.NextBelow(kBlocksPerFile) * kBlockSize;
@@ -155,8 +155,7 @@ TierSweepPoint RunTierPoint(double dramFraction) {
   point.diskHitRate = lookups == 0 ? 0.0
                                    : static_cast<double>(stats.diskHits) /
                                          static_cast<double>(lookups);
-  point.warmP99Us =
-      static_cast<double>(warmLat.PercentilesNanos({0.99})[0]) / 1e3;
+  point.warmP99Us = static_cast<double>(warmLat.Digest().Percentile(0.99)) / 1e3;
   point.spills = stats.spills;
   point.promotions = stats.promotions;
   return point;
@@ -181,15 +180,15 @@ ShiftResult RunZipfShift() {
   auto& cache = cluster.proxy()->cache();
 
   ShiftResult out;
-  pcache::BlockCacheStats mark;
+  pcache::TieredCacheStats mark;
   for (std::size_t i = 0; i < 4000; ++i) {
     std::size_t f = zipf.Sample(rng);
     if (i >= 2000) f = (f + kFiles / 2) % kFiles;  // the shift
-    if (i == 1000 || i == 3000) mark = cache.GetStats();
+    if (i == 1000 || i == 3000) mark = cache.GetTieredStats();
     const std::uint64_t offset = rng.NextBelow(kBlocksPerFile) * kBlockSize;
     (void)TimedAccess(cluster, c, FilePath(f), offset, kBlockSize);
-    if (i == 1999) out.preHitRate = WindowHitRate(mark, cache.GetStats());
-    if (i == 3999) out.postHitRate = WindowHitRate(mark, cache.GetStats());
+    if (i == 1999) out.preHitRate = WindowHitRate(mark, cache.GetTieredStats());
+    if (i == 3999) out.postHitRate = WindowHitRate(mark, cache.GetTieredStats());
   }
   return out;
 }
@@ -221,13 +220,13 @@ ScanResult RunScanCase() {
   const auto measure = [&](std::uint64_t seed) {
     util::Rng rng(seed);
     util::ZipfSampler zipf(kHotFiles, kZipfExponent);
-    const auto before = cache.GetStats();
+    const auto before = cache.GetTieredStats();
     for (std::size_t i = 0; i < 500; ++i) {
       const std::size_t f = zipf.Sample(rng);
       const std::uint64_t offset = rng.NextBelow(kBlocksPerFile) * kBlockSize;
       (void)TimedAccess(cluster, c, FilePath(f), offset, kBlockSize);
     }
-    return WindowHitRate(before, cache.GetStats());
+    return WindowHitRate(before, cache.GetTieredStats());
   };
 
   ScanResult out;
@@ -266,7 +265,7 @@ int main() {
 
   // Baseline: the same workload straight at the cluster head.
   auto& direct = cluster.NewClient();
-  util::LatencyRecorder directLat;
+  obs::Histogram directLat;
   for (std::size_t i = 0; i < kDirectRequests; ++i) {
     const std::size_t f = zipf.Sample(rng);
     const std::uint64_t offset = rng.NextBelow(kBlocksPerFile) * kBlockSize;
@@ -276,7 +275,7 @@ int main() {
 
   // Through the proxy: classify each access by whether it touched origin.
   auto& proxied = cluster.NewProxyClient();
-  util::LatencyRecorder coldLat, warmLat;
+  obs::Histogram coldLat, warmLat;
   obs::Counter& fetches =
       cluster.proxy()->metrics().GetCounter("pcache.origin_fetches");
   obs::Counter& originOpens =
@@ -291,7 +290,8 @@ int main() {
     (touchedOrigin ? coldLat : warmLat).Record(a.elapsed);
   }
 
-  const auto cacheStats = cluster.proxy()->cache().GetStats();
+  // This cache has no disk tier, so a DRAM eviction is lost data.
+  const auto cacheStats = cluster.proxy()->cache().GetTieredStats();
   const double hitRate =
       cacheStats.hits + cacheStats.misses == 0
           ? 0.0
@@ -304,21 +304,22 @@ int main() {
       "latency is paid only on misses");
   bench::Table table({"access class", "n", "mean", "p50", "p99"});
   const auto addRow = [&table](const std::string& name,
-                               const util::LatencyRecorder& r) {
-    const auto pcts = r.PercentilesNanos({0.5, 0.99});
-    table.AddRow({name, std::to_string(r.count()),
-                  util::FormatNanos(r.MeanNanos()),
-                  util::FormatNanos(static_cast<double>(pcts[0])),
-                  util::FormatNanos(static_cast<double>(pcts[1]))});
+                               const obs::HistogramStat& h) {
+    table.AddRow({name, std::to_string(h.count), util::FormatNanos(h.MeanNanos()),
+                  util::FormatNanos(static_cast<double>(h.Percentile(0.5))),
+                  util::FormatNanos(static_cast<double>(h.Percentile(0.99)))});
   };
-  addRow("direct to cluster", directLat);
-  addRow("proxy cold miss", coldLat);
-  addRow("proxy warm hit", warmLat);
+  const obs::HistogramStat directAll = directLat.Digest();
+  const obs::HistogramStat coldMiss = coldLat.Digest();
+  const obs::HistogramStat warmHit = warmLat.Digest();
+  addRow("direct to cluster", directAll);
+  addRow("proxy cold miss", coldMiss);
+  addRow("proxy warm hit", warmHit);
   table.Print();
   std::printf("zipf(s=%.1f) over %zu files, %" PRIu64 "-byte blocks, cache %.0f%% "
               "of working set: hit rate %.1f%%, %" PRIu64 " evictions\n",
               kZipfExponent, kFiles, static_cast<std::uint64_t>(kBlockSize), 50.0,
-              hitRate * 100.0, cacheStats.evictions);
+              hitRate * 100.0, cacheStats.dram.evictions);
 
   // Two-tier phases: DRAM-size sweep, mid-run popularity shift, and the
   // sequential-scan case ghost admission exists for.
@@ -376,15 +377,15 @@ int main() {
               ("{\"bench\":\"proxy_cache\",\"files\":" + std::to_string(kFiles) +
                ",\"block_size\":" + std::to_string(kBlockSize) +
                ",\"hit_rate\":" + std::to_string(hitRate) +
-               ",\"evictions\":" + std::to_string(cacheStats.evictions) +
-               ",\"direct\":" + StatsJson(directLat) +
-               ",\"cold_miss\":" + StatsJson(coldLat) +
-               ",\"warm_hit\":" + StatsJson(warmLat) +
+               ",\"evictions\":" + std::to_string(cacheStats.dram.evictions) +
+               ",\"direct\":" + StatsJson(directAll) +
+               ",\"cold_miss\":" + StatsJson(coldMiss) +
+               ",\"warm_hit\":" + StatsJson(warmHit) +
                ",\"sweep\":" + sweepJson + extraJson + "}")
                   .c_str());
 
-  const bool warmFaster = warmLat.count() > 0 && coldLat.count() > 0 &&
-                          warmLat.MeanNanos() < coldLat.MeanNanos();
+  const bool warmFaster = warmHit.count > 0 && coldMiss.count > 0 &&
+                          warmHit.MeanNanos() < coldMiss.MeanNanos();
   const bool scanResistant = scan.hotBefore - scan.hotAfter < 0.05;
   std::printf("warm hit faster than cold miss: %s\n", warmFaster ? "yes" : "NO");
   std::printf("scan dents hot set by < 5 points: %s\n", scanResistant ? "yes" : "NO");

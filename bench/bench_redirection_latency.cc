@@ -10,6 +10,7 @@
 // this harness reproduces: a constant per-level cost, a fixed cold-open
 // premium, and a shallow linear load slope.
 #include "bench/bench_common.h"
+#include "obs/metrics.h"
 #include "sim/cluster.h"
 #include "sim/workload.h"
 
@@ -41,7 +42,7 @@ ColdWarm MeasureColdWarm(int servers, int fanout, std::size_t files) {
   const auto paths = sim::PopulateFiles(cluster, files, 1, rng);
   auto& client = cluster.NewClient();
 
-  util::LatencyRecorder cold, warm;
+  obs::Histogram cold, warm;
   for (const auto& path : paths) {
     const TimePoint t0 = cluster.engine().Now();
     const auto open = cluster.OpenAndWait(client, path, cms::AccessMode::kRead, false);
@@ -103,7 +104,7 @@ void TableLoadSlope(JsonMetrics& json) {
     table.AddRow({Fmt("%d", clients), Fmt("%zu", result.completed),
                   Fmt("%.1fus", mean),
                   Fmt("%.1fus",
-                      static_cast<double>(result.latency.PercentileNanos(0.99)) / 1e3),
+                      static_cast<double>(result.latency.Percentile(0.99)) / 1e3),
                   Fmt("%.2fx", mean / base)});
   }
   table.Print();

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "bench/bench_common.h"
+#include "obs/metrics.h"
 #include "sim/cluster.h"
 #include "sim/workload.h"
 
@@ -33,7 +34,7 @@ Point Measure(int servers, int fanout, std::size_t files) {
 
   Point p;
   p.depth = cluster.Depth();
-  util::LatencyRecorder cold, warm;
+  obs::Histogram cold, warm;
   int hops = 0;
   for (const auto& path : paths) {
     const TimePoint t0 = cluster.engine().Now();

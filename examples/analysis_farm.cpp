@@ -13,8 +13,10 @@
 #include <cstdlib>
 #include <map>
 
+#include "obs/metrics.h"
 #include "sim/cluster.h"
 #include "sim/workload.h"
+#include "util/stats.h"
 
 using namespace scalla;
 
@@ -51,7 +53,7 @@ int main(int argc, char** argv) {
 
   // Each job: pick its file list, PREPARE it, then open/read/close each.
   const util::ZipfSampler zipf(dataset.size(), 0.8);
-  util::LatencyRecorder jobTimes;
+  obs::Histogram jobTimes;
   std::map<net::NodeAddr, int> serverHits;
   std::size_t opens = 0, errors = 0;
 
@@ -87,7 +89,13 @@ int main(int argc, char** argv) {
   std::printf("campaign: %d jobs x %d files -> %zu opens, %zu errors in %.1fs "
               "of cluster time\n",
               jobs, filesPerJob, opens, errors, campaignSeconds);
-  std::printf("job wall time: %s\n", jobTimes.Summary().c_str());
+  const obs::HistogramStat jobTime = jobTimes.Digest();
+  std::printf("job wall time: n=%llu mean=%s p50=%s p99=%s max=%s\n",
+              static_cast<unsigned long long>(jobTime.count),
+              util::FormatNanos(jobTime.MeanNanos()).c_str(),
+              util::FormatNanos(static_cast<double>(jobTime.Percentile(0.5))).c_str(),
+              util::FormatNanos(static_cast<double>(jobTime.Percentile(0.99))).c_str(),
+              util::FormatNanos(static_cast<double>(jobTime.maxNanos)).c_str());
 
   const auto rs = cluster.head().resolver().GetStats();
   std::printf("\nmanager resolver: %zu locates, %zu served from cache, "

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Full verification: the regular build + test suite, the same suite under
 # AddressSanitizer + UndefinedBehaviorSanitizer, and the threaded suites
-# (pcache proxy, TCP cluster and federation, heartbeat liveness, chaos)
-# under ThreadSanitizer (CMake presets "default", "asan-ubsan", "tsan"). Run
-# from the repository root.
+# (pcache proxy, TCP cluster and federation, heartbeat liveness, chaos,
+# histogram recording beside snapshots) under ThreadSanitizer (CMake
+# presets "default", "asan-ubsan", "tsan"). Run from the repository root.
+#
+# The default-preset build treats every compiler warning as an error
+# (CMAKE_COMPILE_WARNING_AS_ERROR, CMake 3.25+), so a new warning, such as
+# an XrdErr without a name in XrdErrName's switch, fails here.
 #
 # ctest is invoked with --test-dir and an explicit -j value: the ctest
 # that ships with CMake 3.25 treats a bare `-j` as taking the *next*
@@ -28,8 +32,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "=== build + test: default preset (tier 1) ==="
-cmake --preset default
+echo "=== build + test: default preset (tier 1), warnings as errors ==="
+cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build --preset default -j
 ctest --test-dir build --output-on-failure -j 4 -LE tier2
 
@@ -84,7 +88,7 @@ echo "=== build + test (threaded + liveness suites): tsan preset ==="
 cmake --preset tsan
 cmake --build --preset tsan -j
 ctest --test-dir build-tsan --output-on-failure -j 4 \
-  -R "pcache_test|pcache_property_test|tcp_cluster_test|tcp_federation_test|sched_test|tcp_fabric_test|fabric_reactor_test|heartbeat_test|conformance_test|federation_test|cms_cache_property_test"
+  -R "pcache_test|pcache_property_test|tcp_cluster_test|tcp_federation_test|sched_test|tcp_fabric_test|fabric_reactor_test|heartbeat_test|conformance_test|federation_test|cms_cache_property_test|obs_test"
 # The heartbeat/drain/suspend story over real threads lives inside
 # chaos_test (tier2, TcpLivenessTest fixture) — run the whole suite.
 ctest --test-dir build-tsan --output-on-failure -R chaos_test

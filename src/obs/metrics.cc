@@ -2,17 +2,31 @@
 
 namespace scalla::obs {
 
+std::uint64_t Histogram::count() const {
+  std::uint64_t n = 0;
+  for (const auto& bucket : buckets_) n += bucket.load(std::memory_order_relaxed);
+  return n;
+}
+
+double Histogram::MeanNanos() const {
+  const std::uint64_t n = count();
+  return n == 0 ? 0.0
+                : static_cast<double>(sum_.load(std::memory_order_relaxed)) /
+                      static_cast<double>(n);
+}
+
 HistogramStat Histogram::Digest() const {
-  std::lock_guard lock(mu_);
   HistogramStat d;
-  d.count = recorder_.count();
+  for (std::uint32_t i = 0; i < HistogramStat::kBuckets; ++i) {
+    const std::uint64_t n = buckets_[i].load(std::memory_order_acquire);
+    if (n == 0) continue;
+    d.buckets.emplace_back(i, n);
+    d.count += n;
+  }
   if (d.count == 0) return d;
-  d.minNanos = recorder_.MinNanos();
-  d.maxNanos = recorder_.MaxNanos();
-  d.meanNanos = recorder_.MeanNanos();
-  const auto pcts = recorder_.PercentilesNanos({0.5, 0.99});
-  d.p50Nanos = static_cast<double>(pcts[0]);
-  d.p99Nanos = static_cast<double>(pcts[1]);
+  d.sumNanos = sum_.load(std::memory_order_relaxed);
+  d.minNanos = min_.load(std::memory_order_relaxed);
+  d.maxNanos = max_.load(std::memory_order_relaxed);
   return d;
 }
 

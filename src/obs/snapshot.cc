@@ -33,7 +33,79 @@ std::string JsonNumber(double v) {
   return buf;
 }
 
+// The middle of bucket `index`: exact below 64 ns, else the centre of its
+// power-of-two sub-range (see HistogramStat::BucketOf).
+std::int64_t BucketMiddle(std::uint32_t index) {
+  constexpr std::uint32_t kSub = 1u << HistogramStat::kSubBucketBits;
+  if (index < kSub) return index;
+  const int shift = static_cast<int>(index >> HistogramStat::kSubBucketBits) - 1;
+  const std::uint64_t low = static_cast<std::uint64_t>(kSub + (index & (kSub - 1))) << shift;
+  return static_cast<std::int64_t>(low + ((std::uint64_t{1} << shift) - 1) / 2);
+}
+
 }  // namespace
+
+double HistogramStat::MeanNanos() const {
+  return count == 0 ? 0.0 : static_cast<double>(sumNanos) / static_cast<double>(count);
+}
+
+std::int64_t HistogramStat::Percentile(double q) const {
+  if (count == 0) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  const std::uint64_t rank = std::min(
+      count - 1, static_cast<std::uint64_t>(q * static_cast<double>(count - 1) + 0.5));
+  std::int64_t value = maxNanos;
+  std::uint64_t seen = 0;
+  for (const auto& [index, n] : buckets) {
+    seen += n;
+    if (seen > rank) {
+      value = BucketMiddle(index);
+      break;
+    }
+  }
+  return std::max(minNanos, std::min(maxNanos, value));
+}
+
+void HistogramStat::Merge(const HistogramStat& other) {
+  if (other.count == 0) return;
+  if (count == 0) {
+    *this = other;
+    return;
+  }
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> merged;
+  merged.reserve(buckets.size() + other.buckets.size());
+  auto a = buckets.begin();
+  auto b = other.buckets.begin();
+  while (a != buckets.end() || b != other.buckets.end()) {
+    if (b == other.buckets.end() || (a != buckets.end() && a->first < b->first)) {
+      merged.push_back(*a++);
+    } else if (a == buckets.end() || b->first < a->first) {
+      merged.push_back(*b++);
+    } else {
+      merged.emplace_back(a->first, a->second + b->second);
+      ++a;
+      ++b;
+    }
+  }
+  buckets = std::move(merged);
+  count += other.count;
+  // Unsigned addition: a hostile peer's sum wraps instead of overflowing.
+  sumNanos = static_cast<std::int64_t>(static_cast<std::uint64_t>(sumNanos) +
+                                       static_cast<std::uint64_t>(other.sumNanos));
+  minNanos = std::min(minNanos, other.minNanos);
+  maxNanos = std::max(maxNanos, other.maxNanos);
+}
+
+bool HistogramStat::Valid() const {
+  std::uint64_t total = 0;
+  std::uint32_t lowest = 0;  // the least index the next bucket may have
+  for (const auto& [index, n] : buckets) {
+    if (index < lowest || index >= kBuckets || n == 0 || total + n < total) return false;
+    lowest = index + 1;
+    total += n;
+  }
+  return total == count && (count == 0 || minNanos <= maxNanos);
+}
 
 void MetricsSnapshot::AddCounter(const std::string& name, std::uint64_t delta) {
   SortedSlot(counters, name) += delta;
@@ -44,20 +116,8 @@ void MetricsSnapshot::AddGauge(const std::string& name, std::int64_t delta) {
 }
 
 void MetricsSnapshot::MergeHistogram(const std::string& name, const HistogramStat& h) {
-  if (h.count == 0) return;  // empty digests carry no information
-  HistogramStat& slot = SortedSlot(histograms, name);
-  if (slot.count == 0) {
-    slot = h;
-    return;
-  }
-  const double a = static_cast<double>(slot.count);
-  const double b = static_cast<double>(h.count);
-  slot.minNanos = std::min(slot.minNanos, h.minNanos);
-  slot.maxNanos = std::max(slot.maxNanos, h.maxNanos);
-  slot.meanNanos = (slot.meanNanos * a + h.meanNanos * b) / (a + b);
-  slot.p50Nanos = (slot.p50Nanos * a + h.p50Nanos * b) / (a + b);
-  slot.p99Nanos = (slot.p99Nanos * a + h.p99Nanos * b) / (a + b);
-  slot.count += h.count;
+  if (h.count == 0) return;  // empty histograms carry no information
+  SortedSlot(histograms, name).Merge(h);
 }
 
 void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
@@ -95,9 +155,11 @@ std::string MetricsSnapshot::ToText() const {
   }
   for (const auto& [name, h] : histograms) {
     std::snprintf(buf, sizeof(buf),
-                  "%-40s n=%llu mean=%.0fns p50=%.0fns p99=%.0fns max=%lldns\n",
-                  name.c_str(), static_cast<unsigned long long>(h.count), h.meanNanos,
-                  h.p50Nanos, h.p99Nanos, static_cast<long long>(h.maxNanos));
+                  "%-40s n=%llu mean=%.0fns p50=%lldns p99=%lldns max=%lldns\n",
+                  name.c_str(), static_cast<unsigned long long>(h.count), h.MeanNanos(),
+                  static_cast<long long>(h.Percentile(0.5)),
+                  static_cast<long long>(h.Percentile(0.99)),
+                  static_cast<long long>(h.maxNanos));
     out += buf;
   }
   return out;
@@ -126,9 +188,9 @@ std::string MetricsSnapshot::ToJson() const {
     out += '"' + name + "\":{\"count\":" + std::to_string(h.count) +
            ",\"min_ns\":" + std::to_string(h.minNanos) +
            ",\"max_ns\":" + std::to_string(h.maxNanos) +
-           ",\"mean_ns\":" + JsonNumber(h.meanNanos) +
-           ",\"p50_ns\":" + JsonNumber(h.p50Nanos) +
-           ",\"p99_ns\":" + JsonNumber(h.p99Nanos) + '}';
+           ",\"mean_ns\":" + JsonNumber(h.MeanNanos()) +
+           ",\"p50_ns\":" + std::to_string(h.Percentile(0.5)) +
+           ",\"p99_ns\":" + std::to_string(h.Percentile(0.99)) + '}';
   }
   out += "}}";
   return out;

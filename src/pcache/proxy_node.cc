@@ -556,38 +556,8 @@ void ProxyCacheNode::HandlePcacheAdmin(net::NodeAddr from, const proto::PcacheAd
 
 obs::MetricsSnapshot ProxyCacheNode::SnapshotMetrics() const {
   obs::MetricsSnapshot snap = metrics_.Snapshot();
-  const BlockCacheStats stats = cache_.GetStats();
-  const TieredCacheStats tiered = cache_.GetTieredStats();
-  snap.AddCounter("pcache.hits", stats.hits);
-  snap.AddCounter("pcache.misses", stats.misses);
-  snap.AddCounter("pcache.inserts", stats.inserts);
-  snap.AddCounter("pcache.evictions", stats.evictions);
+  cache_.ExportMetrics(snap);
   snap.AddCounter("pcache.coalesced", singleFlight_.Coalesced());
-  snap.AddGauge("pcache.used_bytes", static_cast<std::int64_t>(stats.usedBytes));
-  snap.AddGauge("pcache.blocks", static_cast<std::int64_t>(stats.blockCount));
-  // Per-tier detail (DRAM vs disk) plus the placement traffic between the
-  // tiers: admissions, spills, promotions, and ghost-list admission proofs.
-  snap.AddCounter("pcache.dram.hits", tiered.dramHits);
-  snap.AddCounter("pcache.dram.evictions", tiered.dram.evictions);
-  snap.AddGauge("pcache.dram.used_bytes",
-                static_cast<std::int64_t>(tiered.dram.usedBytes));
-  snap.AddGauge("pcache.dram.blocks",
-                static_cast<std::int64_t>(tiered.dram.blockCount));
-  snap.AddCounter("pcache.disk.hits", tiered.diskHits);
-  snap.AddCounter("pcache.disk.evictions", tiered.diskEvictions);
-  snap.AddCounter("pcache.disk.write_failures", tiered.diskWriteFailures);
-  snap.AddGauge("pcache.disk.used_bytes",
-                static_cast<std::int64_t>(tiered.diskUsedBytes));
-  snap.AddGauge("pcache.disk.blocks",
-                static_cast<std::int64_t>(tiered.diskBlockCount));
-  snap.AddCounter("pcache.admits_dram", tiered.admitsDram);
-  snap.AddCounter("pcache.admits_disk", tiered.admitsDisk);
-  snap.AddCounter("pcache.spills", tiered.spills);
-  snap.AddCounter("pcache.dropped_spills", tiered.droppedSpills);
-  snap.AddCounter("pcache.promotions", tiered.promotions);
-  snap.AddCounter("pcache.ghost_hits", tiered.ghostHits);
-  snap.AddGauge("pcache.files_tracked",
-                static_cast<std::int64_t>(tiered.filesTracked));
   // The embedded client's instruments show the proxy's cluster-facing
   // behaviour (redirects followed, recoveries, open latency).
   snap.Merge(origin_.SnapshotMetrics());

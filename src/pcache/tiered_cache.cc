@@ -625,19 +625,37 @@ std::uint64_t TieredBlockCache::PurgeAll() {
   return dropped;
 }
 
-BlockCacheStats TieredBlockCache::GetStats() const {
+void TieredBlockCache::ExportMetrics(obs::MetricsSnapshot& snap) const {
   const TieredCacheStats t = GetTieredStats();
-  BlockCacheStats s;
-  s.hits = t.hits;
-  s.misses = t.misses;
-  s.inserts = t.inserts;
-  s.usedBytes = t.dram.usedBytes + t.diskUsedBytes;
-  s.blockCount = t.dram.blockCount + t.diskBlockCount;
-  // Evictions = true data loss. With the disk tier on, a DRAM eviction is
-  // a demotion; loss happens at disk eviction or when a spill is dropped.
-  s.evictions = impl_->DiskEnabled() ? t.diskEvictions + t.droppedSpills
-                                     : t.dram.evictions;
-  return s;
+  const auto gauge = [&snap](const std::string& name, std::uint64_t v) {
+    snap.AddGauge(name, static_cast<std::int64_t>(v));
+  };
+  snap.AddCounter("pcache.hits", t.hits);
+  snap.AddCounter("pcache.misses", t.misses);
+  snap.AddCounter("pcache.inserts", t.inserts);
+  // With the disk tier on, loss happens at disk eviction or when a spill
+  // is dropped.
+  snap.AddCounter("pcache.evictions", impl_->DiskEnabled()
+                                          ? t.diskEvictions + t.droppedSpills
+                                          : t.dram.evictions);
+  gauge("pcache.used_bytes", t.dram.usedBytes + t.diskUsedBytes);
+  gauge("pcache.blocks", t.dram.blockCount + t.diskBlockCount);
+  snap.AddCounter("pcache.dram.hits", t.dramHits);
+  snap.AddCounter("pcache.dram.evictions", t.dram.evictions);
+  gauge("pcache.dram.used_bytes", t.dram.usedBytes);
+  gauge("pcache.dram.blocks", t.dram.blockCount);
+  snap.AddCounter("pcache.disk.hits", t.diskHits);
+  snap.AddCounter("pcache.disk.evictions", t.diskEvictions);
+  snap.AddCounter("pcache.disk.write_failures", t.diskWriteFailures);
+  gauge("pcache.disk.used_bytes", t.diskUsedBytes);
+  gauge("pcache.disk.blocks", t.diskBlockCount);
+  snap.AddCounter("pcache.admits_dram", t.admitsDram);
+  snap.AddCounter("pcache.admits_disk", t.admitsDisk);
+  snap.AddCounter("pcache.spills", t.spills);
+  snap.AddCounter("pcache.dropped_spills", t.droppedSpills);
+  snap.AddCounter("pcache.promotions", t.promotions);
+  snap.AddCounter("pcache.ghost_hits", t.ghostHits);
+  gauge("pcache.files_tracked", t.filesTracked);
 }
 
 TieredCacheStats TieredBlockCache::GetTieredStats() const {

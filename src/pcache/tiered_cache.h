@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/snapshot.h"
 #include "oss/oss.h"
 #include "pcache/block_cache.h"
 #include "sched/executor.h"
@@ -144,12 +145,12 @@ class TieredBlockCache {
   std::uint64_t Purge(const std::string& path);
   std::uint64_t PurgeAll();
 
-  /// Legacy combined view (what the single-tier BlockCache reported):
-  /// hits/misses are tier-agnostic lookup outcomes, usedBytes/blockCount
-  /// span both tiers, evictions counts true data loss only (a spill to
-  /// disk is a demotion, not an eviction).
-  BlockCacheStats GetStats() const;
   TieredCacheStats GetTieredStats() const;
+  /// Writes the cache's `pcache.*` counters and gauges: tier-agnostic
+  /// hits/misses/inserts, occupancy over both tiers, each tier's own
+  /// detail and the placement traffic. `pcache.evictions` counts lost data
+  /// only: with the disk tier on, a DRAM eviction is a spill, not a loss.
+  void ExportMetrics(obs::MetricsSnapshot& snap) const;
   std::uint64_t UsedBytes() const;
 
   std::optional<FileLifecycle> FileStats(const std::string& path) const;

@@ -37,8 +37,11 @@ class Writer {
   }
   // Doubles travel as their IEEE-754 bit pattern in a u64 (exact round-trip).
   void Put(double v) { Put(std::bit_cast<std::uint64_t>(v)); }
+  // A histogram travels as its exact fields and its sparse buckets.
   void Put(const obs::HistogramStat& h) {
-    Fields(h.count, h.minNanos, h.maxNanos, h.meanNanos, h.p50Nanos, h.p99Nanos);
+    Fields(h.count, h.sumNanos, h.minNanos, h.maxNanos);
+    Put(static_cast<std::uint32_t>(h.buckets.size()));
+    for (const auto& [index, n] : h.buckets) Fields(index, n);
   }
   void Put(const obs::MetricsSnapshot& s) {
     Put(static_cast<std::uint32_t>(s.counters.size()));
@@ -139,8 +142,20 @@ class Reader {
     GetLe(bits);
     v = std::bit_cast<double>(bits);
   }
+  // Rejects a histogram that breaks HistogramStat::Valid (a bucket out of
+  // range or out of order, counts that do not sum to `count`): a hostile
+  // frame must not reach Percentile or a merge.
   void Get(obs::HistogramStat& h) {
-    Fields(h.count, h.minNanos, h.maxNanos, h.meanNanos, h.p50Nanos, h.p99Nanos);
+    Fields(h.count, h.sumNanos, h.minNanos, h.maxNanos);
+    std::uint32_t n = 0;
+    GetLe(n);
+    if (!ok_ || n > obs::HistogramStat::kBuckets || n > in_.size() / 12) {  // 12 B each
+      ok_ = false;
+      return;
+    }
+    h.buckets.resize(n);
+    for (auto& [index, count] : h.buckets) Fields(index, count);
+    if (ok_ && !h.Valid()) ok_ = false;
   }
   void Get(obs::MetricsSnapshot& s) {
     const auto table = [this](auto& entries) {

@@ -4,16 +4,20 @@
 #include <chrono>
 #include <cstdio>
 
+#include "obs/metrics.h"
+
 namespace scalla::sim {
 namespace {
 
-double WallSecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 double NanosToUs(double ns) { return ns / 1e3; }
+
+/// Fills a phase's latency fields; they stay 0 when nothing completed.
+void SetLatency(PhaseResult& out, const obs::HistogramStat& latency) {
+  if (latency.count == 0) return;
+  out.meanUs = NanosToUs(latency.MeanNanos());
+  out.p50Us = NanosToUs(static_cast<double>(latency.Percentile(0.5)));
+  out.p99Us = NanosToUs(static_cast<double>(latency.Percentile(0.99)));
+}
 
 std::string FmtF(double v) {
   char buf[48];
@@ -65,75 +69,36 @@ ClusterSpec ToClusterSpec(const CampaignSpec& spec) {
   return cs;
 }
 
-struct PhaseDriver {
-  SimCluster& cluster;
-  const CampaignSpec& spec;
-  std::vector<client::ScallaClient*>& pool;
-  util::Rng& rng;
-  std::size_t& globalIssued;  // across phases: drives identity assignment
-
-  PhaseResult Run(const PhaseSpec& phase, const std::vector<std::string>& paths) {
-    PhaseResult out;
-    out.name = phase.name;
-    out.concurrency = std::min(phase.concurrency, pool.size());
-    const auto wallStart = std::chrono::steady_clock::now();
-    const TimePoint simStart = cluster.engine().Now();
-
-    util::LatencyRecorder latency;
-    const util::ZipfSampler zipf(paths.size(), phase.zipfS);
-    std::size_t issued = 0;
-    std::size_t completed = 0;
-    std::size_t errors = 0;
-
-    // Closed loop with per-op identity: op k is issued on behalf of
-    // simulated client identity (globalIssued + k) % population, so a
-    // campaign that drives N >= population ops has exercised every
-    // distinct identity. With spec.personalize each identity rotates the
-    // Zipf stream by its own hash — a million-identity population offers
-    // a genuinely wider mix than a thousand-identity one.
-    std::function<void(std::size_t)> issueNext = [&](std::size_t actor) {
-      if (issued >= phase.ops) return;
-      const std::size_t identity = (globalIssued + issued) % std::max<std::size_t>(1, spec.population);
-      ++issued;
-      std::size_t pathIdx = zipf.Sample(rng);
-      if (spec.personalize) {
-        pathIdx = (pathIdx + SplitMix64(identity) % paths.size()) % paths.size();
-      }
-      const std::string& path = paths[pathIdx];
-      const TimePoint start = cluster.engine().Now();
-      pool[actor]->Open(path, cms::AccessMode::kRead, false,
-                        [&, actor, start](const client::OpenOutcome& o) {
-                          if (o.err == proto::XrdErr::kNone) {
-                            latency.Record(cluster.engine().Now() - start);
-                            ++completed;
-                            pool[actor]->Close(o.file, [](proto::XrdErr) {});
-                          } else {
-                            ++errors;
-                          }
-                          issueNext(actor);
-                        });
-    };
-
-    for (std::size_t a = 0; a < out.concurrency; ++a) issueNext(a);
-    cluster.engine().RunUntilPredicate(
-        [&] { return completed + errors >= phase.ops; },
-        cluster.engine().Now() + std::chrono::hours(12));
-
-    globalIssued += issued;
-    out.completed = completed;
-    out.errors = errors;
-    if (latency.count() > 0) {
-      out.meanUs = NanosToUs(latency.MeanNanos());
-      const auto qs = latency.PercentilesNanos({0.5, 0.99});
-      out.p50Us = NanosToUs(static_cast<double>(qs[0]));
-      out.p99Us = NanosToUs(static_cast<double>(qs[1]));
-      out.maxUs = NanosToUs(static_cast<double>(latency.MaxNanos()));
-    }
-    out.simElapsed = cluster.engine().Now() - simStart;
-    out.wallSeconds = WallSecondsSince(wallStart);
-    return out;
-  }
-};
+/// One closed-loop phase on the first `phase.concurrency` pool clients.
+/// Op k of the campaign is issued on behalf of simulated client identity
+/// k % population (`globalIssued` counts ops across phases), so a campaign
+/// that drives N >= population ops has exercised every distinct identity.
+/// With spec.personalize each identity rotates the Zipf stream by its own
+/// hash — a million-identity population offers a genuinely wider mix than
+/// a thousand-identity one.
+PhaseResult RunPhase(SimCluster& cluster, const CampaignSpec& spec,
+                     const std::vector<client::ScallaClient*>& pool, util::Rng& rng,
+                     std::size_t& globalIssued, const PhaseSpec& phase,
+                     const std::vector<std::string>& paths) {
+  PhaseResult out;
+  out.name = phase.name;
+  out.concurrency = std::min(phase.concurrency, pool.size());
+  const std::vector<client::ScallaClient*> actors(pool.begin(),
+                                                  pool.begin() + out.concurrency);
+  const WorkloadResult run = RunClosedLoop(
+      cluster, actors, paths, phase.ops, phase.zipfS, rng, [&](std::size_t drawn) {
+        const std::size_t identity =
+            globalIssued++ % std::max<std::size_t>(1, spec.population);
+        if (!spec.personalize) return drawn;
+        return (drawn + SplitMix64(identity) % paths.size()) % paths.size();
+      });
+  out.completed = run.completed;
+  out.errors = run.errors;
+  SetLatency(out, run.latency);
+  out.simElapsed = run.simElapsed;
+  out.wallSeconds = run.wallSeconds;
+  return out;
+}
 
 /// Least-squares slope of meanUs against concurrency; 0 with < 2 points.
 double FitSlope(const std::vector<PhaseResult>& phases,
@@ -281,7 +246,7 @@ CampaignResult RunCampaign(const CampaignSpec& spec) {
     }
   }
   if (spec.probeOps > 0 && spec.prewarm && !spec.filesInMss) {
-    util::LatencyRecorder probe;
+    obs::Histogram probe;
     for (std::size_t i = 0; i < spec.probeOps; ++i) {
       const std::string& path = paths[i % paths.size()];
       const TimePoint t0 = cluster.engine().Now();
@@ -298,7 +263,6 @@ CampaignResult RunCampaign(const CampaignSpec& spec) {
 
   // ---- phases with the fault schedule woven between them ----
   std::size_t globalIssued = 0;
-  PhaseDriver driver{cluster, spec, pool, rng, globalIssued};
   struct PendingFault {
     FaultResult result;
     obs::MetricsSnapshot atFault;  // corrections/lookups accounted from here on
@@ -351,7 +315,8 @@ CampaignResult RunCampaign(const CampaignSpec& spec) {
       }
     }
     if (pi < spec.phases.size()) {
-      result.phases.push_back(driver.Run(spec.phases[pi], paths));
+      result.phases.push_back(
+          RunPhase(cluster, spec, pool, rng, globalIssued, spec.phases[pi], paths));
     }
   }
 
@@ -689,7 +654,7 @@ CampaignResult RunFederationPartitionCampaign(std::uint64_t seed) {
     pr.concurrency = 1;
     const auto phaseWall = std::chrono::steady_clock::now();
     const TimePoint phaseStart = fed.engine().Now();
-    util::LatencyRecorder latency;
+    obs::Histogram latency;
     for (std::size_t i = 0; i < ops; ++i) {
       const std::size_t c = clusters[i % clusters.size()];
       const std::string& path = byCluster[c][rng.NextBelow(byCluster[c].size())];
@@ -703,13 +668,7 @@ CampaignResult RunFederationPartitionCampaign(std::uint64_t seed) {
         ++pr.errors;
       }
     }
-    if (latency.count() > 0) {
-      pr.meanUs = NanosToUs(latency.MeanNanos());
-      const auto qs = latency.PercentilesNanos({0.5, 0.99});
-      pr.p50Us = NanosToUs(static_cast<double>(qs[0]));
-      pr.p99Us = NanosToUs(static_cast<double>(qs[1]));
-      pr.maxUs = NanosToUs(static_cast<double>(latency.MaxNanos()));
-    }
+    SetLatency(pr, latency.Digest());
     pr.simElapsed = fed.engine().Now() - phaseStart;
     pr.wallSeconds = WallSecondsSince(phaseWall);
     result.phases.push_back(pr);

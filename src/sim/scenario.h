@@ -144,7 +144,6 @@ struct PhaseResult {
   double meanUs = 0;
   double p50Us = 0;
   double p99Us = 0;
-  double maxUs = 0;
   // Virtual time the phase spanned vs host time spent computing it; claim
   // checks only ever read the sim side.
   Duration simElapsed = Duration::zero();

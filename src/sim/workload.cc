@@ -1,18 +1,16 @@
 #include "sim/workload.h"
 
-#include <chrono>
 #include <unordered_set>
 
+#include "obs/metrics.h"
+
 namespace scalla::sim {
-namespace {
 
 double WallSecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::duration<double>>(
              std::chrono::steady_clock::now() - start)
       .count();
 }
-
-}  // namespace
 
 std::vector<std::string> PopulateFiles(SimCluster& cluster, std::size_t nFiles,
                                        int replication, util::Rng& rng,
@@ -39,6 +37,7 @@ WorkloadResult RunOpenStream(SimCluster& cluster, client::ScallaClient& client,
                              const std::vector<std::string>& paths, std::size_t nOps,
                              double zipfS, util::Rng& rng) {
   WorkloadResult result;
+  obs::Histogram latency;
   const auto wallStart = std::chrono::steady_clock::now();
   const TimePoint simStart = cluster.engine().Now();
   const util::ZipfSampler zipf(paths.size(), zipfS);
@@ -47,13 +46,57 @@ WorkloadResult RunOpenStream(SimCluster& cluster, client::ScallaClient& client,
     const TimePoint start = cluster.engine().Now();
     const auto outcome = cluster.OpenAndWait(client, path, cms::AccessMode::kRead, false);
     if (outcome.err == proto::XrdErr::kNone) {
-      result.latency.Record(cluster.engine().Now() - start);
+      latency.Record(cluster.engine().Now() - start);
       ++result.completed;
       (void)cluster.CloseAndWait(client, outcome.file, std::chrono::seconds(5));
     } else {
       ++result.errors;
     }
   }
+  result.latency = latency.Digest();
+  result.simElapsed = cluster.engine().Now() - simStart;
+  result.wallSeconds = WallSecondsSince(wallStart);
+  return result;
+}
+
+WorkloadResult RunClosedLoop(SimCluster& cluster,
+                             const std::vector<client::ScallaClient*>& clients,
+                             const std::vector<std::string>& paths, std::size_t totalOps,
+                             double zipfS, util::Rng& rng,
+                             const std::function<std::size_t(std::size_t)>& pick) {
+  WorkloadResult result;
+  obs::Histogram latency;
+  const auto wallStart = std::chrono::steady_clock::now();
+  const TimePoint simStart = cluster.engine().Now();
+  const util::ZipfSampler zipf(paths.size(), zipfS);
+  std::size_t issued = 0;
+
+  // Each completion immediately issues the next open; captures reference
+  // state that outlives every callback (function-local, driven below).
+  std::function<void(client::ScallaClient*)> issueNext = [&](client::ScallaClient* client) {
+    if (issued >= totalOps) return;
+    ++issued;
+    const std::size_t drawn = zipf.Sample(rng);
+    const std::string& path = paths[pick ? pick(drawn) : drawn];
+    const TimePoint start = cluster.engine().Now();
+    client->Open(path, cms::AccessMode::kRead, false,
+                 [&, client, start](const client::OpenOutcome& o) {
+                   if (o.err == proto::XrdErr::kNone) {
+                     latency.Record(cluster.engine().Now() - start);
+                     ++result.completed;
+                     client->Close(o.file, [](proto::XrdErr) {});
+                   } else {
+                     ++result.errors;
+                   }
+                   issueNext(client);
+                 });
+  };
+
+  for (client::ScallaClient* client : clients) issueNext(client);
+  cluster.engine().RunUntilPredicate(
+      [&] { return result.completed + result.errors >= totalOps; },
+      cluster.engine().Now() + std::chrono::hours(12));
+  result.latency = latency.Digest();
   result.simElapsed = cluster.engine().Now() - simStart;
   result.wallSeconds = WallSecondsSince(wallStart);
   return result;
@@ -62,46 +105,10 @@ WorkloadResult RunOpenStream(SimCluster& cluster, client::ScallaClient& client,
 WorkloadResult RunClosedLoopLoad(SimCluster& cluster, std::size_t nClients,
                                  const std::vector<std::string>& paths,
                                  std::size_t totalOps, double zipfS, util::Rng& rng) {
-  struct Loop {
-    client::ScallaClient* client;
-  };
-  std::vector<Loop> loops;
-  loops.reserve(nClients);
-  for (std::size_t i = 0; i < nClients; ++i) loops.push_back({&cluster.NewClient()});
-
-  WorkloadResult result;
-  const auto wallStart = std::chrono::steady_clock::now();
-  const TimePoint simStart = cluster.engine().Now();
-  const util::ZipfSampler zipf(paths.size(), zipfS);
-  std::size_t issued = 0;
-
-  // Each completion immediately issues the next open; captures reference
-  // state that outlives every callback (function-local, driven below).
-  std::function<void(Loop&)> issueNext = [&](Loop& loop) {
-    if (issued >= totalOps) return;
-    ++issued;
-    const std::string& path = paths[zipf.Sample(rng)];
-    const TimePoint start = cluster.engine().Now();
-    loop.client->Open(path, cms::AccessMode::kRead, false,
-                      [&, start](const client::OpenOutcome& o) {
-                        if (o.err == proto::XrdErr::kNone) {
-                          result.latency.Record(cluster.engine().Now() - start);
-                          ++result.completed;
-                          loop.client->Close(o.file, [](proto::XrdErr) {});
-                        } else {
-                          ++result.errors;
-                        }
-                        issueNext(loop);
-                      });
-  };
-
-  for (auto& loop : loops) issueNext(loop);
-  cluster.engine().RunUntilPredicate(
-      [&] { return result.completed + result.errors >= totalOps; },
-      cluster.engine().Now() + std::chrono::hours(2));
-  result.simElapsed = cluster.engine().Now() - simStart;
-  result.wallSeconds = WallSecondsSince(wallStart);
-  return result;
+  std::vector<client::ScallaClient*> clients;
+  clients.reserve(nClients);
+  for (std::size_t i = 0; i < nClients; ++i) clients.push_back(&cluster.NewClient());
+  return RunClosedLoop(cluster, clients, paths, totalOps, zipfS, rng);
 }
 
 }  // namespace scalla::sim

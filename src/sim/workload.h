@@ -5,12 +5,14 @@
 // operations on dozens of files per job", thousands of transactions/s).
 #pragma once
 
+#include <chrono>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "obs/snapshot.h"
 #include "sim/cluster.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace scalla::sim {
 
@@ -21,7 +23,7 @@ std::vector<std::string> PopulateFiles(SimCluster& cluster, std::size_t nFiles,
                                        std::size_t fileSize = 0);
 
 struct WorkloadResult {
-  util::LatencyRecorder latency;  // client-observed open latency (virtual time)
+  obs::HistogramStat latency;  // client-observed open latency (virtual time)
   std::size_t completed = 0;
   std::size_t errors = 0;
   // Simulated time the workload spanned (engine clock delta) vs host time
@@ -40,13 +42,25 @@ WorkloadResult RunOpenStream(SimCluster& cluster, client::ScallaClient& client,
                              const std::vector<std::string>& paths, std::size_t nOps,
                              double zipfS, util::Rng& rng);
 
-/// Closed-loop load: `nClients` clients each keep one open outstanding
-/// (completing one immediately issues the next) until `totalOps` complete.
-/// This is how the "redirection time rises with a very low linear slope as
-/// load increases" claim (section II-B5) is measured: offered load scales
-/// with the client count.
+/// Closed-loop load: each of `clients` keeps one open outstanding (a
+/// completion closes the file and issues the next) until `totalOps` opens
+/// have finished. Each open draws a Zipf(zipfS) index over `paths`;
+/// `pick`, when set, is called once per open in issue order and maps that
+/// draw to the index to open (campaigns rotate it per client identity).
+WorkloadResult RunClosedLoop(SimCluster& cluster,
+                             const std::vector<client::ScallaClient*>& clients,
+                             const std::vector<std::string>& paths, std::size_t totalOps,
+                             double zipfS, util::Rng& rng,
+                             const std::function<std::size_t(std::size_t)>& pick = nullptr);
+
+/// RunClosedLoop over `nClients` new clients. This is how the "redirection
+/// time rises with a very low linear slope as load increases" claim
+/// (section II-B5) is measured: offered load scales with the client count.
 WorkloadResult RunClosedLoopLoad(SimCluster& cluster, std::size_t nClients,
                                  const std::vector<std::string>& paths,
                                  std::size_t totalOps, double zipfS, util::Rng& rng);
+
+/// Host seconds elapsed since `start`.
+double WallSecondsSince(std::chrono::steady_clock::time_point start);
 
 }  // namespace scalla::sim

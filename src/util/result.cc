@@ -10,6 +10,7 @@ const char* XrdErrName(proto::XrdErr err) {
     case proto::XrdErr::kExists: return "already exists";
     case proto::XrdErr::kInvalid: return "invalid argument";
     case proto::XrdErr::kNoSpace: return "no space";
+    case proto::XrdErr::kLoop: return "redirect loop";
     case proto::XrdErr::kStale: return "stale state";
   }
   return "unknown error";

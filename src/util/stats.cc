@@ -1,78 +1,8 @@
 #include "util/stats.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <limits>
 
 namespace scalla::util {
-
-LatencyRecorder::LatencyRecorder(std::size_t maxSamples) : maxSamples_(maxSamples) {
-  min_ = std::numeric_limits<std::int64_t>::max();
-  max_ = std::numeric_limits<std::int64_t>::min();
-}
-
-void LatencyRecorder::Record(Duration d) { RecordNanos(d.count()); }
-
-void LatencyRecorder::RecordNanos(std::int64_t ns) {
-  ++count_;
-  sum_ += static_cast<double>(ns);
-  min_ = std::min(min_, ns);
-  max_ = std::max(max_, ns);
-  if (samples_.size() < maxSamples_) samples_.push_back(ns);
-}
-
-double LatencyRecorder::MeanNanos() const {
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-std::int64_t LatencyRecorder::MinNanos() const { return count_ == 0 ? 0 : min_; }
-std::int64_t LatencyRecorder::MaxNanos() const { return count_ == 0 ? 0 : max_; }
-
-namespace {
-
-std::int64_t PickQuantile(const std::vector<std::int64_t>& sorted, double q) {
-  q = std::clamp(q, 0.0, 1.0);
-  const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[idx];
-}
-
-}  // namespace
-
-std::int64_t LatencyRecorder::PercentileNanos(double q) const {
-  if (samples_.empty()) return 0;
-  std::vector<std::int64_t> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  return PickQuantile(sorted, q);
-}
-
-std::vector<std::int64_t> LatencyRecorder::PercentilesNanos(
-    const std::vector<double>& qs) const {
-  std::vector<std::int64_t> out(qs.size(), 0);
-  if (samples_.empty()) return out;
-  std::vector<std::int64_t> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t i = 0; i < qs.size(); ++i) out[i] = PickQuantile(sorted, qs[i]);
-  return out;
-}
-
-void LatencyRecorder::Clear() {
-  samples_.clear();
-  count_ = 0;
-  sum_ = 0;
-  min_ = std::numeric_limits<std::int64_t>::max();
-  max_ = std::numeric_limits<std::int64_t>::min();
-}
-
-std::string LatencyRecorder::Summary() const {
-  const auto pcts = PercentilesNanos({0.5, 0.99});
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "n=%zu mean=%s p50=%s p99=%s max=%s", count_,
-                FormatNanos(MeanNanos()).c_str(),
-                FormatNanos(static_cast<double>(pcts[0])).c_str(),
-                FormatNanos(static_cast<double>(pcts[1])).c_str(),
-                FormatNanos(static_cast<double>(MaxNanos())).c_str());
-  return buf;
-}
 
 std::string FormatNanos(double ns) {
   char buf[48];

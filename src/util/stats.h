@@ -1,47 +1,10 @@
-// Latency/statistics recorders used by the benchmark harness and by node
-// instrumentation. LatencyRecorder keeps exact samples up to a cap (enough
-// for the bench scales here) and reports mean plus percentiles; Counter and
-// Gauge are trivial wrappers that make instrumented code self-describing.
+// Human-readable formatting of latencies. Distributions themselves live in
+// obs::Histogram (src/obs/metrics.h).
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
-
-#include "util/types.h"
 
 namespace scalla::util {
-
-class LatencyRecorder {
- public:
-  explicit LatencyRecorder(std::size_t maxSamples = 1 << 22);
-
-  void Record(Duration d);
-  void RecordNanos(std::int64_t ns);
-
-  std::size_t count() const { return count_; }
-  double MeanNanos() const;
-  std::int64_t MinNanos() const;
-  std::int64_t MaxNanos() const;
-  /// q in [0,1]; exact over retained samples (sorts a local copy, so the
-  /// method is genuinely const and safe to call from snapshot readers).
-  std::int64_t PercentileNanos(double q) const;
-  /// Batch variant: one sort for all quantiles. Out matches qs in order.
-  std::vector<std::int64_t> PercentilesNanos(const std::vector<double>& qs) const;
-
-  void Clear();
-
-  /// "n=1000 mean=41.2us p50=39us p99=80us max=120us"
-  std::string Summary() const;
-
- private:
-  std::vector<std::int64_t> samples_;
-  std::size_t maxSamples_;
-  std::size_t count_ = 0;
-  std::int64_t min_ = 0;
-  std::int64_t max_ = 0;
-  double sum_ = 0;
-};
 
 /// Formats nanoseconds with an adaptive unit ("312ns", "41.2us", "1.50s").
 std::string FormatNanos(double ns);

@@ -467,7 +467,7 @@ TEST(ClientFeaturesTest, StatRecoversFromAReplicaDeletedBehindTheHeadsBack) {
   EXPECT_EQ(cluster.head().SnapshotMetrics().Counter("node.refreshes"), 1u);
 }
 
-TEST(ClientFeaturesTest, OpenLatencyRecorderAccumulates) {
+TEST(ClientFeaturesTest, OpenLatencyHistogramAccumulates) {
   SimCluster cluster(FastSpec(2));
   cluster.Start();
   cluster.PlaceFile(0, "/store/f", "x");

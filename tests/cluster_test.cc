@@ -363,7 +363,7 @@ TEST(ClusterTest, WorkloadStreamCompletesWithoutErrors) {
   const auto result = RunOpenStream(cluster, client, paths, 500, 1.0, rng);
   EXPECT_EQ(result.errors, 0u);
   EXPECT_EQ(result.completed, 500u);
-  EXPECT_GT(result.latency.count(), 0u);
+  EXPECT_GT(result.latency.count, 0u);
 }
 
 TEST(ClusterTest, ClosedLoopLoadCompletes) {

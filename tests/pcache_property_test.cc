@@ -407,10 +407,14 @@ TEST_P(PcachePropertyTest, TieredCacheNeverServesStaleOrTornBytes) {
       ASSERT_EQ(cache.PendingTierOps(), 0u);  // inline mode never queues
       const auto stats = cache.GetTieredStats();
       ASSERT_EQ(stats.hits, stats.dramHits + stats.diskHits);
-      ASSERT_EQ(cache.GetStats().usedBytes, stats.dram.usedBytes + stats.diskUsedBytes);
-      ASSERT_EQ(cache.GetStats().blockCount,
-                stats.dram.blockCount + stats.diskBlockCount);
-      ASSERT_EQ(cache.UsedBytes(), cache.GetStats().usedBytes);
+      ASSERT_EQ(cache.UsedBytes(), stats.dram.usedBytes + stats.diskUsedBytes);
+      ASSERT_EQ(stats.dram.usedBytes, stats.dram.blockCount * cfg.dram.blockSize);
+      ASSERT_EQ(stats.diskUsedBytes, stats.diskBlockCount * cfg.dram.blockSize);
+      obs::MetricsSnapshot snap;
+      cache.ExportMetrics(snap);
+      ASSERT_EQ(snap.Gauge("pcache.used_bytes"), static_cast<std::int64_t>(cache.UsedBytes()));
+      ASSERT_EQ(snap.Gauge("pcache.blocks"),
+                static_cast<std::int64_t>(stats.dram.blockCount + stats.diskBlockCount));
       // Pinned blocks may hold a tier over its watermark target, but never
       // by more than the pinned bytes themselves.
       ASSERT_LE(stats.dram.usedBytes, cfg.dram.capacityBytes + pinnedBytes);
@@ -430,7 +434,8 @@ TEST_P(PcachePropertyTest, TieredCacheNeverServesStaleOrTornBytes) {
   }
   EXPECT_GT(cache.PurgeAll(), 0u);
   EXPECT_EQ(cache.UsedBytes(), 0u);
-  EXPECT_EQ(cache.GetStats().blockCount, 0u);
+  const auto drained = cache.GetTieredStats();
+  EXPECT_EQ(drained.dram.blockCount + drained.diskBlockCount, 0u);
   EXPECT_EQ(cache.PendingTierOps(), 0u);
 }
 
@@ -528,7 +533,8 @@ void HammerTierOps(bool asyncTierOps) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     EXPECT_EQ(cache.UsedBytes(), 0u);
-    EXPECT_EQ(cache.GetStats().blockCount, 0u);
+    const auto drained = cache.GetTieredStats();
+    EXPECT_EQ(drained.dram.blockCount + drained.diskBlockCount, 0u);
   }
   // The cache is gone; any task still queued on the executor must no-op
   // (weak-reference capture) instead of touching freed memory.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 
 #include "client/sync_client.h"
@@ -280,7 +281,51 @@ TEST(ProxySimTest, WarmHitsBypassClusterEntirely) {
     leafReadsAfterWarm += cluster.server(i).SnapshotMetrics().Counter("node.reads");
   }
   EXPECT_EQ(leafReadsAfterWarm, leafReadsAfterCold);
-  EXPECT_GT(cluster.proxy()->cache().GetStats().hits, 0u);
+  EXPECT_GT(cluster.proxy()->cache().GetTieredStats().hits, 0u);
+}
+
+// Operators, docs/API.md and perfbench (which reads pcache.hits, misses,
+// dram.hits, disk.hits, promotions, spills and origin_fetches) know the
+// proxy by these names: a rename or a dropped metric must be deliberate.
+TEST(ProxySimTest, ProxyExportsThePinnedPcacheMetricNames) {
+  sim::SimCluster cluster(ProxySpec());
+  cluster.Start();
+  cluster.PlaceFile(1, "/store/f", std::string(200, 'p'));
+  auto& c = cluster.NewProxyClient();
+  ASSERT_TRUE(cluster.ReadAll(c, "/store/f").ok());
+  ASSERT_TRUE(cluster.ReadAll(c, "/store/f").ok());
+
+  const obs::MetricsSnapshot snap = cluster.proxy()->SnapshotMetrics();
+  std::set<std::string> names;
+  const auto keep = [&names](const std::string& name) {
+    if (name.rfind("pcache.", 0) == 0) names.insert(name);
+  };
+  for (const auto& [name, _] : snap.counters) keep(name);
+  for (const auto& [name, _] : snap.gauges) keep(name);
+  for (const auto& [name, _] : snap.histograms) keep(name);
+  const std::set<std::string> pinned = {
+      "pcache.admits_disk", "pcache.admits_dram", "pcache.blocks",
+      "pcache.bytes_from_cache", "pcache.bytes_from_disk", "pcache.bytes_from_origin",
+      "pcache.coalesced", "pcache.disk.blocks", "pcache.disk.evictions",
+      "pcache.disk.hits", "pcache.disk.used_bytes", "pcache.disk.write_failures",
+      "pcache.dram.blocks", "pcache.dram.evictions", "pcache.dram.hits",
+      "pcache.dram.used_bytes", "pcache.dropped_spills", "pcache.evictions",
+      "pcache.files_tracked", "pcache.ghost_hits", "pcache.hits",
+      "pcache.inserts", "pcache.misses", "pcache.opens_local",
+      "pcache.origin_fetches", "pcache.origin_opens", "pcache.promotions",
+      "pcache.read_latency", "pcache.readaheads", "pcache.reads_local",
+      "pcache.reads_with_miss", "pcache.spills", "pcache.used_bytes"};
+  EXPECT_EQ(names, pinned);
+
+  // The cache's counters export its own stats, unrenamed.
+  const auto stats = cluster.proxy()->cache().GetTieredStats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_EQ(snap.Counter("pcache.hits"), stats.hits);
+  EXPECT_EQ(snap.Counter("pcache.misses"), stats.misses);
+  EXPECT_EQ(snap.Counter("pcache.dram.hits"), stats.dramHits);
+  EXPECT_EQ(snap.Gauge("pcache.blocks"),
+            static_cast<std::int64_t>(stats.dram.blockCount + stats.diskBlockCount));
+  EXPECT_GT(snap.Histogram("pcache.read_latency")->count, 0u);
 }
 
 TEST(ProxySimTest, WarmOpenSkipsResolver) {
@@ -630,7 +675,7 @@ TEST_F(ProxyTcpTest, ColdThenWarmReadsThroughProxy) {
   ASSERT_TRUE(warm.ok()) << warm.error().message;
   EXPECT_EQ(warm.value(), payload);
   EXPECT_EQ(cluster_->RunOn(at, originFetches), fetches);
-  EXPECT_GT(cluster_->RunOn(at, [&] { return proxy.cache().GetStats().hits; }), 0u);
+  EXPECT_GT(cluster_->RunOn(at, [&] { return proxy.cache().GetTieredStats().hits; }), 0u);
 }
 
 TEST_F(ProxyTcpTest, StatsThroughProxyReportPcacheCounters) {

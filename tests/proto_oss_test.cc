@@ -55,7 +55,7 @@ TEST(WireTest, CmsMessagesRoundTrip) {
 
   RoundTrip(proto::CmsNoHave{"/store/f", 9});
   RoundTrip(proto::CmsGone{"/store/f"});
-  EXPECT_EQ(RoundTrip(proto::CmsLoad{5, 123456789}).freeSpace, 123456789u);
+  EXPECT_EQ(RoundTrip(proto::CmsLoad{5, 123456789, ""}).freeSpace, 123456789u);
 }
 
 TEST(WireTest, XrdMessagesRoundTrip) {

@@ -56,8 +56,22 @@ struct Filler {
     v.resize(rng.NextBelow(4));
     for (auto& seg : v) Fill(seg);
   }
+  // Histograms must be valid to decode (HistogramStat::Valid): sparse
+  // buckets at increasing indices whose counts sum to `count`.
   void Fill(obs::HistogramStat& h) {
-    Fields(h.count, h.minNanos, h.maxNanos, h.meanNanos, h.p50Nanos, h.p99Nanos);
+    h = obs::HistogramStat{};
+    std::uint32_t index = static_cast<std::uint32_t>(rng.NextBelow(64));
+    for (std::uint64_t n = rng.NextBelow(4); n > 0 && index < obs::HistogramStat::kBuckets; --n) {
+      const std::uint64_t count = 1 + rng.NextBelow(1000);
+      h.buckets.emplace_back(index, count);
+      h.count += count;
+      index += 1 + static_cast<std::uint32_t>(rng.NextBelow(700));
+    }
+    Fill(h.sumNanos);
+    if (h.count > 0) {
+      h.minNanos = static_cast<std::int64_t>(rng.NextBelow(1u << 20));
+      h.maxNanos = h.minNanos + static_cast<std::int64_t>(rng.NextBelow(1u << 30));
+    }
   }
   void Fill(obs::MetricsSnapshot& s) {
     const auto table = [this](auto& entries) {

@@ -1,13 +1,16 @@
 // Unit tests for the util substrate: CRC32, Fibonacci sizing, ServerSet,
-// clocks, RNG/Zipf, config parsing, stats.
+// clocks, RNG/Zipf, config parsing, latency formatting and histograms,
+// error names.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "obs/metrics.h"
 #include "util/clock.h"
 #include "util/config.h"
 #include "util/crc32.h"
 #include "util/fibonacci.h"
+#include "util/result.h"
 #include "util/rng.h"
 #include "util/server_set.h"
 #include "util/stats.h"
@@ -269,22 +272,23 @@ TEST(ConfigTest, TypeMismatchYieldsNullopt) {
 
 // ---------------------------------------------------------------- Stats
 
-TEST(StatsTest, RecorderBasics) {
-  util::LatencyRecorder rec;
-  for (int i = 1; i <= 100; ++i) rec.RecordNanos(i * 1000);
-  EXPECT_EQ(rec.count(), 100u);
-  EXPECT_EQ(rec.MinNanos(), 1000);
-  EXPECT_EQ(rec.MaxNanos(), 100000);
-  EXPECT_NEAR(rec.MeanNanos(), 50500.0, 1.0);
-  EXPECT_NEAR(static_cast<double>(rec.PercentileNanos(0.5)), 50000.0, 2000.0);
-  EXPECT_NEAR(static_cast<double>(rec.PercentileNanos(0.99)), 99000.0, 2000.0);
+TEST(StatsTest, HistogramBasics) {
+  obs::Histogram h;
+  for (int i = 1; i <= 100; ++i) h.RecordNanos(i * 1000);
+  const obs::HistogramStat d = h.Digest();
+  EXPECT_EQ(h.count(), 100u);
+  EXPECT_EQ(d.minNanos, 1000);
+  EXPECT_EQ(d.maxNanos, 100000);
+  EXPECT_NEAR(h.MeanNanos(), 50500.0, 1.0);
+  EXPECT_NEAR(static_cast<double>(d.Percentile(0.5)), 50000.0, 2000.0);
+  EXPECT_NEAR(static_cast<double>(d.Percentile(0.99)), 99000.0, 2000.0);
 }
 
-TEST(StatsTest, EmptyRecorderSafe) {
-  util::LatencyRecorder rec;
-  EXPECT_EQ(rec.count(), 0u);
-  EXPECT_EQ(rec.MeanNanos(), 0.0);
-  EXPECT_EQ(rec.PercentileNanos(0.5), 0);
+TEST(StatsTest, EmptyHistogramSafe) {
+  obs::Histogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.MeanNanos(), 0.0);
+  EXPECT_EQ(h.Digest().Percentile(0.5), 0);
 }
 
 TEST(StatsTest, FormatNanosUnits) {
@@ -293,13 +297,16 @@ TEST(StatsTest, FormatNanosUnits) {
   EXPECT_EQ(util::FormatNanos(1.5e9), "1.50s");
 }
 
-TEST(StatsTest, ClearResets) {
-  util::LatencyRecorder rec;
-  rec.RecordNanos(5);
-  rec.Clear();
-  EXPECT_EQ(rec.count(), 0u);
-  rec.RecordNanos(7);
-  EXPECT_EQ(rec.MinNanos(), 7);
+// ----------------------------------------------------------- Error names
+
+TEST(ErrorNameTest, EveryXrdErrHasAName) {
+  EXPECT_STREQ(XrdErrName(proto::XrdErr::kLoop), "redirect loop");
+  for (const proto::XrdErr err :
+       {proto::XrdErr::kNone, proto::XrdErr::kNotFound, proto::XrdErr::kIo,
+        proto::XrdErr::kExists, proto::XrdErr::kInvalid, proto::XrdErr::kNoSpace,
+        proto::XrdErr::kLoop, proto::XrdErr::kStale}) {
+    EXPECT_STRNE(XrdErrName(err), "unknown error") << static_cast<int>(err);
+  }
 }
 
 }  // namespace
