@@ -29,6 +29,9 @@
 # its own CMake package over src/) into build-perfbench and runs each
 # workload for one second; a src/ API change that breaks it, or a run
 # whose result is not "correct", fails here instead of in the benchmark.
+# data_mix also runs once traced (--trace 1, about 11 s): that run wraps
+# every payload frame in perfbench's tracing fabric and sinks and prints
+# the per-layer table a performance change cites.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,17 +62,18 @@ python3 scripts/perf_ab.py --selftest
 
 echo
 echo "=== perfbench smoke: every workload builds, runs and reports correct ==="
-for workload in warm_open cold_open data_mix; do
+for run in "warm_open 0" "cold_open 0" "data_mix 0" "data_mix 1"; do
+  read -r workload trace <<< "$run"
   result=$(CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py --workload "$workload" \
-             --seed 1 --seconds 1 --trace 0 | tail -n 1) || {
-    echo "perfbench $workload: run failed"
+             --seed 1 --seconds 1 --trace "$trace" | tail -n 1) || {
+    echo "perfbench $workload --trace $trace: run failed"
     exit 1
   }
   if [[ "$result" != *'"correct": true'* ]]; then
-    echo "perfbench $workload: result not correct: $result"
+    echo "perfbench $workload --trace $trace: result not correct: $result"
     exit 1
   fi
-  echo "perfbench $workload: ok"
+  echo "perfbench $workload --trace $trace: ok"
 done
 
 echo
@@ -88,7 +92,7 @@ echo "=== build + test (threaded + liveness suites): tsan preset ==="
 cmake --preset tsan
 cmake --build --preset tsan -j
 ctest --test-dir build-tsan --output-on-failure -j 4 \
-  -R "pcache_test|pcache_property_test|tcp_cluster_test|tcp_federation_test|sched_test|tcp_fabric_test|fabric_reactor_test|heartbeat_test|conformance_test|federation_test|cms_cache_property_test|obs_test"
+  -R "pcache_test|pcache_property_test|pcache_alloc_test|tcp_cluster_test|tcp_federation_test|sched_test|tcp_fabric_test|fabric_reactor_test|heartbeat_test|conformance_test|federation_test|cms_cache_property_test|obs_test"
 # The heartbeat/drain/suspend story over real threads lives inside
 # chaos_test (tier2, TcpLivenessTest fixture) — run the whole suite.
 ctest --test-dir build-tsan --output-on-failure -R chaos_test

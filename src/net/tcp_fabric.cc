@@ -28,6 +28,34 @@ constexpr int kPoolLoops = 2;
 // Frames batched into one sendmsg; a full batch just means another pass.
 constexpr std::size_t kMaxWritevBatch = 64;
 
+// One frame on its way out: the header and every encoded field in `head`, a
+// pooled buffer, and the message's bulk data field, when it has one, in
+// `payload`, moved out of the message (proto::EncodeAppendSplit). The wire
+// carries head then payload; the payload is never copied into the head.
+struct Frame {
+  std::string head;
+  std::string payload;
+
+  std::size_t size() const { return head.size() + payload.size(); }
+};
+
+// Points `iov` at the bytes of `frame` from offset `sent` on, across both
+// buffers; returns how many entries (1 or 2) it filled.
+std::size_t FrameIov(const Frame& frame, std::size_t sent, iovec* iov) {
+  std::size_t n = 0;
+  if (sent < frame.head.size()) {
+    iov[n++] = {const_cast<char*>(frame.head.data()) + sent, frame.head.size() - sent};
+    sent = 0;
+  } else {
+    sent -= frame.head.size();
+  }
+  if (sent < frame.payload.size()) {
+    iov[n++] = {const_cast<char*>(frame.payload.data()) + sent,
+                frame.payload.size() - sent};
+  }
+  return n;
+}
+
 // Receive sizing: every recv offers at least 64 KiB of room, the loop
 // goes back to other connections after ~1 MiB (level-triggered epoll
 // re-reports leftovers), and an outsized rx buffer goes back to the
@@ -175,13 +203,13 @@ class TcpFabric::Conn final : public sched::EventHandler,
 
   // Any thread. Hands one encoded frame to the pair, in order behind
   // anything already queued. With `writeThrough` set, an idle connected
-  // pair has the calling thread send the frame itself; whatever the socket
-  // does not take (EAGAIN, the tail of a partial write, or the whole frame
-  // on an error, which resurfaces on the loop's next write) is queued with
-  // its offset for the loop. Returns the bytes this call wrote, -1 when the
-  // bounded queue is full and the frame was refused, or kRetired (the frame
-  // is left with the caller).
-  ssize_t Submit(std::string& frame, bool writeThrough) {
+  // pair has the calling thread send the frame itself, head and payload in
+  // one sendmsg; whatever the socket does not take (EAGAIN, the tail of a
+  // partial write, or the whole frame on an error, which resurfaces on the
+  // loop's next write) is queued with its offset for the loop. Returns the
+  // bytes this call wrote, -1 when the bounded queue is full and the frame
+  // was refused, or kRetired (the frame is left with the caller).
+  ssize_t Submit(Frame& frame, bool writeThrough) {
     ssize_t written = 0;
     bool queued = false;
     bool kick = false;
@@ -189,7 +217,11 @@ class TcpFabric::Conn final : public sched::EventHandler,
       std::lock_guard lock(qmu_);
       if (retired_) return kRetired;
       if (writeThrough && writable_ && queue_.empty()) {
-        const ssize_t n = ::send(fd_, frame.data(), frame.size(), MSG_NOSIGNAL);
+        iovec iov[2];
+        msghdr mh{};
+        mh.msg_iov = iov;
+        mh.msg_iovlen = FrameIov(frame, 0, iov);
+        const ssize_t n = ::sendmsg(fd_, &mh, MSG_NOSIGNAL);
         if (n > 0) {
           written = n;
           lastActivity_ = Now();
@@ -211,7 +243,7 @@ class TcpFabric::Conn final : public sched::EventHandler,
     if (kick) {
       loop_->Post([self = shared_from_this()] { self->OnKick(); });
     }
-    if (!queued) fabric_->pool_.Release(std::move(frame));
+    if (!queued) fabric_->pool_.Release(std::move(frame.head));
     return written;
   }
 
@@ -565,22 +597,19 @@ class TcpFabric::Conn final : public sched::EventHandler,
       } else {
         pacingActive_ = false;
       }
-      // Build a writev batch from the queue front. The references stay
-      // valid while unlocked: only this thread pops, and deque push_back
-      // does not invalidate references to existing elements. Senders do
-      // not write through while the queue is non-empty.
-      iovec iov[kMaxWritevBatch];
+      // Build a writev batch from the queue front, up to two iovecs per
+      // frame. The references stay valid while unlocked: only this thread
+      // pops, and deque push_back does not invalidate references to
+      // existing elements. Senders do not write through while the queue is
+      // non-empty.
+      iovec iov[2 * kMaxWritevBatch];
       std::size_t nIov = 0;
       {
         std::lock_guard lock(qmu_);
         const std::size_t limit =
             std::min(queue_.size(), delay > Duration::zero() ? 1 : kMaxWritevBatch);
         for (std::size_t i = 0; i < limit; ++i) {
-          const std::string& f = queue_[i];
-          const std::size_t off = i == 0 ? frontOffset_ : 0;
-          iov[nIov].iov_base = const_cast<char*>(f.data()) + off;
-          iov[nIov].iov_len = f.size() - off;
-          ++nIov;
+          nIov += FrameIov(queue_[i], i == 0 ? frontOffset_ : 0, iov + nIov);
         }
       }
       if (nIov == 0) {
@@ -609,12 +638,12 @@ class TcpFabric::Conn final : public sched::EventHandler,
         std::lock_guard lock(qmu_);
         lastActivity_ = now;
         while (consumed > 0 && !queue_.empty()) {
-          std::string& f = queue_.front();
+          Frame& f = queue_.front();
           const std::size_t remain = f.size() - frontOffset_;
           if (consumed >= remain) {
             consumed -= remain;
             frontOffset_ = 0;
-            fabric_->pool_.Release(std::move(f));
+            fabric_->pool_.Release(std::move(f.head));
             queue_.pop_front();
             ++completed;
           } else {
@@ -724,10 +753,11 @@ class TcpFabric::Conn final : public sched::EventHandler,
     fabric_->NotifyPeerDown(local_, peer_);
   }
 
-  // Returns the queued frames to the pool; returns how many there were.
+  // Returns the queued frames' heads to the pool; returns how many there
+  // were.
   std::size_t DropQueueLocked() {
     const std::size_t n = queue_.size();
-    for (auto& f : queue_) fabric_->pool_.Release(std::move(f));
+    for (auto& f : queue_) fabric_->pool_.Release(std::move(f.head));
     queue_.clear();
     return n;
   }
@@ -786,7 +816,7 @@ class TcpFabric::Conn final : public sched::EventHandler,
 
   // Shared by the loop and every sending thread, under qmu_.
   std::mutex qmu_;
-  std::deque<std::string> queue_;  // encoded frames (header + body)
+  std::deque<Frame> queue_;        // encoded frames (header + body)
   std::size_t frontOffset_ = 0;    // bytes of queue_.front() already sent
   bool kicked_ = false;            // a look at the queue is already scheduled
   bool writable_ = false;          // fd_ is connected: senders may write through
@@ -1074,14 +1104,15 @@ void TcpFabric::Send(NodeAddr from, NodeAddr to, proto::Message message) {
   }
 
   // Encode into a pooled buffer, header first, so the hot path reuses
-  // capacity instead of allocating per message.
-  std::string frame = pool_.Acquire();
-  frame.resize(kFrameHeader);
-  proto::EncodeAppend(message, frame);
+  // capacity instead of allocating per message. A bulk data field is not
+  // copied in: its string leaves the message as the frame's payload.
+  Frame frame{pool_.Acquire(), {}};
+  frame.head.resize(kFrameHeader);
+  proto::EncodeAppendSplit(message, frame.head, frame.payload);
   const std::size_t size = frame.size();
   const auto length = static_cast<std::uint32_t>(size - kFrameHeader);
-  std::memcpy(frame.data(), &length, 4);
-  std::memcpy(frame.data() + 4, &from, 4);
+  std::memcpy(frame.head.data(), &length, 4);
+  std::memcpy(frame.head.data() + 4, &from, 4);
 
   // The calling thread writes the frame itself unless an injected delay
   // must pace it, or the caller is an executor with more tasks queued: a

@@ -35,12 +35,20 @@
 // no delay is injected and the caller's loop has no backlog
 // (sched::CallerHasBacklog: queued tasks, undispatched ready events, or
 // another whole frame buffered behind the one being handled): a lone frame
-// then costs one send() and no loop wake-up. Everything else is queued for
+// then costs one sendmsg and no loop wake-up. Everything else is queued for
 // the owning loop, which drains a backlog with one writev (sendmsg) per
 // pass and owns connect, partial writes, deadlines, delay pacing and idle
 // reaping (by the dialing end). Receives read into a reusable buffer that
 // is never zero-filled, and frame buffers are pooled, so steady-state
 // traffic allocates nothing per message.
+//
+// Bulk bytes are not copied on the way out. A message whose last field is
+// bulk data (XrdReadResp, XrdWrite) is framed as header plus its other
+// fields in the pooled buffer, while its data string is moved out of the
+// message and written as the frame's second iovec, by the write-through
+// send and by the loop's batched sendmsg alike. The bytes on the wire are
+// the same as one buffer would carry, a partial write resumes across both
+// buffers, and every other frame is a head alone.
 //
 // Failure signalling is asynchronous: a failed connect (timer-based
 // deadline), an expired write-progress deadline, or a queue overflow

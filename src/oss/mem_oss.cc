@@ -40,9 +40,13 @@ Result<void> MemOss::Write(const std::string& path, std::uint64_t offset,
     if (capacity_ != 0 && TotalBytesLocked() + growth > capacity_) {
       return Result<void>::Err(proto::XrdErr::kNoSpace, "write '" + path + "': no space");
     }
-    f.data.resize(offset + data.size(), '\0');
+    // Zero-fill only the gap a write past EOF leaves; the write itself
+    // supplies every byte after it.
+    if (offset > f.data.size()) f.data.resize(static_cast<std::size_t>(offset), '\0');
   }
-  std::copy(data.begin(), data.end(), f.data.begin() + static_cast<std::ptrdiff_t>(offset));
+  // Overwrites what lies under the write and appends the rest, each byte once.
+  const auto at = static_cast<std::size_t>(offset);
+  f.data.replace(at, std::min(data.size(), f.data.size() - at), data);
   f.mtime = clock_.Now();
   return Result<void>::Ok();
 }

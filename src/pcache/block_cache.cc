@@ -271,7 +271,7 @@ bool SingleFlight::TryOwn(const std::string& path, std::uint64_t index) {
 }
 
 void SingleFlight::Complete(const std::string& path, std::uint64_t index,
-                            proto::XrdErr err, const std::string& data) {
+                            proto::XrdErr err, std::string data) {
   std::vector<Waiter> waiters;
   {
     std::lock_guard lock(mu_);
@@ -280,7 +280,8 @@ void SingleFlight::Complete(const std::string& path, std::uint64_t index,
     waiters = std::move(it->second);
     inflight_.erase(it);
   }
-  for (const Waiter& w : waiters) w(err, data);
+  for (std::size_t i = 0; i + 1 < waiters.size(); ++i) waiters[i](err, data);
+  if (!waiters.empty()) waiters.back()(err, std::move(data));
 }
 
 std::size_t SingleFlight::InFlight() const {

@@ -138,7 +138,7 @@ class BlockCache {
 /// to every queued waiter.
 class SingleFlight {
  public:
-  using Waiter = std::function<void(proto::XrdErr, const std::string&)>;
+  using Waiter = std::function<void(proto::XrdErr, std::string)>;
 
   /// Registers interest in (path, index). Returns true if the caller is
   /// now the fetch owner; false if a fetch is already in flight (the
@@ -149,9 +149,10 @@ class SingleFlight {
   /// without queueing a waiter. Returns false if a fetch is in flight.
   bool TryOwn(const std::string& path, std::uint64_t index);
 
-  /// Resolves the key, invoking all queued waiters (outside the lock).
+  /// Resolves the key, invoking all queued waiters (outside the lock). The
+  /// last waiter gets `data` itself; any before it get a copy.
   void Complete(const std::string& path, std::uint64_t index, proto::XrdErr err,
-                const std::string& data);
+                std::string data);
 
   /// How many Begin() calls piggybacked on an existing fetch.
   std::uint64_t Coalesced() const { return coalesced_.load(std::memory_order_relaxed); }

@@ -326,8 +326,8 @@ void ProxyCacheNode::GatherRange(const std::string& path, std::uint64_t offset,
     }
     missed = true;
     const bool owner = singleFlight_.Begin(
-        path, idx, [this, rangeId, idx](proto::XrdErr err, const std::string& data) {
-          OnBlockReady(rangeId, idx, err, data);
+        path, idx, [this, rangeId, idx](proto::XrdErr err, std::string data) {
+          OnBlockReady(rangeId, idx, err, std::move(data));
         });
     if (owner) StartFetch(path, idx, /*demand=*/true);
   }
@@ -336,12 +336,12 @@ void ProxyCacheNode::GatherRange(const std::string& path, std::uint64_t offset,
 }
 
 void ProxyCacheNode::OnBlockReady(std::uint64_t rangeId, std::uint64_t blockIdx,
-                                  proto::XrdErr err, const std::string& data) {
+                                  proto::XrdErr err, std::string data) {
   const auto it = ranges_.find(rangeId);
   if (it == ranges_.end()) return;
   PendingRange& range = it->second;
   if (err != proto::XrdErr::kNone && range.err == proto::XrdErr::kNone) range.err = err;
-  range.blocks[static_cast<std::size_t>(blockIdx - range.firstBlock)] = data;
+  range.blocks[static_cast<std::size_t>(blockIdx - range.firstBlock)] = std::move(data);
   if (--range.outstanding == 0) FinishRange(rangeId);
 }
 
@@ -353,6 +353,16 @@ void ProxyCacheNode::FinishRange(std::uint64_t rangeId) {
     return;
   }
   const std::uint32_t bs = cache_.BlockSize();
+  if (range.blocks.size() == 1 && range.offset == range.firstBlock * bs) {
+    // A range that starts a block and ends inside it (every block-aligned
+    // read of one block) is that block's prefix: reply with the block
+    // itself instead of copying it.
+    std::string& block = range.blocks.front();
+    block.resize(static_cast<std::size_t>(
+        std::min<std::uint64_t>(block.size(), range.end - range.offset)));
+    range.done(proto::XrdErr::kNone, std::move(block));
+    return;
+  }
   std::string out;
   out.reserve(static_cast<std::size_t>(range.end - range.offset));
   for (std::size_t i = 0; i < range.blocks.size(); ++i) {
@@ -409,15 +419,14 @@ void ProxyCacheNode::OnFetchDone(const std::string& path, std::uint64_t index,
   bytesFromOrigin_.Inc(data.size());
   const bool fullBlock = data.size() == bs;
   if (!fullBlock) LearnSize(path, index * bs + data.size());
-  if (!data.empty()) {
-    // Pin across Complete so the insert's own eviction sweep (and any
-    // insert a waiter triggers) cannot victimize this block first.
-    cache_.Insert(path, index, data, /*pinned=*/true);
-    singleFlight_.Complete(path, index, proto::XrdErr::kNone, data);
-    cache_.Unpin(path, index);
-  } else {
-    singleFlight_.Complete(path, index, proto::XrdErr::kNone, data);
-  }
+  // The cache gets the one copy of the fetched block; the waiting read
+  // gets the buffer itself. Pin across Complete so the insert's own
+  // eviction sweep (and any insert a waiter triggers) cannot victimize
+  // this block first.
+  const bool cached = !data.empty();
+  if (cached) cache_.Insert(path, index, data, /*pinned=*/true);
+  singleFlight_.Complete(path, index, proto::XrdErr::kNone, std::move(data));
+  if (cached) cache_.Unpin(path, index);
   if (demand && fullBlock && config_.readAhead > 0) {
     StartReadAhead(path, index + 1);
   }

@@ -129,7 +129,7 @@ class ProxyCacheNode : public net::MessageSink {
   void GatherRange(const std::string& path, std::uint64_t offset, std::uint32_t length,
                    std::function<void(proto::XrdErr, std::string)> done);
   void OnBlockReady(std::uint64_t rangeId, std::uint64_t blockIdx, proto::XrdErr err,
-                    const std::string& data);
+                    std::string data);
   void FinishRange(std::uint64_t rangeId);
   /// Fetch owner path: issues (or defers until origin-open) the one origin
   /// read for a block. demand=false marks read-ahead (no further cascade).

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 
 #include "proto/wire_fields.h"
 
@@ -228,6 +229,14 @@ std::optional<Message> DecodeIndex(std::size_t index, Reader& reader) {
   }
 }
 
+// The bulk data field `message` ends with, or null. Being the last field,
+// its u32 length is the last thing written before its bytes.
+std::string* TrailingBulk(Message& message) {
+  if (auto* m = std::get_if<XrdReadResp>(&message)) return &m->data;
+  if (auto* m = std::get_if<XrdWrite>(&message)) return &m->data;
+  return nullptr;
+}
+
 }  // namespace
 
 std::string Encode(const Message& message) {
@@ -248,6 +257,22 @@ void EncodeAppend(const Message& message, std::string& out) {
       },
       message);
   out.swap(writer.out);
+}
+
+void EncodeAppendSplit(Message& message, std::string& out, std::string& payload) {
+  payload.clear();
+  std::string* bulk = TrailingBulk(message);
+  if (bulk != nullptr) {
+    payload = std::move(*bulk);
+    bulk->clear();
+  }
+  EncodeAppend(message, out);  // the data field encodes as length 0
+  if (bulk == nullptr) return;
+  const auto length = static_cast<std::uint32_t>(payload.size());
+  char* tail = out.data() + out.size() - sizeof(length);
+  for (std::size_t i = 0; i < sizeof(length); ++i) {
+    tail[i] = static_cast<char>((length >> (8 * i)) & 0xFF);
+  }
 }
 
 std::optional<Message> Decode(std::string_view body) {

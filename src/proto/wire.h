@@ -23,6 +23,15 @@ std::string Encode(const Message& message);
 /// uses it to reuse frame buffers across messages.
 void EncodeAppend(const Message& message, std::string& out);
 
+/// EncodeAppend without copying bulk bytes. A message whose last field is
+/// bulk data (XrdReadResp::data, XrdWrite::data) has that string moved out
+/// into `payload`, and `out` gets every other byte of its encoding, ending
+/// with the data field's length: `out` followed by `payload` is exactly
+/// what EncodeAppend would have appended. Any other message is encoded
+/// whole into `out` and leaves `payload` empty. The TCP send path writes
+/// the two buffers as one frame of two iovecs.
+void EncodeAppendSplit(Message& message, std::string& out, std::string& payload);
+
 /// Parses a frame body produced by Encode. std::nullopt on malformed input
 /// (truncation, unknown type, oversized string).
 std::optional<Message> Decode(std::string_view body);

@@ -40,20 +40,30 @@ namespace {
 
 using namespace std::chrono_literals;
 
-// Checks per-pair order: every XrdClose and XrdWrite carries the next
-// sequence number in its reqId, starting from 0.
+// Checks per-pair order: every XrdClose, XrdWrite and XrdReadResp carries
+// the next sequence number in its reqId, starting from 0. XrdReadResp data
+// is checked the way CountingSink checks XrdWrite data (tests fill it
+// with 'r').
 struct SequenceSink : CountingSink {
   std::uint64_t nextSeq = 0;
   bool inOrder = true;
+  std::uint64_t readBytes = 0;  // total XrdReadResp data received
+  bool readIntact = true;       // every XrdReadResp data byte was 'r'
 
   void OnMessage(net::NodeAddr from, proto::Message message) override {
     std::uint64_t seq = 0;
     if (const auto* close = std::get_if<proto::XrdClose>(&message)) seq = close->reqId;
     if (const auto* write = std::get_if<proto::XrdWrite>(&message)) seq = write->reqId;
+    const auto* read = std::get_if<proto::XrdReadResp>(&message);
+    if (read != nullptr) seq = read->reqId;
     {
       std::lock_guard lock(mu);
       if (seq != nextSeq) inOrder = false;
       nextSeq = seq + 1;
+      if (read != nullptr) {
+        readBytes += read->data.size();
+        if (read->data.find_first_not_of('r') != std::string::npos) readIntact = false;
+      }
     }
     CountingSink::OnMessage(from, std::move(message));
   }
@@ -70,6 +80,19 @@ proto::XrdWrite BigWrite(std::uint64_t seq, std::size_t bytes) {
   big.reqId = seq;
   big.data.assign(bytes, 'w');
   return big;
+}
+
+proto::XrdReadResp BigReadResp(std::uint64_t seq, std::size_t bytes) {
+  proto::XrdReadResp resp;
+  resp.reqId = seq;
+  resp.data.assign(bytes, 'r');
+  return resp;
+}
+
+// What a frame of `message` costs on the wire: the 8-byte header and the
+// message's one-buffer encoding, however the sender splits it.
+std::uint64_t WireBytes(const proto::Message& message) {
+  return 8 + proto::Encode(message).size();
 }
 
 // Sends `message` and waits until the frame has left the pair's queue, so
@@ -388,6 +411,223 @@ TEST(FabricReactorTest, PerPeerCountersAttributeTraffic) {
   EXPECT_GT(from1.bytesReceived, 0u);
   // An address nobody talked to reads all-zero.
   EXPECT_EQ(fabric.PerPeerCounters(77).framesSent, 0u);
+}
+
+// ---- frames with a bulk payload (XrdReadResp, XrdWrite) ----
+// The sender writes such a frame as two iovecs, its fields then its data;
+// these tests pin that the receiver cannot tell.
+
+// 64 KiB payload frames interleaved with small frames on one pair arrive
+// whole and in order, both when this thread writes each frame through to
+// the idle pair and when a backlogged executor leaves them to the loop's
+// batched sendmsg. The counters charge each frame its one-buffer size.
+TEST(FabricReactorTest, PayloadFramesInterleaveInOrderOnBothSendPaths) {
+  const auto base = NextBasePort(PortBand::kFabricReactor);
+  CountingSink a;
+  SequenceSink b;
+  sched::ThreadExecutor txExec;  // a sender with a backlog; outlives the fabric
+  net::TcpFabric fabric(base);
+  ASSERT_TRUE(fabric.Register(1, &a, nullptr));
+  ASSERT_TRUE(fabric.Register(2, &b, nullptr));
+
+  constexpr std::size_t k64K = 64 * 1024;
+  const auto frameOf = [](std::uint64_t seq) -> proto::Message {
+    switch (seq % 3) {
+      case 0:
+        return BigReadResp(seq, k64K);
+      case 1:
+        return Sequenced(seq);
+      default:
+        return BigWrite(seq, k64K);
+    }
+  };
+  std::uint64_t seq = 0;
+  std::uint64_t wireBytes = 0;
+  const auto send = [&](std::uint64_t s) { fabric.Send(1, 2, frameOf(s)); };
+
+  // Write-through: every frame finds the pair idle.
+  for (int i = 0; i < 30; ++i) {
+    wireBytes += WireBytes(frameOf(seq));
+    send(seq++);
+    ASSERT_TRUE(WaitFor([&] { return fabric.PerPeerCounters(2).framesSent == seq; }));
+  }
+
+  // Backlogged: each task runs with more tasks queued behind it, so its
+  // frames queue for the loop.
+  constexpr int kTasks = 10;
+  constexpr int kPerTask = 9;
+  std::promise<void> release;
+  std::atomic<int> backlogged{0};
+  txExec.Post([released = release.get_future().share()] { released.wait(); });
+  for (int t = 0; t < kTasks; ++t) {
+    const std::uint64_t first = seq + static_cast<std::uint64_t>(t * kPerTask);
+    txExec.Post([&, first] {
+      backlogged += sched::CallerHasBacklog();
+      for (int i = 0; i < kPerTask; ++i) send(first + static_cast<std::uint64_t>(i));
+    });
+  }
+  for (int i = 0; i < kTasks * kPerTask; ++i) wireBytes += WireBytes(frameOf(seq++));
+  release.set_value();
+
+  ASSERT_TRUE(b.WaitMessages(static_cast<int>(seq), 30s));
+  EXPECT_TRUE(b.InOrder());
+  EXPECT_TRUE(b.payloadIntact);
+  EXPECT_TRUE(b.readIntact);
+  EXPECT_EQ(b.payloadBytes, (seq / 3) * k64K);       // seq % 3 == 2
+  EXPECT_EQ(b.readBytes, ((seq + 2) / 3) * k64K);    // seq % 3 == 0
+  EXPECT_GT(backlogged.load(), 0);
+  ASSERT_TRUE(WaitFor([&] { return fabric.PerPeerCounters(2).framesSent == seq; }));
+  const auto toB = fabric.PerPeerCounters(2);
+  EXPECT_EQ(toB.bytesSent, wireBytes);
+  EXPECT_EQ(fabric.PerPeerCounters(1).bytesReceived, wireBytes);
+  EXPECT_EQ(toB.messagesDropped, 0u);
+  EXPECT_EQ(toB.reconnects, 0u);
+}
+
+// A 4 KiB send buffer makes the kernel take about one segment per write,
+// so writes stop part-way through frames and resume from an offset.
+// First, 64 KiB payloads among tiny payload frames and small frames: writes
+// stop inside the data. Then passes of two payload frames queued together,
+// `lead` bytes of data and then one byte behind 37 bytes of header and
+// fields, with `lead` stepping by 7: wherever in that range the kernel cuts
+// a write that starts at a frame boundary, some pass cuts it inside the
+// second frame's fields. (On loopback with a 64 KiB MTU a write takes
+// 65483 bytes.)
+TEST(FabricReactorTest, PayloadFramesSurvivePartialWritesAnywhere) {
+  const auto base = NextBasePort(PortBand::kFabricReactor);
+  net::FabricOptions cfg;
+  cfg.sendBufferBytes = 4096;
+  CountingSink a;
+  SequenceSink b;
+  sched::ThreadExecutor txExec;  // hosts the sender; outlives the fabric
+  net::TcpFabric fabric(base, cfg);
+  ASSERT_TRUE(fabric.Register(1, &a, &txExec));
+  ASSERT_TRUE(fabric.Register(2, &b, nullptr));
+
+  std::uint64_t seq = 0;
+  std::uint64_t writeBytes = 0;
+  std::uint64_t readBytes = 0;
+  std::uint64_t wireBytes = 0;
+  const auto account = [&](const proto::Message& m) {
+    wireBytes += WireBytes(m);
+    if (const auto* w = std::get_if<proto::XrdWrite>(&m)) writeBytes += w->data.size();
+    if (const auto* r = std::get_if<proto::XrdReadResp>(&m)) readBytes += r->data.size();
+  };
+  for (int round = 0; round < 300; ++round) {
+    const std::size_t tiny = 1 + static_cast<std::size_t>(round % 3);
+    const std::size_t big = 64 * 1024 + static_cast<std::size_t>(round % 7);
+    std::vector<proto::Message> frames;
+    frames.emplace_back(BigWrite(seq++, tiny));
+    frames.emplace_back(BigReadResp(seq++, tiny));
+    frames.emplace_back(Sequenced(seq++));
+    if (round % 10 == 0) {
+      frames.emplace_back(BigReadResp(seq++, big));
+      frames.emplace_back(BigWrite(seq++, big));
+    }
+    for (auto& m : frames) {
+      account(m);
+      fabric.Send(1, 2, std::move(m));
+    }
+  }
+  ASSERT_TRUE(WaitFor([&] { return fabric.PerPeerCounters(2).framesSent == seq; }, 30s));
+
+  for (std::size_t lead = 65300; lead < 65560; lead += 7) {
+    const std::uint64_t first = seq;
+    seq += 2;
+    proto::Message leading = BigReadResp(first, lead);
+    proto::Message behind = BigWrite(first + 1, 1);
+    account(leading);
+    account(behind);
+    // The sender's own loop, with a task queued behind this one, leaves
+    // both frames to one drain pass: its write starts at a frame boundary.
+    txExec.Post([&fabric, &txExec, leading = std::move(leading),
+                 behind = std::move(behind)]() mutable {
+      txExec.Post([] {});
+      fabric.Send(1, 2, std::move(leading));
+      fabric.Send(1, 2, std::move(behind));
+    });
+    ASSERT_TRUE(WaitFor([&] { return fabric.PerPeerCounters(2).framesSent == seq; }));
+  }
+
+  ASSERT_TRUE(b.WaitMessages(static_cast<int>(seq), 30s));
+  EXPECT_TRUE(b.InOrder());
+  EXPECT_TRUE(b.payloadIntact);
+  EXPECT_TRUE(b.readIntact);
+  EXPECT_EQ(b.payloadBytes, writeBytes);
+  EXPECT_EQ(b.readBytes, readBytes);
+  EXPECT_EQ(fabric.PerPeerCounters(2).bytesSent, wireBytes);
+  const auto c = fabric.GetCounters();
+  EXPECT_EQ(c.framesReceived, seq);
+  EXPECT_EQ(c.messagesDropped, 0u);
+  EXPECT_EQ(c.reconnects, 0u);
+}
+
+// The torn-frame rule for a payload frame: a drop injected while the
+// frame is half written loses it and closes the socket, so the receiver
+// never parses the spliced stream, and the next frame reconnects.
+TEST(FabricReactorTest, DropMidPayloadFrameClosesAndNextFrameReconnects) {
+  const auto base = NextBasePort(PortBand::kFabricReactor);
+  struct GatedSink : CountingSink {
+    std::promise<void> gate;
+    std::shared_future<void> open = gate.get_future().share();
+    bool opened = false;  // test thread only
+    void Open() {
+      if (!opened) gate.set_value();
+      opened = true;
+    }
+    void OnMessage(net::NodeAddr from, proto::Message message) override {
+      if (Messages() == 0) open.wait();  // the first frame holds the loop
+      CountingSink::OnMessage(from, std::move(message));
+    }
+  };
+  net::FabricOptions cfg;
+  cfg.sendBufferBytes = 4096;
+  sched::ThreadExecutor rxExec;
+  GatedSink rx;
+  CountingSink tx;
+  net::TcpFabric fabric(base, cfg);
+  // Declared after the fabric, so it runs first on every exit: a failed
+  // assertion must not leave rxExec blocked for ~TcpFabric to wait on.
+  struct OpenOnExit {
+    GatedSink& sink;
+    ~OpenOnExit() { sink.Open(); }
+  } openOnExit{rx};
+  ASSERT_TRUE(fabric.Register(1, &tx, nullptr));
+  ASSERT_TRUE(fabric.Register(2, &rx, &rxExec));
+
+  fabric.Send(1, 2, SmallMessage());  // the receiver stops reading on it
+  ASSERT_TRUE(WaitFor([&] { return fabric.PerPeerCounters(2).framesSent == 1; }));
+  // 4 MiB cannot fit the kernel buffers of a receiver that is not reading:
+  // the frame stalls part-way through its data.
+  fabric.Send(1, 2, BigWrite(1, 4 << 20));
+  std::uint64_t sent = 0;
+  ASSERT_TRUE(WaitFor([&] {
+    const std::uint64_t now = fabric.PerPeerCounters(2).bytesSent;
+    const bool still = now == sent;
+    sent = now;
+    std::this_thread::sleep_for(20ms);
+    return still && now > WireBytes(SmallMessage());
+  }));
+  EXPECT_EQ(fabric.PerPeerCounters(2).framesSent, 1u);
+  EXPECT_EQ(fabric.ActiveOutboundConnections(), 1u);
+
+  // Drop the pair, then let the receiver drain: the sender's next write
+  // pass finds the fault with the frame torn and closes the socket.
+  fabric.SetDrop(1, 2, true);
+  rx.Open();
+  ASSERT_TRUE(WaitFor([&] { return fabric.ActiveOutboundConnections() == 0; }));
+  EXPECT_EQ(fabric.PerPeerCounters(2).messagesDropped, 1u);
+
+  fabric.SetDrop(1, 2, false);
+  fabric.Send(1, 2, SmallMessage());
+  ASSERT_TRUE(rx.WaitMessages(2));
+  EXPECT_EQ(rx.payloadBytes, 0u);  // no part of the torn frame was delivered
+  // The loop counts a drained frame once its sendmsg returns, which can be
+  // after the receiver has handled it.
+  ASSERT_TRUE(WaitFor([&] { return fabric.PerPeerCounters(2).framesSent == 2; }));
+  EXPECT_EQ(fabric.PerPeerCounters(2).reconnects, 1u);
+  EXPECT_EQ(tx.PeerDowns(), 0);
+  EXPECT_EQ(rx.PeerDowns(), 0);
 }
 
 // ---- the uniform FaultInjector contract ----

@@ -204,6 +204,24 @@ TEST(MemOssTest, SparseWriteZeroFills) {
   EXPECT_EQ(data.value(), std::string("\0\0\0\0x", 5));
 }
 
+// A write that straddles EOF overwrites the bytes under it and appends
+// the rest; a later write past EOF zero-fills only the gap it leaves.
+TEST(MemOssTest, WriteOverlappingEofOverwritesThenAppends) {
+  util::ManualClock clock;
+  oss::MemOss fs(clock);
+  (void)fs.Create("/f");
+  ASSERT_TRUE(fs.Write("/f", 0, "abcdef").ok());
+  ASSERT_TRUE(fs.Write("/f", 4, "XYZW").ok());  // two bytes over, two past EOF
+  EXPECT_EQ(fs.Read("/f", 0, 100).value(), "abcdXYZW");
+  ASSERT_TRUE(fs.Write("/f", 1, "q").ok());     // inside: the size holds
+  ASSERT_TRUE(fs.Write("/f", 8, "!").ok());     // exactly at EOF
+  EXPECT_EQ(fs.Read("/f", 0, 100).value(), "aqcdXYZW!");
+  ASSERT_TRUE(fs.Write("/f", 11, "e").ok());    // two-byte gap
+  EXPECT_EQ(fs.Read("/f", 0, 100).value(), std::string("aqcdXYZW!\0\0e", 12));
+  EXPECT_EQ(fs.Stat("/f")->size, 12u);
+  EXPECT_EQ(fs.TotalBytes(), 12u);
+}
+
 TEST(MemOssTest, ListByPrefix) {
   util::ManualClock clock;
   oss::MemOss fs(clock);

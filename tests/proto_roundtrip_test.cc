@@ -3,7 +3,9 @@
 // visitor, so new fields are picked up automatically), encoded, decoded,
 // and re-encoded byte-exactly. Truncating the frame at EVERY split point
 // must be rejected, as must trailing garbage — the decoder's contract is
-// "whole frame or nothing" (Reader::ok() demands full consumption).
+// "whole frame or nothing" (Reader::ok() demands full consumption). The
+// split encoding the TCP send path uses (fields, then a moved-out bulk
+// field) must equal the one-buffer encoding for every alternative too.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -97,6 +99,39 @@ struct Filler {
   }
 };
 
+// EncodeAppendSplit appends to what `fields` already holds and moves a
+// trailing bulk field out whole: the appended fields followed by the
+// payload are Encode(message) byte for byte and decode back field for
+// field. Only XrdReadResp and XrdWrite give up a payload, and theirs is
+// the message's own buffer, not a copy.
+void ExpectSplitMatchesEncode(const Message& message) {
+  const std::string whole = Encode(message);
+  Message moved = message;
+  std::string* data = nullptr;
+  if (auto* m = std::get_if<XrdReadResp>(&moved)) data = &m->data;
+  if (auto* m = std::get_if<XrdWrite>(&moved)) data = &m->data;
+  const std::size_t dataBytes = data != nullptr ? data->size() : 0;
+  const char* buffer = data != nullptr ? data->data() : nullptr;
+
+  std::string fields = "header";
+  std::string payload = "stale";
+  EncodeAppendSplit(moved, fields, payload);
+  ASSERT_EQ(fields.substr(0, 6), "header");
+  const std::string joined = fields.substr(6) + payload;
+  EXPECT_EQ(joined, whole);
+  EXPECT_EQ(payload.size(), dataBytes);
+  if (data != nullptr) {
+    EXPECT_TRUE(data->empty());
+    if (dataBytes > 64) {
+      EXPECT_EQ(payload.data(), buffer);  // moved, not copied
+    }
+  }
+  const auto decoded = Decode(joined);
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->index(), message.index());
+  EXPECT_EQ(Encode(*decoded), whole);
+}
+
 template <std::size_t I>
 void RoundTripAlternative(util::Rng& rng) {
   using M = std::variant_alternative_t<I, Message>;
@@ -124,6 +159,8 @@ void RoundTripAlternative(util::Rng& rng) {
     }
     // So must trailing garbage: full consumption is part of validity.
     ASSERT_FALSE(Decode(bytes + '\0').has_value());
+
+    ExpectSplitMatchesEncode(msg);
   }
 }
 
@@ -137,6 +174,26 @@ TEST(ProtoRoundTripTest, EveryAlternativeSeededRoundTrip) {
   // hunting a suspected encoding bug.
   util::Rng rng(0xB17E5EEDULL);
   RoundTripAll(rng, std::make_index_sequence<std::variant_size_v<Message>>{});
+}
+
+TEST(ProtoRoundTripTest, SplitEncodingOfEmptyOneByteAndOneMiBData) {
+  util::Rng rng(0xDA7AULL);
+  for (const std::size_t bytes : {std::size_t{0}, std::size_t{1}, std::size_t{1} << 20}) {
+    SCOPED_TRACE("data bytes " + std::to_string(bytes));
+    std::string data(bytes, '\0');
+    for (char& c : data) c = static_cast<char>(rng.Next());
+    XrdReadResp resp;
+    resp.reqId = rng.Next();
+    resp.err = XrdErr::kIo;
+    resp.data = data;
+    ExpectSplitMatchesEncode(resp);
+    XrdWrite write;
+    write.reqId = rng.Next();
+    write.fileHandle = rng.Next();
+    write.offset = rng.Next();
+    write.data = data;
+    ExpectSplitMatchesEncode(write);
+  }
 }
 
 TEST(ProtoRoundTripTest, RejectsUnknownTypeAndEmptyFrame) {
