@@ -3,7 +3,7 @@
 // (meta -> cluster head -> data server) adds one cached tree level per
 // open, so warm latency should stay flat as clusters are added — the
 // meta resolves the owning cluster from its name cache in O(1) — while
-// cold opens pay one extra FedQuery round trip.
+// cold opens pay one extra CmsQuery round trip, the meta's.
 //
 // Output: a human table plus one JSON line (machine-scrapable) with
 // per-shape warm/cold means and the meta's cache hit rate.

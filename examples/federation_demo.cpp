@@ -17,7 +17,8 @@
 using namespace scalla;
 
 int main() {
-  // 1. Two clusters x 3 data servers, subscribed to one meta-manager.
+  // 1. Two clusters x 3 data servers, their heads logged into one
+  //    meta-manager.
   //    Cluster 1 is "farther" (locality 2), so when both clusters hold a
   //    replica the meta prefers cluster 0.
   sim::FederationSpec spec;
@@ -32,10 +33,11 @@ int main() {
   fed.PlaceFile(0, 0, "/store/west.root", "data in cluster 0");
   fed.PlaceFile(1, 2, "/store/east.root", "data in cluster 1");
   fed.Start();
-  std::printf("federation up: %zu clusters behind the meta (heads subscribed: %s, %s)\n",
+  const net::NodeAddr metaAddr = fed.meta().config().addr;
+  std::printf("federation up: %zu clusters behind the meta (heads logged in: %s, %s)\n",
               fed.ClusterCount(),
-              fed.cluster(0).head().FedSubscribed() ? "yes" : "no",
-              fed.cluster(1).head().FedSubscribed() ? "yes" : "no");
+              fed.cluster(0).head().LoggedInTo(metaAddr) ? "yes" : "no",
+              fed.cluster(1).head().LoggedInTo(metaAddr) ? "yes" : "no");
 
   // 2. One client, one address — the meta's. It can reach both files.
   client::ScallaClient& client = fed.NewClient();
@@ -54,9 +56,9 @@ int main() {
   std::printf("create /store/new.root through the meta: %s\n",
               put ? "ok" : put.error().message.c_str());
 
-  // 4. The meta's own view: subscriptions, cached locations, redirects.
+  // 4. The meta's own view: head logins, cached locations, redirects.
   const auto snap = fed.meta().SnapshotMetrics();
-  std::printf("meta: %llu subscribes, %llu locates, %llu redirects, "
+  std::printf("meta: %llu head logins, %llu locates, %llu redirects, "
               "cache hit rate %.0f%%\n",
               static_cast<unsigned long long>(snap.Counter("fed.subscribes")),
               static_cast<unsigned long long>(snap.Counter("fed.locates")),

@@ -32,6 +32,11 @@
 # data_mix also runs once traced (--trace 1, about 11 s): that run wraps
 # every payload frame in perfbench's tracing fabric and sinks and prints
 # the per-layer table a performance change cites.
+#
+# The last stage starts three TSan-built scalla_daemon processes (a
+# meta-manager, a manager logged into it, a server under the manager) and
+# drives them with scalla_cli (scripts/fed_smoke.sh): the only end-to-end
+# run of all.role meta, fed.meta, the daemon and the CLI together.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -96,6 +101,10 @@ ctest --test-dir build-tsan --output-on-failure -j 4 \
 # The heartbeat/drain/suspend story over real threads lives inside
 # chaos_test (tier2, TcpLivenessTest fixture) — run the whole suite.
 ctest --test-dir build-tsan --output-on-failure -R chaos_test
+
+echo
+echo "=== federation smoke: meta, manager and server daemons (tsan build) ==="
+./scripts/fed_smoke.sh build-tsan/tools
 
 echo
 echo "verify: all suites passed"

@@ -181,7 +181,8 @@ void HeadCore::HeartbeatTick() {
 
 void HeadCore::SendQueryDown(ServerSet targets, const std::string& path,
                              std::uint32_t hash, AccessMode mode) {
-  const proto::Message query = wiring_.queryFrame(path, hash, mode);
+  const proto::Message query = proto::CmsQuery{
+      path, hash, mode == AccessMode::kRead ? std::uint8_t{0} : std::uint8_t{1}};
   for (ServerSlot s = targets.first(); s >= 0; s = targets.next(s)) {
     const net::NodeAddr addr = slotAddr_[s];
     if (addr != 0) fabric_.Send(addr_, addr, query);

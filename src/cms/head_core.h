@@ -1,8 +1,8 @@
 // The core of every node that fronts a set of subordinates: a manager or
 // supervisor (xrd::ScallaNode) over its servers, and the meta-manager
 // (fed::MetaManager) over cluster heads. The paper's tree composes
-// (section II-B): each level runs the same subscribe -> locate ->
-// redirect machinery, so one object owns the six cms components, the
+// (section II-B): each level runs the same login -> query -> have ->
+// redirect exchange, so one object owns the six cms components, the
 // slot <-> address maps, query fan-out, the heartbeat, the create-target
 // choice and the locate -> answer step. What differs between the levels
 // is fixed at construction (HeadCore::Wiring), never decided by asking
@@ -34,14 +34,10 @@ namespace scalla::cms {
 
 class HeadCore {
  public:
-  /// The four differences between a cluster head and the meta-manager.
+  /// The three differences between a cluster head and the meta-manager.
   struct Wiring {
     /// Prefix of the head's own counters ("node." or "fed.").
     std::string counterPrefix;
-    /// Builds the downward "do you have <path>?" frame: CmsQuery below a
-    /// cluster head, FedQuery below the meta-manager.
-    proto::Message (*queryFrame)(const std::string& path, std::uint32_t hash,
-                                 AccessMode mode) = nullptr;
     /// Load credited to a subordinate whose pong carries `load`: raw for
     /// servers, locality-weighted for clusters.
     std::function<std::uint32_t(ServerSlot, std::uint32_t load)> pongLoad;

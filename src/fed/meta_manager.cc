@@ -5,16 +5,6 @@
 
 namespace scalla::fed {
 
-namespace {
-
-proto::Message FedQueryFrame(const std::string& path, std::uint32_t hash,
-                             cms::AccessMode mode) {
-  return proto::FedQuery{path, hash,
-                         mode == cms::AccessMode::kRead ? std::uint8_t{0} : std::uint8_t{1}};
-}
-
-}  // namespace
-
 MetaManager::FedMetrics::FedMetrics(obs::MetricsRegistry& r)
     : subscribes(r.GetCounter("fed.subscribes")),
       locates(r.GetCounter("fed.locates")),
@@ -30,7 +20,7 @@ MetaManager::MetaManager(MetaConfig config, sched::Executor& executor,
       fabric_(fabric),
       core_(config_.cms, config_.selection, config_.name, config_.addr, executor, fabric,
             metrics_,
-            {"fed.", &FedQueryFrame,
+            {"fed.",
              // Piggybacked head load, weighted by the cluster's locality,
              // keeps the cross-cluster replica preference fresh.
              [this](ServerSlot cluster, std::uint32_t load) {
@@ -78,11 +68,11 @@ void MetaManager::OnMessage(net::NodeAddr from, proto::Message message) {
   std::visit(
       [this, from](auto&& m) {
         using M = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<M, proto::FedSubscribe>) {
-          HandleSubscribe(from, m);
-        } else if constexpr (std::is_same_v<M, proto::FedHave>) {
+        if constexpr (std::is_same_v<M, proto::CmsLogin>) {
+          HandleLogin(from, m);
+        } else if constexpr (std::is_same_v<M, proto::CmsHave>) {
           core_.OnHave(from, m.path, m.hash, m.pending, m.allowWrite);
-        } else if constexpr (std::is_same_v<M, proto::FedGone>) {
+        } else if constexpr (std::is_same_v<M, proto::CmsGone>) {
           core_.OnGone(from, m.path);
         } else if constexpr (std::is_same_v<M, proto::FedLocate>) {
           fm_.locates.Inc();
@@ -117,7 +107,7 @@ void MetaManager::OnMessage(net::NodeAddr from, proto::Message message) {
           core_.OnPong(from, m);
         } else if constexpr (std::is_same_v<M, proto::CmsDrain>) {
           // Operator drain by cluster name: takes a whole cluster out of
-          // federation selection while it stays subscribed.
+          // federation selection while it stays logged in.
           proto::CmsDrainResp resp;
           resp.reqId = m.reqId;
           const auto slot = core_.membership().SlotOf(m.server);
@@ -147,9 +137,9 @@ void MetaManager::OnMessage(net::NodeAddr from, proto::Message message) {
       std::move(message));
 }
 
-void MetaManager::HandleSubscribe(net::NodeAddr from, const proto::FedSubscribe& m) {
-  proto::FedSubscribeResp resp;
-  const auto result = core_.Admit(from, m.cluster, m.exports, m.allowWrite,
+void MetaManager::HandleLogin(net::NodeAddr from, const proto::CmsLogin& m) {
+  proto::CmsLoginResp resp;
+  const auto result = core_.Admit(from, m.name, m.exports, m.allowWrite,
                                   /*isSupervisor=*/false);
   if (!result.has_value()) {
     // 64 clusters per meta; federations grow by stacking metas, which is
@@ -164,7 +154,7 @@ void MetaManager::HandleSubscribe(net::NodeAddr from, const proto::FedSubscribe&
                                 std::uint64_t{1} << 40);
   fm_.subscribes.Inc();
   resp.ok = true;
-  resp.clusterId = result->slot;
+  resp.slot = result->slot;
   fabric_.Send(config_.addr, from, std::move(resp));
 }
 

@@ -1,20 +1,22 @@
 // Federation tier: the meta-manager that clusters the clusters.
 //
-// The paper's 64-ary B-tree composes: the same subscribe / locate /
-// redirect machinery that lets a manager front 64 servers lets a
+// The paper's 64-ary B-tree composes: the same login / query / have /
+// redirect exchange that lets a manager front 64 servers lets a
 // meta-manager front 64 *clusters*. Independent clusters' head managers
-// subscribe here (FedSubscribe) exactly as servers log into a manager;
-// the meta resolves a path to the owning cluster with the same
-// name-cache machinery one level up — ServerSet correction vectors keyed
-// by cluster ID instead of server slot, CRC32 + Fibonacci hashing and
-// window eviction reused verbatim from src/cms/ — and redirects the
-// client to that cluster's head, which resolves to a data server as
-// today. Request-rarely-respond also lifts one level: the meta floods
-// FedQuery to subscribed heads and only owners answer (FedHave).
+// log in here with CmsLogin, their meta link an ordinary parent link
+// (fed.meta sets the manager's parent); the meta resolves a path to the
+// owning cluster with the same name-cache machinery one level up —
+// ServerSet correction vectors keyed by cluster ID instead of server
+// slot, CRC32 + Fibonacci hashing and window eviction reused verbatim
+// from src/cms/ — and redirects the client to that cluster's head, which
+// resolves to a data server as today. Request-rarely-respond also lifts
+// one level: the meta floods CmsQuery to its heads and only owners
+// answer, each with one CmsHave for its whole cluster.
 //
 // Cross-cluster replica preference uses locality weights: each cluster
-// subscribes with a distance weight folded into its reported load, so a
-// load-based selection prefers near clusters when several hold a file.
+// logs in with a distance weight (CmsLogin.locality) folded into its
+// reported load, so a load-based selection prefers near clusters when
+// several hold a file.
 // A pcache proxy whose origin head is the meta acts as a federation edge
 // cache with no new proxy code (its embedded client follows the two-hop
 // redirect walk like any other client).
@@ -83,11 +85,8 @@ class MetaManager : public net::MessageSink {
   obs::MetricsSnapshot SnapshotMetrics() const;
 
  private:
-  // fed protocol (cluster heads)
-  void HandleSubscribe(net::NodeAddr from, const proto::FedSubscribe& m);
-  void HandleHave(net::NodeAddr from, const proto::FedHave& m);
-  void HandleGone(net::NodeAddr from, const proto::FedGone& m);
-  void HandleLocate(net::NodeAddr from, const proto::FedLocate& m);
+  // cms protocol (cluster heads)
+  void HandleLogin(net::NodeAddr from, const proto::CmsLogin& m);
 
   // xrd protocol (clients): every meta answer is redirect / wait / error —
   // the meta serves no data and holds no namespace, only location bits.
@@ -101,7 +100,7 @@ class MetaManager : public net::MessageSink {
   obs::MetricsRegistry metrics_;
   cms::HeadCore core_;
   struct FedMetrics {
-    obs::Counter& subscribes;       // FedSubscribe frames admitted
+    obs::Counter& subscribes;       // cluster-head logins admitted
     obs::Counter& locates;          // client-visible resolutions served
     obs::Counter& redirects;        // redirects issued to cluster heads
     obs::Counter& waits;            // wait answers issued

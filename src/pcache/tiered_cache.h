@@ -17,10 +17,11 @@
 //     erase the disk copy), so a stale disk copy can never shadow a newer
 //     DRAM write.
 //
-// Spill and promotion run asynchronously on a small background worker (any
-// sched::Executor) when `asyncTierOps` is set; tests that want a
-// deterministic single-threaded oracle run with asyncTierOps=false, which
-// applies them inline. Async tasks capture a weak reference to the cache
+// Spill and promotion are posted to the executor the cache is given when
+// `asyncTierOps` is set: in a ProxyCacheNode that is the node's own loop,
+// so they run after the current task, on the same thread. Tests that want
+// a deterministic single-threaded oracle run with asyncTierOps=false,
+// which applies them inline. Async tasks capture a weak reference to the cache
 // internals plus the purge epoch current at capture time, so a task that
 // lands after the cache died, or after a purge, drops itself instead of
 // resurrecting purged blocks.

@@ -29,6 +29,7 @@ struct CmsLogin {
   std::vector<std::string> exports;   // exported path prefixes
   bool allowWrite = true;
   bool isSupervisor = false;          // subordinate heads its own subtree
+  std::uint32_t locality = 0;         // at a meta-manager: distance weight, lower = near
 };
 
 struct CmsLoginResp {
@@ -353,52 +354,9 @@ struct CmsDrainResp {
 };
 
 // --------------------------------------------------------------------
-// Federation (fed protocol): cluster head <-> meta-manager. The same
-// subscribe / locate / redirect machinery one level up — the meta-manager
-// fronts up to 64 *clusters* exactly as a manager fronts 64 servers.
-
-/// Cluster head -> meta-manager: subscribe this cluster into the
-/// federation, declaring its export prefixes. Registration stays light
-/// (prefixes only, never a file manifest), mirroring CmsLogin.
-struct FedSubscribe {
-  std::string cluster;                // stable cluster identity ("cern", "slac")
-  std::vector<std::string> exports;   // cluster-wide exported path prefixes
-  bool allowWrite = true;
-  std::uint32_t locality = 0;         // distance weight; lower = preferred
-};
-
-struct FedSubscribeResp {
-  bool ok = false;
-  std::int32_t clusterId = -1;  // assigned cluster slot (bit position)
-  std::string error;
-};
-
-/// Meta-manager -> cluster heads: "does your cluster have <path>?"
-/// Request-rarely-respond one level up: owning heads answer FedHave;
-/// everyone else stays silent and the deadline decides.
-struct FedQuery {
-  std::string path;
-  std::uint32_t hash = 0;   // CRC32, echoed back so the meta never re-hashes
-  std::uint8_t mode = 0;    // AccessMode
-  bool refresh = false;     // head refreshes its own subtree view too
-};
-
-/// Cluster head -> meta-manager: positive response. Also sent unsolicited
-/// as an upward new-file digest (newfile=true) so the meta's cluster-
-/// location cache learns about creations without re-flooding the fleet.
-struct FedHave {
-  std::string path;
-  std::uint32_t hash = 0;
-  bool pending = false;
-  bool allowWrite = true;
-  bool newfile = false;
-};
-
-/// Cluster head -> meta-manager: upward invalidation — the last replica
-/// of <path> in this cluster is gone.
-struct FedGone {
-  std::string path;
-};
+// Federation locate (tool <-> meta-manager). A cluster head joins a
+// meta-manager with the cms family above (CmsLogin, CmsQuery, CmsHave,
+// CmsGone, CmsPing); only the explicit locate below is the meta's own.
 
 /// Client/tool -> meta-manager: explicit "which cluster owns <path>?"
 /// (the fed-level analogue of an XrdOpen that never opens). Used by
@@ -428,8 +386,7 @@ using Message =
                  XrdPrepare, XrdPrepareResp, CnsList, CnsListResp, XrdReadV, XrdReadVResp,
                  XrdChecksum, XrdChecksumResp, StatsQuery, StatsReply, PcacheAdmin,
                  PcacheAdminResp, CmsPing, CmsPong, CmsDeath, CmsDrain, CmsDrainResp,
-                 FedSubscribe, FedSubscribeResp, FedQuery, FedHave, FedGone, FedLocate,
-                 FedRedirect>;
+                 FedLocate, FedRedirect>;
 
 /// Human-readable tag for logging.
 const char* MessageName(const Message& m);

@@ -290,8 +290,7 @@ const char* MessageName(const Message& m) {
       "XrdUnlink", "XrdUnlinkResp", "XrdPrepare", "XrdPrepareResp", "CnsList",
       "CnsListResp", "XrdReadV", "XrdReadVResp", "XrdChecksum", "XrdChecksumResp",
       "StatsQuery", "StatsReply", "PcacheAdmin", "PcacheAdminResp", "CmsPing",
-      "CmsPong", "CmsDeath", "CmsDrain", "CmsDrainResp", "FedSubscribe",
-      "FedSubscribeResp", "FedQuery", "FedHave", "FedGone", "FedLocate",
+      "CmsPong", "CmsDeath", "CmsDrain", "CmsDrainResp", "FedLocate",
       "FedRedirect"};
   static_assert(sizeof(kNames) / sizeof(kNames[0]) == std::variant_size_v<Message>);
   return kNames[m.index()];

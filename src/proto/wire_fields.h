@@ -17,7 +17,7 @@ template <class Ar, class M>
 void Visit(Ar& ar, M& m) = delete;
 
 template <class Ar> void Visit(Ar& ar, CmsLogin& m) {
-  ar.Fields(m.name, m.exports, m.allowWrite, m.isSupervisor);
+  ar.Fields(m.name, m.exports, m.allowWrite, m.isSupervisor, m.locality);
 }
 template <class Ar> void Visit(Ar& ar, CmsLoginResp& m) {
   ar.Fields(m.ok, m.slot, m.error, m.redirect);
@@ -105,19 +105,6 @@ template <class Ar> void Visit(Ar& ar, CmsDrain& m) {
 template <class Ar> void Visit(Ar& ar, CmsDrainResp& m) {
   ar.Fields(m.reqId, m.ok, m.applied, m.error);
 }
-template <class Ar> void Visit(Ar& ar, FedSubscribe& m) {
-  ar.Fields(m.cluster, m.exports, m.allowWrite, m.locality);
-}
-template <class Ar> void Visit(Ar& ar, FedSubscribeResp& m) {
-  ar.Fields(m.ok, m.clusterId, m.error);
-}
-template <class Ar> void Visit(Ar& ar, FedQuery& m) {
-  ar.Fields(m.path, m.hash, m.mode, m.refresh);
-}
-template <class Ar> void Visit(Ar& ar, FedHave& m) {
-  ar.Fields(m.path, m.hash, m.pending, m.allowWrite, m.newfile);
-}
-template <class Ar> void Visit(Ar& ar, FedGone& m) { ar.Fields(m.path); }
 template <class Ar> void Visit(Ar& ar, FedLocate& m) {
   ar.Fields(m.reqId, m.path, m.mode, m.refresh, m.avoidCluster);
 }

@@ -70,7 +70,7 @@ ClusterPlan PlanCluster(const ClusterSpec& spec, net::NodeAddr firstAddr) {
   std::vector<net::NodeAddr> heads;
   for (int m = 0; m < spec.managers; ++m) {
     xrd::NodeConfig& cfg = planner.Add(xrd::NodeRole::kManager, "manager" + std::to_string(m));
-    cfg.meta = spec.meta;
+    cfg.parent = spec.meta;
     cfg.clusterName = spec.clusterName;
     cfg.locality = spec.locality;
     heads.push_back(cfg.addr);

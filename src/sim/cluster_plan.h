@@ -39,8 +39,9 @@ struct ClusterSpec {
   // touching the host file system.
   std::uint64_t proxyDiskCapacity = 0;
   int proxyReadAhead = 0;
-  // Federation: when `meta` is set the cluster head subscribes to that
-  // meta-manager under `clusterName` with the given locality weight.
+  // Federation: when `meta` is set it is every manager's parent, and the
+  // managers log into that meta-manager under `clusterName` with the given
+  // locality weight.
   net::NodeAddr meta = 0;
   std::string clusterName;
   std::uint32_t locality = 0;

@@ -49,7 +49,7 @@ SimFederation::~SimFederation() {
 void SimFederation::Start() {
   meta_->Start();
   for (auto& c : clusters_) c->Start();
-  engine_.RunUntilIdle();  // logins + FedSubscribe settle
+  engine_.RunUntilIdle();  // logins settle, the heads' into the meta too
 }
 
 client::ScallaClient& SimFederation::NewClient() {

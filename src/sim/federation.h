@@ -40,7 +40,7 @@ class SimFederation {
   explicit SimFederation(const FederationSpec& spec);
   ~SimFederation();
 
-  /// Starts the meta and every cluster, settles subscriptions.
+  /// Starts the meta and every cluster, and settles every login.
   void Start();
 
   EventEngine& engine() { return engine_; }
@@ -74,8 +74,8 @@ class SimFederation {
   /// nobody gets OnPeerDown, so only the federation heartbeat notices
   /// (DeclareDead -> O(1) correction-vector shed).
   void PartitionCluster(std::size_t i);
-  /// Heals the partition; the meta's reconnect invitation re-subscribes
-  /// the cluster head on the next heartbeat tick.
+  /// Heals the partition; the meta's reconnect invitation makes the
+  /// cluster head log in again on the next heartbeat tick.
   void RejoinCluster(std::size_t i);
 
   /// Advances virtual time by `d`, processing periodic timers on the way.

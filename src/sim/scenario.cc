@@ -688,9 +688,9 @@ CampaignResult RunFederationPartitionCampaign(std::uint64_t seed) {
   const std::size_t lostErrors = result.phases.back().errors;
 
   fed.RejoinCluster(1);
-  fed.RunFor(std::chrono::seconds(5));  // reconnect invite + resubscribe
+  fed.RunFor(std::chrono::seconds(5));  // reconnect invite + re-login
   // Relearning the shed cluster's locations takes bounded retries (the
-  // first post-rejoin lookups race the resubscription); drive a fixed
+  // first post-rejoin lookups race the re-login); drive a fixed
   // resync loop before the measured phase so its verdict is about steady
   // state, not the handover instant.
   for (int attempt = 0; attempt < 5; ++attempt) {

@@ -74,10 +74,7 @@ Result<void> TcpCluster::Start(const std::vector<xrd::ScallaNode*>& nodes) {
   for (xrd::ScallaNode* node : nodes) RunOn(node->config().addr, [node] { node->Start(); });
   const auto deadline = std::chrono::steady_clock::now() + kSettleTimeout;
   for (xrd::ScallaNode* node : nodes) {
-    const auto settled = [node] {
-      return node->LoggedIn() && (node->config().meta == 0 || node->FedSubscribed());
-    };
-    while (!RunOn(node->config().addr, settled)) {
+    while (!RunOn(node->config().addr, [node] { return node->LoggedIn(); })) {
       if (std::chrono::steady_clock::now() > deadline) {
         return ScallaError{proto::XrdErr::kIo,
                            "TcpCluster: " + node->config().name + " did not log in"};

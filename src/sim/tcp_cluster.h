@@ -2,10 +2,11 @@
 // TCP, each node and client on a sched::ThreadExecutor of its own that
 // hosts its sockets. Node code runs only on its own loop: Start, Stop and
 // state reads (RunOn) go there. Creation fails unless every endpoint binds
-// and every login the plan implies settles (parents, and a meta-manager for
-// spec.meta). Teardown stops every node on its loop, then each endpoint's
-// net::EndpointGuard unregisters it and stops its loop. spec.withCnsd,
-// spec.withMss and a proxy disk tier are rejected; spec.latency is ignored.
+// and every node has logged into each of its parents (a manager's parent
+// is spec.meta's meta-manager, when set). Teardown stops every node on its
+// loop, then each endpoint's net::EndpointGuard unregisters it and stops
+// its loop. spec.withCnsd, spec.withMss and a proxy disk tier are
+// rejected; spec.latency is ignored.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +30,7 @@ namespace scalla::sim {
 
 class TcpCluster {
  public:
-  /// How often a node re-sends an unanswered login or federation subscribe.
+  /// How often a node re-sends an unanswered login.
   static constexpr Duration kLoginRetry = std::chrono::milliseconds(100);
   /// How long Create and RestartServer wait for logins to settle.
   static constexpr Duration kSettleTimeout = std::chrono::seconds(10);

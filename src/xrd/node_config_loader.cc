@@ -119,12 +119,18 @@ std::optional<LoadedNodeConfig> LoadNodeConfig(const std::string& text,
     Fail(error, "fed.* directives only apply to the manager role");
     return std::nullopt;
   }
+  // The meta-manager is a federated manager's parent: fed.meta names it,
+  // and all.manager would name the same parent a second way.
   if (const auto meta = parsed->GetInt("fed.meta"); meta.has_value()) {
     if (*meta <= 0) {
       Fail(error, "fed.meta must be a positive fabric address");
       return std::nullopt;
     }
-    cfg.meta = static_cast<net::NodeAddr>(*meta);
+    if (cfg.parent != 0) {
+      Fail(error, "a manager names its parent once: fed.meta or all.manager, not both");
+      return std::nullopt;
+    }
+    cfg.parent = static_cast<net::NodeAddr>(*meta);
   } else if (parsed->Has("fed.meta")) {
     Fail(error, "fed.meta must be an integer");
     return std::nullopt;
@@ -137,7 +143,8 @@ std::optional<LoadedNodeConfig> LoadNodeConfig(const std::string& text,
     }
     cfg.locality = static_cast<std::uint32_t>(*locality);
   }
-  if ((parsed->Has("fed.cluster") || parsed->Has("fed.locality")) && cfg.meta == 0) {
+  if ((parsed->Has("fed.cluster") || parsed->Has("fed.locality")) &&
+      !parsed->Has("fed.meta")) {
     Fail(error, "fed.cluster/fed.locality require fed.meta");
     return std::nullopt;
   }

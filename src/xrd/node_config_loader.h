@@ -36,14 +36,15 @@
 //
 // (all.manager names the origin cluster heads for a proxy.)
 //
-// Federation (see docs/FEDERATION.md). A cluster head subscribes to a
-// meta-manager with:
+// Federation (see docs/FEDERATION.md). A cluster head logs into a
+// meta-manager, its parent, with:
 //
 //   fed.meta        1                 # the meta-manager's fabric address
 //   fed.cluster     site-a            # global cluster name at the meta
 //   fed.locality    0                 # distance weight (0 = nearest)
 //
-// and the meta tier itself runs as its own role:
+// (fed.meta sets the manager's parent, so a manager takes fed.meta or
+// all.manager, not both) and the meta tier itself runs as its own role:
 //
 //   all.role        meta              # fronts up to 64 cluster heads
 //

@@ -23,10 +23,6 @@ AccessMode ModeOf(std::uint8_t raw) {
   return raw == 0 ? AccessMode::kRead : AccessMode::kWrite;
 }
 
-proto::Message CmsQueryFrame(const std::string& path, std::uint32_t hash, AccessMode mode) {
-  return proto::CmsQuery{path, hash, mode == AccessMode::kRead ? std::uint8_t{0} : std::uint8_t{1}};
-}
-
 }  // namespace
 
 ScallaNode::NodeMetrics::NodeMetrics(obs::MetricsRegistry& r)
@@ -52,7 +48,7 @@ ScallaNode::ScallaNode(NodeConfig config, sched::Executor& executor, net::Fabric
       storage_(storage),
       core_(config_.cms, config_.selection, config_.name, config_.addr, executor, fabric,
             metrics_,
-            {"node.", &CmsQueryFrame, [](ServerSlot, std::uint32_t load) { return load; },
+            {"node.", [](ServerSlot, std::uint32_t load) { return load; },
              [this](const std::string& name) { FanToSupervisors(proto::CmsDeath{name}); }}),
       nm_(metrics_),
       stats_(config_.addr, executor, fabric) {
@@ -88,33 +84,27 @@ void ScallaNode::Start() {
       ReportLoad(load, free);
     });
   }
-  if (config_.role == NodeRole::kManager && config_.meta != 0) {
-    SendFedSubscribe();
-    fedTimer_ = executor_.RunEvery(config_.loginRetry, [this] {
-      if (!FedSubscribed()) SendFedSubscribe();
-    });
-  }
 }
 
 void ScallaNode::Stop() {
   core_.Stop();
-  for (sched::TimerId* id : {&loginTimer_, &loadTimer_, &fedTimer_}) {
+  for (sched::TimerId* id : {&loginTimer_, &loadTimer_}) {
     if (*id != sched::kInvalidTimer) {
       executor_.Cancel(*id);
       *id = sched::kInvalidTimer;
     }
   }
   stats_.Cancel();
-  fedClusterId_ = -1;  // a restarted manager re-subscribes from scratch
   started_ = false;
 }
 
 void ScallaNode::SendLoginTo(net::NodeAddr parent) {
   proto::CmsLogin login;
-  login.name = config_.name;
+  login.name = config_.clusterName.empty() ? config_.name : config_.clusterName;
   login.exports = config_.exports;
   login.allowWrite = config_.allowWrite;
   login.isSupervisor = config_.role == NodeRole::kSupervisor;
+  login.locality = config_.locality;
   nm_.loginsSent.Inc();
   fabric_.Send(config_.addr, parent, std::move(login));
 }
@@ -129,46 +119,6 @@ void ScallaNode::SendLogins() {
       }
     });
   }
-}
-
-// ---------------------------------------------------------------------
-// federation (manager <-> meta-manager)
-
-void ScallaNode::SendFedSubscribe() {
-  proto::FedSubscribe sub;
-  sub.cluster = config_.clusterName.empty() ? config_.name : config_.clusterName;
-  sub.exports = config_.exports;
-  sub.allowWrite = config_.allowWrite;
-  sub.locality = config_.locality;
-  fabric_.Send(config_.addr, config_.meta, std::move(sub));
-}
-
-void ScallaNode::HandleFedSubscribeResp(net::NodeAddr from,
-                                        const proto::FedSubscribeResp& m) {
-  if (from != config_.meta) return;
-  if (!m.ok) {
-    SCALLA_WARN("node", "%s: federation subscribe rejected: %s", config_.name.c_str(),
-                m.error.c_str());
-    return;
-  }
-  fedClusterId_ = m.clusterId;
-}
-
-void ScallaNode::HandleFedQuery(net::NodeAddr from, const proto::FedQuery& m) {
-  if (from != config_.meta || config_.role != NodeRole::kManager) return;
-  // The supervisor's CmsQuery answer, lifted to federation scope.
-  AnswerFromSubtree<proto::FedHave>(from, m);
-}
-
-void ScallaNode::NotifyMetaHave(const proto::CmsHave& m) {
-  if (config_.role != NodeRole::kManager || config_.meta == 0) return;
-  proto::FedHave up;
-  up.path = m.path;
-  up.hash = m.hash;
-  up.pending = m.pending;
-  up.allowWrite = config_.allowWrite;
-  up.newfile = true;
-  fabric_.Send(config_.addr, config_.meta, std::move(up));
 }
 
 void ScallaNode::NotifyParentHave(const std::string& path, bool pending) {
@@ -325,10 +275,6 @@ void ScallaNode::OnMessage(net::NodeAddr from, proto::Message message) {
                          IsHead() ? core_.OnlineAddrs() : std::vector<net::NodeAddr>{});
         } else if constexpr (std::is_same_v<M, proto::StatsReply>) {
           if (SlotOfAddr(from).has_value()) stats_.OnReply(m);
-        } else if constexpr (std::is_same_v<M, proto::FedSubscribeResp>) {
-          HandleFedSubscribeResp(from, m);
-        } else if constexpr (std::is_same_v<M, proto::FedQuery>) {
-          HandleFedQuery(from, m);
         } else if constexpr (std::is_same_v<M, proto::PcacheAdmin>) {
           // Cache administration only means something at a pcache proxy;
           // answer kInvalid so a mistargeted purge fails loudly.
@@ -343,8 +289,7 @@ void ScallaNode::OnMessage(net::NodeAddr from, proto::Message message) {
       std::move(message));
 }
 
-template <typename Have, typename Query>
-void ScallaNode::AnswerFromSubtree(net::NodeAddr from, const Query& m) {
+void ScallaNode::AnswerFromSubtree(net::NodeAddr from, const proto::CmsQuery& m) {
   // Request-rarely-respond: resolve within the subtree; if anything down
   // there has the file, answer with a single Have — "multiple responses
   // ... are compressed into a single response indicating that the
@@ -353,15 +298,14 @@ void ScallaNode::AnswerFromSubtree(net::NodeAddr from, const Query& m) {
       m.path, core_.OptionsFor(m.mode, m.refresh, 0),
       [this, from, path = m.path, hash = m.hash](const LocateResult& r) {
         if (r.status == LocateStatus::kRedirect) {
-          Have resp;
+          proto::CmsHave resp;
           resp.path = path;
           resp.hash = hash;
           resp.pending = r.pending;
           resp.allowWrite = config_.allowWrite;
           fabric_.Send(config_.addr, from, std::move(resp));
           nm_.queriesAnswered.Inc();
-        } else if (std::is_same_v<Have, proto::CmsHave> &&
-                   r.status == LocateStatus::kNotFound && config_.alwaysRespond) {
+        } else if (r.status == LocateStatus::kNotFound && config_.alwaysRespond) {
           fabric_.Send(config_.addr, from, proto::CmsNoHave{path, hash});
         } else {
           nm_.queriesSilent.Inc();
@@ -460,34 +404,27 @@ void ScallaNode::HandleQuery(net::NodeAddr from, const proto::CmsQuery& m) {
     return;
   }
 
-  AnswerFromSubtree<proto::CmsHave>(from, m);
+  AnswerFromSubtree(from, m);
 }
 
 void ScallaNode::HandleHave(net::NodeAddr from, const proto::CmsHave& m) {
   if (!core_.OnHave(from, m.path, m.hash, m.pending, m.allowWrite)) return;
   // New-file notifications propagate to the root so every level's cache
-  // learns about creations that happened beneath it.
+  // learns about creations that happened beneath it — past a cluster's
+  // manager to its meta-manager too, which is just that manager's parent.
   if (m.newfile && !parents_.empty()) {
     proto::CmsHave up = m;
     up.allowWrite = config_.allowWrite;
     for (const net::NodeAddr parent : parents_) fabric_.Send(config_.addr, parent, up);
   }
-  // At the cluster root the digest continues upward to the federation
-  // meta-manager (if subscribed) so its cluster-location cache learns
-  // about the creation without a FedQuery flood.
-  if (m.newfile) NotifyMetaHave(m);
 }
 
 void ScallaNode::HandleGone(net::NodeAddr from, const proto::CmsGone& m) {
   if (!core_.OnGone(from, m.path)) return;
+  // Conservative: a parent clears this whole subtree's bit even when other
+  // replicas remain below; its next query relearns them, trading a rare
+  // re-query for never redirecting into a subtree that lost its last copy.
   for (const net::NodeAddr parent : parents_) fabric_.Send(config_.addr, parent, m);
-  // Upward federation invalidation. Conservative: the meta clears this
-  // whole cluster's bit even when other internal replicas remain — the
-  // next FedQuery flood relearns them, trading a rare re-query for never
-  // serving a cluster that lost its last copy.
-  if (config_.role == NodeRole::kManager && config_.meta != 0) {
-    fabric_.Send(config_.addr, config_.meta, proto::FedGone{m.path});
-  }
 }
 
 void ScallaNode::HandleLoad(net::NodeAddr from, const proto::CmsLoad& m) {
@@ -506,19 +443,8 @@ void ScallaNode::HandleLoad(net::NodeAddr from, const proto::CmsLoad& m) {
 // liveness / membership administration
 
 void ScallaNode::HandlePing(net::NodeAddr from, const proto::CmsPing& m) {
-  // A manager's "parent" for liveness purposes includes the federation
-  // meta-manager: it pings cluster heads exactly as heads ping servers.
-  const bool fromMeta = config_.meta != 0 && from == config_.meta &&
-                        config_.role == NodeRole::kManager;
-  if (!IsParent(from) && !fromMeta) return;
+  if (!IsParent(from)) return;
   if (m.reconnect) {
-    if (fromMeta) {
-      // The meta declared this whole cluster dead (partition healed):
-      // re-subscribe to resume the cluster slot and restore its paths.
-      fedClusterId_ = -1;
-      SendFedSubscribe();
-      return;
-    }
     // The parent declared us dead (or saw us disconnect); re-login to
     // resume our slot and restore our paths — no full cluster refresh.
     slotAtParent_.erase(from);

@@ -4,7 +4,9 @@
 //
 // Roles (paper section II-B):
 //   kManager    — a cluster head: accepts subordinate logins, resolves
-//                 client requests, redirects clients downward.
+//                 client requests, redirects clients downward. Given a
+//                 parent (a federation meta-manager), it is a supervisor
+//                 to that parent for its whole cluster.
 //   kSupervisor — a manager for its subtree AND a server to its parent:
 //                 answers parent CmsQuery by resolving within its subtree,
 //                 compressing multiple subordinate responses into a single
@@ -38,7 +40,7 @@ struct NodeConfig {
   NodeRole role = NodeRole::kServer;
   std::string name;              // stable identity, e.g. "server07"
   net::NodeAddr addr = 0;
-  net::NodeAddr parent = 0;      // 0 = none (manager)
+  net::NodeAddr parent = 0;      // 0 = none (a manager outside a federation)
   // Additional redundant heads. "Clients first contact the logical head
   // node (which can be one of many)" and "every node in the cluster can
   // be replicated" (paper sections II-B1/II-B2): a subordinate logs into
@@ -55,14 +57,11 @@ struct NodeConfig {
   // Periodic load/space reports to parents (selection metrics, paper
   // section II-B3). Zero disables; tests may call ReportLoad directly.
   Duration loadReportInterval = Duration::zero();
-  // Federation (managers only): subscribe this cluster into a meta-manager
-  // so clients holding only the meta's address can reach files here. The
-  // manager answers the meta's FedQuery floods by resolving within its own
-  // cluster (compressing any number of internal replicas into one
-  // "cluster has it") and streams new-file / gone digests upward so the
-  // meta's cluster-location cache stays warm without re-flooding.
-  net::NodeAddr meta = 0;            // meta-manager fabric address (0 = none)
-  std::string clusterName;           // stable federation identity ("cern")
+  // Federation (a manager whose parent is a meta-manager): the manager
+  // logs in under this cluster name, with this distance weight, and from
+  // then on is a supervisor to the meta — it answers CmsQuery from its own
+  // cluster and forwards CmsHave{newfile} and CmsGone upward.
+  std::string clusterName;           // stable federation identity ("cern"; "" = name)
   std::uint32_t locality = 0;        // federation distance weight (lower = near)
   // Export fabric.* transport counters (global plus per-parent link
   // attribution) in SnapshotMetrics. Off by default: the fabric is shared
@@ -116,11 +115,6 @@ class ScallaNode : public net::MessageSink {
   /// "resolver.redirects", ...).
   obs::MetricsSnapshot SnapshotMetrics() const;
 
-  /// Subscribed into the federation meta-manager? (managers with
-  /// config.meta only; others always false)
-  bool FedSubscribed() const { return fedClusterId_ >= 0; }
-  std::int32_t FedClusterId() const { return fedClusterId_; }
-
   /// Sends a load/space report to the parent (selection metrics).
   void ReportLoad(std::uint32_t load, std::uint64_t freeSpace);
 
@@ -163,16 +157,8 @@ class ScallaNode : public net::MessageSink {
   /// stat, unlink or checksum), counting a client's refresh.
   cms::LocateOptions HeadOptions(std::uint8_t mode, bool refresh, net::NodeAddr avoid);
 
-  /// Answers a parent's CmsQuery (or the meta's FedQuery) from this
-  /// subtree with a single CmsHave (FedHave).
-  template <typename Have, typename Query>
-  void AnswerFromSubtree(net::NodeAddr from, const Query& m);
-
-  // federation (manager <-> meta-manager)
-  void SendFedSubscribe();
-  void HandleFedSubscribeResp(net::NodeAddr from, const proto::FedSubscribeResp& m);
-  void HandleFedQuery(net::NodeAddr from, const proto::FedQuery& m);
-  void NotifyMetaHave(const proto::CmsHave& m);
+  /// Answers a parent's CmsQuery from this subtree with a single CmsHave.
+  void AnswerFromSubtree(net::NodeAddr from, const proto::CmsQuery& m);
 
   // role-specific pieces
   void LeafOpen(net::NodeAddr from, const proto::XrdOpen& m);
@@ -223,8 +209,6 @@ class ScallaNode : public net::MessageSink {
 
   sched::TimerId loginTimer_ = sched::kInvalidTimer;
   sched::TimerId loadTimer_ = sched::kInvalidTimer;
-  sched::TimerId fedTimer_ = sched::kInvalidTimer;  // FedSubscribe retry
-  std::int32_t fedClusterId_ = -1;  // slot at the meta (-1 = not subscribed)
   // Last load/space numbers this node reported upward; pongs echo them so
   // parent selection metrics stay fresh between CmsLoad reports.
   std::uint32_t lastLoad_ = 0;

@@ -334,7 +334,9 @@ fed.locality    3
                                      &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_FALSE(loaded->isMeta);
-  EXPECT_EQ(loaded->node.meta, 1u);
+  // The meta-manager is the manager's one parent.
+  EXPECT_EQ(loaded->node.parent, 1u);
+  EXPECT_TRUE(loaded->node.extraParents.empty());
   EXPECT_EQ(loaded->node.clusterName, "site-a");
   EXPECT_EQ(loaded->node.locality, 3u);
 }
@@ -362,6 +364,26 @@ TEST(NodeConfigLoaderTest, RejectsBadFederationConfigs) {
                               "fed.cluster site-a\n",
                               &error)
                    .has_value());
+  EXPECT_FALSE(LoadNodeConfig("all.role manager\nall.addr 10\nall.export /\n"
+                              "all.manager 2\nfed.locality 1\n",
+                              &error)
+                   .has_value());
+  EXPECT_NE(error.find("require fed.meta"), std::string::npos);
+}
+
+TEST(NodeConfigLoaderTest, RejectsFedMetaBesideAllManager) {
+  // fed.meta sets the manager's parent; all.manager would name it twice.
+  std::string error;
+  EXPECT_FALSE(LoadNodeConfig("all.role manager\nall.addr 10\nall.export /store\n"
+                              "all.manager 1\nfed.meta 1\n",
+                              &error)
+                   .has_value());
+  EXPECT_NE(error.find("not both"), std::string::npos) << error;
+  // all.manager alone still makes a manager another head's subordinate.
+  const auto chained = LoadNodeConfig(
+      "all.role manager\nall.addr 10\nall.export /store\nall.manager 1\n", &error);
+  ASSERT_TRUE(chained.has_value()) << error;
+  EXPECT_EQ(chained->node.parent, 1u);
 }
 
 }  // namespace

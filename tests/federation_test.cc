@@ -1,10 +1,10 @@
-// Federation tier over the simulator: independent clusters subscribe to
-// a meta-manager that exports one global namespace. A client holding
-// ONLY the meta address opens files in any member cluster through the
-// two-hop redirect walk; repeat opens hit the meta's cluster-location
-// cache; a whole-cluster partition is detected by the federation
-// heartbeat, shed in O(1) correction-vector work and recovered on
-// rejoin. The TCP twin lives in tcp_federation_test.cc.
+// Federation tier over the simulator: independent clusters' heads log
+// into a meta-manager, their parent, which exports one global namespace.
+// A client holding ONLY the meta address opens files in any member
+// cluster through the two-hop redirect walk; repeat opens hit the meta's
+// cluster-location cache; a whole-cluster partition is detected by the
+// federation heartbeat, shed in O(1) correction-vector work and recovered
+// on rejoin. The TCP twin lives in tcp_federation_test.cc.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -33,12 +33,14 @@ bool InCluster(net::NodeAddr addr, std::size_t c) {
   return addr >= 1000 * (c + 1) && addr < 1000 * (c + 2);
 }
 
-TEST(FederationTest, HeadsSubscribeToMetaOnStart) {
+TEST(FederationTest, HeadsLogIntoMetaOnStart) {
   SimFederation fed(TwoClusterSpec());
   fed.Start();
-  EXPECT_TRUE(fed.cluster(0).head().FedSubscribed());
-  EXPECT_TRUE(fed.cluster(1).head().FedSubscribed());
-  EXPECT_NE(fed.cluster(0).head().FedClusterId(), fed.cluster(1).head().FedClusterId());
+  const net::NodeAddr meta = fed.meta().config().addr;
+  EXPECT_TRUE(fed.cluster(0).head().LoggedInTo(meta));
+  EXPECT_TRUE(fed.cluster(1).head().LoggedInTo(meta));
+  EXPECT_NE(fed.meta().ClusterOfHead(fed.cluster(0).head().config().addr),
+            fed.meta().ClusterOfHead(fed.cluster(1).head().config().addr));
   EXPECT_EQ(fed.meta().membership().MemberCount(), 2u);
   EXPECT_GE(fed.meta().SnapshotMetrics().Counter("fed.subscribes"), 2u);
 }
@@ -84,25 +86,46 @@ TEST(FederationTest, RepeatOpensHitMetaClusterLocationCache) {
   const auto after = fed.meta().SnapshotMetrics();
 
   // The second resolution was served from the meta's name cache: a hit,
-  // no new FedQuery flood, and one more redirect issued.
+  // no new CmsQuery flood, and one more redirect issued.
   EXPECT_GT(after.Counter("cache.hits"), before.Counter("cache.hits"));
   EXPECT_EQ(after.Counter("resolver.queries_sent"), before.Counter("resolver.queries_sent"));
   EXPECT_GT(after.Counter("fed.redirects_issued"), before.Counter("fed.redirects_issued"));
 }
 
-TEST(FederationTest, CreateRoutesToAWritableClusterAndMetaLearnsIt) {
-  SimFederation fed(TwoClusterSpec());
+// Member clusters that are flat (servers right under the head) or deep
+// (servers = 8, fanout = 2: manager -> supervisor -> supervisor -> leaf).
+class FederationCreateTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FederationCreateTest, CreateRoutesToAWritableClusterAndMetaLearnsIt) {
+  FederationSpec spec = TwoClusterSpec();
+  if (GetParam() > 0) {
+    spec.cluster.servers = 8;
+    spec.cluster.fanout = GetParam();
+  }
+  SimFederation fed(spec);
   fed.Start();
   auto& c = fed.NewClient();
 
   const auto put = fed.PutFile(c, "/store/new", "fresh");
   ASSERT_TRUE(put.ok()) << put.error().message;
-  fed.RunFor(std::chrono::seconds(1));  // FedHave(newfile) digests settle
+  // The leaf's CmsHave{newfile} climbs every parent link, the head's into
+  // the meta included.
+  fed.RunFor(std::chrono::seconds(1));
+  const auto queriesBefore = fed.meta().SnapshotMetrics().Counter("resolver.queries_sent");
 
   const auto back = fed.ReadAll(c, "/store/new");
   ASSERT_TRUE(back.ok()) << back.error().message;
   EXPECT_EQ(back.value(), "fresh");
+  // The meta learnt the new file from the digest: the read-back's open is
+  // answered from its cache, with no query to the cluster heads.
+  EXPECT_EQ(fed.meta().SnapshotMetrics().Counter("resolver.queries_sent"), queriesBefore);
 }
+
+INSTANTIATE_TEST_SUITE_P(Shapes, FederationCreateTest, ::testing::Values(0, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return info.param == 0 ? std::string("Flat")
+                                                  : "Fanout" + std::to_string(info.param);
+                         });
 
 TEST(FederationTest, LocalityWeightSteersCrossClusterReplicaChoice) {
   FederationSpec spec = TwoClusterSpec();
@@ -161,12 +184,12 @@ TEST(FederationTest, WholeClusterPartitionIsShedAndRelearnedOnRejoin) {
   EXPECT_NE(openB.err, proto::XrdErr::kNone);
   EXPECT_GT(fed.meta().SnapshotMetrics().Counter("cache.corrections"), 0u);
 
-  // Heal: the meta's reconnect invitation re-subscribes the head, and the
-  // relearned location serves the file again within bounded retries.
+  // Heal: the meta's reconnect invitation makes the head log in again, and
+  // the relearned location serves the file again within bounded retries.
   fed.RejoinCluster(1);
   fed.RunFor(std::chrono::seconds(5));
   EXPECT_TRUE(fed.meta().membership().OnlineSet().test(*slot1));
-  EXPECT_TRUE(fed.cluster(1).head().FedSubscribed());
+  EXPECT_TRUE(fed.cluster(1).head().LoggedInTo(fed.meta().config().addr));
   bool recovered = false;
   for (int attempt = 0; attempt < 5 && !recovered; ++attempt) {
     const auto back = fed.ReadAll(c, "/store/b");

@@ -1,9 +1,9 @@
 // Federation twin over real loopback TCP: two independent clusters
 // (manager + 2 data servers each, built by sim::TcpCluster on one shared
-// fabric) subscribe to a meta-manager, every node on its own event loop,
-// and a client holding only the meta address opens files in either
-// cluster through the two-hop redirect walk. Tier-2: real sockets, real
-// clocks.
+// fabric) whose managers log into a meta-manager, every node on its own
+// event loop, and a client holding only the meta address opens files in
+// either cluster through the two-hop redirect walk. Tier-2: real
+// sockets, real clocks.
 #include <gtest/gtest.h>
 
 #include <optional>

@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     const std::string sub = argv[i++];
     if (sub == "stat") {
       // Same StatsQuery as `stats`: pointed at a meta-manager it fans to
-      // every subscribed cluster head and folds the replies.
+      // every logged-in cluster head and folds the replies.
       const bool json = i < argc && std::strcmp(argv[i], "--json") == 0;
       const auto stats = client.Stats();
       if (!stats) {

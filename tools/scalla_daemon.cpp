@@ -10,8 +10,9 @@
 // pcache.* directives (see xrd/node_config_loader.h).
 //
 // --meta (or all.role meta) runs the federation meta-manager: cluster
-// heads configured with fed.meta subscribe to it and clients open
-// against its address to reach every member cluster (docs/FEDERATION.md).
+// heads configured with fed.meta log into it as their parent, and clients
+// open against its address to reach every member cluster
+// (docs/FEDERATION.md).
 //
 // Example cluster on one machine (three shells):
 //   manager.cf:  all.role manager
@@ -107,9 +108,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot bind 127.0.0.1:%u\n", basePort + mcfg.addr);
       return 1;
     }
-    meta.Start();
+    executor.RunSync([&meta] { meta.Start(); });
     std::printf("meta-manager '%s' up on 127.0.0.1:%u (addr %u) — cluster "
-                "heads subscribe with fed.meta %u\n",
+                "heads log in with fed.meta %u\n",
                 mcfg.name.c_str(), basePort + mcfg.addr, mcfg.addr, mcfg.addr);
     std::signal(SIGINT, HandleSignal);
     std::signal(SIGTERM, HandleSignal);
@@ -118,9 +119,12 @@ int main(int argc, char** argv) {
       std::fflush(stdout);
     });
     g_shutdown.acquire();
-    std::printf("shutting down\nmetrics %s\n",
-                meta.SnapshotMetrics().ToJson().c_str());
-    meta.Stop();
+    std::string metrics;
+    executor.RunSync([&] {
+      metrics = meta.SnapshotMetrics().ToJson();
+      meta.Stop();
+    });
+    std::printf("shutting down\nmetrics %s\n", metrics.c_str());
     return 0;
   }
 
@@ -172,8 +176,9 @@ int main(int argc, char** argv) {
       std::fflush(stdout);
     });
     g_shutdown.acquire();
-    std::printf("shutting down\nmetrics %s\n",
-                proxy.SnapshotMetrics().ToJson().c_str());
+    std::string metrics;
+    executor.RunSync([&] { metrics = proxy.SnapshotMetrics().ToJson(); });
+    std::printf("shutting down\nmetrics %s\n", metrics.c_str());
     return 0;
   }
 
@@ -198,7 +203,7 @@ int main(int argc, char** argv) {
                  basePort + loaded->node.addr);
     return 1;
   }
-  node.Start();
+  executor.RunSync([&node] { node.Start(); });
   const std::string rootNote =
       loaded->localRoot.empty() ? std::string() : " root=" + loaded->localRoot;
   std::printf("%s '%s' up on 127.0.0.1:%u (addr %u)%s\n",
@@ -240,8 +245,12 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   });
   g_shutdown.acquire();
-  std::printf("shutting down\n%s\nmetrics %s\n", node.DescribeStatus().c_str(),
-              node.SnapshotMetrics().ToJson().c_str());
-  node.Stop();
+  std::string status, metrics;
+  executor.RunSync([&] {
+    status = node.DescribeStatus();
+    metrics = node.SnapshotMetrics().ToJson();
+    node.Stop();
+  });
+  std::printf("shutting down\n%s\nmetrics %s\n", status.c_str(), metrics.c_str());
   return 0;
 }
