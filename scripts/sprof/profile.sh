@@ -8,7 +8,8 @@
 # .prof_build/perfbench and nothing under perfbench/ is edited; the sampler
 # is built beside it. perfbench's output is kept in .prof_build/perfbench.out,
 # the samples in .prof_build/sprof.samples. SPROF_REPORT_ARGS passes options
-# to report.py (for example "--thread proxy").
+# to report.py (for example "--thread proxy", or "--summary" for one line
+# per thread: self time in syscall, lock, allocator, mem* and other code).
 set -euo pipefail
 root="$(cd "$(dirname "$0")/../.." && pwd)"
 out="$root/.prof_build"

@@ -5,11 +5,14 @@
 // library loads), which sends it SIGPROF after each millisecond of CPU time
 // it uses, user and system time alike. The handler records the thread id, a
 // weight and a call stack, unwound by frame pointers, into a preallocated
-// buffer of 262,144 samples (later samples are counted, not kept); at exit
-// the samples and /proc/self/maps go to one text file for report.py. The
-// kernel checks CPU-time timers at its scheduler tick, so a period shorter
-// than the tick expires several times per signal: the weight is 1 plus the
-// timer's overrun count, the periods the sample stands for.
+// buffer of 262,144 samples (later samples are counted, not kept). Each
+// sample also records the thread's name (prctl PR_GET_NAME), so a thread
+// named after it started is reported by the latest name it was sampled
+// under. At exit the names, the samples and /proc/self/maps go to one text
+// file for report.py. The kernel checks CPU-time timers at its scheduler
+// tick, so a period shorter than the tick expires several times per
+// signal: the weight is 1 plus the timer's overrun count, the periods the
+// sample stands for.
 //
 // Unwinding: the profiled program is built with frame pointers, libc and
 // libstdc++ are not. A sample whose PC lies outside the main executable
@@ -34,6 +37,7 @@
 #include <stdlib.h>
 #include <string.h>
 #include <sys/mman.h>
+#include <sys/prctl.h>
 #include <sys/syscall.h>
 #include <time.h>
 #include <ucontext.h>
@@ -44,11 +48,14 @@
 #define SCAN_WORDS 512
 #define PERIOD_NS 1000000L
 #define CAPACITY 262144
+#define NAME_BYTES 16   // a thread name, its terminating NUL included
+#define MAX_THREADS 4096
 
 struct sample {
   int32_t tid;
   int32_t weight;
   int32_t depth;
+  char name[NAME_BYTES];
   uintptr_t pc[MAX_DEPTH];
 };
 
@@ -119,6 +126,7 @@ static void on_sigprof(int sig, siginfo_t* info, void* context) {
   }
   s->weight = 1 + (info->si_code == SI_TIMER && info->si_overrun > 0 ? info->si_overrun : 0);
   s->tid = t_tid;
+  if (prctl(PR_GET_NAME, s->name) != 0) s->name[0] = '\0';
   s->depth = depth;
 }
 
@@ -212,6 +220,27 @@ __attribute__((constructor)) static void sprof_init(void) {
   start_thread_sampling();
 }
 
+// Writes "<tid> <name>" for every sampled thread, with the name its latest
+// kept sample saw.
+static void write_thread_names(FILE* out, size_t kept) {
+  static int32_t tids[MAX_THREADS];
+  static const char* names[MAX_THREADS];
+  int count = 0;
+  for (size_t i = 0; i < kept; ++i) {
+    const struct sample* s = &g_samples[i];
+    if (s->depth <= 0 || s->name[0] == '\0') continue;
+    int j = 0;
+    while (j < count && tids[j] != s->tid) ++j;
+    if (j == count) {
+      if (count == MAX_THREADS) continue;
+      tids[count++] = s->tid;
+    }
+    names[j] = s->name;
+  }
+  fprintf(out, "threads\n");
+  for (int j = 0; j < count; ++j) fprintf(out, "%d %s\n", tids[j], names[j]);
+}
+
 __attribute__((destructor)) static void sprof_dump(void) {
   if (g_samples == NULL) return;
   atomic_store(&g_stopped, 1);
@@ -232,7 +261,7 @@ __attribute__((destructor)) static void sprof_dump(void) {
   }
   const size_t taken = atomic_load(&g_next);
   const size_t kept = taken < CAPACITY ? taken : CAPACITY;
-  fprintf(out, "sprof 1\nperiod_ns %ld\nsamples_taken %zu\nsamples_kept %zu\n", PERIOD_NS,
+  fprintf(out, "sprof 2\nperiod_ns %ld\nsamples_taken %zu\nsamples_kept %zu\n", PERIOD_NS,
           taken, kept);
   // Where the string functions resolved (they are IFUNCs: the exported
   // name is a resolver, the code runs in an unexported variant).
@@ -241,6 +270,7 @@ __attribute__((destructor)) static void sprof_dump(void) {
     void* addr = dlsym(RTLD_DEFAULT, kResolved[i]);
     if (addr != NULL) fprintf(out, "resolved %s %lx\n", kResolved[i], (unsigned long)addr);
   }
+  write_thread_names(out, kept);
   fprintf(out, "maps\n");
   FILE* maps = fopen("/proc/self/maps", "r");
   if (maps != NULL) {

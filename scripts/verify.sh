@@ -97,7 +97,7 @@ echo "=== build + test (threaded + liveness suites): tsan preset ==="
 cmake --preset tsan
 cmake --build --preset tsan -j
 ctest --test-dir build-tsan --output-on-failure -j 4 \
-  -R "pcache_test|pcache_property_test|pcache_alloc_test|tcp_cluster_test|tcp_federation_test|sched_test|tcp_fabric_test|fabric_reactor_test|heartbeat_test|conformance_test|federation_test|cms_cache_property_test|obs_test"
+  -R "pcache_test|pcache_property_test|pcache_alloc_test|fabric_alloc_test|tcp_cluster_test|tcp_federation_test|sched_test|tcp_fabric_test|fabric_reactor_test|heartbeat_test|conformance_test|federation_test|cms_cache_property_test|obs_test"
 # The heartbeat/drain/suspend story over real threads lives inside
 # chaos_test (tier2, TcpLivenessTest fixture) — run the whole suite.
 ctest --test-dir build-tsan --output-on-failure -R chaos_test

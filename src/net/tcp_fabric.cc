@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <unordered_map>
 
 #include "proto/wire.h"
 #include "sched/thread_executor.h"
@@ -80,6 +81,41 @@ void TuneSocket(int fd, const FabricOptions& options) {
   }
 }
 
+// Free lists of reusable byte buffers for frame heads, one per thread and
+// taken without a lock. The send path acquires a buffer on the sending
+// thread and encodes into it; whichever thread finishes with the frame (the
+// sender that wrote it through, or the loop that drained or dropped it)
+// releases it onto its own list. A hosted node sends and drains on one
+// thread, so its steady-state traffic allocates nothing per message. Each
+// list keeps at most kMaxPooled buffers, and one that grew past
+// kMaxPooledCapacity is dropped rather than hoarded.
+class BufferPool {
+ public:
+  static std::string Acquire() {
+    if (free_.empty()) return {};
+    std::string out = std::move(free_.back());
+    free_.pop_back();
+    out.clear();
+    return out;
+  }
+
+  static void Release(std::string&& buffer) {
+    if (buffer.capacity() > kMaxPooledCapacity || free_.size() >= kMaxPooled) return;
+    free_.push_back(std::move(buffer));
+  }
+
+ private:
+  static constexpr std::size_t kMaxPooled = 64;
+  static constexpr std::size_t kMaxPooledCapacity = 256 * 1024;
+  static thread_local std::vector<std::string> free_;
+};
+
+thread_local std::vector<std::string> BufferPool::free_;
+
+// Fabric ids are never reused, so a thread's cached shard of a destroyed
+// fabric can never be taken for a later fabric's.
+std::atomic<std::uint64_t> g_nextFabricId{1};
+
 void Accumulate(Fabric::Counters& into, const Fabric::Counters& d) {
   into.messagesSent += d.messagesSent;
   into.messagesDelivered += d.messagesDelivered;
@@ -94,6 +130,28 @@ void Accumulate(Fabric::Counters& into, const Fabric::Counters& d) {
 }
 
 }  // namespace
+
+// One thread's counters on one fabric, per peer. Its lock is taken by that
+// thread and by readers summing the shards, never by another counter.
+struct TcpFabric::CounterShard {
+  std::mutex mu;
+  std::unordered_map<NodeAddr, Counters> peers;
+  std::atomic<bool> owned{false};  // a live thread counts into it
+};
+
+// The calling thread's shard of each fabric it has counted on. When the
+// thread exits its shards become unowned, for the next thread to adopt.
+struct TcpFabric::ThreadShards {
+  struct Ref {
+    std::uint64_t fabricId;
+    std::shared_ptr<CounterShard> shard;
+  };
+  std::vector<Ref> refs;
+
+  ~ThreadShards() {
+    for (const Ref& ref : refs) ref.shard->owned.store(false, std::memory_order_release);
+  }
+};
 
 struct TcpFabric::Endpoint {
   NodeAddr addr = 0;
@@ -243,7 +301,7 @@ class TcpFabric::Conn final : public sched::EventHandler,
     if (kick) {
       loop_->Post([self = shared_from_this()] { self->OnKick(); });
     }
-    if (!queued) fabric_->pool_.Release(std::move(frame.head));
+    if (!queued) BufferPool::Release(std::move(frame.head));
     return written;
   }
 
@@ -260,8 +318,9 @@ class TcpFabric::Conn final : public sched::EventHandler,
   // Any thread: the peer's endpoint went away locally (Unregister). Treat
   // the socket like a peer restart: quietly drop it; the next frame
   // reconnects (counting one reconnect) and only a refused reconnect
-  // escalates to OnPeerDown. Senders stop writing through at once, so a
-  // frame sent after Unregister queues behind the detach.
+  // escalates to OnPeerDown. Senders stop writing through at once, and a
+  // drain already running on the loop stops at its next batch, so a frame
+  // sent after Unregister queues behind the detach.
   void PostDetachStale() {
     {
       std::lock_guard lock(qmu_);
@@ -601,13 +660,17 @@ class TcpFabric::Conn final : public sched::EventHandler,
       // frame. The references stay valid while unlocked: only this thread
       // pops, and deque push_back does not invalidate references to
       // existing elements. Senders do not write through while the queue is
-      // non-empty.
+      // non-empty. A connected Conn that is not writable has a detach
+      // pending: its frames wait for the reconnect the detach makes rather
+      // than go out on a socket whose reader is gone.
       iovec iov[2 * kMaxWritevBatch];
       std::size_t nIov = 0;
       {
         std::lock_guard lock(qmu_);
         const std::size_t limit =
-            std::min(queue_.size(), delay > Duration::zero() ? 1 : kMaxWritevBatch);
+            !writable_ ? 0
+                       : std::min(queue_.size(),
+                                  delay > Duration::zero() ? 1 : kMaxWritevBatch);
         for (std::size_t i = 0; i < limit; ++i) {
           nIov += FrameIov(queue_[i], i == 0 ? frontOffset_ : 0, iov + nIov);
         }
@@ -643,7 +706,7 @@ class TcpFabric::Conn final : public sched::EventHandler,
           if (consumed >= remain) {
             consumed -= remain;
             frontOffset_ = 0;
-            fabric_->pool_.Release(std::move(f.head));
+            BufferPool::Release(std::move(f.head));
             queue_.pop_front();
             ++completed;
           } else {
@@ -757,7 +820,7 @@ class TcpFabric::Conn final : public sched::EventHandler,
   // were.
   std::size_t DropQueueLocked() {
     const std::size_t n = queue_.size();
-    for (auto& f : queue_) fabric_->pool_.Release(std::move(f.head));
+    for (auto& f : queue_) BufferPool::Release(std::move(f.head));
     queue_.clear();
     return n;
   }
@@ -856,7 +919,9 @@ class TcpFabric::Conn final : public sched::EventHandler,
 // TcpFabric proper.
 
 TcpFabric::TcpFabric(std::uint16_t basePort, FabricOptions options)
-    : basePort_(basePort), options_(options) {
+    : id_(g_nextFabricId.fetch_add(1, std::memory_order_relaxed)),
+      basePort_(basePort),
+      options_(options) {
   RequireValidFabricOptions(options_);
   for (int i = 0; i < kPoolLoops; ++i) {
     loops_.push_back(std::make_unique<sched::ThreadExecutor>());
@@ -1072,6 +1137,12 @@ void TcpFabric::HandOver(const std::shared_ptr<Conn>& conn) {
 // ---- send path ----
 
 std::shared_ptr<TcpFabric::Conn> TcpFabric::GetConnection(NodeAddr from, NodeAddr to) {
+  {
+    std::shared_lock lock(connsMu_);
+    if (shuttingDown_) return nullptr;
+    const auto it = conns_.find(PairKey(from, to));
+    if (it != conns_.end()) return it->second;
+  }
   std::lock_guard lock(connsMu_);
   if (shuttingDown_) return nullptr;
   auto& slot = conns_[PairKey(from, to)];
@@ -1103,10 +1174,11 @@ void TcpFabric::Send(NodeAddr from, NodeAddr to, proto::Message message) {
     return;
   }
 
-  // Encode into a pooled buffer, header first, so the hot path reuses
-  // capacity instead of allocating per message. A bulk data field is not
-  // copied in: its string leaves the message as the frame's payload.
-  Frame frame{pool_.Acquire(), {}};
+  // Encode into a buffer from this thread's pool, header first, so the hot
+  // path reuses capacity instead of allocating per message. A bulk data
+  // field is not copied in: its string leaves the message as the frame's
+  // payload.
+  Frame frame{BufferPool::Acquire(), {}};
   frame.head.resize(kFrameHeader);
   proto::EncodeAppendSplit(message, frame.head, frame.payload);
   const std::size_t size = frame.size();
@@ -1159,21 +1231,59 @@ void TcpFabric::NotifyPeerDown(NodeAddr from, NodeAddr to) {
 // ---- counters ----
 
 void TcpFabric::Count(NodeAddr peer, const Counters& delta) {
-  std::lock_guard lock(perPeerMu_);
-  Accumulate(perPeer_[peer], delta);
+  CounterShard& shard = ThisThreadShard();
+  std::lock_guard lock(shard.mu);
+  Accumulate(shard.peers[peer], delta);
 }
 
-net::Fabric::Counters TcpFabric::GetCounters() const {
+TcpFabric::CounterShard& TcpFabric::ThisThreadShard() {
+  thread_local ThreadShards mine;
+  for (const ThreadShards::Ref& ref : mine.refs) {
+    if (ref.fabricId == id_) return *ref.shard;
+  }
+  return AddShard(mine);
+}
+
+TcpFabric::CounterShard& TcpFabric::AddShard(ThreadShards& mine) {
+  // Forget the shards of fabrics that are gone: the thread holds the last
+  // reference.
+  std::erase_if(mine.refs, [](const ThreadShards::Ref& ref) {
+    return ref.shard.use_count() == 1;
+  });
+  std::shared_ptr<CounterShard> shard;
+  {
+    std::lock_guard lock(shardsMu_);
+    for (const auto& s : shards_) {
+      if (!s->owned.load(std::memory_order_acquire)) {
+        shard = s;  // left by a thread that exited; its counts stay
+        break;
+      }
+    }
+    if (shard == nullptr) shard = shards_.emplace_back(std::make_shared<CounterShard>());
+    shard->owned.store(true, std::memory_order_relaxed);
+  }
+  mine.refs.push_back({id_, shard});
+  return *shard;
+}
+
+net::Fabric::Counters TcpFabric::SumShards(std::optional<NodeAddr> peer) const {
   Counters out;
-  std::lock_guard lock(perPeerMu_);
-  for (const auto& [_, c] : perPeer_) Accumulate(out, c);
+  std::lock_guard lock(shardsMu_);
+  for (const auto& shard : shards_) {
+    std::lock_guard shardLock(shard->mu);
+    if (!peer.has_value()) {
+      for (const auto& [_, c] : shard->peers) Accumulate(out, c);
+    } else if (const auto it = shard->peers.find(*peer); it != shard->peers.end()) {
+      Accumulate(out, it->second);
+    }
+  }
   return out;
 }
 
+net::Fabric::Counters TcpFabric::GetCounters() const { return SumShards(std::nullopt); }
+
 net::Fabric::Counters TcpFabric::PerPeerCounters(NodeAddr peer) const {
-  std::lock_guard lock(perPeerMu_);
-  const auto it = perPeer_.find(peer);
-  return it == perPeer_.end() ? Counters{} : it->second;
+  return SumShards(peer);
 }
 
 }  // namespace scalla::net

@@ -39,8 +39,9 @@
 // the owning loop, which drains a backlog with one writev (sendmsg) per
 // pass and owns connect, partial writes, deadlines, delay pacing and idle
 // reaping (by the dialing end). Receives read into a reusable buffer that
-// is never zero-filled, and frame buffers are pooled, so steady-state
-// traffic allocates nothing per message.
+// is never zero-filled, and frame buffers are pooled per thread, so a
+// hosted endpoint's steady-state traffic allocates nothing per message
+// (tests/fabric_alloc_test.cc).
 //
 // Bulk bytes are not copied on the way out. A message whose last field is
 // bulk data (XrdReadResp, XrdWrite) is framed as header plus its other
@@ -80,9 +81,15 @@
 //   - other threads otherwise talk to a loop only through Post()/RunSync();
 //   - timers (connect/write deadlines, idle reaping, injected delays) are
 //     the loop's RunAt timers;
-//   - lock order: the fabric's connsMu_, then epMu_ or a connection's qmu_;
-//     a qmu_ before perPeerMu_ and the BufferPool lock; no lock is held
-//     across a handler callback;
+//   - no fabric-wide mutex on the frame path: Send, Submit's write-through,
+//     DrainWrites and ParseFrames take only the pair's qmu_, the calling
+//     thread's own counter shard, and connsMu_ shared to find the pair.
+//     connsMu_ is exclusive only while a pair is created, claimed, handed
+//     over or removed; frame buffers come from a per-thread list with no
+//     lock; FaultTable::Check takes none while no fault is set;
+//   - lock order: connsMu_, then epMu_ or a connection's qmu_; shardsMu_
+//     before a counter shard's lock, which is otherwise taken with no
+//     other lock held; no lock is held across a handler callback;
 //   - a hosted endpoint's handlers run on the loop that reads its sockets,
 //     so a handler that blocks stops that endpoint's reads and the drain
 //     of its queued sends until it returns. Peers sending to it then fill
@@ -100,6 +107,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -110,35 +119,6 @@
 #include "util/types.h"
 
 namespace scalla::net {
-
-/// Free list of reusable byte buffers for frame encode/decode: the send
-/// path acquires a buffer, encodes into it, and the loop releases it
-/// back once written, so steady-state traffic does not allocate per
-/// message. Oversized buffers are dropped rather than hoarded.
-class BufferPool {
- public:
-  std::string Acquire() {
-    std::lock_guard lock(mu_);
-    if (free_.empty()) return {};
-    std::string out = std::move(free_.back());
-    free_.pop_back();
-    out.clear();
-    return out;
-  }
-
-  void Release(std::string&& buffer) {
-    constexpr std::size_t kMaxPooled = 64;
-    constexpr std::size_t kMaxPooledCapacity = 256 * 1024;
-    if (buffer.capacity() > kMaxPooledCapacity) return;
-    std::lock_guard lock(mu_);
-    if (free_.size() >= kMaxPooled) return;
-    free_.push_back(std::move(buffer));
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::string> free_;
-};
 
 class TcpFabric final : public Fabric {
  public:
@@ -164,6 +144,10 @@ class TcpFabric final : public Fabric {
 
   // ---- Fabric ----
   void Send(NodeAddr from, NodeAddr to, proto::Message message) override;
+  /// Both sum every thread's counter shard. Once traffic is quiet the sum
+  /// is exact, counts made by threads that have since exited included;
+  /// while frames move, each shard is read at its own moment, so a frame
+  /// may read as received before its sender's count of it lands.
   Counters GetCounters() const override;
   Counters PerPeerCounters(NodeAddr peer) const override;
 
@@ -190,6 +174,8 @@ class TcpFabric final : public Fabric {
   class Listener;
   class Conn;
   struct Endpoint;
+  struct CounterShard;
+  struct ThreadShards;
   friend class Listener;
   friend class Conn;
 
@@ -213,31 +199,42 @@ class TcpFabric final : public Fabric {
     return *loops_[static_cast<std::size_t>(key % loops_.size())];
   }
 
-  // Adds `delta` to the counters of `peer`: the destination for traffic
-  // an endpoint sends, the sender for traffic it receives. Every
-  // event counts against exactly one peer, so the totals are their sum.
+  // Adds `delta` to the counters of `peer` in the calling thread's own
+  // shard: the destination for traffic an endpoint sends, the sender for
+  // traffic it receives. Every event counts against exactly one peer, so
+  // the totals are their sum.
   void Count(NodeAddr peer, const Counters& delta);
+  // The calling thread's shard of this fabric, found through a
+  // thread-local cache keyed by id_; AddShard makes or adopts one.
+  CounterShard& ThisThreadShard();
+  CounterShard& AddShard(ThreadShards& mine);
+  // Sums `peer`'s counters over every shard, or all of them when `peer`
+  // is empty.
+  Counters SumShards(std::optional<NodeAddr> peer) const;
 
+  const std::uint64_t id_;  // never reused, so a thread's cache never aliases
   std::uint16_t basePort_;
   FabricOptions options_;
-  BufferPool pool_;
   // Loops for the sockets of endpoints without a ThreadExecutor of their
-  // own. Declared after pool_, so they are joined before it goes.
+  // own.
   std::vector<std::unique_ptr<sched::ThreadExecutor>> loops_;
   std::atomic<std::uint64_t> nextLoop_{0};  // round-robin accepted placement
 
   mutable std::mutex epMu_;
   std::map<NodeAddr, std::unique_ptr<Endpoint>> endpoints_;
 
-  mutable std::mutex connsMu_;
+  // Shared to find a pair on every send; exclusive to change the map.
+  mutable std::shared_mutex connsMu_;
   std::map<std::uint64_t, std::shared_ptr<Conn>> conns_;  // (from<<32|to)
 
   FaultTable faults_;
 
-  // Per-peer traffic: one acquisition per frame on each side; no other
-  // lock is taken while it is held.
-  mutable std::mutex perPeerMu_;
-  std::map<NodeAddr, Counters> perPeer_;
+  // Per-peer traffic, one shard per thread that has counted on this
+  // fabric. A thread that exits leaves its shard, counts and all, for the
+  // next new thread to adopt, so the list stays as long as the most
+  // threads that counted at once and no count is lost.
+  mutable std::mutex shardsMu_;
+  std::vector<std::shared_ptr<CounterShard>> shards_;
 
   std::atomic<std::size_t> activeOutbound_{0};
   std::atomic<bool> shuttingDown_{false};

@@ -413,6 +413,130 @@ TEST(FabricReactorTest, PerPeerCountersAttributeTraffic) {
   EXPECT_EQ(fabric.PerPeerCounters(77).framesSent, 0u);
 }
 
+// Each thread counts into its own shard of the fabric's counters. Eight
+// foreign threads (unregistered senders, whose sockets sit on the pool
+// loops) and two hosted endpoints send small and 64 KiB frames to a hosted
+// and a pooled receiver while another thread reads the counters the whole
+// time. The foreign threads exit, and a late thread takes over a shard one
+// of them left, before the final read: the totals and every peer's row
+// equal what was sent, and no read saw a total go down.
+TEST(FabricReactorTest, CountersStayExactAcrossThreads) {
+  const auto base = NextBasePort(PortBand::kFabricReactor);
+  constexpr net::NodeAddr kHostedRx = 1, kPooledRx = 2;
+  constexpr net::NodeAddr kHostedTx[] = {3, 4};
+  constexpr net::NodeAddr kForeign = 10;  // 10..17 send, 18 is the late thread
+  constexpr int kForeignThreads = 8;
+  constexpr int kSmall = 300;
+  constexpr int kBig = 12;
+  constexpr int kLate = 50;
+  const std::uint64_t smallWire = WireBytes(SmallMessage());
+  const std::uint64_t bigWire = WireBytes(BigWrite(0, 64 * 1024));
+  const std::uint64_t perRxFrames = kSmall + kBig;
+  const std::uint64_t perRxBytes = kSmall * smallWire + kBig * bigWire;
+
+  CountingSink hostedRx, pooledRx, hostedTx[2];
+  sched::ThreadExecutor rxExec, txExec[2];
+  net::TcpFabric fabric(base);
+  ASSERT_TRUE(fabric.Register(kHostedRx, &hostedRx, &rxExec));
+  ASSERT_TRUE(fabric.Register(kPooledRx, &pooledRx, nullptr));
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(fabric.Register(kHostedTx[i], &hostedTx[i], &txExec[i]));
+  }
+  // Small frames first, then the 64 KiB ones, to both receivers.
+  const auto sendAll = [&fabric](net::NodeAddr from, int small, int big) {
+    for (const net::NodeAddr to : {kHostedRx, kPooledRx}) {
+      for (int i = 0; i < small; ++i) fabric.Send(from, to, SmallMessage());
+      for (int i = 0; i < big; ++i) fabric.Send(from, to, BigWrite(0, 64 * 1024));
+    }
+  };
+
+  std::atomic<bool> reading{true};
+  std::atomic<int> reads{0};
+  bool monotonic = true;
+  std::thread reader([&] {
+    net::Fabric::Counters last;
+    while (reading.load()) {
+      const auto c = fabric.GetCounters();
+      if (c.messagesSent < last.messagesSent || c.framesSent < last.framesSent ||
+          c.bytesSent < last.bytesSent || c.framesReceived < last.framesReceived ||
+          c.bytesReceived < last.bytesReceived) {
+        monotonic = false;
+      }
+      last = c;
+      for (net::NodeAddr peer = kHostedRx; peer <= kForeign + kForeignThreads; ++peer) {
+        (void)fabric.PerPeerCounters(peer);
+      }
+      ++reads;
+    }
+  });
+  std::vector<std::thread> foreign;
+  for (int t = 0; t < kForeignThreads; ++t) {
+    foreign.emplace_back([&sendAll, t] {
+      sendAll(static_cast<net::NodeAddr>(kForeign + t), kSmall, kBig);
+    });
+  }
+  // The hosted senders send from their own loops, in tasks of 20 frames.
+  for (int i = 0; i < 2; ++i) {
+    for (int t = 0; t < kSmall / 20; ++t) {
+      txExec[i].Post([&sendAll, from = kHostedTx[i]] { sendAll(from, 20, 0); });
+    }
+    txExec[i].Post([&sendAll, from = kHostedTx[i]] { sendAll(from, 0, kBig); });
+  }
+  for (auto& t : foreign) t.join();
+  std::thread late([&sendAll] { sendAll(kForeign + kForeignThreads, kLate, 0); });
+  late.join();
+
+  const int senders = kForeignThreads + 2;
+  const int perRx = senders * static_cast<int>(perRxFrames) + kLate;
+  const std::uint64_t totalFrames = 2 * static_cast<std::uint64_t>(perRx);
+  const std::uint64_t totalBytes = 2 * (senders * perRxBytes + kLate * smallWire);
+  const bool delivered =
+      hostedRx.WaitMessages(perRx, 30s) && pooledRx.WaitMessages(perRx, 30s);
+  const bool quiet =
+      delivered && WaitFor([&] { return fabric.GetCounters().bytesSent == totalBytes; });
+  reading = false;
+  reader.join();  // before any assertion can return
+  ASSERT_TRUE(delivered);
+  ASSERT_TRUE(quiet);
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_TRUE(monotonic);
+
+  const auto c = fabric.GetCounters();
+  EXPECT_EQ(c.messagesSent, totalFrames);
+  EXPECT_EQ(c.framesSent, totalFrames);
+  EXPECT_EQ(c.bytesSent, totalBytes);
+  EXPECT_EQ(c.framesReceived, totalFrames);
+  EXPECT_EQ(c.messagesDelivered, totalFrames);
+  EXPECT_EQ(c.bytesReceived, totalBytes);
+  EXPECT_EQ(c.messagesDropped, 0u);
+  // A receiver's row holds what was sent to it; a sender's, what arrived
+  // from it at both receivers.
+  for (const net::NodeAddr rx : {kHostedRx, kPooledRx}) {
+    const auto row = fabric.PerPeerCounters(rx);
+    EXPECT_EQ(row.messagesSent, static_cast<std::uint64_t>(perRx)) << rx;
+    EXPECT_EQ(row.framesSent, static_cast<std::uint64_t>(perRx)) << rx;
+    EXPECT_EQ(row.bytesSent, senders * perRxBytes + kLate * smallWire) << rx;
+    EXPECT_EQ(row.framesReceived, 0u) << rx;
+  }
+  std::vector<net::NodeAddr> txs(kHostedTx, kHostedTx + 2);
+  for (int t = 0; t < kForeignThreads; ++t) {
+    txs.push_back(static_cast<net::NodeAddr>(kForeign + t));
+  }
+  for (const net::NodeAddr tx : txs) {
+    const auto row = fabric.PerPeerCounters(tx);
+    EXPECT_EQ(row.framesReceived, 2 * perRxFrames) << tx;
+    EXPECT_EQ(row.messagesDelivered, 2 * perRxFrames) << tx;
+    EXPECT_EQ(row.bytesReceived, 2 * perRxBytes) << tx;
+    EXPECT_EQ(row.messagesSent, 0u) << tx;
+  }
+  const auto lateRow = fabric.PerPeerCounters(kForeign + kForeignThreads);
+  EXPECT_EQ(lateRow.framesReceived, 2u * kLate);
+  EXPECT_EQ(lateRow.bytesReceived, 2 * kLate * smallWire);
+  EXPECT_TRUE(hostedRx.payloadIntact);
+  EXPECT_TRUE(pooledRx.payloadIntact);
+  EXPECT_EQ(hostedTx[0].PeerDowns() + hostedTx[1].PeerDowns(), 0);
+}
+
 // ---- frames with a bulk payload (XrdReadResp, XrdWrite) ----
 // The sender writes such a frame as two iovecs, its fields then its data;
 // these tests pin that the receiver cannot tell.

@@ -37,7 +37,7 @@ namespace scalla {
 
 // One band per test binary.
 enum class PortBand { kTcpFabric, kFabricReactor, kFabricSoak, kTcpCluster, kChaos, kPcache,
-                      kTcpFederation, kCount };
+                      kTcpFederation, kFabricAlloc, kCount };
 
 inline constexpr int kFirstBandPort = 16000;
 inline constexpr int kBandPorts = 2000;  // per binary
