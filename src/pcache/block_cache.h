@@ -1,9 +1,12 @@
 // Block cache for the proxy tier: fixed-size blocks keyed by (path, block
-// index), sharded for lock spread, with strict global LRU eviction driven
-// by high/low watermarks — the XCache/PFC design: inserts are cheap until
-// used bytes cross the high watermark, then the cache evicts oldest-first
-// down to the low watermark so eviction runs in bursts instead of on every
-// insert. Pinned blocks (mid-insert, mid-read-ahead) are never evicted.
+// index) in one map with one LRU list under one mutex. Its only production
+// caller is the proxy's own loop, so splitting it to spread lock traffic
+// buys nothing; the mutex keeps it safe for other callers. Eviction is
+// strict LRU driven by high/low watermarks — the XCache/PFC design: inserts
+// are cheap until used bytes cross the high watermark, then the cache
+// evicts oldest-first down to the low watermark so eviction runs in bursts
+// instead of on every insert. Pinned blocks (mid-insert, mid-read-ahead)
+// are never evicted.
 //
 // SingleFlight coalesces concurrent misses on the same block: the first
 // requester becomes the fetch owner, later requesters queue behind it and
@@ -30,7 +33,6 @@ struct BlockCacheConfig {
   std::uint64_t capacityBytes = 64 * 1024 * 1024;
   double highWatermark = 0.95;               // start evicting above this
   double lowWatermark = 0.80;                // evict down to this
-  std::size_t shards = 8;
 };
 
 /// Identifies one cached block of one file.
@@ -55,7 +57,6 @@ struct BlockCacheStats {
 struct EvictedBlock {
   BlockKey key;
   std::string data;
-  int pins = 0;  // always 0: pinned blocks are never evicted
 };
 
 class BlockCache {
@@ -94,9 +95,9 @@ class BlockCache {
 
   /// Watermark-eviction victims are handed to `sink` (with their bytes)
   /// instead of being silently dropped; the tiered cache uses this to
-  /// spill DRAM victims to the disk tier. The sink runs outside every
-  /// shard lock (but under the sweep lock, so sinks never overlap). Set
-  /// once, before the cache sees concurrent traffic.
+  /// spill DRAM victims to the disk tier. The sink runs outside the map
+  /// lock (but under the sweep lock, so sinks never overlap). Set once,
+  /// before the cache sees concurrent traffic.
   void SetEvictionSink(std::function<void(EvictedBlock)> sink) {
     evictionSink_ = std::move(sink);
   }
@@ -104,26 +105,25 @@ class BlockCache {
  private:
   struct Entry {
     std::string data;
-    std::uint64_t stamp = 0;    // global LRU recency; larger = fresher
     int pins = 0;
     std::list<BlockKey>::iterator lruIt;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, std::map<std::uint64_t, Entry>> files;
-    std::list<BlockKey> lru;    // front = oldest within this shard
-  };
 
-  Shard& ShardOf(const std::string& path, std::uint64_t index);
-  const Shard& ShardOf(const std::string& path, std::uint64_t index) const;
+  using FileMap = std::unordered_map<std::string, std::map<std::uint64_t, Entry>>;
+
+  /// Requires mu_. The entry of (path, index), or null.
+  Entry* Find(const std::string& path, std::uint64_t index);
+  /// Requires mu_. Drops the file's unpinned blocks; returns how many.
+  std::uint64_t PurgeFileLocked(FileMap::iterator fileIt);
   void EvictToLowWatermark();
 
   BlockCacheConfig config_;
-  std::vector<Shard> shards_;
-  std::mutex evictMu_;  // serializes watermark eviction sweeps
+  mutable std::mutex mu_;  // guards files_ and lru_
+  FileMap files_;
+  std::list<BlockKey> lru_;  // front = oldest
+  std::mutex evictMu_;       // serializes watermark eviction sweeps
   std::function<void(EvictedBlock)> evictionSink_;
 
-  std::atomic<std::uint64_t> nextStamp_{1};
   std::atomic<std::uint64_t> usedBytes_{0};
   std::atomic<std::uint64_t> blockCount_{0};
   std::atomic<std::uint64_t> hits_{0};

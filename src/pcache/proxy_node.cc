@@ -31,7 +31,7 @@ ProxyCacheNode::ProxyCacheNode(const ProxyCacheConfig& config,
     : config_(config),
       executor_(executor),
       fabric_(fabric),
-      cache_(TieredConfig(config), config.diskOss, &executor, executor.clock()),
+      cache_(TieredConfig(config), config.diskOss, executor.clock()),
       origin_(OriginConfig(config), executor, fabric),
       stats_(config.addr, executor, fabric),
       opensLocal_(metrics_.GetCounter("pcache.opens_local")),
@@ -505,7 +505,12 @@ void ProxyCacheNode::HandleUnlink(net::NodeAddr from, const proto::XrdUnlink& m)
   origin_.Unlink(path, [this, from, reqId, path](proto::XrdErr err) {
     if (err == proto::XrdErr::kNone) {
       (void)cache_.Purge(path);
-      sessions_.erase(path);  // stale handles on it now answer kInvalid
+      const auto it = sessions_.find(path);
+      if (it != sessions_.end()) {
+        // Nothing reads through the origin handle again: release it at the leaf.
+        if (it->second.originOpen) origin_.Close(it->second.origin, [](proto::XrdErr) {});
+        sessions_.erase(it);  // stale handles on it now answer kInvalid
+      }
     }
     proto::XrdUnlinkResp resp;
     resp.reqId = reqId;

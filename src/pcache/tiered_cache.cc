@@ -55,94 +55,75 @@ Result<void> ValidateTieredConfig(const TieredCacheConfig& config) {
 
 // ---------------------------------------------------------------- Impl
 
-/// All mutable state lives here behind a shared_ptr: async spill/promote
-/// tasks capture a weak reference, so a task that fires after the cache is
-/// destroyed locks nothing and drops itself (no blocking destructor — a
-/// sim executor may never run the task at all).
-struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::Impl> {
+struct TieredBlockCache::Impl {
   struct DiskEntry {
     std::uint64_t size = 0;
-    std::uint64_t stamp = 0;  // shares the DRAM tier's recency domain
     int pins = 0;
     std::list<BlockKey>::iterator lruIt;
   };
-  struct FileState {
-    FileLifecycle life;
-    std::uint64_t epoch = 0;  // bumped by Purge(path); stale tasks drop
-  };
-  /// Purge generation captured when a spill/promote is scheduled; the task
-  /// re-checks it so a purge between capture and execution wins.
-  struct EpochStamp {
-    std::uint64_t global = 0;
-    std::uint64_t path = 0;
-  };
+  using DiskFileMap = std::unordered_map<std::string, std::map<std::uint64_t, DiskEntry>>;
 
-  Impl(const TieredCacheConfig& cfg, oss::Oss* diskOss, sched::Executor* ex,
-       util::Clock& clk)
-      : config(cfg), disk(diskOss), executor(ex), clock(&clk), dram(cfg.dram) {
-    asyncMode = config.asyncTierOps && executor != nullptr && DiskEnabled();
+  Impl(const TieredCacheConfig& cfg, oss::Oss* diskOss, util::Clock& clk)
+      : config(cfg), disk(diskOss), clock(&clk), dram(cfg.dram) {
     const std::size_t dramSlots = static_cast<std::size_t>(
         config.dram.capacityBytes / std::max<std::uint32_t>(config.dram.blockSize, 1) + 1);
     ghostCapacity = config.ghostEntries != 0 ? config.ghostEntries : 4 * dramSlots;
+    // The sink runs on the inserting thread, under the DRAM sweep lock
+    // (never the map lock). With the disk tier off an eviction is a loss.
+    dram.SetEvictionSink([this](EvictedBlock block) {
+      if (DiskEnabled()) {
+        Spill(std::move(block));
+      } else {
+        LifeOnDeparture(block.key.path);
+      }
+    });
   }
 
   bool DiskEnabled() const { return config.diskCapacityBytes > 0 && disk != nullptr; }
 
-  // ---- tier-op scheduling ------------------------------------------
-
-  void RunTierOp(std::function<void(Impl&)> op) {
-    if (!asyncMode) {
-      op(*this);
-      return;
-    }
-    pendingOps.fetch_add(1, std::memory_order_acq_rel);
-    std::weak_ptr<Impl> weak = weak_from_this();
-    executor->Post([weak, op = std::move(op)] {
-      auto impl = weak.lock();
-      if (!impl) return;
-      op(*impl);
-      impl->pendingOps.fetch_sub(1, std::memory_order_acq_rel);
-    });
-  }
-
-  EpochStamp SnapshotEpochs(const std::string& path) const {
-    EpochStamp e;
-    e.global = globalEpoch.load(std::memory_order_acquire);
-    std::lock_guard lock(lifeMu);
-    const auto it = files.find(path);
-    e.path = it == files.end() ? 0 : it->second.epoch;
-    return e;
-  }
-
-  bool EpochsValid(const std::string& path, const EpochStamp& e) const {
-    if (globalEpoch.load(std::memory_order_acquire) != e.global) return false;
-    std::lock_guard lock(lifeMu);
-    const auto it = files.find(path);
-    return (it == files.end() ? 0 : it->second.epoch) == e.path;
-  }
-
   // ---- lifecycle ----------------------------------------------------
+  // `files` holds an entry for exactly the files with a block in either
+  // tier: an insert or a hit creates one, a miss only updates one, and it
+  // goes when a purge or an eviction (or a failed spill, or a torn disk
+  // read) takes the file's last block. A move between tiers keeps it.
+  // Lock order: lifeMu is taken alone, or before the DRAM map lock and
+  // diskMu (the residency check).
 
-  void LifeOnAccess(const std::string& path, bool reuse) {
+  void LifeOnLookup(const std::string& path, bool hit) {
     const TimePoint now = clock->Now();
     std::lock_guard lock(lifeMu);
-    FileState& st = files[path];
-    if (st.life.lookups == 0 && st.life.firstAccess == TimePoint{}) {
-      st.life.firstAccess = now;
+    auto it = files.find(path);
+    if (it == files.end()) {
+      // A miss creates nothing; nor does a hit whose block another caller
+      // took out of the cache since.
+      if (!hit || !Resident(path)) return;
+      it = files.emplace(path, FileLifecycle{}).first;
+      it->second.firstAccess = now;
     }
-    st.life.lastAccess = now;
-    ++st.life.lookups;
-    if (reuse) ++st.life.reuses;
+    it->second.lastAccess = now;
+    ++it->second.lookups;
+    if (hit) ++it->second.reuses;
   }
 
   void LifeOnInsert(const std::string& path) {
     const TimePoint now = clock->Now();
     std::lock_guard lock(lifeMu);
-    FileState& st = files[path];
-    if (st.life.firstAccess == TimePoint{} && st.life.lookups == 0) {
-      st.life.firstAccess = now;
-    }
-    st.life.lastAccess = now;
+    const auto [it, created] = files.try_emplace(path);
+    if (created) it->second.firstAccess = now;
+    it->second.lastAccess = now;
+  }
+
+  /// Requires lifeMu. Whether either tier holds a block of `path`.
+  bool Resident(const std::string& path) const {
+    if (dram.CountBlocks(path) > 0) return true;
+    std::lock_guard lock(diskMu);
+    return diskFiles.count(path) != 0;
+  }
+
+  /// Called after `path` lost a block: drops its entry if that was the last.
+  void LifeOnDeparture(const std::string& path) {
+    std::lock_guard lock(lifeMu);
+    if (!Resident(path)) files.erase(path);
   }
 
   // ---- ghost list (admission filter) --------------------------------
@@ -191,47 +172,48 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
   // ---- disk tier ----------------------------------------------------
   // The in-memory index (sizes, pins, LRU) is authoritative; the oss only
   // holds bytes. All oss calls happen under diskMu, which serializes disk
-  // I/O — acceptable because the async worker keeps it off the read path.
-  // Lock order: pinMu > dram's evictMu_ > diskMu > ghostMu; diskMu never
-  // wraps a DRAM shard lock.
+  // I/O. Lock order: pinMu > dram's evictMu_ > lifeMu > diskMu > ghostMu;
+  // diskMu never wraps the DRAM map lock or lifeMu.
 
   /// Writes the block and indexes it. `pins` seeds the entry's pin count
   /// (admission transfers pins when a block changes tier).
   bool DiskInsert(const std::string& path, std::uint64_t index,
                   const std::string& data, int pins) {
     const std::string dpath = DiskBlockPath(path, index);
-    std::lock_guard lock(diskMu);
-    if (disk->StateOf(dpath) == oss::FileState::kAbsent) {
-      if (const auto created = disk->Create(dpath); !created.ok()) {
+    std::vector<std::string> departed;  // files the eviction burst emptied
+    {
+      std::lock_guard lock(diskMu);
+      if (disk->StateOf(dpath) == oss::FileState::kAbsent) {
+        if (const auto created = disk->Create(dpath); !created.ok()) {
+          diskWriteFailures.fetch_add(1, std::memory_order_relaxed);
+          return false;
+        }
+      }
+      if (const auto written = disk->Write(dpath, 0, data); !written.ok()) {
         diskWriteFailures.fetch_add(1, std::memory_order_relaxed);
         return false;
       }
+      auto& perFile = diskFiles[path];
+      const auto it = perFile.find(index);
+      if (it != perFile.end()) {
+        diskUsedBytes += data.size();
+        diskUsedBytes -= it->second.size;
+        it->second.size = data.size();
+        it->second.pins += pins;
+        diskLru.splice(diskLru.end(), diskLru, it->second.lruIt);
+      } else {
+        DiskEntry e;
+        e.size = data.size();
+        e.pins = pins;
+        diskLru.push_back(BlockKey{path, index});
+        e.lruIt = std::prev(diskLru.end());
+        perFile.emplace(index, e);
+        diskUsedBytes += data.size();
+        ++diskBlocks;
+      }
+      EvictDiskLocked(departed);
     }
-    if (const auto written = disk->Write(dpath, 0, data); !written.ok()) {
-      diskWriteFailures.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    auto& perFile = diskFiles[path];
-    const auto it = perFile.find(index);
-    if (it != perFile.end()) {
-      diskUsedBytes += data.size();
-      diskUsedBytes -= it->second.size;
-      it->second.size = data.size();
-      it->second.pins += pins;
-      it->second.stamp = nextStamp.fetch_add(1, std::memory_order_relaxed);
-      diskLru.splice(diskLru.end(), diskLru, it->second.lruIt);
-    } else {
-      DiskEntry e;
-      e.size = data.size();
-      e.pins = pins;
-      e.stamp = nextStamp.fetch_add(1, std::memory_order_relaxed);
-      diskLru.push_back(BlockKey{path, index});
-      e.lruIt = std::prev(diskLru.end());
-      perFile.emplace(index, e);
-      diskUsedBytes += data.size();
-      ++diskBlocks;
-    }
-    EvictDiskLocked();
+    for (const std::string& gone : departed) LifeOnDeparture(gone);
     return true;
   }
 
@@ -259,15 +241,22 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
   };
 
   std::optional<DiskHit> DiskLookup(const std::string& path, std::uint64_t index) {
-    std::lock_guard lock(diskMu);
-    const auto fileIt = diskFiles.find(path);
-    if (fileIt == diskFiles.end()) return std::nullopt;
-    const auto it = fileIt->second.find(index);
-    if (it == fileIt->second.end()) return std::nullopt;
-    DiskEntry& e = it->second;
-    auto read = disk->Read(DiskBlockPath(path, index), 0,
-                           static_cast<std::uint32_t>(e.size));
-    if (!read.ok() || read.value().size() != e.size) {
+    {
+      std::lock_guard lock(diskMu);
+      const auto fileIt = diskFiles.find(path);
+      if (fileIt == diskFiles.end()) return std::nullopt;
+      const auto it = fileIt->second.find(index);
+      if (it == fileIt->second.end()) return std::nullopt;
+      DiskEntry& e = it->second;
+      auto read = disk->Read(DiskBlockPath(path, index), 0,
+                             static_cast<std::uint32_t>(e.size));
+      if (read.ok() && read.value().size() == e.size) {
+        diskLru.splice(diskLru.end(), diskLru, e.lruIt);
+        DiskHit hit;
+        hit.data = std::move(read).value();
+        hit.promotable = e.pins == 0;
+        return hit;
+      }
       // Torn or missing backing file: drop the index entry, report a miss
       // (the origin re-fetch repairs it).
       diskUsedBytes -= e.size;
@@ -275,19 +264,15 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
       diskLru.erase(e.lruIt);
       fileIt->second.erase(it);
       if (fileIt->second.empty()) diskFiles.erase(fileIt);
-      return std::nullopt;
     }
-    e.stamp = nextStamp.fetch_add(1, std::memory_order_relaxed);
-    diskLru.splice(diskLru.end(), diskLru, e.lruIt);
-    DiskHit hit;
-    hit.data = std::move(read).value();
-    hit.promotable = e.pins == 0;
-    return hit;
+    LifeOnDeparture(path);
+    return std::nullopt;
   }
 
   /// Requires diskMu. Burst-evicts oldest-first between the watermarks;
   /// victims leave a ghost entry so a re-fetch proves reuse and earns DRAM.
-  void EvictDiskLocked() {
+  /// Appends each file left with no disk block to `departed`.
+  void EvictDiskLocked(std::vector<std::string>& departed) {
     const auto high = static_cast<std::uint64_t>(
         config.diskHighWatermark * static_cast<double>(config.diskCapacityBytes));
     if (diskUsedBytes <= high) return;
@@ -309,15 +294,16 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
       (void)disk->Unlink(DiskBlockPath(key.path, key.index));
       diskLru.erase(e.lruIt);
       fileIt->second.erase(key.index);
-      if (fileIt->second.empty()) diskFiles.erase(fileIt);
       GhostRecord(DiskBlockPath(key.path, key.index));
+      if (fileIt->second.empty()) {
+        diskFiles.erase(fileIt);
+        departed.push_back(key.path);
+      }
     }
   }
 
-  std::uint64_t DiskPurge(const std::string& path) {
-    std::lock_guard lock(diskMu);
-    const auto fileIt = diskFiles.find(path);
-    if (fileIt == diskFiles.end()) return 0;
+  /// Requires diskMu. Drops the file's unpinned blocks; returns how many.
+  std::uint64_t DiskPurgeFileLocked(DiskFileMap::iterator fileIt) {
     std::uint64_t dropped = 0;
     for (auto it = fileIt->second.begin(); it != fileIt->second.end();) {
       if (it->second.pins > 0) {
@@ -327,10 +313,18 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
       diskUsedBytes -= it->second.size;
       --diskBlocks;
       diskLru.erase(it->second.lruIt);
-      (void)disk->Unlink(DiskBlockPath(path, it->first));
+      (void)disk->Unlink(DiskBlockPath(fileIt->first, it->first));
       it = fileIt->second.erase(it);
       ++dropped;
     }
+    return dropped;
+  }
+
+  std::uint64_t DiskPurge(const std::string& path) {
+    std::lock_guard lock(diskMu);
+    const auto fileIt = diskFiles.find(path);
+    if (fileIt == diskFiles.end()) return 0;
+    const std::uint64_t dropped = DiskPurgeFileLocked(fileIt);
     if (fileIt->second.empty()) diskFiles.erase(fileIt);
     return dropped;
   }
@@ -339,23 +333,8 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
     std::lock_guard lock(diskMu);
     std::uint64_t dropped = 0;
     for (auto fileIt = diskFiles.begin(); fileIt != diskFiles.end();) {
-      for (auto it = fileIt->second.begin(); it != fileIt->second.end();) {
-        if (it->second.pins > 0) {
-          ++it;
-          continue;
-        }
-        diskUsedBytes -= it->second.size;
-        --diskBlocks;
-        diskLru.erase(it->second.lruIt);
-        (void)disk->Unlink(DiskBlockPath(fileIt->first, it->first));
-        it = fileIt->second.erase(it);
-        ++dropped;
-      }
-      if (fileIt->second.empty()) {
-        fileIt = diskFiles.erase(fileIt);
-      } else {
-        ++fileIt;
-      }
+      dropped += DiskPurgeFileLocked(fileIt);
+      fileIt = fileIt->second.empty() ? diskFiles.erase(fileIt) : std::next(fileIt);
     }
     return dropped;
   }
@@ -368,32 +347,28 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
 
   // ---- tier movement ------------------------------------------------
 
-  /// DRAM watermark victim arriving at the disk tier (the demotion half of
-  /// the tier dance). Runs via RunTierOp.
-  void Spill(EvictedBlock block, const EpochStamp& epochs) {
-    if (!EpochsValid(block.key.path, epochs)) {
-      droppedSpills.fetch_add(1, std::memory_order_relaxed);
-      return;  // purged since eviction; do not resurrect
-    }
+  /// DRAM watermark victim moving to the disk tier (the demotion half of
+  /// the tier dance). Runs in the eviction sink, before the insert that
+  /// set off the sweep returns.
+  void Spill(EvictedBlock block) {
     if (dram.Contains(block.key.path, block.key.index)) {
-      // Re-inserted into DRAM since eviction: the DRAM copy is newer, and
-      // a block lives in one tier only.
+      // Another caller re-inserted it since the sweep took it: the DRAM
+      // copy is newer, and a block lives in one tier only.
       droppedSpills.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     if (DiskInsert(block.key.path, block.key.index, block.data, /*pins=*/0)) {
       spills.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      droppedSpills.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
+    droppedSpills.fetch_add(1, std::memory_order_relaxed);
+    LifeOnDeparture(block.key.path);
   }
 
-  /// Disk hit earning its DRAM slot. Erase-first claims the block: if it
-  /// is already gone (purged, evicted, promoted by a racing lookup), the
-  /// promotion is stale and drops itself.
-  void Promote(const std::string& path, std::uint64_t index, std::string data,
-               const EpochStamp& epochs) {
-    if (!EpochsValid(path, epochs)) return;
+  /// Disk hit earning its DRAM slot. Erase-first claims the block: if
+  /// another caller already purged, evicted or promoted it, there is
+  /// nothing left to move.
+  void Promote(const std::string& path, std::uint64_t index, std::string data) {
     std::lock_guard lock(pinMu);
     const int pins = DiskErase(path, index);
     if (pins < 0) return;
@@ -404,19 +379,17 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
 
   TieredCacheConfig config;
   oss::Oss* disk = nullptr;
-  sched::Executor* executor = nullptr;
   util::Clock* clock = nullptr;
-  bool asyncMode = false;
   BlockCache dram;
 
   // Held across every disk -> DRAM move (the erase and the re-insert that
   // carries the pins) and by Pin/Unpin, so a pin change never lands while
   // the block sits in neither tier and is lost. Lock order: pinMu > dram's
-  // evictMu_ > diskMu > ghostMu.
+  // evictMu_ > lifeMu > diskMu > ghostMu.
   std::mutex pinMu;
 
   mutable std::mutex diskMu;
-  std::unordered_map<std::string, std::map<std::uint64_t, DiskEntry>> diskFiles;
+  DiskFileMap diskFiles;
   std::list<BlockKey> diskLru;  // front = oldest
   std::uint64_t diskUsedBytes = 0;
   std::uint64_t diskBlocks = 0;
@@ -427,11 +400,7 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
   std::size_t ghostCapacity = 0;
 
   mutable std::mutex lifeMu;
-  std::unordered_map<std::string, FileState> files;
-  std::atomic<std::uint64_t> globalEpoch{0};
-
-  std::atomic<std::uint64_t> nextStamp{1};
-  std::atomic<std::size_t> pendingOps{0};
+  std::unordered_map<std::string, FileLifecycle> files;
 
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> misses{0};
@@ -451,20 +420,12 @@ struct TieredBlockCache::Impl : std::enable_shared_from_this<TieredBlockCache::I
 // --------------------------------------------------- TieredBlockCache
 
 TieredBlockCache::TieredBlockCache(const TieredCacheConfig& config, oss::Oss* disk,
-                                   sched::Executor* executor, util::Clock& clock)
-    : impl_(std::make_shared<Impl>(config, disk, executor, clock)) {
-  if (impl_->DiskEnabled()) {
-    // The sink runs under the DRAM sweep lock (never a shard lock); the
-    // raw pointer is safe because the sink lives inside impl_->dram.
-    Impl* impl = impl_.get();
-    impl_->dram.SetEvictionSink([impl](EvictedBlock block) {
-      const Impl::EpochStamp epochs = impl->SnapshotEpochs(block.key.path);
-      impl->RunTierOp([block = std::move(block), epochs](Impl& i) mutable {
-        i.Spill(std::move(block), epochs);
-      });
-    });
-  }
-}
+                                   util::Clock& clock)
+    : impl_(std::make_unique<Impl>(config, disk, clock)) {}
+
+TieredBlockCache::TieredBlockCache(const TieredCacheConfig& config, oss::Oss* disk,
+                                   sched::Executor* /*executor*/, util::Clock& clock)
+    : TieredBlockCache(config, disk, clock) {}
 
 TieredBlockCache::~TieredBlockCache() = default;
 
@@ -486,32 +447,24 @@ TieredBlockCache::LookupResult TieredBlockCache::LookupDetailed(
   if (auto hit = impl.dram.Lookup(path, index); hit.has_value()) {
     impl.hits.fetch_add(1, std::memory_order_relaxed);
     impl.dramHits.fetch_add(1, std::memory_order_relaxed);
-    impl.LifeOnAccess(path, /*reuse=*/true);
+    impl.LifeOnLookup(path, /*hit=*/true);
     res.data = std::move(hit);
     res.tier = CacheTier::kDram;
     return res;
   }
   if (impl.DiskEnabled()) {
-    // Capture the purge epoch before touching the bytes: a purge landing
-    // after this point invalidates the scheduled promotion.
-    const Impl::EpochStamp epochs = impl.SnapshotEpochs(path);
     if (auto hit = impl.DiskLookup(path, index); hit.has_value()) {
       impl.hits.fetch_add(1, std::memory_order_relaxed);
       impl.diskHits.fetch_add(1, std::memory_order_relaxed);
-      impl.LifeOnAccess(path, /*reuse=*/true);
+      impl.LifeOnLookup(path, /*hit=*/true);
       res.data = hit->data;
       res.tier = CacheTier::kDisk;
-      if (hit->promotable) {
-        impl.RunTierOp([path, index, data = std::move(hit->data), epochs](
-                           Impl& i) mutable {
-          i.Promote(path, index, std::move(data), epochs);
-        });
-      }
+      if (hit->promotable) impl.Promote(path, index, std::move(hit->data));
       return res;
     }
   }
   impl.misses.fetch_add(1, std::memory_order_relaxed);
-  impl.LifeOnAccess(path, /*reuse=*/false);
+  impl.LifeOnLookup(path, /*hit=*/false);
   return res;
 }
 
@@ -524,6 +477,8 @@ void TieredBlockCache::Insert(const std::string& path, std::uint64_t index,
                               std::string data, bool pinned) {
   Impl& impl = *impl_;
   impl.inserts.fetch_add(1, std::memory_order_relaxed);
+  // Before the block lands, so a sweep this insert sets off that takes the
+  // file's last block straight back out drops the entry again.
   impl.LifeOnInsert(path);
   if (!impl.DiskEnabled()) {
     impl.dram.Insert(path, index, std::move(data), pinned);
@@ -598,30 +553,25 @@ void TieredBlockCache::Unpin(const std::string& path, std::uint64_t index) {
 
 std::uint64_t TieredBlockCache::Purge(const std::string& path) {
   Impl& impl = *impl_;
-  {
-    // Invalidate in-flight spill/promote tasks for this path. Only bump an
-    // existing entry: resident blocks imply a lifecycle entry, so a purge
-    // of an unknown path has nothing in flight to invalidate.
-    std::lock_guard lock(impl.lifeMu);
-    const auto it = impl.files.find(path);
-    if (it != impl.files.end()) ++it->second.epoch;
-  }
   std::uint64_t dropped = impl.dram.Purge(path);
   if (impl.DiskEnabled()) {
     dropped += impl.DiskPurge(path);
     impl.GhostDropPath(path);
   }
+  impl.LifeOnDeparture(path);
   return dropped;
 }
 
 std::uint64_t TieredBlockCache::PurgeAll() {
   Impl& impl = *impl_;
-  impl.globalEpoch.fetch_add(1, std::memory_order_acq_rel);
   std::uint64_t dropped = impl.dram.PurgeAll();
   if (impl.DiskEnabled()) {
     dropped += impl.DiskPurgeAll();
     impl.GhostClear();
   }
+  // Files with a pinned block survive, with their entries.
+  std::lock_guard lock(impl.lifeMu);
+  std::erase_if(impl.files, [&impl](const auto& file) { return !impl.Resident(file.first); });
   return dropped;
 }
 
@@ -701,7 +651,7 @@ std::optional<FileLifecycle> TieredBlockCache::FileStats(
     std::lock_guard lock(impl.lifeMu);
     const auto it = impl.files.find(path);
     if (it == impl.files.end()) return std::nullopt;
-    life = it->second.life;
+    life = it->second;
   }
   life.dramBlocks = impl.dram.CountBlocks(path);
   {
@@ -709,11 +659,8 @@ std::optional<FileLifecycle> TieredBlockCache::FileStats(
     const auto it = impl.diskFiles.find(path);
     life.diskBlocks = it == impl.diskFiles.end() ? 0 : it->second.size();
   }
+  if (life.dramBlocks + life.diskBlocks == 0) return std::nullopt;
   return life;
-}
-
-std::size_t TieredBlockCache::PendingTierOps() const {
-  return impl_->pendingOps.load(std::memory_order_acquire);
 }
 
 }  // namespace scalla::pcache

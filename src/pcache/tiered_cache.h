@@ -1,4 +1,4 @@
-// Two-tier proxy cache: the sharded-LRU DRAM BlockCache layered over a
+// Two-tier proxy cache: the strict-LRU DRAM BlockCache layered over a
 // local-disk tier backed by any oss::Oss (LocalOss in the daemon, MemOss
 // in simulation). The shape follows ScaleStore's DRAM-over-SSD buffer
 // manager and XCache's disk-backed proxy, with workload-driven placement:
@@ -11,24 +11,23 @@
 //   - Spill-on-evict: DRAM watermark victims are written to disk (via the
 //     BlockCache eviction sink) instead of being dropped, so DRAM eviction
 //     is a demotion, not data loss.
-//   - Promote-on-disk-hit: a disk hit returns the bytes immediately and
-//     promotes the block to DRAM.
+//   - Promote-on-disk-hit: a disk hit returns the bytes and promotes the
+//     block to DRAM.
 //   - A block lives in at most ONE tier at a time (admission and promotion
 //     erase the disk copy), so a stale disk copy can never shadow a newer
 //     DRAM write.
 //
-// Spill and promotion are posted to the executor the cache is given when
-// `asyncTierOps` is set: in a ProxyCacheNode that is the node's own loop,
-// so they run after the current task, on the same thread. Tests that want
-// a deterministic single-threaded oracle run with asyncTierOps=false,
-// which applies them inline. Async tasks capture a weak reference to the cache
-// internals plus the purge epoch current at capture time, so a task that
-// lands after the cache died, or after a purge, drops itself instead of
-// resurrecting purged blocks.
+// Tier moves run inline, on the calling thread: the insert whose sweep
+// evicts a block spills it before returning, and LookupDetailed promotes a
+// disk hit before returning. The cache's one production caller is the
+// proxy's own loop, where a move deferred to later would run on that same
+// loop and hold the read's reply back anyway. Every shared structure keeps
+// its lock, so callers on other threads stay safe.
 //
 // Per-file lifecycle stats (first/last access, lookups, reuses, resident
 // blocks per tier) feed `scalla_cli cachestat` and the Bellavita-style
-// workload studies in the bench.
+// workload studies in the bench. A file has an entry only while either
+// tier holds one of its blocks, so the map is bounded by the cache's size.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +39,12 @@
 #include "obs/snapshot.h"
 #include "oss/oss.h"
 #include "pcache/block_cache.h"
-#include "sched/executor.h"
 #include "util/clock.h"
 #include "util/result.h"
+
+namespace scalla::sched {
+class Executor;
+}  // namespace scalla::sched
 
 namespace scalla::pcache {
 
@@ -55,8 +57,7 @@ struct TieredCacheConfig {
   double diskLowWatermark = 0.80;   // evict disk down to this
   /// Ghost-list capacity in entries; 0 = auto (4x the DRAM block slots).
   std::size_t ghostEntries = 0;
-  /// Run spill/promote on the executor (true) or inline (false).
-  bool asyncTierOps = true;
+  bool asyncTierOps = true;  // ignored; perfbench/micro.cc is its only user
 };
 
 /// Range/consistency checks for a tiered config, mirroring
@@ -83,10 +84,10 @@ struct TieredCacheStats {
   std::uint64_t admitsDram = 0;  // inserts that earned a DRAM slot
   std::uint64_t admitsDisk = 0;  // first-touch inserts routed to disk
   std::uint64_t spills = 0;      // DRAM victims demoted to disk
-  std::uint64_t droppedSpills = 0;  // DRAM victims lost (stale epoch / failure)
+  std::uint64_t droppedSpills = 0;  // DRAM victims not spilled (write failed / newer DRAM copy)
   std::uint64_t promotions = 0;     // disk hits promoted to DRAM
   std::uint64_t ghostHits = 0;      // admissions proven by the ghost list
-  std::uint64_t filesTracked = 0;   // lifecycle entries
+  std::uint64_t filesTracked = 0;   // lifecycle entries (files with a resident block)
 };
 
 /// Lifecycle of one path through the cache (Bellavita et al.'s access
@@ -109,9 +110,10 @@ class TieredBlockCache {
   };
 
   /// `disk` must outlive the cache and is required when
-  /// config.diskCapacityBytes > 0. `executor` runs async spill/promote
-  /// (may be null when asyncTierOps=false). The config must pass
+  /// config.diskCapacityBytes > 0. The config must pass
   /// ValidateTieredConfig.
+  TieredBlockCache(const TieredCacheConfig& config, oss::Oss* disk, util::Clock& clock);
+  /// Ignores `executor`; perfbench/micro.cc is its only user.
   TieredBlockCache(const TieredCacheConfig& config, oss::Oss* disk,
                    sched::Executor* executor, util::Clock& clock);
   ~TieredBlockCache();
@@ -122,8 +124,8 @@ class TieredBlockCache {
   std::uint32_t BlockSize() const;
   bool DiskEnabled() const;
 
-  /// DRAM, then disk. A disk hit returns the bytes and schedules (or
-  /// applies) promotion to DRAM. Both outcomes count toward stats.
+  /// DRAM, then disk. A disk hit returns the bytes after promoting the
+  /// block to DRAM. Both outcomes count toward stats.
   std::optional<std::string> Lookup(const std::string& path, std::uint64_t index);
   LookupResult LookupDetailed(const std::string& path, std::uint64_t index);
 
@@ -142,7 +144,7 @@ class TieredBlockCache {
   void Unpin(const std::string& path, std::uint64_t index);
 
   /// Drops every unpinned block of `path` from BOTH tiers (and the ghost
-  /// list), and invalidates in-flight spill/promote tasks for it.
+  /// list).
   std::uint64_t Purge(const std::string& path);
   std::uint64_t PurgeAll();
 
@@ -154,15 +156,12 @@ class TieredBlockCache {
   void ExportMetrics(obs::MetricsSnapshot& snap) const;
   std::uint64_t UsedBytes() const;
 
+  /// The file's lifecycle; nullopt when neither tier holds a block of it.
   std::optional<FileLifecycle> FileStats(const std::string& path) const;
-
-  /// Spill/promote tasks posted but not yet executed (0 at quiescence;
-  /// tests drain on this before asserting exact occupancy).
-  std::size_t PendingTierOps() const;
 
  private:
   struct Impl;
-  std::shared_ptr<Impl> impl_;
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace scalla::pcache

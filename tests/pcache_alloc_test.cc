@@ -69,9 +69,9 @@ class PcacheAllocTest : public ::testing::Test {
     file_ = open.file;
   }
 
-  // Reads block `index` through the proxy and settles the cluster, so
-  // tier moves the read scheduled (a promotion) are counted with it.
-  // Returns the block-sized allocations made meanwhile.
+  // Reads block `index` through the proxy and settles the cluster.
+  // Returns the block-sized allocations made meanwhile, a disk hit's
+  // promotion to DRAM (made before the read returns) included.
   std::size_t ReadBlock(std::uint64_t index) {
     bool done = false;
     proto::XrdErr err = proto::XrdErr::kIo;

@@ -115,18 +115,16 @@ TEST(PcacheDiskSoakTest, MultiGigabyteDiskTierFillsAndTurnsOver) {
   cfg.dram.capacityBytes = 16ull << 20;  // 16 MiB DRAM: everything spills
   cfg.dram.highWatermark = 0.9;
   cfg.dram.lowWatermark = 0.5;
-  cfg.dram.shards = 8;
   cfg.diskCapacityBytes = kDiskCapacity;
   cfg.diskHighWatermark = 0.95;
   cfg.diskLowWatermark = 0.85;
   // Wide enough that the hot stream's reuse distance (~1300 interleaved
   // ghost records) fits; the unique stream still churns it constantly.
   cfg.ghostEntries = 8192;
-  cfg.asyncTierOps = false;  // deterministic: every op's accounting lands inline
 
   util::ManualClock clock;
   PatternOss disk;
-  TieredBlockCache cache(cfg, &disk, nullptr, clock);
+  TieredBlockCache cache(cfg, &disk, clock);
 
   const std::uint64_t high = static_cast<std::uint64_t>(
       cfg.diskHighWatermark * static_cast<double>(kDiskCapacity));

@@ -1,17 +1,17 @@
 // Differential property tests for the proxy cache.
 //
 // 1. BlockCache vs a single-map reference model: the model re-implements
-//    the documented semantics (global-stamp recency, watermark burst
-//    eviction of the globally-oldest unpinned block, pin counts, purge)
-//    with none of the sharding, and a seeded random op stream must agree
-//    on every observable — lookup results, return counts, stats, the
-//    exact eviction-sink victim sequence.
-// 2. TieredBlockCache (DRAM + MemOss disk tier, inline tier ops) against
-//    an integrity model: a hit in either tier must return the bytes most
-//    recently inserted, pinned blocks must never be lost or purged, and
-//    the per-tier accounting identities must hold at every audit point.
-// 3. A multi-threaded hammer over the async and the inline tier-ops
-//    configurations, run under TSan by scripts/verify.sh.
+//    the documented semantics (stamp recency, watermark burst eviction of
+//    the oldest unpinned block, pin counts, purge) with no LRU list, and a
+//    seeded random op stream must agree on every observable — lookup
+//    results, return counts, stats, the exact eviction-sink victim
+//    sequence.
+// 2. TieredBlockCache (DRAM + MemOss disk tier) against an integrity
+//    model: a hit in either tier must return the bytes most recently
+//    inserted, pinned blocks must never be lost or purged, and the
+//    per-tier accounting identities must hold at every audit point.
+// 3. A multi-threaded hammer over the tier moves, run under TSan (and
+//    repeated) by scripts/verify.sh.
 // 4. The scan-resistance regression gate: a sequential scan of 2x the
 //    DRAM tier must not dent the Zipf hot set's hit rate by more than
 //    5 points. Strict LRU (disk tier disabled) fails this bound; ghost
@@ -29,7 +29,6 @@
 #include "oss/mem_oss.h"
 #include "pcache/block_cache.h"
 #include "pcache/tiered_cache.h"
-#include "sched/thread_executor.h"
 #include "util/clock.h"
 #include "util/rng.h"
 
@@ -38,9 +37,9 @@ namespace {
 
 // ------------------------------------------------ BlockCache vs reference
 
-// The reference model: one flat map, no shards, no LRU lists. Recency is
-// the global stamp alone; eviction repeatedly removes the smallest-stamp
-// unpinned entry. Everything the real cache reports must match this.
+// The reference model: one flat map, no LRU list. Recency is a stamp
+// alone; eviction repeatedly removes the smallest-stamp unpinned entry.
+// Everything the real cache reports must match this.
 class ReferenceModel {
  public:
   struct Entry {
@@ -152,7 +151,7 @@ class ReferenceModel {
       ++evictions_;
       evictionLog_.push_back(EvictedBlock{
           BlockKey{victim->first.first, victim->first.second},
-          std::move(victim->second.data), 0});
+          std::move(victim->second.data)});
       entries_.erase(victim);
     }
   }
@@ -181,7 +180,6 @@ TEST_P(PcachePropertyTest, BlockCacheAgreesWithReferenceModel) {
   cfg.capacityBytes = 1024;
   cfg.highWatermark = 0.9;
   cfg.lowWatermark = 0.6;
-  cfg.shards = 4;  // the model has none: sharding must be invisible
 
   BlockCache cache(cfg);
   ReferenceModel model(cfg);
@@ -291,16 +289,14 @@ TEST_P(PcachePropertyTest, TieredCacheNeverServesStaleOrTornBytes) {
   cfg.dram.capacityBytes = 512;  // 16 slots: constant spill pressure
   cfg.dram.highWatermark = 0.9;
   cfg.dram.lowWatermark = 0.6;
-  cfg.dram.shards = 4;
   cfg.diskCapacityBytes = 2048;
   cfg.diskHighWatermark = 0.9;
   cfg.diskLowWatermark = 0.7;
   cfg.ghostEntries = 64;
-  cfg.asyncTierOps = false;  // inline: a deterministic single-threaded oracle
 
   util::ManualClock clock;
   oss::MemOss disk(clock);
-  TieredBlockCache cache(cfg, &disk, /*executor=*/nullptr, clock);
+  TieredBlockCache cache(cfg, &disk, clock);
 
   // Model entry: the content version last inserted (0 = never), and the
   // pins we currently hold. Purge resets unpinned keys to version 0.
@@ -333,7 +329,7 @@ TEST_P(PcachePropertyTest, TieredCacheNeverServesStaleOrTornBytes) {
                     VersionedBlock(path, index, entry.version, cfg.dram.blockSize))
               << "stale/torn bytes from tier " << static_cast<int>(hit.tier)
               << " at step " << step;
-          // Inline mode: a promotable disk hit is re-resident by the time
+          // A promotable disk hit is re-resident by the time
           // LookupDetailed returns — usually in DRAM, but when DRAM is
           // saturated with pinned blocks the promotion legitimately
           // spills straight back to disk. Either way the block must still
@@ -404,7 +400,6 @@ TEST_P(PcachePropertyTest, TieredCacheNeverServesStaleOrTornBytes) {
     }
 
     if (step % 400 == 399) {
-      ASSERT_EQ(cache.PendingTierOps(), 0u);  // inline mode never queues
       const auto stats = cache.GetTieredStats();
       ASSERT_EQ(stats.hits, stats.dramHits + stats.diskHits);
       ASSERT_EQ(cache.UsedBytes(), stats.dram.usedBytes + stats.diskUsedBytes);
@@ -436,7 +431,6 @@ TEST_P(PcachePropertyTest, TieredCacheNeverServesStaleOrTornBytes) {
   EXPECT_EQ(cache.UsedBytes(), 0u);
   const auto drained = cache.GetTieredStats();
   EXPECT_EQ(drained.dram.blockCount + drained.diskBlockCount, 0u);
-  EXPECT_EQ(cache.PendingTierOps(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PcachePropertyTest,
@@ -445,105 +439,87 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PcachePropertyTest,
 // --------------------------------------------- multithreaded (TSan) hammer
 
 // Eight threads mix lookups, inserts, pin/unpin pairs and purges over a
-// tight two-tier cache. Afterwards the accounting must be coherent and
-// PurgeAll must empty both tiers: a pin lost while a block moved between
-// tiers would keep that block alive for good.
-void HammerTierOps(bool asyncTierOps) {
+// tight two-tier cache. Afterwards the accounting must be coherent, no
+// file may keep a lifecycle entry without a resident block, and PurgeAll
+// must empty both tiers: a pin lost while a block moved between tiers
+// would keep that block alive for good.
+TEST(TieredCacheConcurrencyTest, TierMovesSurviveThreads) {
   TieredCacheConfig cfg;
   cfg.dram.blockSize = 64;
   cfg.dram.capacityBytes = 64 * 32;  // tight: constant eviction + spill
   cfg.dram.highWatermark = 0.9;
   cfg.dram.lowWatermark = 0.5;
-  cfg.dram.shards = 4;
   cfg.diskCapacityBytes = 64 * 96;
   cfg.diskHighWatermark = 0.9;
   cfg.diskLowWatermark = 0.6;
-  cfg.asyncTierOps = asyncTierOps;
 
-  sched::ThreadExecutor executor;
-  oss::MemOss disk(executor.clock());
-  {
-    TieredBlockCache cache(cfg, &disk, &executor, executor.clock());
+  util::SystemClock clock;
+  oss::MemOss disk(clock);
+  TieredBlockCache cache(cfg, &disk, clock);
 
-    constexpr int kThreads = 8;
-    constexpr int kOps = 1500;
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        util::Rng rng(9000 + t);
-        const std::string path = "/c/" + std::to_string(t % 3);
-        for (int i = 0; i < kOps; ++i) {
-          const std::uint64_t idx = rng.NextBelow(48);
-          switch (rng.NextBelow(8)) {
-            case 0:
-            case 1:
-            case 2: {
-              const auto hit = cache.Lookup(path, idx);
-              if (hit.has_value()) {
-                // Content integrity even mid-spill/promote: every insert of
-                // (path, idx) writes the same bytes.
-                ASSERT_EQ(hit->size(), 64u);
-                ASSERT_EQ((*hit)[0], path.back());
-              }
-              break;
+  constexpr int kThreads = 8;
+  constexpr int kOps = 1500;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      util::Rng rng(9000 + t);
+      const std::string path = "/c/" + std::to_string(t % 3);
+      for (int i = 0; i < kOps; ++i) {
+        const std::uint64_t idx = rng.NextBelow(48);
+        switch (rng.NextBelow(8)) {
+          case 0:
+          case 1:
+          case 2: {
+            const auto hit = cache.Lookup(path, idx);
+            if (hit.has_value()) {
+              // Content integrity even mid-spill/promote: every insert of
+              // (path, idx) writes the same bytes.
+              ASSERT_EQ(hit->size(), 64u);
+              ASSERT_EQ((*hit)[0], path.back());
             }
-            case 3:
-            case 4:
-            case 5: {
-              std::string data(64, path.back());
-              cache.Insert(path, idx, std::move(data));
-              break;
+            break;
+          }
+          case 3:
+          case 4:
+          case 5: {
+            std::string data(64, path.back());
+            cache.Insert(path, idx, std::move(data));
+            break;
+          }
+          case 6: {  // pin/unpin pair: no pins outlive the op
+            if (cache.Pin(path, idx)) cache.Unpin(path, idx);
+            break;
+          }
+          default: {
+            if (rng.NextBool(0.1)) {
+              (void)cache.Purge(path);
+            } else {
+              (void)cache.Contains(path, idx);
+              (void)cache.FileStats(path);
+              (void)cache.GetTieredStats();
             }
-            case 6: {  // pin/unpin pair: no pins outlive the op
-              if (cache.Pin(path, idx)) cache.Unpin(path, idx);
-              break;
-            }
-            default: {
-              if (rng.NextBool(0.1)) {
-                (void)cache.Purge(path);
-              } else {
-                (void)cache.Contains(path, idx);
-                (void)cache.FileStats(path);
-                (void)cache.GetTieredStats();
-              }
-              break;
-            }
+            break;
           }
         }
-      });
-    }
-    for (auto& th : threads) th.join();
-
-    // Drain the background tier ops, then the accounting must be coherent.
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (cache.PendingTierOps() > 0 && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    ASSERT_EQ(cache.PendingTierOps(), 0u);
-
-    const auto stats = cache.GetTieredStats();
-    EXPECT_EQ(stats.hits, stats.dramHits + stats.diskHits);
-    EXPECT_LE(stats.dram.usedBytes, cfg.dram.capacityBytes);
-    EXPECT_LE(stats.diskUsedBytes, cfg.diskCapacityBytes);
-    EXPECT_EQ(cache.UsedBytes(), stats.dram.usedBytes + stats.diskUsedBytes);
-
-    (void)cache.PurgeAll();
-    while (cache.PendingTierOps() > 0 && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    EXPECT_EQ(cache.UsedBytes(), 0u);
-    const auto drained = cache.GetTieredStats();
-    EXPECT_EQ(drained.dram.blockCount + drained.diskBlockCount, 0u);
+      }
+    });
   }
-  // The cache is gone; any task still queued on the executor must no-op
-  // (weak-reference capture) instead of touching freed memory.
-  executor.Stop();
+  for (auto& th : threads) th.join();
+
+  const auto stats = cache.GetTieredStats();
+  EXPECT_EQ(stats.hits, stats.dramHits + stats.diskHits);
+  EXPECT_LE(stats.dram.usedBytes, cfg.dram.capacityBytes);
+  EXPECT_LE(stats.diskUsedBytes, cfg.diskCapacityBytes);
+  EXPECT_EQ(cache.UsedBytes(), stats.dram.usedBytes + stats.diskUsedBytes);
+  EXPECT_LE(stats.filesTracked, stats.dram.blockCount + stats.diskBlockCount);
+
+  (void)cache.PurgeAll();
+  EXPECT_EQ(cache.UsedBytes(), 0u);
+  const auto drained = cache.GetTieredStats();
+  EXPECT_EQ(drained.dram.blockCount + drained.diskBlockCount, 0u);
+  EXPECT_EQ(drained.filesTracked, 0u);
 }
-
-TEST(TieredCacheConcurrencyTest, AsyncTierOpsSurviveThreads) { HammerTierOps(true); }
-
-TEST(TieredCacheConcurrencyTest, InlineTierOpsSurviveThreads) { HammerTierOps(false); }
 
 // ------------------------------------------------- scan-resistance gate
 
@@ -591,13 +567,11 @@ TEST(ScanResistanceTest, SequentialScanBarelyDentsHotSetHitRate) {
   tiered.dram.capacityBytes = static_cast<std::uint64_t>(kDramSlots) * kBlock;
   tiered.dram.highWatermark = 0.95;
   tiered.dram.lowWatermark = 0.8;
-  tiered.dram.shards = 4;
   tiered.diskCapacityBytes = 4ull * 1024 * 1024;
-  tiered.asyncTierOps = false;
 
   util::ManualClock clock;
   oss::MemOss disk(clock);
-  TieredBlockCache cache(tiered, &disk, nullptr, clock);
+  TieredBlockCache cache(tiered, &disk, clock);
 
   // Warm until the hot set is DRAM-resident (first touch lands on disk,
   // the second proves reuse and promotes).
@@ -621,7 +595,7 @@ TEST(ScanResistanceTest, SequentialScanBarelyDentsHotSetHitRate) {
   // here too).
   TieredCacheConfig lru = tiered;
   lru.diskCapacityBytes = 0;
-  TieredBlockCache lruCache(lru, nullptr, nullptr, clock);
+  TieredBlockCache lruCache(lru, nullptr, clock);
   for (int pass = 0; pass < 3; ++pass) {
     (void)RunHotPhase(lruCache, kSeed + pass, kHotBlocks, 512, kBlock);
   }

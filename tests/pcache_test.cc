@@ -1,5 +1,6 @@
 // Proxy cache tier (pcache) tests: block-cache eviction correctness,
-// single-flight coalescing, and the ProxyCacheNode end-to-end — in the
+// single-flight coalescing, the tiered cache's per-file lifecycle map,
+// and the ProxyCacheNode end-to-end — in the
 // discrete-event simulator (warm hits bypass the cluster entirely,
 // read-ahead, MSS no-restage) and over real loopback TCP (stats
 // aggregation through the proxy, purge admin).
@@ -13,6 +14,7 @@
 #include "oss/mem_oss.h"
 #include "pcache/block_cache.h"
 #include "pcache/proxy_node.h"
+#include "pcache/tiered_cache.h"
 #include "sim/cluster.h"
 #include "sim/tcp_cluster.h"
 #include "tcp_test_support.h"
@@ -33,7 +35,6 @@ BlockCacheConfig SmallCache() {
   cfg.capacityBytes = 100;
   cfg.highWatermark = 0.9;  // evict above 90 bytes
   cfg.lowWatermark = 0.5;   // down to 50 bytes
-  cfg.shards = 4;
   return cfg;
 }
 
@@ -97,10 +98,9 @@ TEST(BlockCacheTest, PinnedBlocksAreNeverEvicted) {
 }
 
 TEST(BlockCacheTest, EvictionSinkReceivesGlobalLruVictimsInOrder) {
-  // Regression pin for the candidate-cached sweep: victims must still be
-  // the globally-oldest unpinned blocks by stamp — regardless of which
-  // shard they hash to — and the sink must see them oldest-first with
-  // their bytes intact (the tiered cache spills exactly these to disk).
+  // Victims must be the least recently used unpinned blocks, and the
+  // sink must see them oldest-first with their bytes intact (the tiered
+  // cache spills exactly these to disk).
   BlockCache cache(SmallCache());
   std::vector<pcache::EvictedBlock> spilled;
   cache.SetEvictionSink([&spilled](pcache::EvictedBlock b) {
@@ -108,13 +108,13 @@ TEST(BlockCacheTest, EvictionSinkReceivesGlobalLruVictimsInOrder) {
   });
 
   for (std::uint64_t i = 0; i < 9; ++i) cache.Insert("/f", i, Block(static_cast<char>('0' + i)));
-  // Refresh 2, 0, 4: their stamps now postdate every untouched block.
+  // Refresh 2, 0, 4: they are now fresher than every untouched block.
   for (const std::uint64_t i : {2u, 0u, 4u}) {
     ASSERT_TRUE(cache.Lookup("/f", i).has_value());
   }
 
   cache.Insert("/f", 9, Block('9'));  // 100 bytes: triggers the sweep
-  // Globally oldest unpinned, in stamp order: 1, 3, 5, 6, 7.
+  // Oldest unpinned, in recency order: 1, 3, 5, 6, 7.
   ASSERT_EQ(spilled.size(), 5u);
   const std::uint64_t wantOrder[] = {1, 3, 5, 6, 7};
   for (std::size_t v = 0; v < spilled.size(); ++v) {
@@ -194,7 +194,6 @@ TEST(PcacheConcurrencyTest, CacheAndSingleFlightSurviveThreads) {
   cfg.capacityBytes = 64 * 64;  // tight: constant eviction pressure
   cfg.highWatermark = 0.9;
   cfg.lowWatermark = 0.5;
-  cfg.shards = 4;
   BlockCache cache(cfg);
   SingleFlight flight;
 
@@ -229,6 +228,49 @@ TEST(PcacheConcurrencyTest, CacheAndSingleFlightSurviveThreads) {
   const auto stats = cache.GetStats();
   EXPECT_EQ(stats.usedBytes, cache.UsedBytes());
   EXPECT_LE(stats.usedBytes, cfg.capacityBytes);
+}
+
+// ------------------------------------------- TieredBlockCache lifecycle
+
+// The proxy's pattern for 200,000 distinct one-block files: a lookup
+// misses, then the fetched block is inserted. A file keeps its lifecycle
+// entry only while one of its blocks is resident, so the map stays within
+// the cache's size instead of growing with every path ever looked up.
+TEST(TieredCacheLifecycleTest, EntriesLeaveWithTheFilesLastBlock) {
+  for (const std::uint64_t diskCapacity : {std::uint64_t{0}, std::uint64_t{4} << 20}) {
+    SCOPED_TRACE(diskCapacity == 0 ? "DRAM only" : "with a disk tier");
+    pcache::TieredCacheConfig cfg;
+    cfg.dram.blockSize = 4096;
+    cfg.dram.capacityBytes = 1 << 20;
+    cfg.diskCapacityBytes = diskCapacity;
+    util::ManualClock clock;
+    oss::MemOss disk(clock);
+    pcache::TieredBlockCache cache(cfg, diskCapacity > 0 ? &disk : nullptr, clock);
+    const std::string block(cfg.dram.blockSize, 'l');
+    constexpr int kPaths = 200000;
+    for (int i = 0; i < kPaths; ++i) {
+      const std::string path = "/l/" + std::to_string(i);
+      ASSERT_FALSE(cache.LookupDetailed(path, 0).data.has_value());
+      cache.Insert(path, 0, block);
+      const auto stats = cache.GetTieredStats();
+      ASSERT_LE(stats.filesTracked, stats.dram.blockCount + stats.diskBlockCount)
+          << "after path " << i;
+    }
+    const std::string last = "/l/" + std::to_string(kPaths - 1);
+    ASSERT_TRUE(cache.LookupDetailed(last, 0).data.has_value());
+    const auto life = cache.FileStats(last);
+    ASSERT_TRUE(life.has_value());
+    EXPECT_EQ(life->lookups, 1u);  // the first miss came before the entry
+    EXPECT_EQ(life->reuses, 1u);
+    EXPECT_EQ(life->dramBlocks + life->diskBlocks, 1u);
+    EXPECT_FALSE(cache.FileStats("/l/0").has_value());  // long evicted
+    EXPECT_FALSE(cache.LookupDetailed("/l/never", 0).data.has_value());
+    EXPECT_FALSE(cache.FileStats("/l/never").has_value());  // a miss makes no entry
+
+    EXPECT_GT(cache.PurgeAll(), 0u);
+    EXPECT_EQ(cache.GetTieredStats().filesTracked, 0u);
+    EXPECT_FALSE(cache.FileStats(last).has_value());
+  }
 }
 
 // ------------------------------------------------------ sim: end-to-end
@@ -526,7 +568,6 @@ TEST(ProxySimTest, DiskTierAbsorbsColdReadsAndPromotesOnReuse) {
   const std::uint64_t fetches = ProxyCounter(cluster, "pcache.origin_fetches");
 
   // Every cold block was admitted to the disk tier, none to DRAM.
-  cluster.RunFor(std::chrono::milliseconds(10));  // drain tier ops
   auto stats = cluster.proxy()->cache().GetTieredStats();
   EXPECT_EQ(stats.diskBlockCount, 16u);
   EXPECT_EQ(stats.dram.blockCount, 0u);
@@ -539,9 +580,7 @@ TEST(ProxySimTest, DiskTierAbsorbsColdReadsAndPromotesOnReuse) {
   EXPECT_EQ(ProxyCounter(cluster, "pcache.origin_fetches"), fetches);
   EXPECT_EQ(ProxyCounter(cluster, "pcache.bytes_from_disk"), payload.size());
 
-  // The disk hits promoted every block to DRAM (async, on the engine).
-  cluster.RunFor(std::chrono::milliseconds(10));
-  EXPECT_EQ(cluster.proxy()->cache().PendingTierOps(), 0u);
+  // The disk hits promoted every block to DRAM before the read returned.
   stats = cluster.proxy()->cache().GetTieredStats();
   EXPECT_EQ(stats.promotions, 16u);
   EXPECT_EQ(stats.dram.blockCount, 16u);
@@ -588,7 +627,6 @@ TEST(ProxySimTest, AdminPurgeSpansBothTiers) {
   ASSERT_TRUE(cluster.ReadAll(c, "/store/cold").ok());
   ASSERT_TRUE(cluster.ReadAll(c, "/store/warm").ok());
   ASSERT_TRUE(cluster.ReadAll(c, "/store/warm").ok());
-  cluster.RunFor(std::chrono::milliseconds(10));
 
   const auto stats = cluster.proxy()->cache().GetTieredStats();
   ASSERT_EQ(stats.diskBlockCount, 4u);  // cold file
@@ -619,6 +657,25 @@ TEST(ProxySimTest, AdminPurgeSpansBothTiers) {
   EXPECT_EQ(all->blocksPurged, 4u);
   EXPECT_EQ(all->usedBytes, 0u);
   EXPECT_EQ(all->blockCount, 0u);
+}
+
+// An unlink through the proxy releases the origin handle the proxy held
+// for the path: nothing reads through it again, and the leaf would keep
+// it open for good.
+TEST(ProxySimTest, UnlinkClosesTheOriginHandle) {
+  sim::SimCluster cluster(ProxySpec(1));
+  cluster.Start();
+  cluster.PlaceFile(0, "/store/f", std::string(100, 'u'));
+  const auto leafOpenHandles = [&cluster] {
+    return cluster.server(0).SnapshotMetrics().Gauge("node.open_handles");
+  };
+
+  auto& c = cluster.NewProxyClient();
+  ASSERT_TRUE(cluster.ReadAll(c, "/store/f").ok());
+  ASSERT_EQ(leafOpenHandles(), 1);  // the proxy's, kept past the client's close
+  ASSERT_TRUE(cluster.UnlinkAndWait(c, "/store/f").ok());
+  cluster.RunFor(std::chrono::milliseconds(100));  // the close is fire and forget
+  EXPECT_EQ(leafOpenHandles(), 0);
 }
 
 TEST(ProxySimTest, NonProxyNodeRefusesCacheAdmin) {
