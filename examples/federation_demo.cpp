@@ -1,8 +1,9 @@
 // Federation demo: two independent Scalla clusters under one meta-manager
 // that clusters the clusters. A client holding ONLY the meta address
-// opens files in either cluster: the meta resolves the owning cluster
-// with the same name-cache machinery a manager uses for servers — one
-// level up — and redirects to that cluster's head.
+// opens files in either cluster: the meta is a manager whose members are
+// cluster heads, so it resolves the owning cluster with the same code a
+// manager runs for servers — one level up — and redirects to that
+// cluster's head.
 //
 //   $ ./federation_demo
 //
@@ -56,21 +57,22 @@ int main() {
   std::printf("create /store/new.root through the meta: %s\n",
               put ? "ok" : put.error().message.c_str());
 
-  // 4. The meta's own view: head logins, cached locations, redirects.
+  // 4. The meta's own view, under the names every head exports: head
+  //    logins, resolutions, redirects, cached locations.
   const auto snap = fed.meta().SnapshotMetrics();
-  std::printf("meta: %llu head logins, %llu locates, %llu redirects, "
-              "cache hit rate %.0f%%\n",
-              static_cast<unsigned long long>(snap.Counter("fed.subscribes")),
-              static_cast<unsigned long long>(snap.Counter("fed.locates")),
-              static_cast<unsigned long long>(snap.Counter("fed.redirects_issued")),
+  std::printf("meta: %lld member clusters, %llu head logins, %llu locates, "
+              "%llu redirects, cache hit rate %.0f%%\n",
+              static_cast<long long>(snap.Gauge("node.members")),
+              static_cast<unsigned long long>(snap.Counter("node.logins_accepted")),
+              static_cast<unsigned long long>(snap.Counter("resolver.locates")),
+              static_cast<unsigned long long>(snap.Counter("node.redirects_issued")),
               100.0 * snap.Counter("cache.hits") /
                   std::max<std::uint64_t>(1, snap.Counter("cache.lookups")));
 
   // 5. Federation-wide stats: one StatsQuery at the meta fans out to
   //    every cluster head and folds the whole tree.
   const auto stats = fed.FederationStats(&client);
-  std::printf("federation stats: %u nodes folded across %lld clusters\n",
-              stats.nodeCount,
-              static_cast<long long>(stats.snapshot.Gauge("fed.clusters")));
+  std::printf("federation stats: %u nodes folded (the meta and %zu cluster trees)\n",
+              stats.nodeCount, fed.ClusterCount());
   return 0;
 }

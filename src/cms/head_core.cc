@@ -6,13 +6,12 @@ namespace scalla::cms {
 
 HeadCore::HeadCore(const CmsConfig& config, SelectCriterion criterion, std::string name,
                    net::NodeAddr addr, sched::Executor& executor, net::Fabric& fabric,
-                   obs::MetricsRegistry& metrics, Wiring wiring)
+                   obs::MetricsRegistry& metrics)
     : config_(config),
       name_(std::move(name)),
       addr_(addr),
       executor_(executor),
       fabric_(fabric),
-      wiring_(std::move(wiring)),
       membership_(config_, executor.clock()),
       cache_(config_, executor.clock(), membership_.corrections()),
       respq_(config_, executor.clock()),
@@ -21,8 +20,8 @@ HeadCore::HeadCore(const CmsConfig& config, SelectCriterion criterion, std::stri
                 [this](ServerSet targets, const std::string& path, std::uint32_t hash,
                        AccessMode mode) { SendQueryDown(targets, path, hash, mode); }),
       maintenance_(config_, executor, cache_, respq_, membership_),
-      pingsSent_(metrics.GetCounter(wiring_.counterPrefix + "pings_sent")),
-      pongsReceived_(metrics.GetCounter(wiring_.counterPrefix + "pongs_received")) {}
+      pingsSent_(metrics.GetCounter("node.pings_sent")),
+      pongsReceived_(metrics.GetCounter("node.pongs_received")) {}
 
 void HeadCore::Start(bool headDuties) {
   MaintenanceDriver::Options opts;
@@ -67,13 +66,13 @@ std::vector<net::NodeAddr> HeadCore::OnlineAddrs() const {
   return addrs;
 }
 
-std::optional<Membership::LoginResult> HeadCore::Admit(
-    net::NodeAddr from, const std::string& name, const std::vector<std::string>& exports,
-    bool allowWrite, bool isSupervisor) {
+std::optional<Membership::LoginResult> HeadCore::Admit(net::NodeAddr from,
+                                                       const proto::CmsLogin& m) {
   // A re-login from a known address may land on a different slot (changed
   // exports drop the old identity); clear the stale mapping.
   const auto oldSlot = SlotOfAddr(from);
-  const auto result = membership_.Login(name, exports, allowWrite, isSupervisor);
+  const auto result =
+      membership_.Login(m.name, m.exports, m.allowWrite, m.isSupervisor, m.locality);
   if (!result.has_value()) return std::nullopt;
   if (oldSlot.has_value() && *oldSlot != result->slot) slotAddr_[*oldSlot] = 0;
   slotAddr_[result->slot] = from;
@@ -95,8 +94,20 @@ void HeadCore::OnPong(net::NodeAddr from, const proto::CmsPong& m) {
   // (and drives suspend/resume just like a report would).
   const auto info = membership_.InfoOf(*slot);
   if (info.has_value() && info->online) {
-    membership_.ReportLoad(*slot, wiring_.pongLoad(*slot, m.load), m.freeSpace);
+    membership_.ReportLoad(*slot, m.load, m.freeSpace);
   }
+}
+
+int HeadCore::FanToSupervisors(const proto::Message& notice) {
+  int fanned = 0;
+  const ServerSet online = membership_.OnlineSet();
+  for (ServerSlot s = online.first(); s >= 0; s = online.next(s)) {
+    const auto info = membership_.InfoOf(s);
+    if (!info.has_value() || !info->isSupervisor || slotAddr_[s] == 0) continue;
+    fabric_.Send(addr_, slotAddr_[s], notice);
+    ++fanned;
+  }
+  return fanned;
 }
 
 bool HeadCore::OnHave(net::NodeAddr from, const std::string& path, std::uint32_t hash,
@@ -175,7 +186,9 @@ void HeadCore::HeartbeatTick() {
     // bump sheds the member's V_h/V_p bits lazily, in O(1).
     SCALLA_WARN("cms", "%s: declaring '%s' (slot %d) dead after %d missed pings",
                 name_.c_str(), name.c_str(), slot, config_.missLimit);
-    wiring_.onDeath(name);
+    // Tell the supervisors below so the whole subtree repairs its view; a
+    // meta's members are cluster heads, not supervisors, so none is told.
+    FanToSupervisors(proto::CmsDeath{name});
   }
 }
 

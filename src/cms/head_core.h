@@ -1,17 +1,16 @@
 // The core of every node that fronts a set of subordinates: a manager or
-// supervisor (xrd::ScallaNode) over its servers, and the meta-manager
-// (fed::MetaManager) over cluster heads. The paper's tree composes
-// (section II-B): each level runs the same login -> query -> have ->
-// redirect exchange, so one object owns the six cms components, the
-// slot <-> address maps, query fan-out, the heartbeat, the create-target
-// choice and the locate -> answer step. What differs between the levels
-// is fixed at construction (HeadCore::Wiring), never decided by asking
-// which owner is calling.
+// supervisor over its servers, and a meta-manager (a manager whose
+// members are cluster heads). The paper's tree composes (section II-B):
+// each level runs the same login -> query -> have -> redirect exchange, so
+// one object owns the six cms components, the slot <-> address maps, query
+// fan-out, the heartbeat and its death notices, the create-target choice
+// and the locate -> answer step. Nothing here asks which level it serves:
+// a member's login locality is data (MemberInfo::locality), and a death
+// notice reaches only supervisor members, of which a meta has none.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -34,17 +33,6 @@ namespace scalla::cms {
 
 class HeadCore {
  public:
-  /// The three differences between a cluster head and the meta-manager.
-  struct Wiring {
-    /// Prefix of the head's own counters ("node." or "fed.").
-    std::string counterPrefix;
-    /// Load credited to a subordinate whose pong carries `load`: raw for
-    /// servers, locality-weighted for clusters.
-    std::function<std::uint32_t(ServerSlot, std::uint32_t load)> pongLoad;
-    /// Runs once per subordinate the heartbeat declares dead.
-    std::function<void(const std::string& name)> onDeath;
-  };
-
   /// Which of the owner's counters one locate -> answer bumps (null: none).
   struct Tally {
     obs::Counter* redirects = nullptr;
@@ -53,10 +41,11 @@ class HeadCore {
   };
 
   /// `name` and `addr` identify the owner in logs and as the sender of
-  /// every frame; `metrics` receives the heartbeat counters.
+  /// every frame; `metrics` receives the heartbeat counters
+  /// (node.pings_sent, node.pongs_received).
   HeadCore(const CmsConfig& config, SelectCriterion criterion, std::string name,
            net::NodeAddr addr, sched::Executor& executor, net::Fabric& fabric,
-           obs::MetricsRegistry& metrics, Wiring wiring);
+           obs::MetricsRegistry& metrics);
 
   HeadCore(const HeadCore&) = delete;
   HeadCore& operator=(const HeadCore&) = delete;
@@ -80,12 +69,14 @@ class HeadCore {
   std::vector<net::NodeAddr> OnlineAddrs() const;
 
   /// Logs the subordinate at `from` in; std::nullopt when the set is full.
-  std::optional<Membership::LoginResult> Admit(net::NodeAddr from, const std::string& name,
-                                               const std::vector<std::string>& exports,
-                                               bool allowWrite, bool isSupervisor);
+  std::optional<Membership::LoginResult> Admit(net::NodeAddr from, const proto::CmsLogin& m);
   /// Marks a subordinate offline when its connection breaks.
   void OnPeerDown(net::NodeAddr peer);
+  /// A heartbeat answer; its piggybacked load is stored as reported.
   void OnPong(net::NodeAddr from, const proto::CmsPong& m);
+  /// Fans a death/drain notice to every online supervisor subordinate so
+  /// the whole subtree repairs its view. Returns targets reached.
+  int FanToSupervisors(const proto::Message& notice);
   /// A subordinate's "I have it" / "it is gone". False when `from` is not
   /// a subordinate (the frame is ignored).
   bool OnHave(net::NodeAddr from, const std::string& path, std::uint32_t hash,
@@ -123,7 +114,6 @@ class HeadCore {
   const net::NodeAddr addr_;
   sched::Executor& executor_;
   net::Fabric& fabric_;
-  const Wiring wiring_;
 
   Membership membership_;
   LocationCache cache_;

@@ -14,7 +14,7 @@ ServerSlot Membership::FindFreeSlotLocked() const {
 
 std::optional<Membership::LoginResult> Membership::Login(
     const std::string& name, const std::vector<std::string>& exports, bool allowWrite,
-    bool isSupervisor) {
+    bool isSupervisor, std::uint32_t locality) {
   std::lock_guard lock(mu_);
 
   // Reconnection of a still-known member?
@@ -29,6 +29,7 @@ std::optional<Membership::LoginResult> Membership::Login(
       members_[s]->online = true;
       members_[s]->allowWrite = allowWrite;
       members_[s]->isSupervisor = isSupervisor;
+      members_[s]->locality = locality;
       members_[s]->missedPings = 0;
       members_[s]->suspended = false;  // fresh start; draining is sticky
       return LoginResult{s, false, true};
@@ -49,6 +50,7 @@ std::optional<Membership::LoginResult> Membership::Login(
   info.online = true;
   info.allowWrite = allowWrite;
   info.isSupervisor = isSupervisor;
+  info.locality = locality;
   members_[slot] = std::move(info);
   for (const auto& prefix : exports) paths_.AddExport(slot, prefix);
   corrections_.OnConnect(slot);  // adds the server to V_c-tracking (C[], N_c)

@@ -33,6 +33,10 @@ struct MemberInfo {
   bool online = false;
   bool allowWrite = true;
   bool isSupervisor = false;  // subordinate is itself a cluster head
+  // Distance weight from its login (CmsLogin.locality; lower = near). At a
+  // meta-manager it lets load selection prefer near clusters; it never
+  // enters `load`, so suspension thresholds see only the reported load.
+  std::uint32_t locality = 0;
   TimePoint disconnectTime{};
   // Selection metrics, refreshed by load reports.
   std::uint32_t load = 0;           // abstract load units (lower is better)
@@ -57,10 +61,12 @@ class Membership {
   /// Registers `name` with its export prefixes. Returns std::nullopt when
   /// the set is full (64 members) — the caller should direct the server to
   /// a supervisor instead. Registration is deliberately light: only path
-  /// prefixes are recorded, never file manifests (section V).
+  /// prefixes are recorded, never file manifests (section V). `locality`
+  /// is the member's distance weight (MemberInfo::locality).
   std::optional<LoginResult> Login(const std::string& name,
                                    const std::vector<std::string>& exports,
-                                   bool allowWrite = true, bool isSupervisor = false);
+                                   bool allowWrite = true, bool isSupervisor = false,
+                                   std::uint32_t locality = 0);
 
   /// Marks the member offline; membership is retained until DropExpired.
   void Disconnect(ServerSlot slot);

@@ -47,7 +47,9 @@ ServerSlot SelectionPolicy::ChooseFrom(ServerSet set, Membership& membership) {
         if (!info) continue;
         std::uint64_t metric = 0;
         switch (criterion_) {
-          case SelectCriterion::kLoad: metric = info->load; break;
+          case SelectCriterion::kLoad:
+            metric = info->locality * kLocalityScale + info->load;
+            break;
           case SelectCriterion::kSpace: metric = info->freeSpace; break;
           default: metric = info->selectionCount; break;
         }

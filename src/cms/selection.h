@@ -10,11 +10,16 @@ namespace scalla::cms {
 
 enum class SelectCriterion {
   kRoundRobin,  // rotate through candidates (default)
-  kLoad,        // lowest reported load
+  kLoad,        // lowest locality-weighted load (see kLocalityScale)
   kSpace,       // most free space
   kFrequency,   // least often selected
   kRandom,      // uniform (seeded; deterministic in tests)
 };
+
+/// Load units one locality step is worth under kLoad, which ranks a member
+/// by locality * kLocalityScale + load: a far member wins only when every
+/// nearer one is loaded past a full step.
+inline constexpr std::uint64_t kLocalityScale = 1000;
 
 class SelectionPolicy {
  public:

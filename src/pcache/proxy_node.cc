@@ -509,7 +509,10 @@ void ProxyCacheNode::HandleUnlink(net::NodeAddr from, const proto::XrdUnlink& m)
       if (it != sessions_.end()) {
         // Nothing reads through the origin handle again: release it at the leaf.
         if (it->second.originOpen) origin_.Close(it->second.origin, [](proto::XrdErr) {});
-        sessions_.erase(it);  // stale handles on it now answer kInvalid
+        // Opens and fetches parked behind a first-contact origin open learn
+        // now that the file is gone; that open's late answer finds no session.
+        FlushAwaiting(path, proto::XrdErr::kNotFound);
+        sessions_.erase(path);  // stale handles on it now answer kInvalid
       }
     }
     proto::XrdUnlinkResp resp;

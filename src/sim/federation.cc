@@ -11,13 +11,21 @@ namespace {
 constexpr net::NodeAddr kClusterAddrBand = 1000;
 }  // namespace
 
+xrd::NodeConfig DefaultMetaConfig() {
+  xrd::NodeConfig cfg;
+  cfg.role = xrd::NodeRole::kManager;
+  cfg.name = "meta";
+  cfg.selection = cms::SelectCriterion::kLoad;
+  return cfg;
+}
+
 SimFederation::SimFederation(const FederationSpec& spec)
     : spec_(spec), fabric_(engine_) {
   assert(spec_.clusters >= 1);
 
-  fed::MetaConfig mcfg = spec_.meta;
+  xrd::NodeConfig mcfg = spec_.meta;
   if (mcfg.addr == 0) mcfg.addr = 1;
-  meta_ = std::make_unique<fed::MetaManager>(mcfg, engine_, fabric_);
+  meta_ = std::make_unique<xrd::ScallaNode>(mcfg, engine_, fabric_, nullptr);
   fabric_.Register(mcfg.addr, meta_.get());
 
   for (int c = 0; c < spec_.clusters; ++c) {

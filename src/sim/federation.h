@@ -1,8 +1,9 @@
 // Federation harness: several independent SimClusters sharing one
-// discrete-event engine and fabric, fronted by a fed::MetaManager that
-// clusters the clusters. Clients built here hold ONLY the meta-head
-// address and reach files in any member cluster through the two-hop
-// redirect walk (meta -> cluster head -> data server).
+// discrete-event engine and fabric, fronted by a meta-manager that
+// clusters the clusters: a manager-role xrd::ScallaNode whose members are
+// the clusters' heads. Clients built here hold ONLY the meta-head address
+// and reach files in any member cluster through the two-hop redirect walk
+// (meta -> cluster head -> data server).
 #pragma once
 
 #include <cstdint>
@@ -11,23 +12,28 @@
 #include <vector>
 
 #include "client/scalla_client.h"
-#include "fed/meta_manager.h"
 #include "pcache/proxy_node.h"
 #include "sim/cluster.h"
 #include "sim/event_engine.h"
 #include "sim/sim_fabric.h"
 #include "util/result.h"
+#include "xrd/scalla_node.h"
 
 namespace scalla::sim {
+
+/// The meta-manager's default configuration: a manager named "meta" whose
+/// load selection lets FederationSpec::localities steer cross-cluster
+/// replica choice (round-robin would ignore them, and still be correct).
+xrd::NodeConfig DefaultMetaConfig();
 
 struct FederationSpec {
   int clusters = 2;
   // Template applied to every member cluster (servers, exports, cms, ...).
   // meta / clusterName / locality are filled in per cluster by the harness.
   ClusterSpec cluster;
-  // Meta-manager tier configuration; selection defaults to kLoad so the
-  // locality weights below actually steer cross-cluster replica choice.
-  fed::MetaConfig meta;
+  // The meta-manager's node configuration (a manager; address 1 unless
+  // set). Its selection defaults to kLoad, see DefaultMetaConfig.
+  xrd::NodeConfig meta = DefaultMetaConfig();
   // Per-cluster locality weight (distance from the meta's site); missing
   // entries default to 0 (= nearest).
   std::vector<std::uint32_t> localities;
@@ -45,7 +51,7 @@ class SimFederation {
 
   EventEngine& engine() { return engine_; }
   SimFabric& fabric() { return fabric_; }
-  fed::MetaManager& meta() { return *meta_; }
+  xrd::ScallaNode& meta() { return *meta_; }
   std::size_t ClusterCount() const { return clusters_.size(); }
   SimCluster& cluster(std::size_t i) { return *clusters_[i]; }
   pcache::ProxyCacheNode* edgeProxy() { return proxy_.get(); }
@@ -87,7 +93,7 @@ class SimFederation {
   FederationSpec spec_;
   EventEngine engine_;
   SimFabric fabric_;
-  std::unique_ptr<fed::MetaManager> meta_;
+  std::unique_ptr<xrd::ScallaNode> meta_;
   std::vector<std::unique_ptr<SimCluster>> clusters_;
   std::unique_ptr<pcache::ProxyCacheNode> proxy_;
   std::vector<std::unique_ptr<client::ScallaClient>> clients_;

@@ -59,6 +59,7 @@ std::optional<LoadedNodeConfig> LoadNodeConfig(const std::string& text,
 
   LoadedNodeConfig out;
   NodeConfig& cfg = out.node;
+  bool isMeta = false;
 
   const auto role = parsed->GetString("all.role");
   if (!role.has_value()) {
@@ -74,10 +75,11 @@ std::optional<LoadedNodeConfig> LoadNodeConfig(const std::string& text,
   } else if (*role == "proxy") {
     cfg.role = NodeRole::kProxy;
   } else if (*role == "meta") {
-    // The federation tier: serves no data and exports no paths of its
-    // own, so the export/manager requirements below do not apply.
+    // The federation tier: a manager whose members are cluster heads. It
+    // serves no data and exports no paths of its own, so the export
+    // requirement below does not apply, and it has no parent.
     cfg.role = NodeRole::kManager;
-    out.isMeta = true;
+    isMeta = true;
   } else {
     Fail(error, "all.role must be manager|supervisor|server|proxy|meta, got " + *role);
     return std::nullopt;
@@ -112,10 +114,14 @@ std::optional<LoadedNodeConfig> LoadNodeConfig(const std::string& text,
     Fail(error, "all.manager is required for supervisor/server roles");
     return std::nullopt;
   }
+  if (isMeta && cfg.parent != 0) {
+    Fail(error, "all.manager does not apply to the meta role (the federation's root)");
+    return std::nullopt;
+  }
 
   const bool hasFedKey = parsed->Has("fed.meta") || parsed->Has("fed.cluster") ||
                          parsed->Has("fed.locality");
-  if (hasFedKey && (cfg.role != NodeRole::kManager || out.isMeta)) {
+  if (hasFedKey && (cfg.role != NodeRole::kManager || isMeta)) {
     Fail(error, "fed.* directives only apply to the manager role");
     return std::nullopt;
   }
@@ -155,7 +161,7 @@ std::optional<LoadedNodeConfig> LoadNodeConfig(const std::string& text,
     std::string tok;
     while (in >> tok) cfg.exports.push_back(tok);
   }
-  if (cfg.exports.empty() && cfg.role != NodeRole::kProxy && !out.isMeta) {
+  if (cfg.exports.empty() && cfg.role != NodeRole::kProxy && !isMeta) {
     Fail(error, "all.export must list at least one prefix");
     return std::nullopt;
   }

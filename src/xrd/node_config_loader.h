@@ -44,9 +44,13 @@
 //   fed.locality    0                 # distance weight (0 = nearest)
 //
 // (fed.meta sets the manager's parent, so a manager takes fed.meta or
-// all.manager, not both) and the meta tier itself runs as its own role:
+// all.manager, not both). The meta tier is a manager whose members are
+// cluster heads:
 //
 //   all.role        meta              # fronts up to 64 cluster heads
+//
+// loads NodeRole::kManager with no parent; it needs no all.export and
+// takes no fed.* or all.manager directive.
 //
 // Transport tuning (any role; parsed once into net::FabricOptions and
 // validated with net::ValidateFabricOptions, so bad values fail loudly):
@@ -72,9 +76,6 @@ namespace scalla::xrd {
 
 struct LoadedNodeConfig {
   NodeConfig node;
-  // all.role meta: run a fed::MetaManager instead of a ScallaNode (the
-  // node fields name/addr/cms/selection seed its MetaConfig).
-  bool isMeta = false;
   std::string localRoot;  // non-empty => back the server with LocalOss
   net::FabricOptions fabric;  // fabric.* transport tuning
   // Proxy role only (node.role == NodeRole::kProxy). `pcacheTiered` is

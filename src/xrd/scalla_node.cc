@@ -47,9 +47,7 @@ ScallaNode::ScallaNode(NodeConfig config, sched::Executor& executor, net::Fabric
       fabric_(fabric),
       storage_(storage),
       core_(config_.cms, config_.selection, config_.name, config_.addr, executor, fabric,
-            metrics_,
-            {"node.", [](ServerSlot, std::uint32_t load) { return load; },
-             [this](const std::string& name) { FanToSupervisors(proto::CmsDeath{name}); }}),
+            metrics_),
       nm_(metrics_),
       stats_(config_.addr, executor, fabric) {
   if (config_.parent != 0) parents_.push_back(config_.parent);
@@ -268,6 +266,14 @@ void ScallaNode::OnMessage(net::NodeAddr from, proto::Message message) {
           HandleUnlink(from, m);
         } else if constexpr (std::is_same_v<M, proto::XrdPrepare>) {
           HandlePrepare(from, m);
+        } else if constexpr (std::is_same_v<M, proto::FedLocate>) {
+          // "Which member owns <path>?" without opening it (scalla_cli fed
+          // locate at a meta-manager); the answer names the member head.
+          if (IsHead()) {
+            core_.Answer<proto::FedRedirect>(from, m.reqId, m.path,
+                                             HeadOptions(m.mode, m.refresh, m.avoidCluster),
+                                             {&nm_.redirectsIssued, &nm_.waitsIssued});
+          }
         } else if constexpr (std::is_same_v<M, proto::StatsQuery>) {
           nm_.statsQueries.Inc();
           // A leaf answers from local state; a head folds in its subtree.
@@ -324,7 +330,7 @@ void ScallaNode::HandleLogin(net::NodeAddr from, const proto::CmsLogin& m) {
     fabric_.Send(config_.addr, from, std::move(resp));
     return;
   }
-  const auto result = core_.Admit(from, m.name, m.exports, m.allowWrite, m.isSupervisor);
+  const auto result = core_.Admit(from, m);
   if (!result.has_value()) {
     // Set full: send the newcomer down to a supervisor with capacity —
     // the 64-ary tree grows at the leaves, not by widening a set.
@@ -464,7 +470,7 @@ void ScallaNode::HandleDeath(net::NodeAddr from, const proto::CmsDeath& m) {
   if (slot.has_value()) core_.membership().DeclareDead(*slot);
   // Fan further down regardless: the dead server may live deeper in a
   // subtree this node only knows through a supervisor.
-  FanToSupervisors(m);
+  core_.FanToSupervisors(m);
 }
 
 void ScallaNode::HandleDrain(net::NodeAddr from, const proto::CmsDrain& m) {
@@ -489,26 +495,12 @@ void ScallaNode::HandleDrain(net::NodeAddr from, const proto::CmsDrain& m) {
   }
   // Unknown here: the server may sit deeper in the tree; forward to every
   // supervisor subtree (best-effort, no replies expected on that leg).
-  const int fanned = FanToSupervisors(proto::CmsDrain{0, m.server, m.restore});
+  const int fanned = core_.FanToSupervisors(proto::CmsDrain{0, m.server, m.restore});
   if (fanned > 0) {
     reply(true, false, "");
   } else {
     reply(false, false, "unknown server '" + m.server + "'");
   }
-}
-
-int ScallaNode::FanToSupervisors(const proto::Message& notice) {
-  int fanned = 0;
-  const ServerSet online = core_.membership().OnlineSet();
-  for (ServerSlot s = online.first(); s >= 0; s = online.next(s)) {
-    const auto info = core_.membership().InfoOf(s);
-    if (!info.has_value() || !info->isSupervisor) continue;
-    const net::NodeAddr addr = AddrOfSlot(s);
-    if (addr == 0) continue;
-    fabric_.Send(config_.addr, addr, notice);
-    ++fanned;
-  }
-  return fanned;
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,9 @@
 //   kManager    — a cluster head: accepts subordinate logins, resolves
 //                 client requests, redirects clients downward. Given a
 //                 parent (a federation meta-manager), it is a supervisor
-//                 to that parent for its whole cluster.
+//                 to that parent for its whole cluster. A meta-manager is
+//                 a manager too, one whose members are cluster heads; it
+//                 also answers FedLocate ("which cluster owns <path>?").
 //   kSupervisor — a manager for its subtree AND a server to its parent:
 //                 answers parent CmsQuery by resolving within its subtree,
 //                 compressing multiple subordinate responses into a single
@@ -137,9 +139,6 @@ class ScallaNode : public net::MessageSink {
   void HandlePing(net::NodeAddr from, const proto::CmsPing& m);
   void HandleDeath(net::NodeAddr from, const proto::CmsDeath& m);
   void HandleDrain(net::NodeAddr from, const proto::CmsDrain& m);
-  /// Fans a death/drain notice to every online supervisor subordinate so
-  /// the whole subtree repairs its view. Returns targets reached.
-  int FanToSupervisors(const proto::Message& notice);
   /// Current load/space numbers a pong or load report should carry.
   std::pair<std::uint32_t, std::uint64_t> CurrentLoad() const;
 

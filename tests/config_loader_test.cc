@@ -333,7 +333,7 @@ fed.locality    3
 )",
                                      &error);
   ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_FALSE(loaded->isMeta);
+  EXPECT_EQ(loaded->node.role, NodeRole::kManager);
   // The meta-manager is the manager's one parent.
   EXPECT_EQ(loaded->node.parent, 1u);
   EXPECT_TRUE(loaded->node.extraParents.empty());
@@ -345,7 +345,9 @@ TEST(NodeConfigLoaderTest, MetaRoleNeedsNoExportsOrManager) {
   std::string error;
   const auto loaded = LoadNodeConfig("all.role meta\nall.addr 1\n", &error);
   ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_TRUE(loaded->isMeta);
+  // The meta-manager is a manager at the federation's root.
+  EXPECT_EQ(loaded->node.role, NodeRole::kManager);
+  EXPECT_EQ(loaded->node.parent, 0u);
   EXPECT_EQ(loaded->node.addr, 1u);
 }
 
@@ -359,6 +361,9 @@ TEST(NodeConfigLoaderTest, RejectsBadFederationConfigs) {
   EXPECT_FALSE(
       LoadNodeConfig("all.role meta\nall.addr 1\nfed.locality 2\n", &error)
           .has_value());
+  // The meta is the federation's root: it has no parent to name.
+  EXPECT_FALSE(LoadNodeConfig("all.role meta\nall.addr 1\nall.manager 2\n", &error)
+                   .has_value());
   // A cluster name / locality without the meta address is a config slip.
   EXPECT_FALSE(LoadNodeConfig("all.role manager\nall.addr 10\nall.export /\n"
                               "fed.cluster site-a\n",

@@ -39,10 +39,10 @@ TEST(FederationTest, HeadsLogIntoMetaOnStart) {
   const net::NodeAddr meta = fed.meta().config().addr;
   EXPECT_TRUE(fed.cluster(0).head().LoggedInTo(meta));
   EXPECT_TRUE(fed.cluster(1).head().LoggedInTo(meta));
-  EXPECT_NE(fed.meta().ClusterOfHead(fed.cluster(0).head().config().addr),
-            fed.meta().ClusterOfHead(fed.cluster(1).head().config().addr));
+  EXPECT_NE(fed.meta().SlotOfAddr(fed.cluster(0).head().config().addr),
+            fed.meta().SlotOfAddr(fed.cluster(1).head().config().addr));
   EXPECT_EQ(fed.meta().membership().MemberCount(), 2u);
-  EXPECT_GE(fed.meta().SnapshotMetrics().Counter("fed.subscribes"), 2u);
+  EXPECT_GE(fed.meta().SnapshotMetrics().Counter("node.logins_accepted"), 2u);
 }
 
 TEST(FederationTest, ClientOpensFilesInEitherClusterThroughMetaOnly) {
@@ -89,7 +89,7 @@ TEST(FederationTest, RepeatOpensHitMetaClusterLocationCache) {
   // no new CmsQuery flood, and one more redirect issued.
   EXPECT_GT(after.Counter("cache.hits"), before.Counter("cache.hits"));
   EXPECT_EQ(after.Counter("resolver.queries_sent"), before.Counter("resolver.queries_sent"));
-  EXPECT_GT(after.Counter("fed.redirects_issued"), before.Counter("fed.redirects_issued"));
+  EXPECT_GT(after.Counter("node.redirects_issued"), before.Counter("node.redirects_issued"));
 }
 
 // Member clusters that are flat (servers right under the head) or deep
@@ -130,7 +130,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, FederationCreateTest, ::testing::Values(0, 2),
 TEST(FederationTest, LocalityWeightSteersCrossClusterReplicaChoice) {
   FederationSpec spec = TwoClusterSpec();
   // Cluster 0 is far (weight 5), cluster 1 near (0); load selection at
-  // the meta folds locality * kLocalityScale into each cluster's load.
+  // the meta ranks each cluster by locality * kLocalityScale + its load.
   spec.localities = {5, 0};
   SimFederation fed(spec);
   fed.PlaceFile(0, 0, "/store/both", "x");
@@ -149,6 +149,27 @@ TEST(FederationTest, LocalityWeightSteersCrossClusterReplicaChoice) {
   }
 }
 
+TEST(FederationTest, FarClusterIsNotSuspendedForItsDistance) {
+  FederationSpec spec = TwoClusterSpec();
+  // Cluster 0 is far (weight 5 = 5000 load units of preference). Locality
+  // only ranks holders; the suspension threshold sees the reported load,
+  // which is 0, so the far cluster stays selectable.
+  spec.localities = {5, 0};
+  spec.meta.cms.suspendLoad = 100;
+  SimFederation fed(spec);
+  fed.PlaceFile(0, 0, "/store/far-only", "x");
+  fed.Start();
+  auto& c = fed.NewClient();
+
+  const TimePoint start = fed.engine().Now();
+  const auto o = fed.OpenAndWait(c, "/store/far-only", AccessMode::kRead, false);
+  ASSERT_EQ(o.err, proto::XrdErr::kNone);
+  EXPECT_TRUE(InCluster(o.file.node, 0)) << o.file.node;
+  EXPECT_LT(fed.engine().Now() - start, std::chrono::seconds(1));  // no full delay
+  EXPECT_EQ(fed.meta().SnapshotMetrics().Counter("membership.suspends"), 0u);
+  EXPECT_TRUE(fed.meta().membership().SuspendedSet().empty());
+}
+
 TEST(FederationTest, WholeClusterPartitionIsShedAndRelearnedOnRejoin) {
   FederationSpec spec = TwoClusterSpec();
   // Tight heartbeat so the test crosses ping x misslimit quickly; dead
@@ -165,14 +186,14 @@ TEST(FederationTest, WholeClusterPartitionIsShedAndRelearnedOnRejoin) {
   // Warm both locations into the meta's cache.
   ASSERT_TRUE(fed.ReadAll(c, "/store/a").ok());
   ASSERT_TRUE(fed.ReadAll(c, "/store/b").ok());
-  const auto slot1 = fed.meta().ClusterOfHead(fed.cluster(1).head().config().addr);
+  const auto slot1 = fed.meta().SlotOfAddr(fed.cluster(1).head().config().addr);
   ASSERT_TRUE(slot1.has_value());
 
   // Silent partition: no connection breaks, only the heartbeat can see it.
   fed.PartitionCluster(1);
   fed.RunFor(std::chrono::seconds(5));  // > ping x misslimit
   EXPECT_FALSE(fed.meta().membership().OnlineSet().test(*slot1));
-  EXPECT_GE(fed.meta().SnapshotMetrics().Counter("fed.cluster_deaths"), 1u);
+  EXPECT_GE(fed.meta().SnapshotMetrics().Counter("membership.deaths"), 1u);
 
   // The surviving cluster keeps serving through the meta.
   const auto a = fed.ReadAll(c, "/store/a");
@@ -207,8 +228,10 @@ TEST(FederationTest, StatsQueryAtMetaMergesEveryCluster) {
   // The meta itself plus both complete cluster trees (head + 2 servers,
   // plus any supervisors) folded into one snapshot.
   EXPECT_GE(stats.nodeCount, 1u + 2u * 3u);
-  EXPECT_GE(stats.snapshot.Counter("fed.subscribes"), 2u);
-  EXPECT_EQ(stats.snapshot.Gauge("fed.clusters"), 2);
+  EXPECT_GE(stats.snapshot.Counter("node.logins_accepted"), 2u);
+  // The merged node.members sums every head's members, so the cluster
+  // count is the meta's own gauge.
+  EXPECT_EQ(fed.meta().SnapshotMetrics().Gauge("node.members"), 2);
 }
 
 TEST(FederationTest, EdgeProxyFrontsTheFederation) {

@@ -678,6 +678,43 @@ TEST(ProxySimTest, UnlinkClosesTheOriginHandle) {
   EXPECT_EQ(leafOpenHandles(), 0);
 }
 
+// An unlink that lands while the proxy's first-contact origin open (or
+// the stat behind it) is still in flight answers the client opens parked
+// on it with kNotFound, instead of leaving them to the client's attempt
+// timeout, and the leaf keeps no handle for the gone file.
+TEST(ProxySimTest, UnlinkAnswersOpensParkedBehindTheOriginOpen) {
+  for (const int gapUs : {0, 100, 175}) {
+    SCOPED_TRACE("unlink " + std::to_string(gapUs) + " us after the open");
+    sim::SimCluster cluster(ProxySpec(1));
+    cluster.Start();
+    cluster.PlaceFile(0, "/store/f", std::string(100, 'u'));
+    auto& c = cluster.NewProxyClient();
+
+    const TimePoint sent = cluster.engine().Now();
+    std::optional<client::OpenOutcome> open;
+    TimePoint answered{};
+    c.Open("/store/f", AccessMode::kRead, false,
+           [&](const client::OpenOutcome& o) {
+             open = o;
+             answered = cluster.engine().Now();
+           });
+    cluster.RunFor(std::chrono::microseconds(gapUs));
+    std::optional<proto::XrdErr> unlinked;
+    c.Unlink("/store/f", [&unlinked](proto::XrdErr err) { unlinked = err; });
+    cluster.engine().RunUntilPredicate(
+        [&] { return open.has_value() && unlinked.has_value(); },
+        cluster.engine().Now() + std::chrono::seconds(30));
+
+    ASSERT_TRUE(open.has_value());
+    EXPECT_EQ(open->err, proto::XrdErr::kNotFound);
+    EXPECT_LT(answered - sent, std::chrono::milliseconds(1));
+    ASSERT_TRUE(unlinked.has_value());
+    EXPECT_EQ(*unlinked, proto::XrdErr::kNone);
+    cluster.RunFor(std::chrono::milliseconds(100));  // the close is fire and forget
+    EXPECT_EQ(cluster.server(0).SnapshotMetrics().Gauge("node.open_handles"), 0);
+  }
+}
+
 TEST(ProxySimTest, NonProxyNodeRefusesCacheAdmin) {
   sim::SimCluster cluster(ProxySpec());
   cluster.Start();

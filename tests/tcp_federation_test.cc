@@ -1,6 +1,7 @@
 // Federation twin over real loopback TCP: two independent clusters
 // (manager + 2 data servers each, built by sim::TcpCluster on one shared
-// fabric) whose managers log into a meta-manager, every node on its own
+// fabric) whose managers log into a meta-manager (a manager-role
+// ScallaNode configured like SimFederation's), every node on its own
 // event loop, and a client holding only the meta address opens files in
 // either cluster through the two-hop redirect walk. Tier-2: real
 // sockets, real clocks.
@@ -9,10 +10,10 @@
 #include <optional>
 
 #include "client/sync_client.h"
-#include "fed/meta_manager.h"
 #include "net/endpoint_guard.h"
 #include "net/tcp_fabric.h"
 #include "sched/thread_executor.h"
+#include "sim/federation.h"
 #include "sim/tcp_cluster.h"
 #include "tcp_test_support.h"
 
@@ -30,10 +31,10 @@ class TcpFederationTest : public ::testing::Test {
     cms.deadline = std::chrono::milliseconds(500);
     cms.sweepPeriod = std::chrono::milliseconds(50);
 
-    fed::MetaConfig mcfg;
+    xrd::NodeConfig mcfg = sim::DefaultMetaConfig();
     mcfg.addr = kMeta;
     mcfg.cms = cms;
-    meta_ = std::make_unique<fed::MetaManager>(mcfg, metaLoop_, fabric_);
+    meta_ = std::make_unique<xrd::ScallaNode>(mcfg, metaLoop_, fabric_, nullptr);
     ASSERT_TRUE(fabric_.Register(kMeta, meta_.get(), &metaLoop_));
     metaGuard_.emplace(fabric_, kMeta, metaLoop_);
     metaLoop_.RunSync([this] { meta_->Start(); });
@@ -62,7 +63,7 @@ class TcpFederationTest : public ::testing::Test {
 
   net::TcpFabric fabric_{NextBasePort(PortBand::kTcpFederation)};
   sched::ThreadExecutor metaLoop_;
-  std::unique_ptr<fed::MetaManager> meta_;
+  std::unique_ptr<xrd::ScallaNode> meta_;
   std::optional<net::EndpointGuard> metaGuard_;
   std::unique_ptr<sim::TcpCluster> clusters_[2];
   client::SyncClient* client_ = nullptr;

@@ -12,6 +12,7 @@
 //     prepare <path> [...]     announce upcoming accesses (parallel prepare)
 //     ls <prefix> --cnsd N     list the global namespace via the cnsd
 //     stats [--json]           tree-aggregated metrics from the whole cluster
+//                              (at a meta-manager: the whole federation)
 //     purge [path]             drop a pcache proxy's cached blocks (all, or
 //                              one path); --head must be the proxy
 //     cachestat                a pcache proxy's occupancy (blocks / bytes)
@@ -20,8 +21,6 @@
 //     restore <server>         undo a drain
 //     fed locate <path>        ask a federation meta-manager (--head must be
 //                              the meta) which cluster owns the path
-//     fed stat [--json]        federation-wide metrics merged across every
-//                              member cluster by the meta
 #include <cstdio>
 #include <future>
 #include <cstdlib>
@@ -187,26 +186,6 @@ int main(int argc, char** argv) {
   }
   if (command == "fed" && i < argc) {
     const std::string sub = argv[i++];
-    if (sub == "stat") {
-      // Same StatsQuery as `stats`: pointed at a meta-manager it fans to
-      // every logged-in cluster head and folds the replies.
-      const bool json = i < argc && std::strcmp(argv[i], "--json") == 0;
-      const auto stats = client.Stats();
-      if (!stats) {
-        std::fprintf(stderr, "fed stat: %s\n", stats.error().message.c_str());
-        return 1;
-      }
-      if (json) {
-        std::printf("{\"nodes\":%u,\"metrics\":%s}\n", stats.value().nodeCount,
-                    stats.value().snapshot.ToJson().c_str());
-      } else {
-        std::printf("federation: %u node(s) across %lld cluster(s)\n%s",
-                    stats.value().nodeCount,
-                    static_cast<long long>(stats.value().snapshot.Gauge("fed.clusters")),
-                    stats.value().snapshot.ToText().c_str());
-      }
-      return 0;
-    }
     if (sub == "locate" && i < argc) {
       // Raw FedLocate against the meta from a scratch endpoint (the xrd
       // client never sees FedRedirect, so it cannot issue this itself).

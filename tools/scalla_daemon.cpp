@@ -1,18 +1,19 @@
-// scalla_daemon: run one Scalla node (manager, supervisor, data server, or
-// caching proxy) over real TCP from a directive file — the shape of a
-// production xrootd + cmsd pair in a single process.
+// scalla_daemon: run one Scalla node (manager, supervisor, data server,
+// federation meta-manager, or caching proxy) over real TCP from a
+// directive file — the shape of a production xrootd + cmsd pair in a
+// single process.
 //
-//   $ scalla_daemon <config-file> [--base-port N] [--proxy] [--meta]
+//   $ scalla_daemon <config-file> [--base-port N] [--proxy]
 //
 // --proxy forces the proxy role regardless of all.role (convenience for
 // pointing a stock config at a cluster as a cache tier); a proxy config
 // names its origin heads with all.manager and tunes the cache with the
 // pcache.* directives (see xrd/node_config_loader.h).
 //
-// --meta (or all.role meta) runs the federation meta-manager: cluster
-// heads configured with fed.meta log into it as their parent, and clients
-// open against its address to reach every member cluster
-// (docs/FEDERATION.md).
+// all.role meta runs the federation meta-manager, a manager whose members
+// are cluster heads: heads configured with fed.meta log into it as their
+// parent, and clients open against its address to reach every member
+// cluster (docs/FEDERATION.md).
 //
 // Example cluster on one machine (three shells):
 //   manager.cf:  all.role manager
@@ -36,7 +37,6 @@
 #include <semaphore>
 #include <sstream>
 
-#include "fed/meta_manager.h"
 #include "net/endpoint_guard.h"
 #include "net/tcp_fabric.h"
 #include "oss/local_oss.h"
@@ -64,15 +64,12 @@ int main(int argc, char** argv) {
   }
   std::uint16_t basePort = 10940;
   bool forceProxy = false;
-  bool forceMeta = false;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--base-port") == 0 && i + 1 < argc) {
       basePort = static_cast<std::uint16_t>(std::atoi(argv[i + 1]));
       ++i;
     } else if (std::strcmp(argv[i], "--proxy") == 0) {
       forceProxy = true;
-    } else if (std::strcmp(argv[i], "--meta") == 0) {
-      forceMeta = true;
     }
   }
 
@@ -95,38 +92,6 @@ int main(int argc, char** argv) {
 
   net::TcpFabric fabric(basePort, loaded->fabric);
   sched::ThreadExecutor executor;
-
-  if (forceMeta || loaded->isMeta) {
-    fed::MetaConfig mcfg;
-    mcfg.name = loaded->node.name;
-    mcfg.addr = loaded->node.addr;
-    mcfg.cms = loaded->node.cms;
-    mcfg.selection = loaded->node.selection;
-    fed::MetaManager meta(mcfg, executor, fabric);
-    const net::EndpointGuard guard(fabric, mcfg.addr, executor);
-    if (!fabric.Register(mcfg.addr, &meta, &executor)) {
-      std::fprintf(stderr, "cannot bind 127.0.0.1:%u\n", basePort + mcfg.addr);
-      return 1;
-    }
-    executor.RunSync([&meta] { meta.Start(); });
-    std::printf("meta-manager '%s' up on 127.0.0.1:%u (addr %u) — cluster "
-                "heads log in with fed.meta %u\n",
-                mcfg.name.c_str(), basePort + mcfg.addr, mcfg.addr, mcfg.addr);
-    std::signal(SIGINT, HandleSignal);
-    std::signal(SIGTERM, HandleSignal);
-    executor.RunEvery(std::chrono::seconds(60), [&meta] {
-      std::printf("metrics %s\n", meta.SnapshotMetrics().ToJson().c_str());
-      std::fflush(stdout);
-    });
-    g_shutdown.acquire();
-    std::string metrics;
-    executor.RunSync([&] {
-      metrics = meta.SnapshotMetrics().ToJson();
-      meta.Stop();
-    });
-    std::printf("shutting down\nmetrics %s\n", metrics.c_str());
-    return 0;
-  }
 
   if (forceProxy || loaded->node.role == xrd::NodeRole::kProxy) {
     if (loaded->node.parent == 0) {
