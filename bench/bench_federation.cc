@@ -8,15 +8,13 @@
 // Output: a human table plus one JSON line (machine-scrapable) with
 // per-shape warm/cold means and the meta's cache hit rate.
 #include "bench/bench_common.h"
-#include "sim/federation.h"
 #include "obs/metrics.h"
+#include "sim/cluster.h"
 
 namespace scalla {
 namespace {
 
 using bench::Fmt;
-using sim::FederationSpec;
-using sim::SimFederation;
 
 struct ShapeResult {
   int clusters = 0;
@@ -26,18 +24,17 @@ struct ShapeResult {
 };
 
 ShapeResult Measure(int clusters, int filesPerCluster) {
-  FederationSpec spec;
+  sim::ClusterSpec spec;
   spec.clusters = clusters;
-  spec.cluster.servers = 4;
-  SimFederation fed(spec);
+  spec.servers = 4;
+  sim::SimCluster fed(spec);  // the meta is its head
 
   std::vector<std::string> paths;
   for (int c = 0; c < clusters; ++c) {
     for (int f = 0; f < filesPerCluster; ++f) {
       std::string path =
           "/store/c" + std::to_string(c) + "/f" + std::to_string(f);
-      fed.PlaceFile(static_cast<std::size_t>(c), static_cast<std::size_t>(f % 4),
-                    path, "x");
+      fed.PlaceFile(static_cast<std::size_t>(c * spec.servers + f % spec.servers), path, "x");
       paths.push_back(std::move(path));
     }
   }
@@ -56,7 +53,7 @@ ShapeResult Measure(int clusters, int filesPerCluster) {
     if (open.err == proto::XrdErr::kNone) warm.Record(fed.engine().Now() - t0);
   }
 
-  const auto snap = fed.meta().SnapshotMetrics();
+  const auto snap = fed.head().SnapshotMetrics();
   const double lookups = static_cast<double>(snap.Counter("cache.lookups"));
   ShapeResult r;
   r.clusters = clusters;

@@ -13,32 +13,33 @@
 // (see docs/FEDERATION.md).
 #include <cstdio>
 
-#include "sim/federation.h"
+#include "sim/cluster.h"
 
 using namespace scalla;
 
 int main() {
   // 1. Two clusters x 3 data servers, their heads logged into one
-  //    meta-manager.
+  //    meta-manager: the plan's head (manager 0), then each cluster's
+  //    manager and servers in turn.
   //    Cluster 1 is "farther" (locality 2), so when both clusters hold a
   //    replica the meta prefers cluster 0.
-  sim::FederationSpec spec;
+  sim::ClusterSpec spec;
   spec.clusters = 2;
-  spec.cluster.servers = 3;
-  spec.cluster.cms.deadline = std::chrono::seconds(1);  // snappier demo
-  spec.meta.cms.deadline = std::chrono::seconds(1);
+  spec.servers = 3;
+  spec.cms.deadline = std::chrono::seconds(1);  // snappier demo
   spec.localities = {0, 2};
 
-  sim::SimFederation fed(spec);
-  // Pre-place a file in each cluster (as a transfer system would).
-  fed.PlaceFile(0, 0, "/store/west.root", "data in cluster 0");
-  fed.PlaceFile(1, 2, "/store/east.root", "data in cluster 1");
+  sim::SimCluster fed(spec);
+  // Pre-place a file in each cluster (as a transfer system would): cluster
+  // c's servers are server(c * 3) .. server(c * 3 + 2).
+  fed.PlaceFile(0, "/store/west.root", "data in cluster 0");
+  fed.PlaceFile(3 + 2, "/store/east.root", "data in cluster 1");
   fed.Start();
-  const net::NodeAddr metaAddr = fed.meta().config().addr;
-  std::printf("federation up: %zu clusters behind the meta (heads logged in: %s, %s)\n",
-              fed.ClusterCount(),
-              fed.cluster(0).head().LoggedInTo(metaAddr) ? "yes" : "no",
-              fed.cluster(1).head().LoggedInTo(metaAddr) ? "yes" : "no");
+  xrd::ScallaNode& meta = fed.head();
+  const net::NodeAddr metaAddr = meta.config().addr;
+  std::printf("federation up: %d clusters behind the meta (heads logged in: %s, %s)\n",
+              spec.clusters, fed.manager(1).LoggedInTo(metaAddr) ? "yes" : "no",
+              fed.manager(2).LoggedInTo(metaAddr) ? "yes" : "no");
 
   // 2. One client, one address — the meta's. It can reach both files.
   client::ScallaClient& client = fed.NewClient();
@@ -59,7 +60,7 @@ int main() {
 
   // 4. The meta's own view, under the names every head exports: head
   //    logins, resolutions, redirects, cached locations.
-  const auto snap = fed.meta().SnapshotMetrics();
+  const auto snap = meta.SnapshotMetrics();
   std::printf("meta: %lld member clusters, %llu head logins, %llu locates, "
               "%llu redirects, cache hit rate %.0f%%\n",
               static_cast<long long>(snap.Gauge("node.members")),
@@ -71,8 +72,8 @@ int main() {
 
   // 5. Federation-wide stats: one StatsQuery at the meta fans out to
   //    every cluster head and folds the whole tree.
-  const auto stats = fed.FederationStats(&client);
-  std::printf("federation stats: %u nodes folded (the meta and %zu cluster trees)\n",
-              stats.nodeCount, fed.ClusterCount());
+  const auto stats = fed.ClusterStats(&client);
+  std::printf("federation stats: %u nodes folded (the meta and %d cluster trees)\n",
+              stats.nodeCount, spec.clusters);
   return 0;
 }

@@ -4,9 +4,10 @@
 # site-a) and one data server under that manager, each its own
 # scalla_daemon process. Once `stats` at the meta counts all three nodes,
 # scalla_cli writes /store/hello through the manager, reads it back
-# through the meta, and checks `fed locate` at the meta. Finally every
-# daemon gets SIGTERM and must exit 0 (a ThreadSanitizer build exits
-# non-zero when it reported a race).
+# through the meta, checks `fed locate` at the meta, and checks that the
+# data server refuses `fed locate` at once. Finally every daemon gets
+# SIGTERM and must exit 0 (a ThreadSanitizer build exits non-zero when it
+# reported a race).
 #
 #   scripts/fed_smoke.sh <dir holding scalla_daemon and scalla_cli>
 #
@@ -94,6 +95,13 @@ echo "get /store/hello through the meta: ok"
 out=$(cli --head 1 fed locate /store/hello) || fail "fed locate: $out"
 echo "$out"
 [[ "$out" == *"cluster 'site-a'"* ]] || fail "fed locate did not name site-a"
+# A data server has no members to name: it refuses at once with the
+# error's name instead of leaving the CLI to time out.
+if out=$(cli --head 11 fed locate /store/hello 2>&1); then
+  fail "fed locate at the server succeeded: $out"
+fi
+echo "$out"
+[[ "$out" == *"invalid argument"* ]] || fail "fed locate at the server: '$out'"
 
 # SIGTERM each daemon and wait (at most 20 s each) for a clean exit.
 for i in "${!PIDS[@]}"; do kill -TERM "${PIDS[$i]}"; done

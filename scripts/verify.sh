@@ -100,6 +100,11 @@ ctest --test-dir build-tsan --output-on-failure -j 4 \
   -R "pcache_test|pcache_property_test|pcache_alloc_test|fabric_alloc_test|tcp_cluster_test|tcp_federation_test|sched_test|tcp_fabric_test|fabric_reactor_test|heartbeat_test|conformance_test|federation_test|cms_cache_property_test|obs_test"
 # A pin lost in a tier move showed only under repetition: repeat the hammer.
 build-tsan/tests/pcache_property_test --gtest_filter='TieredCacheConcurrencyTest.*' --gtest_repeat=20
+# A read right after a create once raced the leaf's newfile digest to the
+# head and lost: repeat both real-socket create-then-read cases.
+build-tsan/tests/tcp_federation_test \
+  --gtest_filter='TcpFederationTest.CreateThroughMetaLandsInSomeClusterAndReadsBack' --gtest_repeat=20
+build-tsan/tests/tcp_cluster_test --gtest_filter='TcpClusterTest.CreateWriteReadBack' --gtest_repeat=20
 # The heartbeat/drain/suspend story over real threads lives inside
 # chaos_test (tier2, TcpLivenessTest fixture) — run the whole suite.
 ctest --test-dir build-tsan --output-on-failure -R chaos_test

@@ -161,8 +161,16 @@ void HeadCore::Answer(net::NodeAddr client, std::uint64_t reqId, const std::stri
             out.status = proto::XrdStatus::kError;
             if (create) {
               // The full delay has confirmed non-existence: place the new
-              // file (kNoSpace stands unless a target is found).
+              // file (kNoSpace stands unless a target is found). The choice
+              // is cached as pending (V_p), so a read that reaches this
+              // head before the target's CmsHave{newfile} is sent there
+              // too; the have turns it into V_h, and a target that refuses
+              // the create loses it to the client's refresh + avoid.
               target = ChooseCreateTarget(createPath, avoid);
+              if (target >= 0) {
+                resolver_.OnHave(createPath, LocationCache::HashOf(createPath), target,
+                                 /*pending=*/true, /*allowWrite=*/true);
+              }
               out.err = proto::XrdErr::kNoSpace;
             } else {
               out.err = proto::XrdErr::kNotFound;

@@ -105,8 +105,10 @@ void Resolver::Locate(const std::string& path, const LocateOptions& options,
   const ServerSet vm = membership_.EligibleFor(path);
   if (vm.empty()) {
     // No export prefix covers this path: no server could ever have it.
-    std::lock_guard lock(statsMu_);
-    ++stats_.notFound;
+    {
+      std::lock_guard lock(statsMu_);
+      ++stats_.notFound;
+    }
     done(LocateResult{LocateStatus::kNotFound, -1, false, Duration::zero()});
     return;
   }
@@ -119,8 +121,10 @@ void Resolver::Locate(const std::string& path, const LocateOptions& options,
     // nothing force-expirable, or an empty path slipped through). Without
     // a location object there is nowhere to park the client or record
     // responses, so ask it to wait a full period and retry.
-    std::lock_guard lock(statsMu_);
-    ++stats_.fullDelays;
+    {
+      std::lock_guard lock(statsMu_);
+      ++stats_.fullDelays;
+    }
     done(LocateResult{LocateStatus::kWait, -1, false, config_.deadline});
     return;
   }
@@ -159,8 +163,10 @@ void Resolver::Locate(const std::string& path, const LocateOptions& options,
   // Step 2: nothing known and nothing left to ask.
   if (fetch.info.query.empty() && !mustQuery) {
     if (!fetch.deadlineActive) {
-      std::lock_guard lock(statsMu_);
-      ++stats_.notFound;
+      {
+        std::lock_guard lock(statsMu_);
+        ++stats_.notFound;
+      }
       done(LocateResult{LocateStatus::kNotFound, -1, false, Duration::zero()});
       return;
     }

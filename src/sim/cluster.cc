@@ -5,35 +5,20 @@
 namespace scalla::sim {
 
 SimCluster::SimCluster(const ClusterSpec& spec)
-    : spec_(spec),
-      ownedEngine_(std::make_unique<EventEngine>()),
-      ownedFabric_(std::make_unique<SimFabric>(*ownedEngine_, spec.latency)),
-      engine_(ownedEngine_.get()),
-      fabric_(ownedFabric_.get()) {
-  Build(1);
-}
-
-SimCluster::SimCluster(const ClusterSpec& spec, EventEngine& engine, SimFabric& fabric,
-                       net::NodeAddr firstAddr)
-    : spec_(spec), engine_(&engine), fabric_(&fabric) {
-  Build(firstAddr);
-}
-
-void SimCluster::Build(net::NodeAddr firstAddr) {
-  plan_ = PlanCluster(spec_, firstAddr);
+    : spec_(spec), fabric_(engine_, spec.latency), plan_(PlanCluster(spec)) {
   if (plan_.cnsd != 0) {
-    cns_ = std::make_unique<cnsd::CnsDaemon>(plan_.cnsd, *fabric_);
-    fabric_->Register(plan_.cnsd, cns_.get());
+    cns_ = std::make_unique<cnsd::CnsDaemon>(plan_.cnsd, fabric_);
+    fabric_.Register(plan_.cnsd, cns_.get());
   }
 
   for (const xrd::NodeConfig& cfg : plan_.nodes) {
     std::unique_ptr<oss::MemOss> storage;
     if (cfg.role == xrd::NodeRole::kServer) {
-      storage = spec_.withMss ? std::make_unique<oss::MssOss>(engine_->clock(), spec_.mss)
-                              : std::make_unique<oss::MemOss>(engine_->clock());
+      storage = spec_.withMss ? std::make_unique<oss::MssOss>(engine_.clock(), spec_.mss)
+                              : std::make_unique<oss::MemOss>(engine_.clock());
     }
-    auto node = std::make_unique<xrd::ScallaNode>(cfg, *engine_, *fabric_, storage.get());
-    fabric_->Register(cfg.addr, node.get());
+    auto node = std::make_unique<xrd::ScallaNode>(cfg, engine_, fabric_, storage.get());
+    fabric_.Register(cfg.addr, node.get());
     if (cfg.role == xrd::NodeRole::kManager) {
       managers_.push_back(std::move(node));
     } else if (cfg.role == xrd::NodeRole::kSupervisor) {
@@ -47,11 +32,11 @@ void SimCluster::Build(net::NodeAddr firstAddr) {
   if (plan_.proxy) {
     pcache::ProxyCacheConfig pcfg = *plan_.proxy;
     if (pcfg.diskCapacityBytes > 0) {
-      proxyDisk_ = std::make_unique<oss::MemOss>(engine_->clock());
+      proxyDisk_ = std::make_unique<oss::MemOss>(engine_.clock());
       pcfg.diskOss = proxyDisk_.get();
     }
-    proxy_ = std::make_unique<pcache::ProxyCacheNode>(pcfg, *engine_, *fabric_);
-    fabric_->Register(pcfg.addr, proxy_.get());
+    proxy_ = std::make_unique<pcache::ProxyCacheNode>(pcfg, engine_, fabric_);
+    fabric_.Register(pcfg.addr, proxy_.get());
   }
 }
 
@@ -66,7 +51,7 @@ void SimCluster::Start() {
   for (auto& m : managers_) m->Start();
   for (auto& s : supervisors_) s->Start();
   for (auto& l : leaves_) l->Start();
-  engine_->RunUntilIdle();  // logins settle
+  engine_.RunUntilIdle();  // logins settle
 }
 
 oss::MssOss* SimCluster::mssStorage(std::size_t i) {
@@ -79,8 +64,8 @@ std::optional<T> SimCluster::Await(Begin begin, Duration timeout) {
   // never in a dead stack slot.
   auto result = std::make_shared<std::optional<T>>();
   begin([result](auto&&... args) { result->emplace(std::forward<decltype(args)>(args)...); });
-  engine_->RunUntilPredicate([result] { return result->has_value(); },
-                            engine_->Now() + timeout);
+  engine_.RunUntilPredicate([result] { return result->has_value(); },
+                           engine_.Now() + timeout);
   return std::move(*result);
 }
 
@@ -100,8 +85,8 @@ Result<std::vector<std::string>> SimCluster::ListAndWait(client::ScallaClient& c
 client::ScallaClient& SimCluster::NewClient() {
   client::ClientConfig cfg = plan_.client;
   cfg.addr = plan_.nextAddr + static_cast<net::NodeAddr>(clients_.size());
-  auto c = std::make_unique<client::ScallaClient>(cfg, *engine_, *fabric_);
-  fabric_->Register(cfg.addr, c.get());
+  auto c = std::make_unique<client::ScallaClient>(cfg, engine_, fabric_);
+  fabric_.Register(cfg.addr, c.get());
   clients_.push_back(std::move(c));
   return *clients_.back();
 }
@@ -112,8 +97,8 @@ client::ScallaClient& SimCluster::NewProxyClient() {
   cfg.addr = plan_.nextAddr + static_cast<net::NodeAddr>(clients_.size());
   cfg.head = proxy_->config().addr;
   cfg.cnsd = plan_.cnsd;
-  auto c = std::make_unique<client::ScallaClient>(cfg, *engine_, *fabric_);
-  fabric_->Register(cfg.addr, c.get());
+  auto c = std::make_unique<client::ScallaClient>(cfg, engine_, fabric_);
+  fabric_.Register(cfg.addr, c.get());
   clients_.push_back(std::move(c));
   return *clients_.back();
 }
@@ -218,12 +203,12 @@ xrd::ScallaNode* SimCluster::FindNode(net::NodeAddr addr) {
 }
 
 void SimCluster::CrashServer(std::size_t i) {
-  fabric_->SetDown(leaves_[i]->config().addr, true);
+  fabric_.SetDown(leaves_[i]->config().addr, true);
   // Every parent discovers the loss when it next touches the peer;
   // surface it immediately the way a broken TCP connection would.
   const net::NodeAddr addr = leaves_[i]->config().addr;
   std::vector<net::NodeAddr> parents = leaves_[i]->Parents();
-  engine_->Post([this, parents, addr] {
+  engine_.Post([this, parents, addr] {
     for (const net::NodeAddr parent : parents) {
       if (xrd::ScallaNode* p = FindNode(parent)) p->OnPeerDown(addr);
     }
@@ -232,28 +217,28 @@ void SimCluster::CrashServer(std::size_t i) {
 
 void SimCluster::CrashManager(std::size_t i) {
   const net::NodeAddr addr = managers_[i]->config().addr;
-  fabric_->SetDown(addr, true);
+  fabric_.SetDown(addr, true);
   // Clients and subordinates learn on their next send (the fabric calls
   // their OnPeerDown), mirroring TCP connection failure.
 }
 
 void SimCluster::RestoreManager(std::size_t i) {
-  fabric_->SetDown(managers_[i]->config().addr, false);
+  fabric_.SetDown(managers_[i]->config().addr, false);
 }
 
 void SimCluster::RestartServer(std::size_t i) {
-  fabric_->SetDown(leaves_[i]->config().addr, false);
+  fabric_.SetDown(leaves_[i]->config().addr, false);
   // The node's login retry timer re-announces it; nudge immediately.
   leaves_[i]->Stop();
   leaves_[i]->Start();
 }
 
 void SimCluster::WedgeServer(std::size_t i) {
-  fabric_->SetWedged(leaves_[i]->config().addr, true);
+  fabric_.SetWedged(leaves_[i]->config().addr, true);
 }
 
 void SimCluster::UnwedgeServer(std::size_t i) {
-  fabric_->SetWedged(leaves_[i]->config().addr, false);
+  fabric_.SetWedged(leaves_[i]->config().addr, false);
 }
 
 Result<proto::CmsDrainResp> SimCluster::DrainAndWait(client::ScallaClient& c,
@@ -272,6 +257,6 @@ Result<proto::CmsDrainResp> SimCluster::DrainAndWait(client::ScallaClient& c,
   return result->second;
 }
 
-void SimCluster::RunFor(Duration d) { engine_->RunUntil(engine_->Now() + d); }
+void SimCluster::RunFor(Duration d) { engine_.RunUntil(engine_.Now() + d); }
 
 }  // namespace scalla::sim

@@ -1,8 +1,9 @@
 // Cluster harness: builds a complete Scalla deployment — the 64-ary tree
 // of manager / supervisors / servers that PlanCluster derives from a
-// ClusterSpec (Figure 1), per-leaf storage, clients — inside one
-// discrete-event simulation, and provides synchronous driving helpers for
-// tests, benchmarks and examples.
+// ClusterSpec (Figure 1), or a federation of such trees under a
+// meta-manager, per-leaf storage, clients — inside one discrete-event
+// simulation, and provides synchronous driving helpers for tests,
+// benchmarks and examples.
 #pragma once
 
 #include <memory>
@@ -26,18 +27,15 @@ namespace scalla::sim {
 class SimCluster {
  public:
   explicit SimCluster(const ClusterSpec& spec);
-  /// Builds the cluster on a shared engine/fabric (federation harness):
-  /// node addresses are allocated starting at `firstAddr`, so several
-  /// clusters can coexist on one fabric with disjoint address bands.
-  SimCluster(const ClusterSpec& spec, EventEngine& engine, SimFabric& fabric,
-             net::NodeAddr firstAddr);
   ~SimCluster();
 
   /// Starts every node and settles logins (virtual time advances a hair).
   void Start();
 
-  EventEngine& engine() { return *engine_; }
-  SimFabric& fabric() { return *fabric_; }
+  EventEngine& engine() { return engine_; }
+  SimFabric& fabric() { return fabric_; }
+  /// Managers and leaves are numbered in plan order, so in a federation
+  /// the meta is manager 0, the head.
   xrd::ScallaNode& head() { return *managers_[0]; }
   std::size_t ManagerCount() const { return managers_.size(); }
   xrd::ScallaNode& manager(std::size_t i) { return *managers_[i]; }
@@ -114,7 +112,6 @@ class SimCluster {
   const ClusterSpec& spec() const { return spec_; }
 
  private:
-  void Build(net::NodeAddr firstAddr);
   /// Starts a client call with `begin(callback)` and runs the engine until
   /// the callback delivers its arguments as a T, or `timeout` of virtual
   /// time passes (nullopt).
@@ -123,12 +120,8 @@ class SimCluster {
   xrd::ScallaNode* FindNode(net::NodeAddr addr);
 
   ClusterSpec spec_;
-  // Standalone clusters own their engine/fabric; federated ones borrow a
-  // shared pair from the SimFederation harness.
-  std::unique_ptr<EventEngine> ownedEngine_;
-  std::unique_ptr<SimFabric> ownedFabric_;
-  EventEngine* engine_ = nullptr;
-  SimFabric* fabric_ = nullptr;
+  EventEngine engine_;
+  SimFabric fabric_;
   ClusterPlan plan_;
 
   std::unique_ptr<cnsd::CnsDaemon> cns_;

@@ -9,7 +9,8 @@ namespace {
 struct Planner {
   const ClusterSpec& spec;
   ClusterPlan& plan;
-  net::NodeAddr next;
+  net::NodeAddr next = 1;
+  int managers = 0;
   int leaves = 0;
   int supervisors = 0;
 
@@ -53,29 +54,55 @@ struct Planner {
     const net::NodeAddr addr = cfg.addr;  // cfg dangles once children are added
     return Children({addr}, nServers) + 1;
   }
+
+  // One cluster: `spec.managers` redundant heads under `parent` (0 = none),
+  // stored in `heads`, then the servers beneath them. Returns the hops
+  // from the heads to the deepest leaf.
+  int Cluster(net::NodeAddr parent, const std::string& clusterName, std::uint32_t locality,
+              std::vector<net::NodeAddr>& heads) {
+    for (int m = 0; m < spec.managers; ++m) {
+      xrd::NodeConfig& cfg =
+          Add(xrd::NodeRole::kManager, "manager" + std::to_string(managers++));
+      cfg.parent = parent;
+      cfg.clusterName = clusterName;
+      cfg.locality = locality;
+      heads.push_back(cfg.addr);
+    }
+    return Children(heads, spec.servers) + 1;
+  }
 };
 
 }  // namespace
 
-ClusterPlan PlanCluster(const ClusterSpec& spec, net::NodeAddr firstAddr) {
+ClusterPlan PlanCluster(const ClusterSpec& spec) {
   assert(spec.servers >= 1);
   assert(spec.managers >= 1);
   assert(spec.fanout >= 2 && spec.fanout <= kMaxServersPerSet);
+  assert(spec.clusters >= 0);
   ClusterPlan plan;
-  Planner planner{spec, plan, firstAddr};
+  Planner planner{spec, plan};
   if (spec.withCnsd) plan.cnsd = planner.next++;
 
   // The logical head: one manager, or several redundant ones that every
-  // top-level subordinate logs into.
+  // top-level subordinate logs into; in a federation, the meta-manager,
+  // whose members are the clusters' heads. Load selection is the one
+  // criterion that weighs their localities.
   std::vector<net::NodeAddr> heads;
-  for (int m = 0; m < spec.managers; ++m) {
-    xrd::NodeConfig& cfg = planner.Add(xrd::NodeRole::kManager, "manager" + std::to_string(m));
-    cfg.parent = spec.meta;
-    cfg.clusterName = spec.clusterName;
-    cfg.locality = spec.locality;
-    heads.push_back(cfg.addr);
+  if (spec.clusters == 0) {
+    plan.depth = planner.Cluster(0, "", 0, heads);
+  } else {
+    xrd::NodeConfig& meta = planner.Add(xrd::NodeRole::kManager, "meta");
+    meta.selection = cms::SelectCriterion::kLoad;
+    heads = {meta.addr};
+    for (int c = 0; c < spec.clusters; ++c) {
+      const std::uint32_t locality =
+          static_cast<std::size_t>(c) < spec.localities.size() ? spec.localities[c] : 0;
+      std::vector<net::NodeAddr> clusterHeads;
+      const int depth =
+          planner.Cluster(heads.front(), "cluster" + std::to_string(c), locality, clusterHeads);
+      plan.depth = std::max(plan.depth, depth + 1);
+    }
   }
-  plan.depth = planner.Children(heads, spec.servers) + 1;
 
   plan.client.head = heads.front();
   plan.client.extraHeads.assign(heads.begin() + 1, heads.end());

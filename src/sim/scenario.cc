@@ -615,33 +615,32 @@ CampaignResult RunFederationPartitionCampaign(std::uint64_t seed) {
   result.name = "federation_partition";
   result.seed = seed;
 
-  FederationSpec spec;
+  ClusterSpec spec;
   spec.clusters = 3;
-  spec.cluster.servers = 32;
-  spec.cluster.fanout = 8;
+  spec.servers = 32;
+  spec.fanout = 8;
   // Tight heartbeat so the partition crosses ping x misslimit inside the
   // settle window; a long drop delay keeps the dead cluster a member, so
   // the meta's reconnect invitation can actually restore it on rejoin.
-  spec.meta.cms.ping = std::chrono::seconds(1);
-  spec.meta.cms.missLimit = 3;
-  spec.meta.cms.dropDelay = std::chrono::hours(1);
-  SimFederation fed(spec);
+  spec.cms.ping = std::chrono::seconds(1);
+  spec.cms.missLimit = 3;
+  spec.cms.dropDelay = std::chrono::hours(1);
+  SimCluster fed(spec);
   fed.Start();
   const TimePoint simStart = fed.engine().Now();
-  result.depth = fed.cluster(0).Depth() + 1;  // + the meta hop
-  for (std::size_t c = 0; c < fed.ClusterCount(); ++c) {
-    result.servers += fed.cluster(c).ServerCount();
-    result.supervisors += fed.cluster(c).SupervisorCount();
-  }
+  result.depth = fed.Depth();  // the meta hop included
+  result.servers = fed.ServerCount();
+  result.supervisors = fed.SupervisorCount();
+  const auto clusters = static_cast<std::size_t>(spec.clusters);
+  const auto perCluster = static_cast<std::size_t>(spec.servers);
 
   util::Rng rng(seed);
   // Each cluster owns a disjoint slice of the namespace.
-  std::vector<std::vector<std::string>> byCluster(fed.ClusterCount());
-  for (std::size_t c = 0; c < fed.ClusterCount(); ++c) {
+  std::vector<std::vector<std::string>> byCluster(clusters);
+  for (std::size_t c = 0; c < clusters; ++c) {
     for (std::size_t i = 0; i < 64; ++i) {
       std::string path = util::MakeFilePath(c, i);
-      fed.PlaceFile(c, rng.NextBelow(fed.cluster(c).ServerCount()), path,
-                    std::string(16, 'F'));
+      fed.PlaceFile(c * perCluster + rng.NextBelow(perCluster), path, std::string(16, 'F'));
       byCluster[c].push_back(std::move(path));
     }
   }
@@ -674,20 +673,31 @@ CampaignResult RunFederationPartitionCampaign(std::uint64_t seed) {
     result.phases.push_back(pr);
   };
 
+  // A silent partition between the meta and cluster 1's head: frames are
+  // dropped both ways, nobody gets OnPeerDown, and only the heartbeat
+  // notices.
+  const net::NodeAddr meta = fed.head().config().addr;
+  const net::NodeAddr lostHead = fed.manager(1 + spec.managers).config().addr;
+  const auto partition = [&](bool cut) {
+    fed.fabric().SetDrop(meta, lostHead, cut);
+    fed.fabric().SetDrop(lostHead, meta, cut);
+  };
+
   // Baseline across all three clusters, then partition cluster 1 away.
   runPhase("all_clusters", {0, 1, 2}, 300);
-  const obs::MetricsSnapshot beforePartition = fed.meta().SnapshotMetrics();
-  fed.PartitionCluster(1);
+  const obs::MetricsSnapshot beforePartition = fed.head().SnapshotMetrics();
+  partition(true);
   fed.RunFor(std::chrono::seconds(5));  // > ping x misslimit: meta sheds it
-  const obs::MetricsSnapshot afterShed = fed.meta().SnapshotMetrics();
+  const obs::MetricsSnapshot afterShed = fed.head().SnapshotMetrics();
 
-  // Survivors keep answering; the shed cluster's files fail fast (kLoop /
-  // not-found, never a hang past the open deadline).
+  // Survivors keep answering. The shed cluster's files do not fail fast:
+  // its head stays a member (offline, inside the drop delay), so the meta
+  // keeps answering kWait, and each open ends only at runPhase's 30 s cap.
   runPhase("partitioned_survivors", {0, 2}, 200);
   runPhase("partitioned_lost", {1}, 30);
   const std::size_t lostErrors = result.phases.back().errors;
 
-  fed.RejoinCluster(1);
+  partition(false);
   fed.RunFor(std::chrono::seconds(5));  // reconnect invite + re-login
   // Relearning the shed cluster's locations takes bounded retries (the
   // first post-rejoin lookups race the re-login); drive a fixed

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "sim/cluster.h"
-#include "sim/federation.h"
 #include "sim/workload.h"
 
 namespace scalla::sim {
@@ -226,10 +225,10 @@ CampaignSpec RollingUpgradeCampaign();
 /// paper claims enforced.
 CampaignSpec MillionClientCampaign();
 
-/// Federation-wide partition (built on SimFederation rather than a single
-/// cluster): member clusters keep serving while one is partitioned away,
-/// the meta sheds it in O(1) on the federation heartbeat, and rejoin
-/// restores the global namespace. Returns the same CampaignResult shape.
+/// Federation-wide partition (a SimCluster with spec.clusters = 3): member
+/// clusters keep serving while one is partitioned away, the meta sheds it
+/// in O(1) on the federation heartbeat, and rejoin restores the global
+/// namespace. Returns the same CampaignResult shape.
 CampaignResult RunFederationPartitionCampaign(std::uint64_t seed = 11);
 
 /// Name -> runner for every library campaign (bench_campaign and the

@@ -45,7 +45,8 @@ void SimFabric::Send(net::NodeAddr from, net::NodeAddr to, proto::Message messag
   // The same bounded-queue semantics as the TCP transport: too many
   // messages in flight on one (from,to) pair overflows, drops, and
   // signals the sender.
-  std::uint64_t& inFlight = inFlight_[PairKey(from, to)];
+  const std::uint64_t pair = PairKey(from, to);
+  std::uint64_t& inFlight = inFlight_[pair];
   if (inFlight >= options_.maxQueuedMessages) {
     ++counters_.messagesDropped;
     ++counters_.queueOverflows;
@@ -55,34 +56,47 @@ void SimFabric::Send(net::NodeAddr from, net::NodeAddr to, proto::Message messag
     return;
   }
   ++inFlight;
-  const Duration wire = model_.linkLatency + verdict.delay;
-  // Single-threaded receiver model: the message starts service when it
-  // arrives AND the receiver is free; handler runs at service completion.
-  TimePoint deliverAt = engine_.Now() + wire + model_.serviceTime;
-  if (model_.serialService) {
-    const TimePoint arrival = engine_.Now() + wire;
-    TimePoint& busy = busyUntil_[to];
-    const TimePoint start = std::max(arrival, busy);
-    busy = start + model_.serviceTime;
-    deliverAt = busy;
-  }
   const std::size_t type = message.index();
-  engine_.ScheduleAt(deliverAt,
-                     [this, from, to, msg = std::move(message), type]() mutable {
-                       auto& inFlightNow = inFlight_[PairKey(from, to)];
-                       if (inFlightNow > 0) --inFlightNow;
-                       // Re-check at delivery time: a fault injected while
-                       // the message was "in flight" loses it.
-                       if (Check(from, to).fate != net::FaultVerdict::Fate::kDeliver) {
-                         ++counters_.messagesDropped;
-                         ++perPeer_[to].messagesDropped;
-                         return;
-                       }
-                       ++counters_.messagesDelivered;
-                       ++perPeer_[from].messagesDelivered;
-                       ++deliveredByType_[type];
-                       sinks_[to]->OnMessage(from, std::move(msg));
-                     });
+  auto deliver = [this, from, to, pair, msg = std::move(message), type]() mutable {
+    auto& inFlightNow = inFlight_[pair];
+    if (inFlightNow > 0) --inFlightNow;
+    // Re-check at delivery time: a fault injected while the message was
+    // "in flight" loses it.
+    if (Check(from, to).fate != net::FaultVerdict::Fate::kDeliver) {
+      ++counters_.messagesDropped;
+      ++perPeer_[to].messagesDropped;
+      return;
+    }
+    ++counters_.messagesDelivered;
+    ++perPeer_[from].messagesDelivered;
+    ++deliveredByType_[type];
+    sinks_[to]->OnMessage(from, std::move(msg));
+  };
+  const TimePoint arrival = engine_.Now() + model_.linkLatency + verdict.delay;
+  if (verdict.delay == Duration::zero() && held_.count(pair) == 0) {
+    engine_.ScheduleAt(ServiceDone(to, arrival), std::move(deliver));
+    return;
+  }
+  // A held message (an injected delay, or a later one on the same pair)
+  // takes its receiver's service slot only when it arrives, so the delay
+  // holds back its own pair and no other sender; the pair keeps its send
+  // order.
+  Held& held = held_[pair];
+  held.arrival = std::max(held.arrival, arrival);
+  ++held.count;
+  engine_.ScheduleAt(held.arrival, [this, pair, to, deliver = std::move(deliver)]() mutable {
+    if (--held_[pair].count == 0) held_.erase(pair);
+    engine_.ScheduleAt(ServiceDone(to, engine_.Now()), std::move(deliver));
+  });
+}
+
+TimePoint SimFabric::ServiceDone(net::NodeAddr to, TimePoint arrival) {
+  // Single-threaded receiver model: the message starts service when it
+  // arrives AND the receiver is free; its handler runs at service completion.
+  if (!model_.serialService) return arrival + model_.serviceTime;
+  TimePoint& busy = busyUntil_[to];
+  busy = std::max(arrival, busy) + model_.serviceTime;
+  return busy;
 }
 
 net::Fabric::Counters SimFabric::GetCounters() const { return counters_; }

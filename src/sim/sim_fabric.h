@@ -57,7 +57,8 @@ class SimFabric final : public net::Fabric {
     faults_.SetDrop(from, to, drop);
   }
   /// Extra one-way latency added to each message from -> to (the sim
-  /// analogue of the TCP transport's per-pair send pacing). Zero clears.
+  /// analogue of the TCP transport's per-pair send pacing): it holds back
+  /// that pair, in send order, and no other sender. Zero clears.
   void SetDelay(net::NodeAddr from, net::NodeAddr to, Duration delay) override {
     faults_.SetDelay(from, to, delay);
   }
@@ -74,6 +75,9 @@ class SimFabric final : public net::Fabric {
   /// rule: an unregistered destination is a broken connection.
   net::FaultVerdict Check(net::NodeAddr from, net::NodeAddr to) const;
   void SignalPeerDown(net::NodeAddr from, net::NodeAddr to);
+  /// Books `to`'s service slot for a message arriving at `arrival`;
+  /// returns when its handler runs.
+  TimePoint ServiceDone(net::NodeAddr to, TimePoint arrival);
   static std::uint64_t PairKey(net::NodeAddr from, net::NodeAddr to) {
     return (static_cast<std::uint64_t>(from) << 32) | to;
   }
@@ -83,6 +87,13 @@ class SimFabric final : public net::Fabric {
   net::FabricOptions options_;
   std::unordered_map<net::NodeAddr, net::MessageSink*> sinks_;
   std::unordered_map<net::NodeAddr, TimePoint> busyUntil_;  // per-receiver queue
+  // Pairs with a held message still on the wire: the latest arrival among
+  // them and how many there are.
+  struct Held {
+    TimePoint arrival{};
+    std::size_t count = 0;
+  };
+  std::unordered_map<std::uint64_t, Held> held_;
   net::FaultTable faults_;
   std::unordered_map<std::uint64_t, std::uint64_t> inFlight_;  // per-pair bound
   Counters counters_;

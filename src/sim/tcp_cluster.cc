@@ -10,22 +10,13 @@ namespace scalla::sim {
 
 Result<std::unique_ptr<TcpCluster>> TcpCluster::Create(const ClusterSpec& spec,
                                                        std::uint16_t basePort) {
-  auto fabric = std::make_unique<net::TcpFabric>(basePort);
-  auto made = Create(spec, *fabric, 1);
-  if (made.ok()) made.value()->ownedFabric_ = std::move(fabric);
-  return made;
-}
-
-Result<std::unique_ptr<TcpCluster>> TcpCluster::Create(const ClusterSpec& spec,
-                                                       net::TcpFabric& fabric,
-                                                       net::NodeAddr firstAddr) {
   if (spec.withCnsd || spec.withMss || spec.proxyDiskCapacity > 0) {
     return ScallaError{proto::XrdErr::kInvalid,
                        "TcpCluster: withCnsd, withMss and a proxy disk tier have no "
                        "real-socket host"};
   }
   // On failure the half-built host's destructor tears down what exists.
-  std::unique_ptr<TcpCluster> cluster(new TcpCluster(spec, fabric, firstAddr));
+  std::unique_ptr<TcpCluster> cluster(new TcpCluster(spec, basePort));
   if (Result<void> built = cluster->Build(); !built) return built.error();
   return cluster;
 }
@@ -41,13 +32,13 @@ Result<void> TcpCluster::Build() {
     if (group == &leaves_) {
       storage = storages_.emplace_back(std::make_unique<oss::MemOss>(loop.clock())).get();
     }
-    group->push_back(std::make_unique<xrd::ScallaNode>(cfg, loop, *fabric_, storage));
+    group->push_back(std::make_unique<xrd::ScallaNode>(cfg, loop, fabric_, storage));
     if (Result<void> r = Register(cfg.addr, group->back().get()); !r) return r;
   }
   if (plan_.proxy) {
     const net::NodeAddr addr = plan_.proxy->addr;
     loops_[addr] = std::make_unique<sched::ThreadExecutor>();
-    proxy_ = std::make_unique<pcache::ProxyCacheNode>(*plan_.proxy, *loops_[addr], *fabric_);
+    proxy_ = std::make_unique<pcache::ProxyCacheNode>(*plan_.proxy, *loops_[addr], fabric_);
     if (Result<void> r = Register(addr, proxy_.get()); !r) return r;
   }
   return Start(Nodes());
@@ -57,16 +48,15 @@ TcpCluster::~TcpCluster() {
   for (xrd::ScallaNode* node : Nodes()) RunOn(node->config().addr, [node] { node->Stop(); });
   // Clients first: each guard unregisters its endpoint, then stops its loop.
   while (!guards_.empty()) guards_.erase(std::prev(guards_.end()));
-  ownedFabric_.reset();
 }
 
 Result<void> TcpCluster::Register(net::NodeAddr addr, net::MessageSink* sink) {
   sched::ThreadExecutor& loop = *loops_.at(addr);
-  if (!fabric_->Register(addr, sink, &loop)) {
+  if (!fabric_.Register(addr, sink, &loop)) {
     return ScallaError{proto::XrdErr::kIo, "TcpCluster: cannot bind endpoint " +
                                                std::to_string(addr) + "'s port"};
   }
-  guards_.try_emplace(addr, *fabric_, addr, loop);  // a restarted server keeps its guard
+  guards_.try_emplace(addr, fabric_, addr, loop);  // a restarted server keeps its guard
   return {};
 }
 
@@ -102,21 +92,21 @@ client::SyncClient* TcpCluster::NewClient(Duration timeout, net::NodeAddr head) 
   }
   auto& loop = *(loops_[cfg.addr] = std::make_unique<sched::ThreadExecutor>());
   auto& c = *clients_.emplace_back(
-      std::make_unique<client::SyncClient>(cfg, loop, *fabric_, timeout));
+      std::make_unique<client::SyncClient>(cfg, loop, fabric_, timeout));
   return Register(cfg.addr, &c.async()) ? &c : nullptr;
 }
 
 void TcpCluster::CrashServer(std::size_t i) {
   xrd::ScallaNode* node = leaves_[i].get();
   RunOn(node->config().addr, [node] { node->Stop(); });
-  fabric_->Unregister(node->config().addr);
+  fabric_.Unregister(node->config().addr);
 }
 
 Result<void> TcpCluster::RestartServer(std::size_t i) {
   // Tasks the crashed node queued on its loop may still name it, so it
   // lives on, stopped, until teardown.
   const xrd::NodeConfig& cfg = leaves_[i]->config();
-  auto fresh = std::make_unique<xrd::ScallaNode>(cfg, *loops_.at(cfg.addr), *fabric_,
+  auto fresh = std::make_unique<xrd::ScallaNode>(cfg, *loops_.at(cfg.addr), fabric_,
                                                  storages_[i].get());
   retired_.push_back(std::exchange(leaves_[i], std::move(fresh)));
   xrd::ScallaNode* node = leaves_[i].get();

@@ -2,11 +2,11 @@
 // TCP, each node and client on a sched::ThreadExecutor of its own that
 // hosts its sockets. Node code runs only on its own loop: Start, Stop and
 // state reads (RunOn) go there. Creation fails unless every endpoint binds
-// and every node has logged into each of its parents (a manager's parent
-// is spec.meta's meta-manager, when set). Teardown stops every node on its
-// loop, then each endpoint's net::EndpointGuard unregisters it and stops
-// its loop. spec.withCnsd, spec.withMss and a proxy disk tier are
-// rejected; spec.latency is ignored.
+// and every node has logged into each of its parents (in a federation, a
+// member cluster's heads log into the meta-manager). Teardown stops every
+// node on its loop, then each endpoint's net::EndpointGuard unregisters it
+// and stops its loop. spec.withCnsd, spec.withMss and a proxy disk tier
+// are rejected; spec.latency is ignored.
 #pragma once
 
 #include <cstdint>
@@ -35,19 +35,16 @@ class TcpCluster {
   /// How long Create and RestartServer wait for logins to settle.
   static constexpr Duration kSettleTimeout = std::chrono::seconds(10);
 
-  /// Builds `spec` with addresses from 1 on, on a fabric of its own whose
-  /// endpoint `addr` listens on 127.0.0.1:basePort+addr.
+  /// Builds `spec` on a fabric of its own whose endpoint `addr` listens on
+  /// 127.0.0.1:basePort+addr.
   static Result<std::unique_ptr<TcpCluster>> Create(const ClusterSpec& spec,
                                                     std::uint16_t basePort);
-  /// Builds `spec` with addresses from `firstAddr` on, on a shared fabric
-  /// (federation) that must outlive the host.
-  static Result<std::unique_ptr<TcpCluster>> Create(const ClusterSpec& spec,
-                                                    net::TcpFabric& fabric,
-                                                    net::NodeAddr firstAddr);
   ~TcpCluster();
 
-  net::TcpFabric& fabric() { return *fabric_; }
+  net::TcpFabric& fabric() { return fabric_; }
   int Depth() const { return plan_.depth; }
+  /// Managers and leaves are numbered in plan order, so in a federation
+  /// the meta is manager 0, the head.
   xrd::ScallaNode& head() { return *managers_[0]; }
   std::size_t ManagerCount() const { return managers_.size(); }
   xrd::ScallaNode& manager(std::size_t i) { return *managers_[i]; }
@@ -58,8 +55,8 @@ class TcpCluster {
   oss::MemOss& storage(std::size_t i) { return *storages_[i]; }
   pcache::ProxyCacheNode* proxy() { return proxy_.get(); }
 
-  /// A client of the cluster's heads, or of `head` when set (a federation's
-  /// meta-manager); nullptr when its port cannot be bound.
+  /// A client of the plan's heads, or of `head` when set; nullptr when its
+  /// port cannot be bound.
   client::SyncClient* NewClient(Duration timeout, net::NodeAddr head = 0);
   /// A client of the proxy (spec.withProxy).
   client::SyncClient* NewProxyClient(Duration timeout) {
@@ -86,8 +83,8 @@ class TcpCluster {
   }
 
  private:
-  TcpCluster(const ClusterSpec& spec, net::TcpFabric& fabric, net::NodeAddr firstAddr)
-      : plan_(PlanCluster(spec, firstAddr)), fabric_(&fabric) {}
+  TcpCluster(const ClusterSpec& spec, std::uint16_t basePort)
+      : plan_(PlanCluster(spec)), fabric_(basePort) {}
   Result<void> Build();
   /// Registers `sink` at `addr` on its loop, guarded from then on.
   Result<void> Register(net::NodeAddr addr, net::MessageSink* sink);
@@ -96,10 +93,10 @@ class TcpCluster {
   std::vector<xrd::ScallaNode*> Nodes() const;
 
   ClusterPlan plan_;
-  std::unique_ptr<net::TcpFabric> ownedFabric_;
-  net::TcpFabric* fabric_;
-  // Declared before the sinks: every loop outlives the nodes and clients.
+  // Declared before the sinks: every loop outlives the nodes and clients,
+  // and the fabric, whose teardown stops its connections on their loops.
   std::map<net::NodeAddr, std::unique_ptr<sched::ThreadExecutor>> loops_;
+  net::TcpFabric fabric_;
   std::map<net::NodeAddr, net::EndpointGuard> guards_;  // every endpoint that registered
   std::vector<std::unique_ptr<oss::MemOss>> storages_;
   std::vector<std::unique_ptr<xrd::ScallaNode>> managers_;

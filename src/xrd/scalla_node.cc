@@ -268,11 +268,18 @@ void ScallaNode::OnMessage(net::NodeAddr from, proto::Message message) {
           HandlePrepare(from, m);
         } else if constexpr (std::is_same_v<M, proto::FedLocate>) {
           // "Which member owns <path>?" without opening it (scalla_cli fed
-          // locate at a meta-manager); the answer names the member head.
+          // locate at a meta-manager); the answer names the member head. A
+          // data server has no members: answer kInvalid, as for a
+          // mistargeted PcacheAdmin, so the request fails at once.
           if (IsHead()) {
             core_.Answer<proto::FedRedirect>(from, m.reqId, m.path,
                                              HeadOptions(m.mode, m.refresh, m.avoidCluster),
                                              {&nm_.redirectsIssued, &nm_.waitsIssued});
+          } else {
+            proto::FedRedirect resp;
+            resp.reqId = m.reqId;
+            resp.err = proto::XrdErr::kInvalid;
+            fabric_.Send(config_.addr, from, std::move(resp));
           }
         } else if constexpr (std::is_same_v<M, proto::StatsQuery>) {
           nm_.statsQueries.Inc();

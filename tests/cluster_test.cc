@@ -132,6 +132,23 @@ TEST(ClusterTest, CreateIsFastAfterNewfileNotification) {
   EXPECT_LT(cluster.engine().Now() - start, std::chrono::milliseconds(10));
 }
 
+TEST(ClusterTest, ReadBackRightAfterCreateNeedsNoNewfileDigest) {
+  SimCluster cluster(FastSpec(2));
+  cluster.Start();
+  // The leaves' frames to the manager are lost, so no CmsHave{newfile}
+  // reaches it: the read-back must follow the manager's own record of
+  // where it placed the file.
+  for (std::size_t i = 0; i < cluster.ServerCount(); ++i) {
+    cluster.fabric().SetDrop(cluster.server(i).config().addr, cluster.head().config().addr,
+                             true);
+  }
+  auto& client = cluster.NewClient();
+  ASSERT_TRUE(cluster.PutFile(client, "/store/fresh", "fresh").ok());
+  const auto back = cluster.ReadAll(client, "/store/fresh");
+  ASSERT_TRUE(back.ok()) << back.error().message;
+  EXPECT_EQ(back.value(), "fresh");
+}
+
 TEST(ClusterTest, ReplicaSelectionRotates) {
   SimCluster cluster(FastSpec(6));
   cluster.Start();

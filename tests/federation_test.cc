@@ -11,8 +11,8 @@
 
 #include "client/scalla_client.h"
 #include "net/fabric.h"
+#include "sim/cluster.h"
 #include "sim/event_engine.h"
-#include "sim/federation.h"
 #include "sim/sim_fabric.h"
 #include "walk_test_support.h"
 
@@ -21,34 +21,41 @@ namespace {
 
 using cms::AccessMode;
 
-FederationSpec TwoClusterSpec() {
-  FederationSpec spec;
+ClusterSpec TwoClusterSpec() {
+  ClusterSpec spec;
   spec.clusters = 2;
-  spec.cluster.servers = 2;
+  spec.servers = 2;
   return spec;
 }
 
-// Whether `addr` belongs to cluster `c`'s address band (see federation.cc).
-bool InCluster(net::NodeAddr addr, std::size_t c) {
-  return addr >= 1000 * (c + 1) && addr < 1000 * (c + 2);
+// Cluster c's first head and the index of its leaf i, in plan order: the
+// meta is manager 0, then each cluster's managers and leaves in turn.
+xrd::ScallaNode& ClusterHead(SimCluster& fed, std::size_t c) {
+  return fed.manager(1 + c * fed.spec().managers);
+}
+std::size_t Leaf(SimCluster& fed, std::size_t c, std::size_t i) {
+  return c * fed.spec().servers + i;
+}
+net::NodeAddr LeafAddr(SimCluster& fed, std::size_t c, std::size_t i) {
+  return fed.server(Leaf(fed, c, i)).config().addr;
 }
 
 TEST(FederationTest, HeadsLogIntoMetaOnStart) {
-  SimFederation fed(TwoClusterSpec());
+  SimCluster fed(TwoClusterSpec());
   fed.Start();
-  const net::NodeAddr meta = fed.meta().config().addr;
-  EXPECT_TRUE(fed.cluster(0).head().LoggedInTo(meta));
-  EXPECT_TRUE(fed.cluster(1).head().LoggedInTo(meta));
-  EXPECT_NE(fed.meta().SlotOfAddr(fed.cluster(0).head().config().addr),
-            fed.meta().SlotOfAddr(fed.cluster(1).head().config().addr));
-  EXPECT_EQ(fed.meta().membership().MemberCount(), 2u);
-  EXPECT_GE(fed.meta().SnapshotMetrics().Counter("node.logins_accepted"), 2u);
+  const net::NodeAddr meta = fed.head().config().addr;
+  EXPECT_TRUE(ClusterHead(fed, 0).LoggedInTo(meta));
+  EXPECT_TRUE(ClusterHead(fed, 1).LoggedInTo(meta));
+  EXPECT_NE(fed.head().SlotOfAddr(ClusterHead(fed, 0).config().addr),
+            fed.head().SlotOfAddr(ClusterHead(fed, 1).config().addr));
+  EXPECT_EQ(fed.head().membership().MemberCount(), 2u);
+  EXPECT_GE(fed.head().SnapshotMetrics().Counter("node.logins_accepted"), 2u);
 }
 
 TEST(FederationTest, ClientOpensFilesInEitherClusterThroughMetaOnly) {
-  SimFederation fed(TwoClusterSpec());
-  fed.PlaceFile(0, 0, "/store/a", "alpha");
-  fed.PlaceFile(1, 1, "/store/b", "beta");
+  SimCluster fed(TwoClusterSpec());
+  fed.PlaceFile(Leaf(fed, 0, 0), "/store/a", "alpha");
+  fed.PlaceFile(Leaf(fed, 1, 1), "/store/b", "beta");
   fed.Start();
   auto& c = fed.NewClient();  // knows only the meta address
 
@@ -61,29 +68,29 @@ TEST(FederationTest, ClientOpensFilesInEitherClusterThroughMetaOnly) {
   EXPECT_EQ(b.value(), "beta");
 
   // Both walks went meta -> cluster head -> data server: at least two
-  // redirect hops, landing in the owning cluster's address band.
+  // redirect hops, landing on the leaf that holds the file.
   const auto openA = fed.OpenAndWait(c, "/store/a", AccessMode::kRead, false);
   ASSERT_EQ(openA.err, proto::XrdErr::kNone);
   EXPECT_GE(openA.redirects, 2);
-  EXPECT_TRUE(InCluster(openA.file.node, 0)) << openA.file.node;
+  EXPECT_EQ(openA.file.node, LeafAddr(fed, 0, 0));
   const auto openB = fed.OpenAndWait(c, "/store/b", AccessMode::kRead, false);
   ASSERT_EQ(openB.err, proto::XrdErr::kNone);
-  EXPECT_TRUE(InCluster(openB.file.node, 1)) << openB.file.node;
+  EXPECT_EQ(openB.file.node, LeafAddr(fed, 1, 1));
 }
 
 TEST(FederationTest, RepeatOpensHitMetaClusterLocationCache) {
-  SimFederation fed(TwoClusterSpec());
-  fed.PlaceFile(0, 0, "/store/hot", "x");
+  SimCluster fed(TwoClusterSpec());
+  fed.PlaceFile(Leaf(fed, 0, 0), "/store/hot", "x");
   fed.Start();
   auto& c = fed.NewClient();
 
   ASSERT_EQ(fed.OpenAndWait(c, "/store/hot", AccessMode::kRead, false).err,
             proto::XrdErr::kNone);
-  const auto before = fed.meta().SnapshotMetrics();
+  const auto before = fed.head().SnapshotMetrics();
 
   ASSERT_EQ(fed.OpenAndWait(c, "/store/hot", AccessMode::kRead, false).err,
             proto::XrdErr::kNone);
-  const auto after = fed.meta().SnapshotMetrics();
+  const auto after = fed.head().SnapshotMetrics();
 
   // The second resolution was served from the meta's name cache: a hit,
   // no new CmsQuery flood, and one more redirect issued.
@@ -97,12 +104,12 @@ TEST(FederationTest, RepeatOpensHitMetaClusterLocationCache) {
 class FederationCreateTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FederationCreateTest, CreateRoutesToAWritableClusterAndMetaLearnsIt) {
-  FederationSpec spec = TwoClusterSpec();
+  ClusterSpec spec = TwoClusterSpec();
   if (GetParam() > 0) {
-    spec.cluster.servers = 8;
-    spec.cluster.fanout = GetParam();
+    spec.servers = 8;
+    spec.fanout = GetParam();
   }
-  SimFederation fed(spec);
+  SimCluster fed(spec);
   fed.Start();
   auto& c = fed.NewClient();
 
@@ -111,14 +118,14 @@ TEST_P(FederationCreateTest, CreateRoutesToAWritableClusterAndMetaLearnsIt) {
   // The leaf's CmsHave{newfile} climbs every parent link, the head's into
   // the meta included.
   fed.RunFor(std::chrono::seconds(1));
-  const auto queriesBefore = fed.meta().SnapshotMetrics().Counter("resolver.queries_sent");
+  const auto queriesBefore = fed.head().SnapshotMetrics().Counter("resolver.queries_sent");
 
   const auto back = fed.ReadAll(c, "/store/new");
   ASSERT_TRUE(back.ok()) << back.error().message;
   EXPECT_EQ(back.value(), "fresh");
   // The meta learnt the new file from the digest: the read-back's open is
   // answered from its cache, with no query to the cluster heads.
-  EXPECT_EQ(fed.meta().SnapshotMetrics().Counter("resolver.queries_sent"), queriesBefore);
+  EXPECT_EQ(fed.head().SnapshotMetrics().Counter("resolver.queries_sent"), queriesBefore);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, FederationCreateTest, ::testing::Values(0, 2),
@@ -127,14 +134,30 @@ INSTANTIATE_TEST_SUITE_P(Shapes, FederationCreateTest, ::testing::Values(0, 2),
                                                   : "Fanout" + std::to_string(info.param);
                          });
 
+TEST(FederationTest, ReadBackRightAfterCreateBeatsTheNewfileDigest) {
+  SimCluster fed(TwoClusterSpec());
+  fed.Start();
+  // Every leaf's frames to its head take 5 ms longer, so the read-back's
+  // open reaches the meta before the CmsHave{newfile} digest does.
+  for (std::size_t i = 0; i < fed.ServerCount(); ++i) {
+    const xrd::NodeConfig& leaf = fed.server(i).config();
+    fed.fabric().SetDelay(leaf.addr, leaf.parent, std::chrono::milliseconds(5));
+  }
+  auto& c = fed.NewClient();
+  ASSERT_TRUE(fed.PutFile(c, "/store/fresh", "born federated").ok());
+  const auto back = fed.ReadAll(c, "/store/fresh");
+  ASSERT_TRUE(back.ok()) << back.error().message;
+  EXPECT_EQ(back.value(), "born federated");
+}
+
 TEST(FederationTest, LocalityWeightSteersCrossClusterReplicaChoice) {
-  FederationSpec spec = TwoClusterSpec();
+  ClusterSpec spec = TwoClusterSpec();
   // Cluster 0 is far (weight 5), cluster 1 near (0); load selection at
   // the meta ranks each cluster by locality * kLocalityScale + its load.
   spec.localities = {5, 0};
-  SimFederation fed(spec);
-  fed.PlaceFile(0, 0, "/store/both", "x");
-  fed.PlaceFile(1, 0, "/store/both", "x");
+  SimCluster fed(spec);
+  fed.PlaceFile(Leaf(fed, 0, 0), "/store/both", "x");
+  fed.PlaceFile(Leaf(fed, 1, 0), "/store/both", "x");
   fed.Start();
   auto& c = fed.NewClient();
 
@@ -145,55 +168,58 @@ TEST(FederationTest, LocalityWeightSteersCrossClusterReplicaChoice) {
   for (int i = 0; i < 4; ++i) {
     const auto o = fed.OpenAndWait(c, "/store/both", AccessMode::kRead, false);
     ASSERT_EQ(o.err, proto::XrdErr::kNone);
-    EXPECT_TRUE(InCluster(o.file.node, 1)) << o.file.node;
+    EXPECT_EQ(o.file.node, LeafAddr(fed, 1, 0));
   }
 }
 
 TEST(FederationTest, FarClusterIsNotSuspendedForItsDistance) {
-  FederationSpec spec = TwoClusterSpec();
+  ClusterSpec spec = TwoClusterSpec();
   // Cluster 0 is far (weight 5 = 5000 load units of preference). Locality
   // only ranks holders; the suspension threshold sees the reported load,
   // which is 0, so the far cluster stays selectable.
   spec.localities = {5, 0};
-  spec.meta.cms.suspendLoad = 100;
-  SimFederation fed(spec);
-  fed.PlaceFile(0, 0, "/store/far-only", "x");
+  spec.cms.suspendLoad = 100;
+  SimCluster fed(spec);
+  fed.PlaceFile(Leaf(fed, 0, 0), "/store/far-only", "x");
   fed.Start();
   auto& c = fed.NewClient();
 
   const TimePoint start = fed.engine().Now();
   const auto o = fed.OpenAndWait(c, "/store/far-only", AccessMode::kRead, false);
   ASSERT_EQ(o.err, proto::XrdErr::kNone);
-  EXPECT_TRUE(InCluster(o.file.node, 0)) << o.file.node;
+  EXPECT_EQ(o.file.node, LeafAddr(fed, 0, 0));
   EXPECT_LT(fed.engine().Now() - start, std::chrono::seconds(1));  // no full delay
-  EXPECT_EQ(fed.meta().SnapshotMetrics().Counter("membership.suspends"), 0u);
-  EXPECT_TRUE(fed.meta().membership().SuspendedSet().empty());
+  EXPECT_EQ(fed.head().SnapshotMetrics().Counter("membership.suspends"), 0u);
+  EXPECT_TRUE(fed.head().membership().SuspendedSet().empty());
 }
 
 TEST(FederationTest, WholeClusterPartitionIsShedAndRelearnedOnRejoin) {
-  FederationSpec spec = TwoClusterSpec();
+  ClusterSpec spec = TwoClusterSpec();
   // Tight heartbeat so the test crosses ping x misslimit quickly; dead
   // clusters stay members (an operator would drop them much later).
-  spec.meta.cms.ping = std::chrono::seconds(1);
-  spec.meta.cms.missLimit = 3;
-  spec.meta.cms.dropDelay = std::chrono::hours(1);
-  SimFederation fed(spec);
-  fed.PlaceFile(0, 0, "/store/a", "alpha");
-  fed.PlaceFile(1, 0, "/store/b", "beta");
+  spec.cms.ping = std::chrono::seconds(1);
+  spec.cms.missLimit = 3;
+  spec.cms.dropDelay = std::chrono::hours(1);
+  SimCluster fed(spec);
+  fed.PlaceFile(Leaf(fed, 0, 0), "/store/a", "alpha");
+  fed.PlaceFile(Leaf(fed, 1, 0), "/store/b", "beta");
   fed.Start();
   auto& c = fed.NewClient();
 
   // Warm both locations into the meta's cache.
   ASSERT_TRUE(fed.ReadAll(c, "/store/a").ok());
   ASSERT_TRUE(fed.ReadAll(c, "/store/b").ok());
-  const auto slot1 = fed.meta().SlotOfAddr(fed.cluster(1).head().config().addr);
+  const net::NodeAddr meta = fed.head().config().addr;
+  const net::NodeAddr head1 = ClusterHead(fed, 1).config().addr;
+  const auto slot1 = fed.head().SlotOfAddr(head1);
   ASSERT_TRUE(slot1.has_value());
 
   // Silent partition: no connection breaks, only the heartbeat can see it.
-  fed.PartitionCluster(1);
+  fed.fabric().SetDrop(meta, head1, true);
+  fed.fabric().SetDrop(head1, meta, true);
   fed.RunFor(std::chrono::seconds(5));  // > ping x misslimit
-  EXPECT_FALSE(fed.meta().membership().OnlineSet().test(*slot1));
-  EXPECT_GE(fed.meta().SnapshotMetrics().Counter("membership.deaths"), 1u);
+  EXPECT_FALSE(fed.head().membership().OnlineSet().test(*slot1));
+  EXPECT_GE(fed.head().SnapshotMetrics().Counter("membership.deaths"), 1u);
 
   // The surviving cluster keeps serving through the meta.
   const auto a = fed.ReadAll(c, "/store/a");
@@ -203,14 +229,15 @@ TEST(FederationTest, WholeClusterPartitionIsShedAndRelearnedOnRejoin) {
   const auto openB = fed.OpenAndWait(c, "/store/b", AccessMode::kRead, false,
                                      std::chrono::seconds(30));
   EXPECT_NE(openB.err, proto::XrdErr::kNone);
-  EXPECT_GT(fed.meta().SnapshotMetrics().Counter("cache.corrections"), 0u);
+  EXPECT_GT(fed.head().SnapshotMetrics().Counter("cache.corrections"), 0u);
 
   // Heal: the meta's reconnect invitation makes the head log in again, and
   // the relearned location serves the file again within bounded retries.
-  fed.RejoinCluster(1);
+  fed.fabric().SetDrop(meta, head1, false);
+  fed.fabric().SetDrop(head1, meta, false);
   fed.RunFor(std::chrono::seconds(5));
-  EXPECT_TRUE(fed.meta().membership().OnlineSet().test(*slot1));
-  EXPECT_TRUE(fed.cluster(1).head().LoggedInTo(fed.meta().config().addr));
+  EXPECT_TRUE(fed.head().membership().OnlineSet().test(*slot1));
+  EXPECT_TRUE(ClusterHead(fed, 1).LoggedInTo(meta));
   bool recovered = false;
   for (int attempt = 0; attempt < 5 && !recovered; ++attempt) {
     const auto back = fed.ReadAll(c, "/store/b");
@@ -221,9 +248,9 @@ TEST(FederationTest, WholeClusterPartitionIsShedAndRelearnedOnRejoin) {
 }
 
 TEST(FederationTest, StatsQueryAtMetaMergesEveryCluster) {
-  SimFederation fed(TwoClusterSpec());
+  SimCluster fed(TwoClusterSpec());
   fed.Start();
-  const auto stats = fed.FederationStats();
+  const auto stats = fed.ClusterStats();
   ASSERT_TRUE(stats.ok);
   // The meta itself plus both complete cluster trees (head + 2 servers,
   // plus any supervisors) folded into one snapshot.
@@ -231,16 +258,16 @@ TEST(FederationTest, StatsQueryAtMetaMergesEveryCluster) {
   EXPECT_GE(stats.snapshot.Counter("node.logins_accepted"), 2u);
   // The merged node.members sums every head's members, so the cluster
   // count is the meta's own gauge.
-  EXPECT_EQ(fed.meta().SnapshotMetrics().Gauge("node.members"), 2);
+  EXPECT_EQ(fed.head().SnapshotMetrics().Gauge("node.members"), 2);
 }
 
 TEST(FederationTest, EdgeProxyFrontsTheFederation) {
-  FederationSpec spec = TwoClusterSpec();
-  spec.withEdgeProxy = true;
-  SimFederation fed(spec);
-  fed.PlaceFile(1, 0, "/store/far", "cached-once");
+  ClusterSpec spec = TwoClusterSpec();
+  spec.withProxy = true;  // its origin head is the meta
+  SimCluster fed(spec);
+  fed.PlaceFile(Leaf(fed, 1, 0), "/store/far", "cached-once");
   fed.Start();
-  auto& c = fed.NewEdgeClient();  // head IS the edge proxy
+  auto& c = fed.NewProxyClient();  // head IS the edge proxy
 
   const auto first = fed.ReadAll(c, "/store/far");
   ASSERT_TRUE(first.ok()) << first.error().message;

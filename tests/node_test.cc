@@ -89,6 +89,21 @@ TEST_F(NodeTest, HeadRejectsFileIo) {
   EXPECT_EQ(probe.Last<proto::XrdWriteResp>()->err, proto::XrdErr::kInvalid);
 }
 
+TEST_F(NodeTest, LeafAnswersFedLocateWithInvalid) {
+  AddNode(BaseConfig(NodeRole::kServer, 2, 1), &AddStorage());
+  Probe probe;
+  fabric_.Register(50, &probe);
+  // A leaf has no members to name: it answers at once instead of leaving
+  // the asker to time out.
+  fabric_.Send(50, 2, proto::FedLocate{7, "/store/x", 0, false, 0});
+  engine_.RunUntilIdle();
+  const auto* resp = probe.Last<proto::FedRedirect>();
+  ASSERT_NE(resp, nullptr);
+  EXPECT_EQ(resp->reqId, 7u);
+  EXPECT_EQ(resp->status, proto::XrdStatus::kError);
+  EXPECT_EQ(resp->err, proto::XrdErr::kInvalid);
+}
+
 TEST_F(NodeTest, HaveFromUnknownPeerIgnored) {
   auto& mgr = AddNode(BaseConfig(NodeRole::kManager, 1, 0), nullptr);
   Probe probe;
@@ -231,6 +246,59 @@ TEST_F(NodeTest, PrepareOnLeafKicksStages) {
   engine_.RunUntilIdle();
   ASSERT_NE(probe.Last<proto::XrdPrepareResp>(), nullptr);
   EXPECT_EQ(mss->StagingCount(), 2u);
+}
+
+TEST_F(NodeTest, CreateRefusedByAFullLeafLandsOnTheOtherAndReadsBackThere) {
+  auto& mgr = AddNode(BaseConfig(NodeRole::kManager, 1, 0), nullptr);
+  // Leaf 2 logs in first and its one-byte disk is full, so it refuses
+  // the create with kNoSpace; leaf 3 has room.
+  storages_.push_back(std::make_unique<oss::MemOss>(engine_.clock(), 1));
+  oss::MemOss& full = *storages_.back();
+  full.Put("/store/filler", "x");
+  AddNode(BaseConfig(NodeRole::kServer, 2, 1), &full).Start();
+  engine_.RunUntilIdle();
+  oss::MemOss& roomy = AddStorage();
+  AddNode(BaseConfig(NodeRole::kServer, 3, 1), &roomy).Start();
+  engine_.RunUntilIdle();
+  ASSERT_EQ(mgr.membership().MemberCount(), 2u);
+  mgr.Start();  // its sweep answers a parked open kWait at the deadline
+  // From here on the manager hears nothing from its leaves, so no
+  // CmsHave{newfile} reaches it: only its own record of each create
+  // target steers the walks below.
+  fabric_.SetDrop(2, 1, true);
+  fabric_.SetDrop(3, 1, true);
+
+  client::ClientConfig cc;
+  cc.addr = 900;
+  cc.head = 1;
+  client::ScallaClient client(cc, engine_, fabric_);
+  fabric_.Register(900, &client);
+  const auto open = [&](AccessMode mode, bool create) {
+    std::optional<client::OpenOutcome> out;
+    client.Open("/store/new", mode, create,
+                [&out](const client::OpenOutcome& o) { out = o; });
+    engine_.RunUntilPredicate([&out] { return out.has_value(); },
+                              engine_.Now() + std::chrono::seconds(30));
+    return out.value_or(client::OpenOutcome{});
+  };
+
+  // The first target refuses; the client's refresh + avoid takes the
+  // walk back to the manager, which drops that target and picks leaf 3.
+  const client::OpenOutcome created = open(AccessMode::kWrite, true);
+  ASSERT_EQ(created.err, proto::XrdErr::kNone);
+  EXPECT_EQ(created.file.node, 3u);
+  EXPECT_EQ(full.StateOf("/store/new"), oss::FileState::kAbsent);
+  EXPECT_EQ(roomy.StateOf("/store/new"), oss::FileState::kOnline);
+  const std::uint64_t recoveries = client.SnapshotMetrics().Counter("client.recoveries");
+  EXPECT_EQ(recoveries, 1u);
+
+  // An immediate read-back goes straight to leaf 3, not to the leaf that
+  // refused.
+  const client::OpenOutcome read = open(AccessMode::kRead, false);
+  ASSERT_EQ(read.err, proto::XrdErr::kNone);
+  EXPECT_EQ(read.file.node, 3u);
+  EXPECT_EQ(read.redirects, 1);
+  EXPECT_EQ(client.SnapshotMetrics().Counter("client.recoveries"), recoveries);
 }
 
 TEST_F(NodeTest, DescribeStatusMentionsKeyCounters) {

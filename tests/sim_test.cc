@@ -1,7 +1,11 @@
 // Tests for the discrete-event engine and the simulated fabric (virtual
-// time, timer semantics, latency model, failure injection, counters).
+// time, timer semantics, latency model, failure injection, counters), and
+// for the cluster plan both hosts build from.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "sim/cluster_plan.h"
 #include "sim/event_engine.h"
 #include "sim/sim_fabric.h"
 
@@ -241,6 +245,38 @@ TEST(SimFabricTest, SerialServiceQueuesAtReceiver) {
   EXPECT_EQ(deliveredAt[2], Duration(std::chrono::microseconds(25)));
 }
 
+TEST(SimFabricTest, InjectedDelayHoldsBackOnlyItsOwnPair) {
+  EventEngine engine;
+  SimFabric fabric(engine, LatencyModel{});  // 25 us links, 5 us serial service
+  struct Tap : net::MessageSink {
+    EventEngine& engine;
+    std::vector<std::pair<std::string, Duration>> got;
+    explicit Tap(EventEngine& e) : engine(e) {}
+    void OnMessage(net::NodeAddr, proto::Message m) override {
+      got.emplace_back(std::get<proto::CmsGone>(m).path, engine.Now().time_since_epoch());
+    }
+  } tap(engine);
+  Recorder a, b;
+  fabric.Register(1, &a);
+  fabric.Register(2, &b);
+  fabric.Register(3, &tap);
+
+  fabric.SetDelay(1, 3, std::chrono::milliseconds(5));
+  fabric.Send(1, 3, proto::CmsGone{"held"});
+  fabric.SetDelay(1, 3, Duration::zero());
+  fabric.Send(1, 3, proto::CmsGone{"behind"});
+  fabric.Send(2, 3, proto::CmsGone{"other"});
+  engine.RunUntilIdle();
+
+  // Another sender's message is served as soon as it arrives; the delayed
+  // pair keeps its send order behind the delay.
+  using std::chrono::microseconds;
+  ASSERT_EQ(tap.got.size(), 3u);
+  EXPECT_EQ(tap.got[0], std::make_pair(std::string("other"), Duration(microseconds(30))));
+  EXPECT_EQ(tap.got[1], std::make_pair(std::string("held"), Duration(microseconds(5030))));
+  EXPECT_EQ(tap.got[2], std::make_pair(std::string("behind"), Duration(microseconds(5035))));
+}
+
 TEST(SimFabricTest, InfiniteCapacityWithoutSerialService) {
   EventEngine engine;
   LatencyModel model;
@@ -282,6 +318,53 @@ TEST(SimFabricTest, PerPairOrderingPreserved) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(std::get<proto::CmsGone>(b.received[i].second).path, std::to_string(i));
   }
+}
+
+// ------------------------------------------------------------ ClusterPlan
+
+TEST(ClusterPlanTest, FederationPlansTheMetaOverEveryMemberCluster) {
+  ClusterSpec spec;
+  spec.clusters = 2;
+  spec.servers = 3;
+  spec.fanout = 2;
+  spec.localities = {0, 4};
+  spec.withProxy = true;
+  const ClusterPlan plan = PlanCluster(spec);
+
+  // The meta comes first: a manager with no parent that selects by load.
+  ASSERT_FALSE(plan.nodes.empty());
+  const xrd::NodeConfig& meta = plan.nodes.front();
+  EXPECT_EQ(meta.name, "meta");
+  EXPECT_EQ(meta.role, xrd::NodeRole::kManager);
+  EXPECT_EQ(meta.parent, 0u);
+  EXPECT_EQ(meta.selection, cms::SelectCriterion::kLoad);
+
+  // Each member cluster's head logs into it under its own name and weight.
+  std::vector<const xrd::NodeConfig*> heads;
+  for (const xrd::NodeConfig& node : plan.nodes) {
+    if (node.role == xrd::NodeRole::kManager && node.addr != meta.addr) heads.push_back(&node);
+  }
+  ASSERT_EQ(heads.size(), 2u);
+  for (std::size_t c = 0; c < heads.size(); ++c) {
+    EXPECT_EQ(heads[c]->parent, meta.addr) << c;
+    EXPECT_EQ(heads[c]->clusterName, "cluster" + std::to_string(c));
+    EXPECT_EQ(heads[c]->locality, spec.localities[c]);
+    EXPECT_EQ(heads[c]->selection, spec.selection) << c;
+  }
+
+  // Every name in the tree is unique, and the meta adds one hop.
+  std::set<std::string> names;
+  for (const xrd::NodeConfig& node : plan.nodes) names.insert(node.name);
+  EXPECT_EQ(names.size(), plan.nodes.size());
+  ClusterSpec member = spec;
+  member.clusters = 0;
+  EXPECT_EQ(plan.depth, PlanCluster(member).depth + 1);
+
+  // Clients and the proxy enter through the meta alone.
+  EXPECT_EQ(plan.client.head, meta.addr);
+  EXPECT_TRUE(plan.client.extraHeads.empty());
+  ASSERT_TRUE(plan.proxy.has_value());
+  EXPECT_EQ(plan.proxy->origin.head, meta.addr);
 }
 
 }  // namespace
