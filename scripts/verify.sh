@@ -2,7 +2,8 @@
 # Full verification: the regular build + test suite, the same suite under
 # AddressSanitizer + UndefinedBehaviorSanitizer, and the threaded suites
 # (pcache proxy, TCP cluster and federation, heartbeat liveness, chaos,
-# histogram recording beside snapshots) under ThreadSanitizer (CMake
+# histogram recording beside snapshots, MemOss's index shared by writers
+# and readers) under ThreadSanitizer (CMake
 # presets "default", "asan-ubsan", "tsan"). Run from the repository root.
 #
 # The default-preset build treats every compiler warning as an error
@@ -97,7 +98,7 @@ echo "=== build + test (threaded + liveness suites): tsan preset ==="
 cmake --preset tsan
 cmake --build --preset tsan -j
 ctest --test-dir build-tsan --output-on-failure -j 4 \
-  -R "pcache_test|pcache_property_test|pcache_alloc_test|fabric_alloc_test|tcp_cluster_test|tcp_federation_test|sched_test|tcp_fabric_test|fabric_reactor_test|heartbeat_test|conformance_test|federation_test|cms_cache_property_test|obs_test"
+  -R "pcache_test|pcache_property_test|pcache_alloc_test|fabric_alloc_test|tcp_cluster_test|tcp_federation_test|sched_test|tcp_fabric_test|fabric_reactor_test|heartbeat_test|conformance_test|federation_test|cms_cache_property_test|obs_test|proto_oss_test"
 # A pin lost in a tier move showed only under repetition: repeat the hammer.
 build-tsan/tests/pcache_property_test --gtest_filter='TieredCacheConcurrencyTest.*' --gtest_repeat=20
 # A read right after a create once raced the leaf's newfile digest to the

@@ -118,6 +118,10 @@ void ScallaClient::OnWalkResp(net::NodeAddr from, const Resp& m, Kind kind) {
   const auto it = pending_.find(m.reqId);
   if (it == pending_.end() || it->second.kind != kind) return;
   Pending& p = it->second;
+  // Only the node the current attempt went to speaks for it: a late
+  // answer to an attempt that timed out or was redirected away must not
+  // start a second walk.
+  if (from != p.node) return;
   // Any response ends the current attempt; delayed re-sends re-arm it.
   CancelTimer(p);
 

@@ -13,7 +13,7 @@ void MssOss::SettleLocked() {
     if (it->second <= now) {
       const auto cat = catalog_.find(it->first);
       const std::uint64_t size = cat != catalog_.end() ? cat->second : 0;
-      files_[it->first] = File{std::string(size, 'M'), now};
+      SetLocked(it->first, std::string(size, 'M'));
       it = staging_.erase(it);
     } else {
       ++it;
@@ -24,7 +24,7 @@ void MssOss::SettleLocked() {
 FileState MssOss::StateOf(const std::string& path) {
   std::lock_guard lock(mu_);
   SettleLocked();
-  if (files_.count(path) != 0) return FileState::kOnline;
+  if (FindLocked(path) != nullptr) return FileState::kOnline;
   if (staging_.count(path) != 0) return FileState::kStaging;
   if (catalog_.count(path) != 0) return FileState::kInMss;
   return FileState::kAbsent;
@@ -33,7 +33,7 @@ FileState MssOss::StateOf(const std::string& path) {
 std::optional<Duration> MssOss::BeginStage(const std::string& path) {
   std::lock_guard lock(mu_);
   SettleLocked();
-  if (files_.count(path) != 0) return Duration::zero();  // already online
+  if (FindLocked(path) != nullptr) return Duration::zero();  // already online
   const auto it = staging_.find(path);
   if (it != staging_.end()) return it->second - clock_.Now();
   if (catalog_.count(path) == 0) return std::nullopt;  // not on tape

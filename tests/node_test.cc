@@ -301,6 +301,59 @@ TEST_F(NodeTest, CreateRefusedByAFullLeafLandsOnTheOtherAndReadsBackThere) {
   EXPECT_EQ(client.SnapshotMetrics().Counter("client.recoveries"), recoveries);
 }
 
+// A MemOss that counts the creates it refuses for want of space.
+struct CountingStore : oss::MemOss {
+  using MemOss::MemOss;
+  int refusals = 0;
+  Result<void> Create(const std::string& path) override {
+    Result<void> created = MemOss::Create(path);
+    if (created.code() == proto::XrdErr::kNoSpace) ++refusals;
+    return created;
+  }
+};
+
+// With no sweep at the manager, the first open stays parked until its
+// attempt times out; the answer that finally comes for it is late. The
+// walk follows only the node its current attempt went to, so that late
+// answer starts no second walk: one refusal at the full leaf, where
+// following it sent two.
+TEST_F(NodeTest, LateAnswerToATimedOutAttemptStartsNoSecondWalk) {
+  AddNode(BaseConfig(NodeRole::kManager, 1, 0), nullptr);  // never started
+  storages_.push_back(std::make_unique<CountingStore>(engine_.clock(), 1));
+  auto& full = static_cast<CountingStore&>(*storages_.back());
+  full.Put("/store/filler", "x");
+  AddNode(BaseConfig(NodeRole::kServer, 2, 1), &full).Start();
+  engine_.RunUntilIdle();
+  oss::MemOss& roomy = AddStorage();
+  AddNode(BaseConfig(NodeRole::kServer, 3, 1), &roomy).Start();
+  engine_.RunUntilIdle();
+  fabric_.SetDrop(2, 1, true);
+  fabric_.SetDrop(3, 1, true);
+
+  client::ClientConfig cc;
+  cc.addr = 900;
+  cc.head = 1;
+  client::ScallaClient client(cc, engine_, fabric_);
+  fabric_.Register(900, &client);
+  std::optional<client::OpenOutcome> created;
+  client.Open("/store/new", AccessMode::kWrite, /*create=*/true,
+              [&created](const client::OpenOutcome& o) { created = o; });
+  engine_.RunUntilPredicate([&created] { return created.has_value(); },
+                            engine_.Now() + std::chrono::seconds(60));
+  engine_.RunFor(std::chrono::seconds(30));  // any second walk runs out
+
+  ASSERT_TRUE(created.has_value());
+  ASSERT_EQ(created->err, proto::XrdErr::kNone);
+  EXPECT_EQ(created->file.node, 3u);
+  EXPECT_EQ(full.refusals, 1);
+  EXPECT_EQ(created->redirects, 2);
+  // Two attempts timed out and the full leaf refused once.
+  EXPECT_EQ(client.SnapshotMetrics().Counter("client.recoveries"), 3u);
+  EXPECT_EQ(client.SnapshotMetrics().Counter("client.redirects_followed"), 2u);
+  EXPECT_EQ(full.StateOf("/store/new"), oss::FileState::kAbsent);
+  EXPECT_EQ(roomy.StateOf("/store/new"), oss::FileState::kOnline);
+}
+
 TEST_F(NodeTest, DescribeStatusMentionsKeyCounters) {
   auto& mgr = AddNode(BaseConfig(NodeRole::kManager, 1, 0), nullptr);
   auto& storage = AddStorage();
