@@ -101,6 +101,10 @@ ctest --test-dir build-tsan --output-on-failure -j 4 \
   -R "pcache_test|pcache_property_test|pcache_alloc_test|fabric_alloc_test|tcp_cluster_test|tcp_federation_test|sched_test|tcp_fabric_test|fabric_reactor_test|heartbeat_test|conformance_test|federation_test|cms_cache_property_test|obs_test|proto_oss_test"
 # A pin lost in a tier move showed only under repetition: repeat the hammer.
 build-tsan/tests/pcache_property_test --gtest_filter='TieredCacheConcurrencyTest.*' --gtest_repeat=20
+# A read of the fabric's frame count once raced the sender's count: repeat
+# the request/reply case that reads it.
+build-tsan/tests/fabric_reactor_test \
+  --gtest_filter='SharedConnectionTest.RequestReplyLeavesOneSocketPerPair' --gtest_repeat=20
 # A read right after a create once raced the leaf's newfile digest to the
 # head and lost: repeat both real-socket create-then-read cases.
 build-tsan/tests/tcp_federation_test \

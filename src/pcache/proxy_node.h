@@ -29,7 +29,7 @@
 #include "net/fabric.h"
 #include "obs/metrics.h"
 #include "obs/tree_aggregator.h"
-#include "pcache/block_cache.h"
+#include "pcache/single_flight.h"
 #include "pcache/tiered_cache.h"
 #include "sched/executor.h"
 

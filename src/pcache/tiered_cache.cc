@@ -1,7 +1,7 @@
 #include "pcache/tiered_cache.h"
 
-#include <algorithm>
-#include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <list>
 #include <map>
 #include <mutex>
@@ -22,6 +22,10 @@ std::string DiskBlockPath(const std::string& path, std::uint64_t index) {
 
 bool BadWatermarks(double low, double high) {
   return low <= 0 || low > high || high > 1.0;
+}
+
+std::uint64_t Watermark(double fraction, std::uint64_t capacityBytes) {
+  return static_cast<std::uint64_t>(fraction * static_cast<double>(capacityBytes));
 }
 
 }  // namespace
@@ -56,82 +60,176 @@ Result<void> ValidateTieredConfig(const TieredCacheConfig& config) {
 // ---------------------------------------------------------------- Impl
 
 struct TieredBlockCache::Impl {
-  struct DiskEntry {
+  // The index. A path maps to its file record: its lifecycle and its
+  // blocks. A block has one entry, which names its tier and holds its node
+  // in that tier's LRU list; a node names its block by file and index. A
+  // tier move splices the node into the other tier's list, so the entry,
+  // its pins included, stays where it is.
+  struct File;
+  using FileEntry = std::pair<const std::string, File>;
+  struct LruNode {
+    FileEntry* file = nullptr;
+    std::uint64_t index = 0;
+  };
+  using Lru = std::list<LruNode>;  // front = oldest
+
+  struct Block {
+    CacheTier tier = CacheTier::kNone;  // kNone only until it is placed
+    std::string data;                   // the bytes, while in DRAM
     std::uint64_t size = 0;
     int pins = 0;
-    std::list<BlockKey>::iterator lruIt;
+    Lru::iterator lruIt;
   };
-  using DiskFileMap = std::unordered_map<std::string, std::map<std::uint64_t, DiskEntry>>;
+  using BlockMap = std::map<std::uint64_t, Block>;
+
+  struct File {
+    FileLifecycle life;  // its block counts are filled in by FileStats
+    BlockMap blocks;     // never empty: the record goes with its last block
+  };
+
+  struct Tier {
+    Lru lru;
+    std::uint64_t usedBytes = 0;
+    std::uint64_t high = 0;  // a sweep starts above this many bytes
+    std::uint64_t low = 0;   // and evicts down to this many
+  };
 
   Impl(const TieredCacheConfig& cfg, oss::Oss* diskOss, util::Clock& clk)
-      : config(cfg), disk(diskOss), clock(&clk), dram(cfg.dram) {
-    const std::size_t dramSlots = static_cast<std::size_t>(
-        config.dram.capacityBytes / std::max<std::uint32_t>(config.dram.blockSize, 1) + 1);
-    ghostCapacity = config.ghostEntries != 0 ? config.ghostEntries : 4 * dramSlots;
-    // The sink runs on the inserting thread, under the DRAM sweep lock
-    // (never the map lock). With the disk tier off an eviction is a loss.
-    dram.SetEvictionSink([this](EvictedBlock block) {
-      if (DiskEnabled()) {
-        Spill(std::move(block));
-      } else {
-        LifeOnDeparture(block.key.path);
-      }
-    });
+      : config(cfg), disk(diskOss), clock(&clk) {
+    dram.high = Watermark(cfg.dram.highWatermark, cfg.dram.capacityBytes);
+    dram.low = Watermark(cfg.dram.lowWatermark, cfg.dram.capacityBytes);
+    onDisk.high = Watermark(cfg.diskHighWatermark, cfg.diskCapacityBytes);
+    onDisk.low = Watermark(cfg.diskLowWatermark, cfg.diskCapacityBytes);
+    const std::uint64_t dramSlots = cfg.dram.capacityBytes / cfg.dram.blockSize + 1;
+    ghostCapacity = cfg.ghostEntries != 0 ? cfg.ghostEntries
+                                          : static_cast<std::size_t>(4 * dramSlots);
   }
 
   bool DiskEnabled() const { return config.diskCapacityBytes > 0 && disk != nullptr; }
 
-  // ---- lifecycle ----------------------------------------------------
-  // `files` holds an entry for exactly the files with a block in either
-  // tier: an insert or a hit creates one, a miss only updates one, and it
-  // goes when a purge or an eviction (or a failed spill, or a torn disk
-  // read) takes the file's last block. A move between tiers keeps it.
-  // Lock order: lifeMu is taken alone, or before the DRAM map lock and
-  // diskMu (the residency check).
+  // Everything below requires mu.
 
-  void LifeOnLookup(const std::string& path, bool hit) {
-    const TimePoint now = clock->Now();
-    std::lock_guard lock(lifeMu);
-    auto it = files.find(path);
-    if (it == files.end()) {
-      // A miss creates nothing; nor does a hit whose block another caller
-      // took out of the cache since.
-      if (!hit || !Resident(path)) return;
-      it = files.emplace(path, FileLifecycle{}).first;
-      it->second.firstAccess = now;
+  Tier& TierOf(CacheTier tier) { return tier == CacheTier::kDram ? dram : onDisk; }
+
+  /// The block's entry, or null.
+  Block* Find(const std::string& path, std::uint64_t index) {
+    const auto fileIt = files.find(path);
+    if (fileIt == files.end()) return nullptr;
+    const auto it = fileIt->second.blocks.find(index);
+    return it == fileIt->second.blocks.end() ? nullptr : &it->second;
+  }
+
+  /// Makes `b` the freshest block of tier `to`, holding `size` bytes there.
+  void MoveTo(FileEntry& file, std::uint64_t index, Block& b, CacheTier to,
+              std::uint64_t size) {
+    Tier& dst = TierOf(to);
+    if (b.tier == CacheTier::kNone) {
+      b.lruIt = dst.lru.insert(dst.lru.end(), LruNode{&file, index});
+    } else {
+      Tier& src = TierOf(b.tier);
+      src.usedBytes -= b.size;
+      dst.lru.splice(dst.lru.end(), src.lru, b.lruIt);
     }
-    it->second.lastAccess = now;
-    ++it->second.lookups;
-    if (hit) ++it->second.reuses;
+    dst.usedBytes += size;
+    b.size = size;
+    b.tier = to;
   }
 
-  void LifeOnInsert(const std::string& path) {
-    const TimePoint now = clock->Now();
-    std::lock_guard lock(lifeMu);
-    const auto [it, created] = files.try_emplace(path);
-    if (created) it->second.firstAccess = now;
-    it->second.lastAccess = now;
+  /// Keeps `data` as the block's DRAM copy, then sweeps DRAM; `b` may be
+  /// gone when this returns.
+  void StoreInDram(FileEntry& file, std::uint64_t index, Block& b, std::string data) {
+    MoveTo(file, index, b, CacheTier::kDram, data.size());
+    b.data = std::move(data);
+    Sweep(CacheTier::kDram);
   }
 
-  /// Requires lifeMu. Whether either tier holds a block of `path`.
-  bool Resident(const std::string& path) const {
-    if (dram.CountBlocks(path) > 0) return true;
-    std::lock_guard lock(diskMu);
-    return diskFiles.count(path) != 0;
+  void Unlist(const Block& b) {
+    Tier& tier = TierOf(b.tier);
+    tier.usedBytes -= b.size;
+    tier.lru.erase(b.lruIt);
   }
 
-  /// Called after `path` lost a block: drops its entry if that was the last.
-  void LifeOnDeparture(const std::string& path) {
-    std::lock_guard lock(lifeMu);
-    if (!Resident(path)) files.erase(path);
+  /// Drops a block from the index, and its file's record with its last
+  /// block. The disk copy, if any, is the caller's.
+  void Forget(FileEntry& file, BlockMap::iterator it) {
+    Unlist(it->second);
+    file.second.blocks.erase(it);
+    if (file.second.blocks.empty()) files.erase(files.find(file.first));
   }
 
-  // ---- ghost list (admission filter) --------------------------------
-  // Keys are DiskBlockPath() strings. Lock order: ghostMu is a leaf —
-  // taken alone, or inside diskMu (disk eviction re-arming a key).
+  /// Drops the file's unpinned blocks, unlinking their disk copies;
+  /// returns how many. The caller drops the record if it is left empty.
+  std::uint64_t PurgeBlocks(FileEntry& file) {
+    std::uint64_t dropped = 0;
+    BlockMap& blocks = file.second.blocks;
+    for (auto it = blocks.begin(); it != blocks.end();) {
+      if (it->second.pins > 0) {
+        ++it;
+        continue;
+      }
+      if (it->second.tier == CacheTier::kDisk) {
+        (void)disk->Unlink(DiskBlockPath(file.first, it->first));
+      }
+      Unlist(it->second);
+      it = blocks.erase(it);
+      ++dropped;
+    }
+    return dropped;
+  }
+
+  /// Burst-evicts the tier's oldest unpinned blocks, from above its high
+  /// watermark down to its low one, in one pass over its list. A DRAM
+  /// victim spills to disk; a disk victim is lost and leaves a ghost entry,
+  /// so a re-fetch proves reuse and earns DRAM.
+  void Sweep(CacheTier which) {
+    Tier& tier = TierOf(which);
+    if (tier.usedBytes <= tier.high) return;
+    for (auto it = tier.lru.begin(); it != tier.lru.end() && tier.usedBytes > tier.low;) {
+      const LruNode victim = *it++;  // step off first: the victim leaves this list
+      const auto blockIt = victim.file->second.blocks.find(victim.index);
+      Block& b = blockIt->second;
+      if (b.pins > 0) continue;
+      if (which == CacheTier::kDram) {
+        ++stats.dram.evictions;
+        if (Spill(*victim.file, victim.index, b)) continue;
+      } else {
+        ++stats.diskEvictions;
+        const std::string dpath = DiskBlockPath(victim.file->first, victim.index);
+        (void)disk->Unlink(dpath);
+        GhostRecord(dpath);
+      }
+      Forget(*victim.file, blockIt);
+    }
+  }
+
+  /// A DRAM victim's demotion: writes its bytes to disk and moves its entry
+  /// there. False, and the block is lost, when the disk tier is off or
+  /// refuses the write.
+  bool Spill(FileEntry& file, std::uint64_t index, Block& b) {
+    if (!DiskEnabled()) return false;
+    const std::string bytes = std::move(b.data);
+    if (!WriteBlock(DiskBlockPath(file.first, index), bytes)) {
+      ++stats.droppedSpills;
+      return false;
+    }
+    MoveTo(file, index, b, CacheTier::kDisk, bytes.size());
+    ++stats.spills;
+    Sweep(CacheTier::kDisk);
+    return true;
+  }
+
+  /// Writes one block's backing file, counting a refusal.
+  bool WriteBlock(const std::string& dpath, const std::string& data) {
+    const bool written = (disk->StateOf(dpath) != oss::FileState::kAbsent ||
+                          disk->Create(dpath).ok()) &&
+                         disk->Write(dpath, 0, data).ok();
+    if (!written) ++stats.diskWriteFailures;
+    return written;
+  }
+
+  // ---- ghost list (admission filter): keys are DiskBlockPath() strings
 
   bool GhostConsume(const std::string& key) {
-    std::lock_guard lock(ghostMu);
     const auto it = ghostMap.find(key);
     if (it == ghostMap.end()) return false;
     ghostFifo.erase(it->second);
@@ -140,7 +238,6 @@ struct TieredBlockCache::Impl {
   }
 
   void GhostRecord(const std::string& key) {
-    std::lock_guard lock(ghostMu);
     if (ghostMap.count(key) != 0) return;
     ghostFifo.push_back(key);
     ghostMap.emplace(key, std::prev(ghostFifo.end()));
@@ -152,7 +249,6 @@ struct TieredBlockCache::Impl {
 
   void GhostDropPath(const std::string& path) {
     const std::string prefix = path + "#b";
-    std::lock_guard lock(ghostMu);
     for (auto it = ghostFifo.begin(); it != ghostFifo.end();) {
       if (it->compare(0, prefix.size(), prefix) == 0) {
         ghostMap.erase(*it);
@@ -163,265 +259,32 @@ struct TieredBlockCache::Impl {
     }
   }
 
-  void GhostClear() {
-    std::lock_guard lock(ghostMu);
-    ghostFifo.clear();
-    ghostMap.clear();
-  }
+  const TieredCacheConfig config;
+  oss::Oss* const disk;
+  util::Clock* const clock;
 
-  // ---- disk tier ----------------------------------------------------
-  // The in-memory index (sizes, pins, LRU) is authoritative; the oss only
-  // holds bytes. All oss calls happen under diskMu, which serializes disk
-  // I/O. Lock order: pinMu > dram's evictMu_ > lifeMu > diskMu > ghostMu;
-  // diskMu never wraps the DRAM map lock or lifeMu.
-
-  /// Writes the block and indexes it. `pins` seeds the entry's pin count
-  /// (admission transfers pins when a block changes tier).
-  bool DiskInsert(const std::string& path, std::uint64_t index,
-                  const std::string& data, int pins) {
-    const std::string dpath = DiskBlockPath(path, index);
-    std::vector<std::string> departed;  // files the eviction burst emptied
-    {
-      std::lock_guard lock(diskMu);
-      if (disk->StateOf(dpath) == oss::FileState::kAbsent) {
-        if (const auto created = disk->Create(dpath); !created.ok()) {
-          diskWriteFailures.fetch_add(1, std::memory_order_relaxed);
-          return false;
-        }
-      }
-      if (const auto written = disk->Write(dpath, 0, data); !written.ok()) {
-        diskWriteFailures.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      auto& perFile = diskFiles[path];
-      const auto it = perFile.find(index);
-      if (it != perFile.end()) {
-        diskUsedBytes += data.size();
-        diskUsedBytes -= it->second.size;
-        it->second.size = data.size();
-        it->second.pins += pins;
-        diskLru.splice(diskLru.end(), diskLru, it->second.lruIt);
-      } else {
-        DiskEntry e;
-        e.size = data.size();
-        e.pins = pins;
-        diskLru.push_back(BlockKey{path, index});
-        e.lruIt = std::prev(diskLru.end());
-        perFile.emplace(index, e);
-        diskUsedBytes += data.size();
-        ++diskBlocks;
-      }
-      EvictDiskLocked(departed);
-    }
-    for (const std::string& gone : departed) LifeOnDeparture(gone);
-    return true;
-  }
-
-  /// Removes a block from the disk tier. Returns the entry's pin count
-  /// (>= 0) so a tier change can carry pins along, or -1 if not resident.
-  int DiskErase(const std::string& path, std::uint64_t index) {
-    std::lock_guard lock(diskMu);
-    const auto fileIt = diskFiles.find(path);
-    if (fileIt == diskFiles.end()) return -1;
-    const auto it = fileIt->second.find(index);
-    if (it == fileIt->second.end()) return -1;
-    const int pins = it->second.pins;
-    diskUsedBytes -= it->second.size;
-    --diskBlocks;
-    diskLru.erase(it->second.lruIt);
-    fileIt->second.erase(it);
-    if (fileIt->second.empty()) diskFiles.erase(fileIt);
-    (void)disk->Unlink(DiskBlockPath(path, index));
-    return pins;
-  }
-
-  struct DiskHit {
-    std::string data;
-    bool promotable = false;  // pinned entries stay put (pins live on disk)
-  };
-
-  std::optional<DiskHit> DiskLookup(const std::string& path, std::uint64_t index) {
-    {
-      std::lock_guard lock(diskMu);
-      const auto fileIt = diskFiles.find(path);
-      if (fileIt == diskFiles.end()) return std::nullopt;
-      const auto it = fileIt->second.find(index);
-      if (it == fileIt->second.end()) return std::nullopt;
-      DiskEntry& e = it->second;
-      auto read = disk->Read(DiskBlockPath(path, index), 0,
-                             static_cast<std::uint32_t>(e.size));
-      if (read.ok() && read.value().size() == e.size) {
-        diskLru.splice(diskLru.end(), diskLru, e.lruIt);
-        DiskHit hit;
-        hit.data = std::move(read).value();
-        hit.promotable = e.pins == 0;
-        return hit;
-      }
-      // Torn or missing backing file: drop the index entry, report a miss
-      // (the origin re-fetch repairs it).
-      diskUsedBytes -= e.size;
-      --diskBlocks;
-      diskLru.erase(e.lruIt);
-      fileIt->second.erase(it);
-      if (fileIt->second.empty()) diskFiles.erase(fileIt);
-    }
-    LifeOnDeparture(path);
-    return std::nullopt;
-  }
-
-  /// Requires diskMu. Burst-evicts oldest-first between the watermarks;
-  /// victims leave a ghost entry so a re-fetch proves reuse and earns DRAM.
-  /// Appends each file left with no disk block to `departed`.
-  void EvictDiskLocked(std::vector<std::string>& departed) {
-    const auto high = static_cast<std::uint64_t>(
-        config.diskHighWatermark * static_cast<double>(config.diskCapacityBytes));
-    if (diskUsedBytes <= high) return;
-    const auto low = static_cast<std::uint64_t>(
-        config.diskLowWatermark * static_cast<double>(config.diskCapacityBytes));
-    auto it = diskLru.begin();
-    while (diskUsedBytes > low && it != diskLru.end()) {
-      const BlockKey key = *it;
-      const auto fileIt = diskFiles.find(key.path);
-      DiskEntry& e = fileIt->second.at(key.index);
-      if (e.pins > 0) {
-        ++it;
-        continue;
-      }
-      ++it;  // advance off the victim before erasing it
-      diskUsedBytes -= e.size;
-      --diskBlocks;
-      diskEvictions.fetch_add(1, std::memory_order_relaxed);
-      (void)disk->Unlink(DiskBlockPath(key.path, key.index));
-      diskLru.erase(e.lruIt);
-      fileIt->second.erase(key.index);
-      GhostRecord(DiskBlockPath(key.path, key.index));
-      if (fileIt->second.empty()) {
-        diskFiles.erase(fileIt);
-        departed.push_back(key.path);
-      }
-    }
-  }
-
-  /// Requires diskMu. Drops the file's unpinned blocks; returns how many.
-  std::uint64_t DiskPurgeFileLocked(DiskFileMap::iterator fileIt) {
-    std::uint64_t dropped = 0;
-    for (auto it = fileIt->second.begin(); it != fileIt->second.end();) {
-      if (it->second.pins > 0) {
-        ++it;
-        continue;
-      }
-      diskUsedBytes -= it->second.size;
-      --diskBlocks;
-      diskLru.erase(it->second.lruIt);
-      (void)disk->Unlink(DiskBlockPath(fileIt->first, it->first));
-      it = fileIt->second.erase(it);
-      ++dropped;
-    }
-    return dropped;
-  }
-
-  std::uint64_t DiskPurge(const std::string& path) {
-    std::lock_guard lock(diskMu);
-    const auto fileIt = diskFiles.find(path);
-    if (fileIt == diskFiles.end()) return 0;
-    const std::uint64_t dropped = DiskPurgeFileLocked(fileIt);
-    if (fileIt->second.empty()) diskFiles.erase(fileIt);
-    return dropped;
-  }
-
-  std::uint64_t DiskPurgeAll() {
-    std::lock_guard lock(diskMu);
-    std::uint64_t dropped = 0;
-    for (auto fileIt = diskFiles.begin(); fileIt != diskFiles.end();) {
-      dropped += DiskPurgeFileLocked(fileIt);
-      fileIt = fileIt->second.empty() ? diskFiles.erase(fileIt) : std::next(fileIt);
-    }
-    return dropped;
-  }
-
-  bool DiskContains(const std::string& path, std::uint64_t index) const {
-    std::lock_guard lock(diskMu);
-    const auto fileIt = diskFiles.find(path);
-    return fileIt != diskFiles.end() && fileIt->second.count(index) != 0;
-  }
-
-  // ---- tier movement ------------------------------------------------
-
-  /// DRAM watermark victim moving to the disk tier (the demotion half of
-  /// the tier dance). Runs in the eviction sink, before the insert that
-  /// set off the sweep returns.
-  void Spill(EvictedBlock block) {
-    if (dram.Contains(block.key.path, block.key.index)) {
-      // Another caller re-inserted it since the sweep took it: the DRAM
-      // copy is newer, and a block lives in one tier only.
-      droppedSpills.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (DiskInsert(block.key.path, block.key.index, block.data, /*pins=*/0)) {
-      spills.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    droppedSpills.fetch_add(1, std::memory_order_relaxed);
-    LifeOnDeparture(block.key.path);
-  }
-
-  /// Disk hit earning its DRAM slot. Erase-first claims the block: if
-  /// another caller already purged, evicted or promoted it, there is
-  /// nothing left to move.
-  void Promote(const std::string& path, std::uint64_t index, std::string data) {
-    std::lock_guard lock(pinMu);
-    const int pins = DiskErase(path, index);
-    if (pins < 0) return;
-    dram.Insert(path, index, std::move(data), /*pinned=*/pins > 0);
-    for (int i = 1; i < pins; ++i) dram.Pin(path, index);
-    promotions.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  TieredCacheConfig config;
-  oss::Oss* disk = nullptr;
-  util::Clock* clock = nullptr;
-  BlockCache dram;
-
-  // Held across every disk -> DRAM move (the erase and the re-insert that
-  // carries the pins) and by Pin/Unpin, so a pin change never lands while
-  // the block sits in neither tier and is lost. Lock order: pinMu > dram's
-  // evictMu_ > lifeMu > diskMu > ghostMu.
-  std::mutex pinMu;
-
-  mutable std::mutex diskMu;
-  DiskFileMap diskFiles;
-  std::list<BlockKey> diskLru;  // front = oldest
-  std::uint64_t diskUsedBytes = 0;
-  std::uint64_t diskBlocks = 0;
-
-  mutable std::mutex ghostMu;
+  // Guards everything below, and serializes the disk tier's oss calls.
+  std::mutex mu;
+  std::unordered_map<std::string, File> files;
+  Tier dram;
+  Tier onDisk;
   std::list<std::string> ghostFifo;  // front = oldest
   std::unordered_map<std::string, std::list<std::string>::iterator> ghostMap;
   std::size_t ghostCapacity = 0;
-
-  mutable std::mutex lifeMu;
-  std::unordered_map<std::string, FileLifecycle> files;
-
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> inserts{0};
-  std::atomic<std::uint64_t> dramHits{0};
-  std::atomic<std::uint64_t> diskHits{0};
-  std::atomic<std::uint64_t> diskEvictions{0};
-  std::atomic<std::uint64_t> diskWriteFailures{0};
-  std::atomic<std::uint64_t> admitsDram{0};
-  std::atomic<std::uint64_t> admitsDisk{0};
-  std::atomic<std::uint64_t> spills{0};
-  std::atomic<std::uint64_t> droppedSpills{0};
-  std::atomic<std::uint64_t> promotions{0};
-  std::atomic<std::uint64_t> ghostHits{0};
+  // The counters; occupancy and filesTracked are read off the index.
+  TieredCacheStats stats;
 };
 
 // --------------------------------------------------- TieredBlockCache
 
 TieredBlockCache::TieredBlockCache(const TieredCacheConfig& config, oss::Oss* disk,
-                                   util::Clock& clock)
-    : impl_(std::make_unique<Impl>(config, disk, clock)) {}
+                                   util::Clock& clock) {
+  if (Result<void> valid = ValidateTieredConfig(config); !valid) {
+    std::fprintf(stderr, "pcache: %s\n", valid.error().message.c_str());
+    std::abort();
+  }
+  impl_ = std::make_unique<Impl>(config, disk, clock);
+}
 
 TieredBlockCache::TieredBlockCache(const TieredCacheConfig& config, oss::Oss* disk,
                                    sched::Executor* /*executor*/, util::Clock& clock)
@@ -443,135 +306,146 @@ std::optional<std::string> TieredBlockCache::Lookup(const std::string& path,
 TieredBlockCache::LookupResult TieredBlockCache::LookupDetailed(
     const std::string& path, std::uint64_t index) {
   Impl& impl = *impl_;
+  std::lock_guard lock(impl.mu);
   LookupResult res;
-  if (auto hit = impl.dram.Lookup(path, index); hit.has_value()) {
-    impl.hits.fetch_add(1, std::memory_order_relaxed);
-    impl.dramHits.fetch_add(1, std::memory_order_relaxed);
-    impl.LifeOnLookup(path, /*hit=*/true);
-    res.data = std::move(hit);
-    res.tier = CacheTier::kDram;
+  const auto fileIt = impl.files.find(path);
+  if (fileIt == impl.files.end()) {
+    ++impl.stats.misses;  // and no record: a miss creates none
     return res;
   }
-  if (impl.DiskEnabled()) {
-    if (auto hit = impl.DiskLookup(path, index); hit.has_value()) {
-      impl.hits.fetch_add(1, std::memory_order_relaxed);
-      impl.diskHits.fetch_add(1, std::memory_order_relaxed);
-      impl.LifeOnLookup(path, /*hit=*/true);
-      res.data = hit->data;
-      res.tier = CacheTier::kDisk;
-      if (hit->promotable) impl.Promote(path, index, std::move(hit->data));
-      return res;
-    }
+  Impl::FileEntry& file = *fileIt;
+  file.second.life.lastAccess = impl.clock->Now();
+  ++file.second.life.lookups;
+  const auto blockIt = file.second.blocks.find(index);
+  if (blockIt == file.second.blocks.end()) {
+    ++impl.stats.misses;
+    return res;
   }
-  impl.misses.fetch_add(1, std::memory_order_relaxed);
-  impl.LifeOnLookup(path, /*hit=*/false);
+  Impl::Block& b = blockIt->second;
+  if (b.tier == CacheTier::kDram) {
+    impl.dram.lru.splice(impl.dram.lru.end(), impl.dram.lru, b.lruIt);
+    res.data = b.data;
+    res.tier = CacheTier::kDram;
+    ++impl.stats.hits;
+    ++impl.stats.dramHits;
+    ++file.second.life.reuses;
+    return res;
+  }
+  const std::string dpath = DiskBlockPath(path, index);
+  auto read = impl.disk->Read(dpath, 0, static_cast<std::uint32_t>(b.size));
+  if (!read.ok() || read.value().size() != b.size) {
+    // Torn or missing backing file: drop the entry, report a miss (the
+    // origin re-fetch repairs it).
+    impl.Forget(file, blockIt);
+    ++impl.stats.misses;
+    return res;
+  }
+  res.tier = CacheTier::kDisk;
+  ++impl.stats.hits;
+  ++impl.stats.diskHits;
+  ++file.second.life.reuses;
+  if (b.pins > 0) {
+    // A pinned block stays on disk.
+    impl.onDisk.lru.splice(impl.onDisk.lru.end(), impl.onDisk.lru, b.lruIt);
+    res.data = std::move(read).value();
+    return res;
+  }
+  res.data = read.value();
+  (void)impl.disk->Unlink(dpath);
+  impl.StoreInDram(file, index, b, std::move(read).value());
+  ++impl.stats.promotions;
   return res;
 }
 
 bool TieredBlockCache::Contains(const std::string& path, std::uint64_t index) const {
-  if (impl_->dram.Contains(path, index)) return true;
-  return impl_->DiskEnabled() && impl_->DiskContains(path, index);
+  std::lock_guard lock(impl_->mu);
+  return impl_->Find(path, index) != nullptr;
 }
 
 void TieredBlockCache::Insert(const std::string& path, std::uint64_t index,
                               std::string data, bool pinned) {
   Impl& impl = *impl_;
-  impl.inserts.fetch_add(1, std::memory_order_relaxed);
-  // Before the block lands, so a sweep this insert sets off that takes the
-  // file's last block straight back out drops the entry again.
-  impl.LifeOnInsert(path);
+  std::lock_guard lock(impl.mu);
+  ++impl.stats.inserts;
+  const TimePoint now = impl.clock->Now();
+  const auto [fileIt, newFile] = impl.files.try_emplace(path);
+  Impl::FileEntry& file = *fileIt;
+  if (newFile) file.second.life.firstAccess = now;
+  file.second.life.lastAccess = now;
+  Impl::Block& b = file.second.blocks[index];
+  if (pinned) ++b.pins;
   if (!impl.DiskEnabled()) {
-    impl.dram.Insert(path, index, std::move(data), pinned);
+    impl.StoreInDram(file, index, b, std::move(data));
     return;
   }
-  if (impl.dram.Contains(path, index)) {
+  if (b.tier == CacheTier::kDram) {
     // Already DRAM-resident: replace in place (recency bumps like a hit).
-    impl.admitsDram.fetch_add(1, std::memory_order_relaxed);
-    impl.dram.Insert(path, index, std::move(data), pinned);
+    ++impl.stats.admitsDram;
+    impl.StoreInDram(file, index, b, std::move(data));
     return;
   }
-  const std::string ghostKey = DiskBlockPath(path, index);
-  const bool provenReuse = impl.GhostConsume(ghostKey);
-  std::unique_lock moveLock(impl.pinMu);
-  const int diskPins = impl.DiskErase(path, index);  // exclusivity: one tier
-  if (provenReuse || diskPins >= 0) {
+  const std::string dpath = DiskBlockPath(path, index);  // also its ghost key
+  const bool provenReuse = impl.GhostConsume(dpath);
+  if (provenReuse || b.tier == CacheTier::kDisk) {
     // The key has history (ghost entry, or a disk-resident copy being
     // replaced): it earned a DRAM slot.
-    if (provenReuse) impl.ghostHits.fetch_add(1, std::memory_order_relaxed);
-    impl.admitsDram.fetch_add(1, std::memory_order_relaxed);
-    impl.dram.Insert(path, index, std::move(data), pinned || diskPins > 0);
-    // The block's pins follow it across the tier change: the entry must
-    // end up with (pinned ? 1 : 0) + diskPins pins, of which Insert's
-    // pinned flag already granted one.
-    int extra = (pinned ? 1 : 0) + std::max(diskPins, 0);
-    if (pinned || diskPins > 0) extra -= 1;
-    for (int i = 0; i < extra; ++i) impl.dram.Pin(path, index);
+    if (provenReuse) ++impl.stats.ghostHits;
+    ++impl.stats.admitsDram;
+    if (b.tier == CacheTier::kDisk) (void)impl.disk->Unlink(dpath);
+    impl.StoreInDram(file, index, b, std::move(data));
     return;
   }
-  moveLock.unlock();
   // First touch: route to the disk tier and remember the key, so the next
   // insert of this block proves reuse. Scans flow through disk.
-  impl.admitsDisk.fetch_add(1, std::memory_order_relaxed);
-  if (!impl.DiskInsert(path, index, data, pinned ? 1 : 0)) {
+  ++impl.stats.admitsDisk;
+  if (!impl.WriteBlock(dpath, data)) {
     // Backend refused the write: fall back to DRAM rather than lose a
     // block the proxy may hold pinned mid-fetch.
-    impl.dram.Insert(path, index, std::move(data), pinned);
+    impl.StoreInDram(file, index, b, std::move(data));
     return;
   }
-  impl.GhostRecord(ghostKey);
+  impl.MoveTo(file, index, b, CacheTier::kDisk, data.size());
+  impl.Sweep(CacheTier::kDisk);
+  impl.GhostRecord(dpath);
 }
 
 bool TieredBlockCache::Pin(const std::string& path, std::uint64_t index) {
-  Impl& impl = *impl_;
-  std::lock_guard pinLock(impl.pinMu);
-  if (impl.dram.Pin(path, index)) return true;
-  if (!impl.DiskEnabled()) return false;
-  std::lock_guard lock(impl.diskMu);
-  const auto fileIt = impl.diskFiles.find(path);
-  if (fileIt == impl.diskFiles.end()) return false;
-  const auto it = fileIt->second.find(index);
-  if (it == fileIt->second.end()) return false;
-  ++it->second.pins;
+  std::lock_guard lock(impl_->mu);
+  Impl::Block* b = impl_->Find(path, index);
+  if (b == nullptr) return false;
+  ++b->pins;
   return true;
 }
 
 void TieredBlockCache::Unpin(const std::string& path, std::uint64_t index) {
-  Impl& impl = *impl_;
-  std::lock_guard pinLock(impl.pinMu);
-  if (impl.dram.Contains(path, index)) {
-    impl.dram.Unpin(path, index);
-    return;
-  }
-  if (!impl.DiskEnabled()) return;
-  std::lock_guard lock(impl.diskMu);
-  const auto fileIt = impl.diskFiles.find(path);
-  if (fileIt == impl.diskFiles.end()) return;
-  const auto it = fileIt->second.find(index);
-  if (it == fileIt->second.end()) return;
-  if (it->second.pins > 0) --it->second.pins;
+  std::lock_guard lock(impl_->mu);
+  Impl::Block* b = impl_->Find(path, index);
+  if (b != nullptr && b->pins > 0) --b->pins;
 }
 
 std::uint64_t TieredBlockCache::Purge(const std::string& path) {
   Impl& impl = *impl_;
-  std::uint64_t dropped = impl.dram.Purge(path);
-  if (impl.DiskEnabled()) {
-    dropped += impl.DiskPurge(path);
-    impl.GhostDropPath(path);
+  std::lock_guard lock(impl.mu);
+  std::uint64_t dropped = 0;
+  if (const auto fileIt = impl.files.find(path); fileIt != impl.files.end()) {
+    dropped = impl.PurgeBlocks(*fileIt);
+    if (fileIt->second.blocks.empty()) impl.files.erase(fileIt);
   }
-  impl.LifeOnDeparture(path);
+  impl.GhostDropPath(path);
   return dropped;
 }
 
 std::uint64_t TieredBlockCache::PurgeAll() {
   Impl& impl = *impl_;
-  std::uint64_t dropped = impl.dram.PurgeAll();
-  if (impl.DiskEnabled()) {
-    dropped += impl.DiskPurgeAll();
-    impl.GhostClear();
+  std::lock_guard lock(impl.mu);
+  std::uint64_t dropped = 0;
+  // Files with a pinned block survive, with their records.
+  for (auto it = impl.files.begin(); it != impl.files.end();) {
+    dropped += impl.PurgeBlocks(*it);
+    it = it->second.blocks.empty() ? impl.files.erase(it) : std::next(it);
   }
-  // Files with a pinned block survive, with their entries.
-  std::lock_guard lock(impl.lifeMu);
-  std::erase_if(impl.files, [&impl](const auto& file) { return !impl.Resident(file.first); });
+  impl.ghostFifo.clear();
+  impl.ghostMap.clear();
   return dropped;
 }
 
@@ -609,57 +483,32 @@ void TieredBlockCache::ExportMetrics(obs::MetricsSnapshot& snap) const {
 }
 
 TieredCacheStats TieredBlockCache::GetTieredStats() const {
-  const Impl& impl = *impl_;
-  TieredCacheStats t;
-  t.dram = impl.dram.GetStats();
-  t.hits = impl.hits.load(std::memory_order_relaxed);
-  t.misses = impl.misses.load(std::memory_order_relaxed);
-  t.inserts = impl.inserts.load(std::memory_order_relaxed);
-  t.dramHits = impl.dramHits.load(std::memory_order_relaxed);
-  t.diskHits = impl.diskHits.load(std::memory_order_relaxed);
-  t.diskEvictions = impl.diskEvictions.load(std::memory_order_relaxed);
-  t.diskWriteFailures = impl.diskWriteFailures.load(std::memory_order_relaxed);
-  t.admitsDram = impl.admitsDram.load(std::memory_order_relaxed);
-  t.admitsDisk = impl.admitsDisk.load(std::memory_order_relaxed);
-  t.spills = impl.spills.load(std::memory_order_relaxed);
-  t.droppedSpills = impl.droppedSpills.load(std::memory_order_relaxed);
-  t.promotions = impl.promotions.load(std::memory_order_relaxed);
-  t.ghostHits = impl.ghostHits.load(std::memory_order_relaxed);
-  {
-    std::lock_guard lock(impl.diskMu);
-    t.diskUsedBytes = impl.diskUsedBytes;
-    t.diskBlockCount = impl.diskBlocks;
-  }
-  {
-    std::lock_guard lock(impl.lifeMu);
-    t.filesTracked = impl.files.size();
-  }
+  Impl& impl = *impl_;
+  std::lock_guard lock(impl.mu);
+  TieredCacheStats t = impl.stats;
+  t.dram.usedBytes = impl.dram.usedBytes;
+  t.dram.blockCount = impl.dram.lru.size();
+  t.diskUsedBytes = impl.onDisk.usedBytes;
+  t.diskBlockCount = impl.onDisk.lru.size();
+  t.filesTracked = impl.files.size();
   return t;
 }
 
 std::uint64_t TieredBlockCache::UsedBytes() const {
-  std::uint64_t bytes = impl_->dram.UsedBytes();
-  std::lock_guard lock(impl_->diskMu);
-  return bytes + impl_->diskUsedBytes;
+  std::lock_guard lock(impl_->mu);
+  return impl_->dram.usedBytes + impl_->onDisk.usedBytes;
 }
 
 std::optional<FileLifecycle> TieredBlockCache::FileStats(
     const std::string& path) const {
-  const Impl& impl = *impl_;
-  FileLifecycle life;
-  {
-    std::lock_guard lock(impl.lifeMu);
-    const auto it = impl.files.find(path);
-    if (it == impl.files.end()) return std::nullopt;
-    life = it->second;
+  Impl& impl = *impl_;
+  std::lock_guard lock(impl.mu);
+  const auto it = impl.files.find(path);
+  if (it == impl.files.end()) return std::nullopt;
+  FileLifecycle life = it->second.life;
+  for (const auto& [index, b] : it->second.blocks) {
+    ++(b.tier == CacheTier::kDram ? life.dramBlocks : life.diskBlocks);
   }
-  life.dramBlocks = impl.dram.CountBlocks(path);
-  {
-    std::lock_guard lock(impl.diskMu);
-    const auto it = impl.diskFiles.find(path);
-    life.diskBlocks = it == impl.diskFiles.end() ? 0 : it->second.size();
-  }
-  if (life.dramBlocks + life.diskBlocks == 0) return std::nullopt;
   return life;
 }
 

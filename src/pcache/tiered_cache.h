@@ -1,44 +1,47 @@
-// Two-tier proxy cache: the strict-LRU DRAM BlockCache layered over a
-// local-disk tier backed by any oss::Oss (LocalOss in the daemon, MemOss
-// in simulation). The shape follows ScaleStore's DRAM-over-SSD buffer
-// manager and XCache's disk-backed proxy, with workload-driven placement:
+// Two-tier proxy cache: a strict-LRU DRAM tier over a local-disk tier
+// backed by any oss::Oss (LocalOss in the daemon, MemOss in simulation).
+// The shape follows ScaleStore's DRAM-over-SSD buffer manager and XCache's
+// disk-backed proxy, with workload-driven placement:
 //
 //   - Ghost-list admission (2Q/TinyLFU-style): a first-touch block goes to
 //     the DISK tier and leaves a ghost entry; only a block that proves
 //     reuse (its key is found in the ghost list, or it is hit on disk)
 //     earns a DRAM slot. A sequential scan therefore flows through the
 //     disk tier without evicting the DRAM-resident hot set.
-//   - Spill-on-evict: DRAM watermark victims are written to disk (via the
-//     BlockCache eviction sink) instead of being dropped, so DRAM eviction
-//     is a demotion, not data loss.
+//   - Spill-on-evict: DRAM watermark victims are written to disk instead
+//     of being dropped, so DRAM eviction is a demotion, not data loss.
 //   - Promote-on-disk-hit: a disk hit returns the bytes and promotes the
 //     block to DRAM.
-//   - A block lives in at most ONE tier at a time (admission and promotion
-//     erase the disk copy), so a stale disk copy can never shadow a newer
-//     DRAM write.
+//
+// One index serves both tiers: each block has one entry, which records
+// its tier, so a block lives in exactly one tier and a stale disk copy can
+// never shadow a newer DRAM write. Each tier keeps one LRU list and one
+// watermark band: an insert that lifts a tier above its high watermark
+// evicts that tier's oldest unpinned blocks down to its low watermark,
+// which keeps eviction in bursts. Pinned blocks (mid-insert, mid-read)
+// are never evicted, spilled or purged.
 //
 // Tier moves run inline, on the calling thread: the insert whose sweep
 // evicts a block spills it before returning, and LookupDetailed promotes a
-// disk hit before returning. The cache's one production caller is the
-// proxy's own loop, where a move deferred to later would run on that same
-// loop and hold the read's reply back anyway. Every shared structure keeps
-// its lock, so callers on other threads stay safe.
+// disk hit before returning. One mutex guards the cache, the disk tier's
+// oss calls included. The cache's one production caller is the proxy's
+// own loop, so nothing waits on it there; a caller on another thread
+// would wait behind a disk call in flight.
 //
 // Per-file lifecycle stats (first/last access, lookups, reuses, resident
 // blocks per tier) feed `scalla_cli cachestat` and the Bellavita-style
-// workload studies in the bench. A file has an entry only while either
-// tier holds one of its blocks, so the map is bounded by the cache's size.
+// workload studies in the bench. A file's lifecycle lives in its index
+// record, which goes with the file's last block, so the map is bounded by
+// the cache's size.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "obs/snapshot.h"
 #include "oss/oss.h"
-#include "pcache/block_cache.h"
 #include "util/clock.h"
 #include "util/result.h"
 
@@ -47,6 +50,21 @@ class Executor;
 }  // namespace scalla::sched
 
 namespace scalla::pcache {
+
+/// The DRAM tier's geometry.
+struct BlockCacheConfig {
+  std::uint32_t blockSize = 64 * 1024;       // bytes per cache block
+  std::uint64_t capacityBytes = 64 * 1024 * 1024;
+  double highWatermark = 0.95;               // start evicting above this
+  double lowWatermark = 0.80;                // evict down to this
+};
+
+/// The DRAM tier's occupancy and churn.
+struct BlockCacheStats {
+  std::uint64_t evictions = 0;  // DRAM watermark victims (spilled or lost)
+  std::uint64_t usedBytes = 0;
+  std::uint64_t blockCount = 0;
+};
 
 struct TieredCacheConfig {
   BlockCacheConfig dram;
@@ -61,8 +79,8 @@ struct TieredCacheConfig {
 };
 
 /// Range/consistency checks for a tiered config, mirroring
-/// net::ValidateFabricOptions: the config loader and the constructor agree
-/// on what is legal, and bad directive files fail loudly.
+/// net::ValidateFabricOptions: the config loader rejects a bad directive
+/// file with this message, and the cache's constructor aborts with it.
 Result<void> ValidateTieredConfig(const TieredCacheConfig& config);
 
 enum class CacheTier : std::uint8_t { kNone = 0, kDram = 1, kDisk = 2 };
@@ -84,7 +102,7 @@ struct TieredCacheStats {
   std::uint64_t admitsDram = 0;  // inserts that earned a DRAM slot
   std::uint64_t admitsDisk = 0;  // first-touch inserts routed to disk
   std::uint64_t spills = 0;      // DRAM victims demoted to disk
-  std::uint64_t droppedSpills = 0;  // DRAM victims not spilled (write failed / newer DRAM copy)
+  std::uint64_t droppedSpills = 0;  // DRAM victims lost: the disk write failed
   std::uint64_t promotions = 0;     // disk hits promoted to DRAM
   std::uint64_t ghostHits = 0;      // admissions proven by the ghost list
   std::uint64_t filesTracked = 0;   // lifecycle entries (files with a resident block)
@@ -110,8 +128,8 @@ class TieredBlockCache {
   };
 
   /// `disk` must outlive the cache and is required when
-  /// config.diskCapacityBytes > 0. The config must pass
-  /// ValidateTieredConfig.
+  /// config.diskCapacityBytes > 0. A config that fails
+  /// ValidateTieredConfig aborts with the validation message.
   TieredBlockCache(const TieredCacheConfig& config, oss::Oss* disk, util::Clock& clock);
   /// Ignores `executor`; perfbench/micro.cc is its only user.
   TieredBlockCache(const TieredCacheConfig& config, oss::Oss* disk,
@@ -132,14 +150,17 @@ class TieredBlockCache {
   /// Recency- and stats-neutral presence probe across both tiers.
   bool Contains(const std::string& path, std::uint64_t index) const;
 
-  /// Admission-controlled store: DRAM if the block is already DRAM-resident
-  /// or proves reuse via the ghost list, else the disk tier. With the disk
-  /// tier disabled, behaves exactly like BlockCache::Insert.
+  /// Admission-controlled store: DRAM if the block is already resident or
+  /// proves reuse via the ghost list, else the disk tier. Replaces any
+  /// previous copy and bumps its recency; with pinned=true the block gains
+  /// a pin and must be Unpin()ed. With the disk tier disabled every block
+  /// goes to DRAM.
   void Insert(const std::string& path, std::uint64_t index, std::string data,
               bool pinned = false);
 
   /// Pins the block in whichever tier holds it (pinned blocks are never
-  /// evicted, spilled over, or purged). Returns false on miss.
+  /// evicted, spilled, or purged; a pinned disk hit is not promoted).
+  /// Returns false on miss.
   bool Pin(const std::string& path, std::uint64_t index);
   void Unpin(const std::string& path, std::uint64_t index);
 

@@ -4,7 +4,7 @@
 // this reproduction each such activity is expressed as tasks and timers on
 // an Executor so that identical cms code runs:
 //   - under sched::ThreadExecutor  -> real threads, real time;
-//   - under sim::SimExecutor       -> single-threaded discrete-event
+//   - under sim::EventEngine       -> single-threaded discrete-event
 //     simulation with virtual time (deterministic tests, large-scale
 //     latency benches on one core).
 #pragma once

@@ -1150,6 +1150,9 @@ TEST(SharedConnectionTest, RequestReplyLeavesOneSocketPerPair) {
   }
   EXPECT_TRUE(client.InOrder());
   EXPECT_TRUE(server.InOrder());
+  // A frame is counted once its write returns, so the server's last
+  // replies can reach the client before its loop counts them.
+  ASSERT_TRUE(WaitFor([&] { return fabric.GetCounters().framesSent >= 4u * kRequests; }));
   const auto c = fabric.GetCounters();
   EXPECT_EQ(c.framesSent, 4u * kRequests);
   EXPECT_EQ(c.messagesDelivered, 4u * kRequests);

@@ -1,11 +1,12 @@
 // Differential property tests for the proxy cache.
 //
-// 1. BlockCache vs a single-map reference model: the model re-implements
-//    the documented semantics (stamp recency, watermark burst eviction of
-//    the oldest unpinned block, pin counts, purge) with no LRU list, and a
-//    seeded random op stream must agree on every observable — lookup
-//    results, return counts, stats, the exact eviction-sink victim
-//    sequence.
+// 1. The DRAM tier (a TieredBlockCache with the disk tier off) vs a
+//    single-map reference model: the model re-implements the documented
+//    semantics (stamp recency, watermark burst eviction of the oldest
+//    unpinned block, pin counts, purge) with no LRU list, and a seeded
+//    random op stream must agree on every observable — lookup results,
+//    return counts, stats, and the resident set after every operation, so
+//    a wrong victim fails at the step that takes it.
 // 2. TieredBlockCache (DRAM + MemOss disk tier) against an integrity
 //    model: a hit in either tier must return the bytes most recently
 //    inserted, pinned blocks must never be lost or purged, and the
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "oss/mem_oss.h"
-#include "pcache/block_cache.h"
 #include "pcache/tiered_cache.h"
 #include "util/clock.h"
 #include "util/rng.h"
@@ -35,7 +35,7 @@
 namespace scalla::pcache {
 namespace {
 
-// ------------------------------------------------ BlockCache vs reference
+// ------------------------------------------------ DRAM tier vs reference
 
 // The reference model: one flat map, no LRU list. Recency is a stamp
 // alone; eviction repeatedly removes the smallest-stamp unpinned entry.
@@ -120,18 +120,17 @@ class ReferenceModel {
     return dropped;
   }
 
-  BlockCacheStats GetStats() const {
-    BlockCacheStats s;
+  TieredCacheStats GetStats() const {
+    TieredCacheStats s;
     s.hits = hits_;
     s.misses = misses_;
     s.inserts = inserts_;
-    s.evictions = evictions_;
-    s.usedBytes = usedBytes_;
-    s.blockCount = entries_.size();
+    s.dram.evictions = evictions_;
+    s.dram.usedBytes = usedBytes_;
+    s.dram.blockCount = entries_.size();
     return s;
   }
 
-  const std::vector<EvictedBlock>& EvictionLog() const { return evictionLog_; }
   const std::map<Key, Entry>& entries() const { return entries_; }
 
  private:
@@ -149,16 +148,12 @@ class ReferenceModel {
       if (victim == entries_.end()) return;  // everything pinned
       usedBytes_ -= victim->second.data.size();
       ++evictions_;
-      evictionLog_.push_back(EvictedBlock{
-          BlockKey{victim->first.first, victim->first.second},
-          std::move(victim->second.data)});
       entries_.erase(victim);
     }
   }
 
   BlockCacheConfig config_;
   std::map<Key, Entry> entries_;
-  std::vector<EvictedBlock> evictionLog_;
   std::uint64_t nextStamp_ = 0;
   std::uint64_t usedBytes_ = 0;
   std::uint64_t hits_ = 0;
@@ -174,17 +169,16 @@ std::string RandomBlock(util::Rng& rng, std::uint32_t blockSize) {
 
 class PcachePropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(PcachePropertyTest, BlockCacheAgreesWithReferenceModel) {
-  BlockCacheConfig cfg;
-  cfg.blockSize = 32;
-  cfg.capacityBytes = 1024;
-  cfg.highWatermark = 0.9;
-  cfg.lowWatermark = 0.6;
+TEST_P(PcachePropertyTest, DramTierAgreesWithReferenceModel) {
+  TieredCacheConfig cfg;
+  cfg.dram.blockSize = 32;
+  cfg.dram.capacityBytes = 1024;
+  cfg.dram.highWatermark = 0.9;
+  cfg.dram.lowWatermark = 0.6;
 
-  BlockCache cache(cfg);
-  ReferenceModel model(cfg);
-  std::vector<EvictedBlock> sinkLog;
-  cache.SetEvictionSink([&sinkLog](EvictedBlock b) { sinkLog.push_back(std::move(b)); });
+  util::ManualClock clock;
+  TieredBlockCache cache(cfg, nullptr, clock);  // DRAM only
+  ReferenceModel model(cfg.dram);
 
   util::Rng rng(GetParam());
   const std::vector<std::string> paths = {"/a", "/b", "/c", "/d/deep/path",
@@ -208,7 +202,7 @@ TEST_P(PcachePropertyTest, BlockCacheAgreesWithReferenceModel) {
       case 6:
       case 7: {  // insert (occasionally pinned)
         const bool pinned = rng.NextBool(0.1);
-        std::string data = RandomBlock(rng, cfg.blockSize);
+        std::string data = RandomBlock(rng, cfg.dram.blockSize);
         model.Insert(path, index, data, pinned);
         cache.Insert(path, index, std::move(data), pinned);
         break;
@@ -236,30 +230,27 @@ TEST_P(PcachePropertyTest, BlockCacheAgreesWithReferenceModel) {
       }
     }
 
+    // The resident sets agree after every operation: the same number of
+    // blocks, and every model entry present. The victims' bytes are what
+    // the tiered cache spills to disk; TieredCacheNeverServesStaleOrTornBytes
+    // and the spill-order test in pcache_test check those.
+    ASSERT_EQ(cache.GetTieredStats().dram.blockCount, model.entries().size())
+        << "step " << step;
+    for (const auto& [key, entry] : model.entries()) {
+      ASSERT_TRUE(cache.Contains(key.first, key.second))
+          << key.first << "#" << key.second << " missing at step " << step;
+    }
+
     if (step % 500 == 499) {
-      const auto got = cache.GetStats();
+      const auto got = cache.GetTieredStats();
       const auto want = model.GetStats();
       ASSERT_EQ(got.hits, want.hits) << "step " << step;
       ASSERT_EQ(got.misses, want.misses) << "step " << step;
       ASSERT_EQ(got.inserts, want.inserts) << "step " << step;
-      ASSERT_EQ(got.evictions, want.evictions) << "step " << step;
-      ASSERT_EQ(got.usedBytes, want.usedBytes) << "step " << step;
-      ASSERT_EQ(got.blockCount, want.blockCount) << "step " << step;
-      ASSERT_EQ(cache.UsedBytes(), want.usedBytes);
-
-      // Every model entry must be present with matching pin-protection, and
-      // the sink must have seen exactly the model's victims, oldest first,
-      // bytes intact (this is what the tiered cache spills to disk).
-      for (const auto& [key, entry] : model.entries()) {
-        ASSERT_TRUE(cache.Contains(key.first, key.second))
-            << key.first << "#" << key.second << " missing at step " << step;
-      }
-      ASSERT_EQ(sinkLog.size(), model.EvictionLog().size());
-      for (std::size_t i = 0; i < sinkLog.size(); ++i) {
-        ASSERT_EQ(sinkLog[i].key.path, model.EvictionLog()[i].key.path) << "victim " << i;
-        ASSERT_EQ(sinkLog[i].key.index, model.EvictionLog()[i].key.index) << "victim " << i;
-        ASSERT_EQ(sinkLog[i].data, model.EvictionLog()[i].data) << "victim " << i;
-      }
+      ASSERT_EQ(got.dram.evictions, want.dram.evictions) << "step " << step;
+      ASSERT_EQ(got.dram.usedBytes, want.dram.usedBytes) << "step " << step;
+      ASSERT_EQ(got.dram.blockCount, want.dram.blockCount) << "step " << step;
+      ASSERT_EQ(cache.UsedBytes(), want.dram.usedBytes);
     }
   }
 }

@@ -1,6 +1,7 @@
-// Proxy cache tier (pcache) tests: block-cache eviction correctness,
-// single-flight coalescing, the tiered cache's per-file lifecycle map,
-// and the ProxyCacheNode end-to-end — in the
+// Proxy cache tier (pcache) tests: the DRAM tier's eviction correctness
+// (on a tiered cache with the disk tier off), spill order into the disk
+// tier, single-flight coalescing, the tiered cache's per-file lifecycle
+// map, config validation, and the ProxyCacheNode end-to-end — in the
 // discrete-event simulator (warm hits bypass the cluster entirely,
 // read-ahead, MSS no-restage) and over real loopback TCP (stats
 // aggregation through the proxy, purge admin).
@@ -9,11 +10,12 @@
 #include <atomic>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "client/sync_client.h"
 #include "oss/mem_oss.h"
-#include "pcache/block_cache.h"
 #include "pcache/proxy_node.h"
+#include "pcache/single_flight.h"
 #include "pcache/tiered_cache.h"
 #include "sim/cluster.h"
 #include "sim/tcp_cluster.h"
@@ -23,41 +25,50 @@ namespace scalla {
 namespace {
 
 using cms::AccessMode;
-using pcache::BlockCache;
-using pcache::BlockCacheConfig;
 using pcache::SingleFlight;
+using pcache::TieredBlockCache;
+using pcache::TieredCacheConfig;
 
-// ------------------------------------------------------------ BlockCache
+// ------------------------------------------------------------- DRAM tier
 
-BlockCacheConfig SmallCache() {
-  BlockCacheConfig cfg;
-  cfg.blockSize = 10;
-  cfg.capacityBytes = 100;
-  cfg.highWatermark = 0.9;  // evict above 90 bytes
-  cfg.lowWatermark = 0.5;   // down to 50 bytes
+// Ten 10-byte slots; `diskCapacity` 0 leaves the disk tier off, so every
+// insert goes to DRAM and a DRAM eviction is a loss.
+TieredCacheConfig SmallCache(std::uint64_t diskCapacity = 0) {
+  TieredCacheConfig cfg;
+  cfg.dram.blockSize = 10;
+  cfg.dram.capacityBytes = 100;
+  cfg.dram.highWatermark = 0.9;  // evict above 90 bytes
+  cfg.dram.lowWatermark = 0.5;   // down to 50 bytes
+  cfg.diskCapacityBytes = diskCapacity;
   return cfg;
 }
 
 std::string Block(char fill) { return std::string(10, fill); }
 
-TEST(BlockCacheTest, FillPastHighWatermarkEvictsDownToLow) {
-  BlockCache cache(SmallCache());
+class DramTierTest : public ::testing::Test {
+ protected:
+  util::ManualClock clock_;
+  TieredBlockCache cache_{SmallCache(), nullptr, clock_};
+};
+
+TEST_F(DramTierTest, FillPastHighWatermarkEvictsDownToLow) {
+  TieredBlockCache& cache = cache_;
   // 9 blocks = 90 bytes: at the high watermark, nothing evicted yet.
   for (std::uint64_t i = 0; i < 9; ++i) cache.Insert("/f", i, Block('a'));
   EXPECT_EQ(cache.UsedBytes(), 90u);
-  EXPECT_EQ(cache.GetStats().evictions, 0u);
+  EXPECT_EQ(cache.GetTieredStats().dram.evictions, 0u);
 
   // The 10th crosses the watermark: the sweep runs down to <= 50 bytes.
   cache.Insert("/f", 9, Block('a'));
   EXPECT_LE(cache.UsedBytes(), 50u);
-  const auto stats = cache.GetStats();
+  const auto stats = cache.GetTieredStats().dram;
   EXPECT_EQ(stats.evictions, 5u);
   EXPECT_EQ(stats.blockCount, 5u);
   EXPECT_EQ(stats.usedBytes, cache.UsedBytes());
 }
 
-TEST(BlockCacheTest, EvictionVictimsAreStrictGlobalLru) {
-  BlockCache cache(SmallCache());
+TEST_F(DramTierTest, EvictionVictimsAreStrictGlobalLru) {
+  TieredBlockCache& cache = cache_;
   for (std::uint64_t i = 0; i < 9; ++i) cache.Insert("/f", i, Block('a'));
   // Touch 0..3: they become the freshest despite being inserted first.
   for (std::uint64_t i = 0; i < 4; ++i) EXPECT_TRUE(cache.Lookup("/f", i).has_value());
@@ -72,8 +83,8 @@ TEST(BlockCacheTest, EvictionVictimsAreStrictGlobalLru) {
   }
 }
 
-TEST(BlockCacheTest, PinnedBlocksAreNeverEvicted) {
-  BlockCache cache(SmallCache());
+TEST_F(DramTierTest, PinnedBlocksAreNeverEvicted) {
+  TieredBlockCache& cache = cache_;
   for (std::uint64_t i = 0; i < 9; ++i) cache.Insert("/f", i, Block('a'));
   // Pin the two oldest; the sweep must skip them and take the next-oldest.
   ASSERT_TRUE(cache.Pin("/f", 0));
@@ -86,10 +97,10 @@ TEST(BlockCacheTest, PinnedBlocksAreNeverEvicted) {
   EXPECT_LE(cache.UsedBytes(), 50u);
 
   // A fully pinned cache over the watermark must give up, not spin.
-  BlockCache tiny(SmallCache());
+  TieredBlockCache tiny(SmallCache(), nullptr, clock_);
   for (std::uint64_t i = 0; i < 10; ++i) tiny.Insert("/g", i, Block('b'), /*pinned=*/true);
   EXPECT_EQ(tiny.UsedBytes(), 100u);  // nothing evictable
-  EXPECT_EQ(tiny.GetStats().evictions, 0u);
+  EXPECT_EQ(tiny.GetTieredStats().dram.evictions, 0u);
 
   // Unpinning makes them evictable again on the next trigger.
   for (std::uint64_t i = 0; i < 10; ++i) tiny.Unpin("/g", i);
@@ -97,42 +108,60 @@ TEST(BlockCacheTest, PinnedBlocksAreNeverEvicted) {
   EXPECT_LE(tiny.UsedBytes(), 50u);
 }
 
-TEST(BlockCacheTest, EvictionSinkReceivesGlobalLruVictimsInOrder) {
-  // Victims must be the least recently used unpinned blocks, and the
-  // sink must see them oldest-first with their bytes intact (the tiered
-  // cache spills exactly these to disk).
-  BlockCache cache(SmallCache());
-  std::vector<pcache::EvictedBlock> spilled;
-  cache.SetEvictionSink([&spilled](pcache::EvictedBlock b) {
-    spilled.push_back(std::move(b));
-  });
+// A MemOss that logs every write it accepts, in order.
+class RecordingOss final : public oss::MemOss {
+ public:
+  using MemOss::MemOss;
 
-  for (std::uint64_t i = 0; i < 9; ++i) cache.Insert("/f", i, Block(static_cast<char>('0' + i)));
+  Result<void> Write(const std::string& path, std::uint64_t offset,
+                     std::string_view data) override {
+    writes.emplace_back(path, std::string(data));
+    return MemOss::Write(path, offset, data);
+  }
+
+  std::vector<std::pair<std::string, std::string>> writes;  // path, bytes
+};
+
+TEST_F(DramTierTest, SpillsReceiveGlobalLruVictimsInOrder) {
+  // Victims must be the least recently used unpinned blocks, and the disk
+  // tier must receive them oldest-first with their bytes intact.
+  RecordingOss disk(clock_);
+  TieredBlockCache cache(SmallCache(/*diskCapacity=*/1000), &disk, clock_);
+
+  // A first insert lands on disk; the second proves reuse and earns DRAM.
+  for (std::uint64_t i = 0; i < 9; ++i) {
+    for (int pass = 0; pass < 2; ++pass) {
+      cache.Insert("/f", i, Block(static_cast<char>('0' + i)));
+    }
+  }
   // Refresh 2, 0, 4: they are now fresher than every untouched block.
   for (const std::uint64_t i : {2u, 0u, 4u}) {
-    ASSERT_TRUE(cache.Lookup("/f", i).has_value());
+    ASSERT_EQ(cache.LookupDetailed("/f", i).tier, pcache::CacheTier::kDram);
   }
+  cache.Insert("/f", 9, Block('9'));  // first touch: to disk
+  disk.writes.clear();
 
-  cache.Insert("/f", 9, Block('9'));  // 100 bytes: triggers the sweep
+  cache.Insert("/f", 9, Block('9'));  // DRAM reaches 100 bytes: the sweep
   // Oldest unpinned, in recency order: 1, 3, 5, 6, 7.
-  ASSERT_EQ(spilled.size(), 5u);
+  ASSERT_EQ(disk.writes.size(), 5u);
   const std::uint64_t wantOrder[] = {1, 3, 5, 6, 7};
-  for (std::size_t v = 0; v < spilled.size(); ++v) {
-    EXPECT_EQ(spilled[v].key.path, "/f");
-    EXPECT_EQ(spilled[v].key.index, wantOrder[v]) << "victim " << v;
-    EXPECT_EQ(spilled[v].data, Block(static_cast<char>('0' + wantOrder[v]))) << "victim " << v;
+  for (std::size_t v = 0; v < disk.writes.size(); ++v) {
+    EXPECT_EQ(disk.writes[v].first, "/f#b" + std::to_string(wantOrder[v])) << "victim " << v;
+    EXPECT_EQ(disk.writes[v].second, Block(static_cast<char>('0' + wantOrder[v])))
+        << "victim " << v;
   }
+  EXPECT_EQ(cache.GetTieredStats().spills, 5u);
   for (const std::uint64_t i : {0u, 2u, 4u, 8u, 9u}) {
     EXPECT_TRUE(cache.Contains("/f", i)) << "block " << i;
   }
 
-  // Purge is not eviction: the sink must not see purged blocks.
+  // Purge is not eviction: it spills nothing.
   (void)cache.PurgeAll();
-  EXPECT_EQ(spilled.size(), 5u);
+  EXPECT_EQ(disk.writes.size(), 5u);
 }
 
-TEST(BlockCacheTest, PurgeDropsOnlyThatPath) {
-  BlockCache cache(SmallCache());
+TEST_F(DramTierTest, PurgeDropsOnlyThatPath) {
+  TieredBlockCache& cache = cache_;
   cache.Insert("/a", 0, Block('a'));
   cache.Insert("/a", 1, Block('a'));
   cache.Insert("/b", 0, Block('b'));
@@ -144,18 +173,34 @@ TEST(BlockCacheTest, PurgeDropsOnlyThatPath) {
   EXPECT_EQ(cache.UsedBytes(), 0u);
 }
 
-TEST(BlockCacheTest, LookupCountsHitsAndMisses) {
-  BlockCache cache(SmallCache());
+TEST_F(DramTierTest, LookupCountsHitsAndMisses) {
+  TieredBlockCache& cache = cache_;
   cache.Insert("/f", 0, Block('x'));
   EXPECT_TRUE(cache.Lookup("/f", 0).has_value());
   EXPECT_FALSE(cache.Lookup("/f", 1).has_value());
   EXPECT_FALSE(cache.Lookup("/g", 0).has_value());
-  const auto stats = cache.GetStats();
+  const auto stats = cache.GetTieredStats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
   // Contains is stats-neutral.
   EXPECT_TRUE(cache.Contains("/f", 0));
-  EXPECT_EQ(cache.GetStats().hits, 1u);
+  EXPECT_EQ(cache.GetTieredStats().hits, 1u);
+}
+
+// A config no cache can run with stops at construction with the
+// validation message, as an invalid fabric option does: a zero block size
+// would otherwise divide by zero in the proxy's first read.
+TEST(TieredCacheConfigDeathTest, InvalidConfigAbortsAtConstruction) {
+  util::ManualClock clock;
+  TieredCacheConfig zeroBlock = SmallCache();
+  zeroBlock.dram.blockSize = 0;
+  EXPECT_DEATH({ TieredBlockCache cache(zeroBlock, nullptr, clock); },
+               "pcache.blocksize must be positive");
+  TieredCacheConfig inverted = SmallCache();
+  inverted.dram.highWatermark = 0.5;
+  inverted.dram.lowWatermark = 0.9;
+  EXPECT_DEATH({ TieredBlockCache cache(inverted, nullptr, clock); },
+               "pcache watermarks need 0 < lowater <= hiwater <= 1");
 }
 
 // ----------------------------------------------------------- SingleFlight
@@ -189,12 +234,13 @@ TEST(SingleFlightTest, CoalescesConcurrentRequests) {
 // --------------------------------------------- multithreaded (TSan) stress
 
 TEST(PcacheConcurrencyTest, CacheAndSingleFlightSurviveThreads) {
-  BlockCacheConfig cfg;
-  cfg.blockSize = 64;
-  cfg.capacityBytes = 64 * 64;  // tight: constant eviction pressure
-  cfg.highWatermark = 0.9;
-  cfg.lowWatermark = 0.5;
-  BlockCache cache(cfg);
+  TieredCacheConfig cfg;
+  cfg.dram.blockSize = 64;
+  cfg.dram.capacityBytes = 64 * 64;  // tight: constant eviction pressure
+  cfg.dram.highWatermark = 0.9;
+  cfg.dram.lowWatermark = 0.5;
+  util::SystemClock clock;
+  TieredBlockCache cache(cfg, nullptr, clock);  // DRAM only
   SingleFlight flight;
 
   constexpr int kThreads = 8;
@@ -225,9 +271,9 @@ TEST(PcacheConcurrencyTest, CacheAndSingleFlightSurviveThreads) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(flight.InFlight(), 0u);
   EXPECT_GT(delivered.load(), 0u);
-  const auto stats = cache.GetStats();
+  const auto stats = cache.GetTieredStats().dram;
   EXPECT_EQ(stats.usedBytes, cache.UsedBytes());
-  EXPECT_LE(stats.usedBytes, cfg.capacityBytes);
+  EXPECT_LE(stats.usedBytes, cfg.dram.capacityBytes);
 }
 
 // ------------------------------------------- TieredBlockCache lifecycle
@@ -239,13 +285,13 @@ TEST(PcacheConcurrencyTest, CacheAndSingleFlightSurviveThreads) {
 TEST(TieredCacheLifecycleTest, EntriesLeaveWithTheFilesLastBlock) {
   for (const std::uint64_t diskCapacity : {std::uint64_t{0}, std::uint64_t{4} << 20}) {
     SCOPED_TRACE(diskCapacity == 0 ? "DRAM only" : "with a disk tier");
-    pcache::TieredCacheConfig cfg;
+    TieredCacheConfig cfg;
     cfg.dram.blockSize = 4096;
     cfg.dram.capacityBytes = 1 << 20;
     cfg.diskCapacityBytes = diskCapacity;
     util::ManualClock clock;
     oss::MemOss disk(clock);
-    pcache::TieredBlockCache cache(cfg, diskCapacity > 0 ? &disk : nullptr, clock);
+    TieredBlockCache cache(cfg, diskCapacity > 0 ? &disk : nullptr, clock);
     const std::string block(cfg.dram.blockSize, 'l');
     constexpr int kPaths = 200000;
     for (int i = 0; i < kPaths; ++i) {
