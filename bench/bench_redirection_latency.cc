@@ -57,7 +57,7 @@ ColdWarm MeasureColdWarm(int servers, int fanout, std::size_t files) {
 }
 
 // Deterministic sim-time metrics surfaced in the JSON summary line that
-// scripts/bench.sh collects and tools/bench_compare gates.
+// scripts/bench.sh collects and scripts/bench_gate.py gates.
 struct JsonMetrics {
   double warmPerLevelUs = 0;  // deepest shape in the per-level table
   double coldPremiumUs = 0;

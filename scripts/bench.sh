@@ -5,8 +5,8 @@
 # line). Run from the repository root.
 #
 # Output file: first positional argument, else $BENCH_OUT, else
-# BENCH_PR10.json. The result feeds scripts' bench-gate stage:
-#   build/tools/bench_compare bench/baseline.json <output>
+# BENCH_PR10.json. The result feeds scripts/verify.sh's bench-gate stage:
+#   python3 scripts/bench_gate.py bench/baseline.json <output>
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -5,7 +5,8 @@
 # scalla_daemon process. Once `stats` at the meta counts all three nodes,
 # scalla_cli writes /store/hello through the manager, reads it back
 # through the meta, checks `fed locate` at the meta, and checks that the
-# data server refuses `fed locate` at once. Finally every daemon gets
+# data server refuses `fed locate` at once and that scalla_cli refuses a
+# base port past 65535 as a usage error. Finally every daemon gets
 # SIGTERM and must exit 0 (a ThreadSanitizer build exits non-zero when it
 # reported a race).
 #
@@ -102,6 +103,12 @@ if out=$(cli --head 11 fed locate /store/hello 2>&1); then
 fi
 echo "$out"
 [[ "$out" == *"invalid argument"* ]] || fail "fed locate at the server: '$out'"
+# A base port past 65535 is a usage error (exit 2), not a port wrapped
+# around onto some other endpoint's.
+status=0
+out=$(timeout 40 "$BIN/scalla_cli" --base-port 70000 --head 1 stats 2>&1) || status=$?
+(( status == 2 )) || fail "scalla_cli --base-port 70000 exited $status, not 2: $out"
+echo "scalla_cli --base-port 70000: usage error"
 
 # SIGTERM each daemon and wait (at most 20 s each) for a clean exit.
 for i in "${!PIDS[@]}"; do kill -TERM "${PIDS[$i]}"; done

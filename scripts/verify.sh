@@ -21,7 +21,9 @@
 #
 # The bench-gate stage re-runs every JSON-emitting bench and compares the
 # deterministic metrics against bench/baseline.json (tolerances per
-# metric); set SCALLA_SKIP_BENCH_GATE=1 to skip it.
+# metric) with scripts/bench_gate.py, a standard-library Python script
+# whose --selftest runs in tier 1 as ctest bench_gate_selftest; set
+# SCALLA_SKIP_BENCH_GATE=1 to skip the stage.
 #
 # scripts/perf_ab.py (the parent-vs-working-tree perfbench A/B harness)
 # checks its verdict logic with --selftest; no benchmark runs there.
@@ -59,7 +61,7 @@ if [[ "${SCALLA_SKIP_BENCH_GATE:-0}" != "1" ]]; then
     echo "bench run failed; see build/bench_run.log"
     exit 1
   }
-  ./build/tools/bench_compare bench/baseline.json build/bench_current.json
+  python3 scripts/bench_gate.py bench/baseline.json build/bench_current.json
 fi
 
 echo

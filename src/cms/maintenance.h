@@ -41,7 +41,6 @@ class MaintenanceDriver {
 
   void Start(const Options& options, DropHandler onDrop = nullptr);
   void Stop();
-  bool Running() const { return running_; }
 
   struct Stats {
     std::uint64_t windowTicks = 0;

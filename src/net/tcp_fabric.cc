@@ -71,6 +71,18 @@ std::uint64_t PairKey(NodeAddr from, NodeAddr to) {
   return (static_cast<std::uint64_t>(from) << 32) | to;
 }
 
+// Where `addr` listens: 127.0.0.1, port basePort + addr; nothing when that
+// passes the last port, since a wrapped port would be another endpoint's.
+std::optional<sockaddr_in> ListenAddr(std::uint16_t basePort, NodeAddr addr) {
+  const std::uint64_t port = std::uint64_t{basePort} + addr;
+  if (port > 65535) return std::nullopt;
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  sa.sin_port = htons(static_cast<std::uint16_t>(port));
+  return sa;
+}
+
 // Options every socket the fabric sends on gets, dialed or accepted.
 void TuneSocket(int fd, const FabricOptions& options) {
   const int one = 1;
@@ -542,7 +554,10 @@ class TcpFabric::Conn final : public sched::EventHandler,
   }
 
   void StartConnect() {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    // A peer past the last port has no port to dial: it fails as a refused
+    // connect does.
+    const std::optional<sockaddr_in> sa = ListenAddr(fabric_->basePort_, peer_);
+    const int fd = sa ? ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) : -1;
     if (fd < 0) {
       FailAll();
       return;
@@ -557,11 +572,7 @@ class TcpFabric::Conn final : public sched::EventHandler,
       std::lock_guard lock(qmu_);
       hasSocket_ = true;
     }
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    sa.sin_port = htons(static_cast<std::uint16_t>(fabric_->basePort_ + peer_));
-    const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa));
+    const int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&*sa), sizeof(*sa));
     if (rc == 0) {
       id_ = loop_->Add(fd_, EPOLLIN, shared_from_this());
       Established();
@@ -955,6 +966,8 @@ TcpFabric::~TcpFabric() {
 
 bool TcpFabric::Register(NodeAddr addr, MessageSink* sink,
                          sched::Executor* executor) {
+  const std::optional<sockaddr_in> sa = ListenAddr(basePort_, addr);
+  if (!sa) return false;
   auto ep = std::make_unique<Endpoint>();
   ep->addr = addr;
   ep->sink = sink;
@@ -965,11 +978,7 @@ bool TcpFabric::Register(NodeAddr addr, MessageSink* sink,
   if (ep->listenFd < 0) return false;
   const int one = 1;
   ::setsockopt(ep->listenFd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  sa.sin_port = htons(static_cast<std::uint16_t>(basePort_ + addr));
-  if (::bind(ep->listenFd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
+  if (::bind(ep->listenFd, reinterpret_cast<const sockaddr*>(&*sa), sizeof(*sa)) != 0 ||
       ::listen(ep->listenFd, 128) != 0) {
     ::close(ep->listenFd);
     return false;

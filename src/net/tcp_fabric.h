@@ -131,7 +131,8 @@ class TcpFabric final : public Fabric {
 
   /// Binds an endpoint: registers its listener on `executor` when that is
   /// a sched::ThreadExecutor, else on a pool loop. Returns false if the
-  /// port could not be bound.
+  /// port could not be bound, or if basePort+addr passes 65535: that address
+  /// has no port, and a send to it fails as a refused connect does.
   bool Register(NodeAddr addr, MessageSink* sink, sched::Executor* executor);
   /// Tears an endpoint down, from any thread; on the endpoint's own
   /// dispatch thread it runs inline. On return no further inline

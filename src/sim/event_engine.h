@@ -52,7 +52,6 @@ class EventEngine final : public sched::Executor {
   bool RunUntilPredicate(const std::function<bool()>& stop, TimePoint deadline);
 
   TimePoint Now() const { return clock_.Now(); }
-  std::size_t PendingEvents() const { return events_.size(); }
   std::uint64_t ProcessedEvents() const { return processed_; }
 
  private:

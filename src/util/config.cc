@@ -73,13 +73,12 @@ std::optional<Config> Config::Parse(std::string_view text, std::string* error) {
       if (error) *error = "line " + std::to_string(lineNo) + ": missing value";
       return std::nullopt;
     }
-    cfg.Set(std::string(key), std::string(value));
+    if (!cfg.entries_.emplace(key, value).second) {
+      if (error) *error = ("line " + std::to_string(lineNo) + ": ").append(key) + " given twice";
+      return std::nullopt;
+    }
   }
   return cfg;
-}
-
-void Config::Set(std::string key, std::string value) {
-  entries_[std::move(key)] = std::move(value);
 }
 
 bool Config::Has(std::string_view key) const { return entries_.find(key) != entries_.end(); }
@@ -130,9 +129,6 @@ std::int64_t Config::GetIntOr(std::string_view key, std::int64_t def) const {
 }
 double Config::GetDoubleOr(std::string_view key, double def) const {
   return GetDouble(key).value_or(def);
-}
-bool Config::GetBoolOr(std::string_view key, bool def) const {
-  return GetBool(key).value_or(def);
 }
 Duration Config::GetDurationOr(std::string_view key, Duration def) const {
   return GetDuration(key).value_or(def);

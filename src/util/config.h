@@ -18,10 +18,10 @@ namespace scalla::util {
 class Config {
  public:
   /// Parses directive text. Returns std::nullopt and fills *error on
-  /// malformed input (line without a value, bad duration, etc.).
+  /// malformed input: a line without a value, or a key given twice (a
+  /// later line would otherwise silently replace the earlier one).
   static std::optional<Config> Parse(std::string_view text, std::string* error = nullptr);
 
-  void Set(std::string key, std::string value);
   bool Has(std::string_view key) const;
 
   std::optional<std::string> GetString(std::string_view key) const;
@@ -33,7 +33,6 @@ class Config {
   std::string GetStringOr(std::string_view key, std::string_view def) const;
   std::int64_t GetIntOr(std::string_view key, std::int64_t def) const;
   double GetDoubleOr(std::string_view key, double def) const;
-  bool GetBoolOr(std::string_view key, bool def) const;
   Duration GetDurationOr(std::string_view key, Duration def) const;
 
   const std::map<std::string, std::string, std::less<>>& entries() const { return entries_; }

@@ -56,12 +56,6 @@ std::int64_t Rng::NextInRange(std::int64_t lo, std::int64_t hi) {
 
 double Rng::NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
-double Rng::NextExponential(double mean) {
-  double u = NextDouble();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -mean * std::log(u);
-}
-
 bool Rng::NextBool(double pTrue) { return NextDouble() < pTrue; }
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) {

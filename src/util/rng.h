@@ -24,9 +24,6 @@ class Rng {
   /// Uniform in [0, 1).
   double NextDouble();
 
-  /// Exponentially distributed with the given mean (> 0).
-  double NextExponential(double mean);
-
   bool NextBool(double pTrue = 0.5);
 
  private:

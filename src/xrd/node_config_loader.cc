@@ -1,5 +1,6 @@
 #include "xrd/node_config_loader.h"
 
+#include <charconv>
 #include <set>
 #include <sstream>
 
@@ -29,6 +30,18 @@ std::optional<std::uint64_t> ParseSize(const std::string& text) {
   }
   return value * scale;
 }
+
+// A fabric address: a whole number from 1 to 2^32 - 1, so one that would
+// wrap, or carries trailing characters, is refused.
+std::optional<net::NodeAddr> ParseAddr(std::string_view text) {
+  net::NodeAddr addr = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, addr);
+  if (ec != std::errc{} || stop != end || addr == 0) return std::nullopt;
+  return addr;
+}
+
+constexpr const char* kAddrRule = " must be a fabric address (a whole number, 1 to 4294967295)";
 
 }  // namespace
 
@@ -85,12 +98,12 @@ std::optional<LoadedNodeConfig> LoadNodeConfig(const std::string& text,
     return std::nullopt;
   }
 
-  const auto addr = parsed->GetInt("all.addr");
-  if (!addr.has_value() || *addr <= 0) {
-    Fail(error, "all.addr (positive integer) is required");
+  const auto addr = ParseAddr(parsed->GetStringOr("all.addr", ""));
+  if (!addr.has_value()) {
+    Fail(error, std::string("all.addr is required and") + kAddrRule);
     return std::nullopt;
   }
-  cfg.addr = static_cast<net::NodeAddr>(*addr);
+  cfg.addr = *addr;
   cfg.name = parsed->GetStringOr("all.name", "node" + std::to_string(*addr));
 
   if (const auto managers = parsed->GetString("all.manager"); managers.has_value()) {
@@ -98,12 +111,12 @@ std::optional<LoadedNodeConfig> LoadNodeConfig(const std::string& text,
     std::string tok;
     std::vector<net::NodeAddr> parents;
     while (in >> tok) {
-      const long value = std::strtol(tok.c_str(), nullptr, 10);
-      if (value <= 0) {
-        Fail(error, "all.manager entries must be positive integers");
+      const auto parent = ParseAddr(tok);
+      if (!parent.has_value()) {
+        Fail(error, std::string("each all.manager entry") + kAddrRule);
         return std::nullopt;
       }
-      parents.push_back(static_cast<net::NodeAddr>(value));
+      parents.push_back(*parent);
     }
     if (!parents.empty()) {
       cfg.parent = parents.front();
@@ -127,19 +140,17 @@ std::optional<LoadedNodeConfig> LoadNodeConfig(const std::string& text,
   }
   // The meta-manager is a federated manager's parent: fed.meta names it,
   // and all.manager would name the same parent a second way.
-  if (const auto meta = parsed->GetInt("fed.meta"); meta.has_value()) {
-    if (*meta <= 0) {
-      Fail(error, "fed.meta must be a positive fabric address");
+  if (parsed->Has("fed.meta")) {
+    const auto meta = ParseAddr(parsed->GetStringOr("fed.meta", ""));
+    if (!meta.has_value()) {
+      Fail(error, std::string("fed.meta") + kAddrRule);
       return std::nullopt;
     }
     if (cfg.parent != 0) {
       Fail(error, "a manager names its parent once: fed.meta or all.manager, not both");
       return std::nullopt;
     }
-    cfg.parent = static_cast<net::NodeAddr>(*meta);
-  } else if (parsed->Has("fed.meta")) {
-    Fail(error, "fed.meta must be an integer");
-    return std::nullopt;
+    cfg.parent = *meta;
   }
   cfg.clusterName = parsed->GetStringOr("fed.cluster", "");
   if (const auto locality = parsed->GetInt("fed.locality"); locality.has_value()) {
@@ -247,8 +258,13 @@ std::optional<LoadedNodeConfig> LoadNodeConfig(const std::string& text,
   }
   cfg.loadReportInterval =
       parsed->GetDurationOr("xrd.loadreport", cfg.loadReportInterval);
-  if (const auto cnsd = parsed->GetInt("all.cnsd"); cnsd.has_value()) {
-    cfg.cnsd = static_cast<net::NodeAddr>(*cnsd);
+  if (parsed->Has("all.cnsd")) {
+    const auto cnsd = ParseAddr(parsed->GetStringOr("all.cnsd", ""));
+    if (!cnsd.has_value()) {
+      Fail(error, std::string("all.cnsd") + kAddrRule);
+      return std::nullopt;
+    }
+    cfg.cnsd = *cnsd;
   }
 
   out.localRoot = parsed->GetStringOr("oss.localroot", "");

@@ -61,7 +61,10 @@
 //   fabric.idletimeout     0           # idle-connection reap (0 disables)
 //   fabric.sendbuf         0           # SO_SNDBUF bytes (0 = OS default)
 //
-// Unknown keys are reported as errors so typos do not silently default.
+// Unknown keys are reported as errors so typos do not silently default, and
+// so is a repeated directive, which would silently replace the earlier line:
+// a directive's values share its one line. An address (all.addr,
+// all.manager, fed.meta, all.cnsd) is a whole number from 1 to 4294967295.
 #pragma once
 
 #include <optional>

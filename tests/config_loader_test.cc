@@ -391,5 +391,64 @@ TEST(NodeConfigLoaderTest, RejectsFedMetaBesideAllManager) {
   EXPECT_EQ(chained->node.parent, 1u);
 }
 
+TEST(NodeConfigLoaderTest, RejectsARepeatedDirective) {
+  // A second line would replace the first: a config meant to export two
+  // prefixes would export only the last.
+  std::string error;
+  EXPECT_FALSE(LoadNodeConfig("all.role server\nall.addr 12\nall.manager 1\n"
+                              "all.export /store\nall.export /scratch\n",
+                              &error)
+                   .has_value());
+  EXPECT_NE(error.find("line 5: all.export given twice"), std::string::npos) << error;
+  EXPECT_FALSE(LoadNodeConfig("all.role server\nall.addr 12\nall.manager 1\n"
+                              "all.manager 2\nall.export /store\n",
+                              &error)
+                   .has_value());
+  EXPECT_NE(error.find("all.manager given twice"), std::string::npos) << error;
+  // Several values go on the directive's one line.
+  const auto loaded = LoadNodeConfig(
+      "all.role server\nall.addr 12\nall.manager 1 2\nall.export /store /scratch\n", &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->node.exports, (std::vector<std::string>{"/store", "/scratch"}));
+}
+
+TEST(NodeConfigLoaderTest, RejectsAnAddressThatDoesNotFit) {
+  // 2^32 + 1 would wrap to address 1, the manager's.
+  const std::string server = "all.role server\nall.export /store\n";
+  const std::string manager = "all.role manager\nall.addr 10\nall.export /store\n";
+  std::string error;
+  EXPECT_FALSE(LoadNodeConfig(server + "all.addr 4294967297\nall.manager 1\n", &error)
+                   .has_value());
+  EXPECT_NE(error.find("all.addr"), std::string::npos) << error;
+  EXPECT_FALSE(LoadNodeConfig(server + "all.addr 12\nall.manager 4294967297\n", &error)
+                   .has_value());
+  EXPECT_NE(error.find("all.manager"), std::string::npos) << error;
+  EXPECT_FALSE(LoadNodeConfig(manager + "fed.meta 4294967297\n", &error).has_value());
+  EXPECT_NE(error.find("fed.meta"), std::string::npos) << error;
+  EXPECT_FALSE(LoadNodeConfig(manager + "all.cnsd 4294967297\n", &error).has_value());
+  EXPECT_NE(error.find("all.cnsd"), std::string::npos) << error;
+  // The largest address still loads.
+  const auto top =
+      LoadNodeConfig(server + "all.addr 4294967295\nall.manager 4294967295\n", &error);
+  ASSERT_TRUE(top.has_value()) << error;
+  EXPECT_EQ(top->node.addr, 4294967295u);
+  EXPECT_EQ(top->node.parent, 4294967295u);
+}
+
+TEST(NodeConfigLoaderTest, RejectsTrailingCharactersInAnAddress) {
+  // "7x" once loaded as parent 7, and all.cnsd 7x as no cnsd at all.
+  const std::string server = "all.role server\nall.addr 12\nall.export /store\n";
+  std::string error;
+  EXPECT_FALSE(LoadNodeConfig(server + "all.manager 7x\n", &error).has_value());
+  EXPECT_NE(error.find("all.manager"), std::string::npos) << error;
+  EXPECT_FALSE(LoadNodeConfig(server + "all.manager 1 2.5\n", &error).has_value());
+  EXPECT_FALSE(
+      LoadNodeConfig(server + "all.manager 1\nall.cnsd 7x\n", &error).has_value());
+  EXPECT_NE(error.find("all.cnsd"), std::string::npos) << error;
+  const auto cnsd = LoadNodeConfig(server + "all.manager 1\nall.cnsd 7\n", &error);
+  ASSERT_TRUE(cnsd.has_value()) << error;
+  EXPECT_EQ(cnsd->node.cnsd, 7u);
+}
+
 }  // namespace
 }  // namespace scalla::xrd

@@ -1,9 +1,10 @@
 // Failure-path tests for the per-peer TCP transport: peer-down delivery on
-// connect refusal and on an expired write deadline, reconnect accounting
-// across a peer restart, bounded-queue overflow, malformed-frame and
-// spoofed-sender disconnects, fault injection (down / cut / drop / delay),
-// inbound connection reaping, and the head-of-line isolation guarantee — a
-// stalled destination delays only its own queue.
+// connect refusal, on a peer address past the last port and on an expired
+// write deadline, reconnect accounting across a peer restart, bounded-queue
+// overflow, malformed-frame and spoofed-sender disconnects, fault injection
+// (down / cut / drop / delay), inbound connection reaping, and the
+// head-of-line isolation guarantee — a stalled destination delays only its
+// own queue.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -51,6 +52,27 @@ TEST(TcpFabricTest, PeerDownOnConnectRefused) {
   ASSERT_TRUE(a.WaitPeerDowns(1));
   EXPECT_EQ(a.lastDown, 9u);
   EXPECT_GE(fabric.GetCounters().messagesDropped, 1u);
+}
+
+TEST(TcpFabricTest, AddressPastTheLastPortHasNoPort) {
+  // A band of its own at the top of the port range, above the other bands
+  // (tcp_test_support.h) and the default ephemeral range. From base 65000
+  // every address above 535 passes port 65535; cast to 16 bits, address
+  // 65637 would bind 65101 and address 65636 would reach 65100, endpoint
+  // 100's port, whose endpoint would take the frame as its own.
+  constexpr std::uint16_t kTopBase = 65000;
+  CountingSink low, high, last, wrapped;  // sinks must outlive the fabric's loops
+  net::TcpFabric fabric(kTopBase);
+  ASSERT_TRUE(fabric.Register(100, &low, nullptr));
+  ASSERT_TRUE(fabric.Register(200, &high, nullptr));
+  EXPECT_TRUE(fabric.Register(535, &last, nullptr));  // port 65535
+  EXPECT_FALSE(fabric.Register(65637, &wrapped, nullptr));
+  // A dial to such an address fails as a refused connect does.
+  fabric.Send(200, 65636, SmallMessage());
+  EXPECT_FALSE(low.WaitMessages(1, 300ms));
+  ASSERT_TRUE(high.WaitPeerDowns(1));
+  EXPECT_EQ(high.lastDown, 65636u);
+  EXPECT_EQ(fabric.GetCounters().messagesDropped, 1u);
 }
 
 TEST(TcpFabricTest, PeerDownOnWriteDeadline) {

@@ -10,7 +10,9 @@
 // calls once may use its whole band (the fabric soak's receivers are
 // 201..250). The bands sit above perfbench (12000+) and bench_fabric
 // (14000-15535) and below the ephemeral range (32768+), where an outbound
-// socket could squat on a listener port.
+// socket could squat on a listener port. tcp_fabric_test's case for an
+// address past the last port alone uses base 65000, above the default
+// ephemeral range's end (60999).
 #pragma once
 
 #include <arpa/inet.h>

@@ -21,10 +21,11 @@
 //     restore <server>         undo a drain
 //     fed locate <path>        ask a federation meta-manager (--head must be
 //                              the meta) which cluster owns the path
+#include <charconv>
 #include <cstdio>
 #include <future>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,17 @@ int Usage() {
   return 2;
 }
 
+// `text` as a whole decimal number that fits T, or nothing: "70000" does not
+// fit a port, and "12x" or "-1" is no such number.
+template <typename T>
+std::optional<T> ParseNumber(const char* text) {
+  T value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || stop != end) return std::nullopt;
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -53,19 +65,23 @@ int main(int argc, char** argv) {
   cfg.head = 1;
   std::uint16_t basePort = 10940;
 
+  // A flag whose value does not fit (a port past 65535, an address of 0 or
+  // past 2^32 - 1) is a usage error, not a value wrapped onto another.
   int i = 1;
   for (; i + 1 < argc && argv[i][0] == '-'; i += 2) {
-    if (std::strcmp(argv[i], "--head") == 0) {
-      cfg.head = static_cast<net::NodeAddr>(std::atoi(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--base-port") == 0) {
-      basePort = static_cast<std::uint16_t>(std::atoi(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--addr") == 0) {
-      cfg.addr = static_cast<net::NodeAddr>(std::atoi(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--cnsd") == 0) {
-      cfg.cnsd = static_cast<net::NodeAddr>(std::atoi(argv[i + 1]));
-    } else {
-      return Usage();
+    if (std::strcmp(argv[i], "--base-port") == 0) {
+      const auto port = ParseNumber<std::uint16_t>(argv[i + 1]);
+      if (!port.has_value()) return Usage();
+      basePort = *port;
+      continue;
     }
+    net::NodeAddr* const addr = std::strcmp(argv[i], "--head") == 0   ? &cfg.head
+                                : std::strcmp(argv[i], "--addr") == 0 ? &cfg.addr
+                                : std::strcmp(argv[i], "--cnsd") == 0 ? &cfg.cnsd
+                                                                      : nullptr;
+    const auto value = ParseNumber<net::NodeAddr>(argv[i + 1]);
+    if (addr == nullptr || !value.has_value() || *value == 0) return Usage();
+    *addr = *value;
   }
   if (i >= argc) return Usage();
   const std::string command = argv[i++];

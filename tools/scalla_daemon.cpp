@@ -30,6 +30,7 @@
 //
 // Endpoints listen on 127.0.0.1:(basePort + all.addr); default base port
 // is 10940 (nod to xrootd's 1094).
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -57,17 +58,21 @@ void HandleSignal(int) { g_shutdown.release(); }
 int main(int argc, char** argv) {
   using namespace scalla;
 
-  if (argc < 2) {
+  const auto usage = [&] {
     std::fprintf(stderr, "usage: %s <config-file> [--base-port N] [--proxy]\n",
                  argv[0]);
     return 2;
-  }
+  };
+  if (argc < 2) return usage();
   std::uint16_t basePort = 10940;
   bool forceProxy = false;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--base-port") == 0 && i + 1 < argc) {
-      basePort = static_cast<std::uint16_t>(std::atoi(argv[i + 1]));
-      ++i;
+    if (std::strcmp(argv[i], "--base-port") == 0) {
+      // Not a whole number, or past 65535: a usage error, not a wrapped port.
+      const char* text = i + 1 < argc ? argv[++i] : "";
+      const char* end = text + std::strlen(text);
+      const auto [stop, ec] = std::from_chars(text, end, basePort);
+      if (ec != std::errc{} || stop != end) return usage();
     } else if (std::strcmp(argv[i], "--proxy") == 0) {
       forceProxy = true;
     }
